@@ -214,19 +214,58 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
     return hashes
 
 
-def _hc_ship(ctx, rnd, q, rels, shares, cells, tag, keep=None):
+def _hc_ship(ctx, rnd, q, rels, shares, cells, tag, keep=None, dedup=False):
     """Hypercube shipment of every atom of q onto the given logical cells.
 
     `cells` has exactly prod(shares) entries; keep(atom, tuple) filters.
+
+    In counting mode the ledger is computed without replicating: tuples
+    are counted by their bound hash coordinates and each count is added to
+    every cell the coordinates expand to.  That skips the engine's dedup,
+    which is sound because one shipment never repeats a delivery: tuples
+    are distinct, one tuple's cells are distinct, and distinct cells are
+    disjoint server groups.  Pass ``dedup=True`` when that may not hold:
+    when another shipment of the same tuples in the same round may reach
+    the same servers, or when two cells share a server.
     """
     hashes = _balanced_hashes(ctx, q, rels, shares, tag)
+    eng = ctx.eng
+    if eng.store_tuples or dedup:
+        for a in q.atoms:
+            for t in rels[a.relation]:
+                if keep is not None and not keep(a, t):
+                    continue
+                asg = dict(zip(a.vars, t))
+                for c in hc_destinations(set(a.vars), asg, shares, q.variables, hashes):
+                    _send_group(eng, rnd, cells[c], a.relation, t)
+        return
+    # Mixed-radix cell index over q.variables, as in hc_destinations.
+    split = [v for v in q.variables if shares[v] > 1]
+    stride = {}
+    step = 1
+    for v in reversed(split):
+        stride[v] = step
+        step *= shares[v]
     for a in q.atoms:
+        bound = [(a.vars.index(v), hashes[v], shares[v], stride[v])
+                 for v in split if v in a.vars]
+        free = [0]
+        for v in split:
+            if v not in a.vars:
+                free = [f + d * stride[v] for f in free for d in range(shares[v])]
+        hist = Counter()
         for t in rels[a.relation]:
-            if keep is not None and not keep(a, t):
-                continue
-            asg = dict(zip(a.vars, t))
-            for c in hc_destinations(set(a.vars), asg, shares, q.variables, hashes):
-                _send_group(ctx.eng, rnd, cells[c], a.relation, t)
+            if keep is None or keep(a, t):
+                hist[sum((h(t[i], s) - 1) * st for i, h, s, st in bound)] += 1
+        per_cell = Counter()
+        for c0, n in hist.items():
+            for f in free:
+                per_cell[c0 + f] += n
+        counts = Counter()
+        for c, n in per_cell.items():
+            for srv in cells[c]:
+                counts[srv] += n
+        eng.add_counts(rnd, a.relation, counts)
 
 
 def _distribute(ctx, rnd, name, tuples, groups, tag):
@@ -322,25 +361,27 @@ def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
             prof = frozenset(v for v, val in zip(a.vars, t) if val in heavy[v])
             g.setdefault(prof, []).append(t)
         groups[a.relation] = g
-    base = None
-    out = set()
+    # heavy profiles X for which every atom has tuples
+    active = []
     for X in _subsets(q.variables):
-        filtered = {}
-        ok = True
-        for a in q.atoms:
-            ts = groups[a.relation].get(frozenset(X & set(a.vars)))
-            if not ts:
-                ok = False
-                break
-            filtered[a.relation] = ts
-        if not ok:
-            continue
-        if base is None:
-            base = [fresh() for _ in range(P)]
+        profs = [frozenset(X & set(a.vars)) for a in q.atoms]
+        if all(groups[a.relation].get(pr) for a, pr in zip(q.atoms, profs)):
+            active.append((X, profs))
+    # A tuple group shipped under two profiles can reach the same base
+    # server twice, and so can cells folded onto one base server when
+    # ncells > P; only the engine's per-delivery dedup counts such a
+    # repeat once.
+    uses = Counter((a.relation, pr) for _, profs in active
+                   for a, pr in zip(q.atoms, profs))
+    shared = any(n > 1 for n in uses.values())
+    base = [fresh() for _ in range(P)] if active else None
+    out = set()
+    for X, profs in active:
+        filtered = {a.relation: groups[a.relation][pr]
+                    for a, pr in zip(q.atoms, profs)}
         alloc = share_lp(q, sizes, P, X)
         shares = alloc.shares
         xkey = "|".join(sorted(X))
-        hashes = _balanced_hashes(ctx, q, filtered, shares, tag + "v" + xkey)
         mkey = derive_key(ctx.seed, tag, "map", xkey)
         ncells = 1
         for s in shares.values():
@@ -350,11 +391,9 @@ def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
             cellmap = sorted(range(P), key=lambda c: mix64(mkey ^ c))[:ncells]
         else:
             cellmap = [mix64(mkey ^ c) % P for c in range(ncells)]
-        for a in q.atoms:
-            for t in filtered[a.relation]:
-                asg = dict(zip(a.vars, t))
-                for c in hc_destinations(set(a.vars), asg, shares, q.variables, hashes):
-                    _send_group(eng, rnd, base[cellmap[c]], a.relation, t)
+        _hc_ship(ctx, rnd, q, filtered, shares,
+                 [base[cellmap[c]] for c in range(ncells)], tag + "v" + xkey,
+                 dedup=shared or ncells > P)
         out |= _out_join(q.atoms, filtered, q.variables)
     return out
 
@@ -956,9 +995,10 @@ class AlgorithmResult:
 
 _COUNTING_ONLY = False
 """When True, engines are created in counting mode (loads only, no
-per-server tuple storage).  Outputs are unaffected: every strategy computes
-its result from globally filtered relation contents.  Used for cheap dry
-runs on large instances; see `counting_mode`."""
+per-server tuple storage) and results are not assembled: the row-set
+combinators return empty sets, so outputs are empty, except that covering
+on two atoms returns the semi-join result it ships.  Loads are unaffected.
+Used for cheap dry runs on large instances; see `counting_mode`."""
 
 
 class counting_mode:

@@ -10,7 +10,9 @@ counted in whole blocks.
 
 The server count p_o is the smallest power of two whose measured per-round
 load fits the memory budget: r * L(p_o) <= W, with r and L taken from cheap
-counting-mode dry runs of the same strategy on the same instance.
+counting-mode dry runs of the same strategy on the same instance.  Powers
+of two are probed in increasing order, so no dry run uses more than p_o
+servers.
 """
 
 from __future__ import annotations
@@ -59,34 +61,21 @@ def _blocks(words: int, B: int) -> int:
 
 
 def choose_po(measure, W: int, p_cap: int = 1 << 24) -> int:
-    """Smallest power of two p with r(p) * L(p) <= W.
+    """Smallest power of two p <= p_cap with r(p) * L(p) <= W.
 
     `measure(p)` dry-runs the strategy at server count p and returns
-    (rounds, max per-round per-server tuple load).  The predicate is
-    treated as monotone in p (more servers, less load) and binary-searched
-    over exponents.
+    (rounds, max per-round per-server tuple load).  Every power of two is
+    probed in increasing order until one fits, so the last dry run is the
+    answer's; MemoryOverflow is raised once p exceeds p_cap.
     """
-    def fits(p):
+    p = 1
+    while p <= p_cap:
         r, load = measure(p)
-        return max(1, r) * load <= W
-
-    if fits(1):
-        return 1
-    lo, hi = 0, 1
-    while not fits(1 << hi):
-        lo = hi
-        hi *= 2
-        if (1 << hi) > p_cap:
-            raise MemoryOverflow(
-                "no server count up to %d fits the memory budget W=%d"
-                % (p_cap, W))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fits(1 << mid):
-            hi = mid
-        else:
-            lo = mid
-    return 1 << hi
+        if max(1, r) * load <= W:
+            return p
+        p *= 2
+    raise MemoryOverflow("no server count up to %d fits the memory budget W=%d"
+                         % (p_cap, W))
 
 
 def replay_io(report: LoadReport, input_tuples: int, cfg: EMConfig,
@@ -157,22 +146,26 @@ def simulate_em(db, W: int, B: int, alg: str = "auto", seed: int = 0,
     whose block transfers are then counted.  With ``compute_output=False``
     the result set is not materialized (the run is replayed for its I/O
     cost only) and None is returned in its place.  A `cache` dict may be
-    shared across calls on the same (db, alg, seed) to reuse dry runs.
+    shared across calls on the same `db` to reuse dry runs; they are keyed
+    by (alg, seed, p), and a cache filled for another `db` object raises
+    ValueError.
     """
     cfg = EMConfig(W, B)
     if cache is None:
         cache = {}
+    if cache.setdefault("db", db) is not db:
+        raise ValueError("the dry-run cache was filled for another instance")
 
     def measure(p):
-        if p not in cache:
+        key = (alg, seed, p)
+        if key not in cache:
             with counting_mode():
-                cache[p] = run_algorithm(alg, db, p, seed)
-        res = cache[p]
+                cache[key] = run_algorithm(alg, db, p, seed)
+        res = cache[key]
         return res.rounds, res.report.max_tuples()
 
     p_o = choose_po(measure, W, p_cap)
-    measure(p_o)
-    res = cache[p_o]
+    res = cache[alg, seed, p_o]
     io = replay_io(res.report, db.total_tuples(), cfg, p_o)
     if not compute_output:
         return None, io

@@ -143,7 +143,8 @@ class Engine:
         """Deliver one tuple to one server in round `rnd` (0-based).
 
         Duplicate deliveries of the same tuple to the same server within a
-        round are counted once.
+        round are counted once.  `add_counts` is the bulk, dedup-free
+        entry point for counting mode.
         """
         if rnd < 0 or server < 0:
             raise ValueError("negative round or server")
@@ -172,6 +173,34 @@ class Engine:
         rep.by_relation[rnd][bk] = rep.by_relation[rnd].get(bk, 0) + 1
         if self.store_tuples:
             self.stored.setdefault(server, {}).setdefault(rel, set()).add(tup)
+
+    def add_counts(self, rnd: int, rel: str, counts: dict) -> None:
+        """Deliver counts[server] tuples of `rel` to each server in round
+        `rnd`, updating the whole ledger in one call.
+
+        Only for counting mode (per-server holdings are not recorded), and
+        only for deliveries known to be distinct: nothing is deduplicated,
+        so the caller must guarantee that no counted (server, tuple) pair
+        repeats another delivery of `rel` in the same round, whether made
+        by `send` or by an earlier `add_counts`.
+        """
+        if self.store_tuples:
+            raise RuntimeError("add_counts needs counting mode")
+        w = self.widths.get(rel)
+        if w is None:
+            raise KeyError("unknown relation %r" % rel)
+        if rnd < 0 or any(s < 0 or n < 1 for s, n in counts.items()):
+            raise ValueError("negative round or server, or a count below 1")
+        if not counts:
+            return
+        self._ensure(rnd)
+        bits = self.report.bits[rnd]
+        tuples = self.report.tuples[rnd]
+        by_rel = self.report.by_relation[rnd]
+        for s, n in counts.items():
+            bits[s] = bits.get(s, 0) + w * n
+            tuples[s] = tuples.get(s, 0) + n
+            by_rel[s, rel] = by_rel.get((s, rel), 0) + n
 
     def ship(self, rnd: int, rel: str, tuples, route) -> None:
         """Ship every tuple to route(tup) (an iterable of servers).

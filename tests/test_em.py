@@ -79,6 +79,44 @@ def test_choose_po_gives_up_at_cap():
         choose_po(lambda p: (1, 10 ** 9), W=10, p_cap=1 << 10)
 
 
+def test_choose_po_probes_every_power_up_to_cap():
+    # fits first at 2^20; the cap is 2^24
+    def measure(p):
+        return 1, 1 if p >= 1 << 20 else 10 ** 9
+
+    assert choose_po(measure, W=10) == 1 << 20
+
+
+def test_choose_po_never_probes_past_answer():
+    seen = []
+
+    def measure(p):
+        seen.append(p)
+        return 1, 1 if p >= 32 else 100
+
+    p_o = choose_po(measure, W=10)
+    assert p_o == 32
+    assert max(seen) == p_o
+    assert seen == [1, 2, 4, 8, 16, 32]
+
+
+def test_dry_run_cache_keyed_by_algorithm_and_instance():
+    db = gen_single_heavy(triangle(), 800, "x1", 2)
+    cache = {}
+    simulate_em(db, W=200, B=20, alg="triangle", seed=1,
+                compute_output=False, cache=cache)
+    for alg, seed in (("hc", 1), ("triangle", 2)):
+        _, shared = simulate_em(db, W=200, B=20, alg=alg, seed=seed,
+                                compute_output=False, cache=cache)
+        _, own = simulate_em(db, W=200, B=20, alg=alg, seed=seed,
+                             compute_output=False)
+        assert (shared.p_o, shared.r, shared.io_blocks) == \
+            (own.p_o, own.r, own.io_blocks)
+    other = gen_single_heavy(triangle(), 800, "x1", 3)
+    with pytest.raises(ValueError):
+        simulate_em(other, W=200, B=20, alg="triangle", seed=1, cache=cache)
+
+
 def test_replay_flags_overflow():
     rep = LoadReport({"R": 8})
     rep.bits.append({0: 8 * 50})

@@ -94,6 +94,26 @@ def test_counting_mode_matches_storing_mode():
     assert reports[0].bits == reports[1].bits
 
 
+def test_add_counts_equals_distinct_sends():
+    sent = Engine({"R": 8, "S": 3}, store_tuples=False)
+    for t in range(5):
+        sent.send(1, 0, "R", (t,))
+    for t in range(2):
+        sent.send(1, 4, "R", (t,))
+    sent.send(1, 4, "S", (9,))
+    bulk = Engine({"R": 8, "S": 3}, store_tuples=False)
+    bulk.add_counts(1, "R", {0: 5, 4: 2})
+    bulk.add_counts(1, "S", {4: 1})
+    bulk.add_counts(2, "S", {})          # no deliveries: no round opened
+    assert bulk.report == sent.report
+    with pytest.raises(KeyError):
+        bulk.add_counts(0, "Q", {0: 1})
+    with pytest.raises(ValueError):
+        bulk.add_counts(0, "R", {-1: 1})
+    with pytest.raises(RuntimeError):
+        Engine({"R": 8}).add_counts(0, "R", {0: 1})
+
+
 def test_counting_mode_has_no_holdings():
     eng = Engine({"R": 8}, store_tuples=False)
     eng.send(0, 0, "R", (1,))
