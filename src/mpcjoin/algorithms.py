@@ -1,8 +1,9 @@
 """Parallel join strategies with measured communication loads.
 
-Every public algorithm takes a database instance, a nominal server count p
-and a seed, simulates its shipment schedule round by round on the engine,
-and returns the computed output together with the per-round load report.
+Every public algorithm takes a database instance, a nominal server count p,
+a seed and a `counting` flag (see `run_algorithm`), simulates its shipment
+schedule round by round on the engine, and returns the computed output
+together with the per-round load report.
 
 Internally, plans hand out *logical* servers through allocator closures: a
 logical server is a tuple of physical ids, so a sub-plan running inside a
@@ -14,15 +15,15 @@ constant multiple of p and is reported in ``extras["physical_servers"]``.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analyzer import log_base_p, pow_floor
+from .analyzer import _round_shares, _subsets, log_base_p, pow_floor, share_lp
 from .query import Atom, Query, QueryError
 from .rng import derive_key, mix64
 from .sim import Engine, LoadReport, hash_family, hc_destinations, join_atoms
-from .analyzer import share_lp, _round_shares
 
 
 _MASK64 = (1 << 64) - 1
@@ -109,11 +110,14 @@ def _gt_root(d: int, m: int, P: int, num: int, den: int) -> bool:
 # -- row-set combinators ---------------------------------------------------
 #
 # These assemble *result* rows only; no routing decision ever depends on
-# them.  In counting mode they all short-circuit to empty sets, so large
-# instances can be dry-run for their loads without materializing outputs.
+# them.  In counting mode the leaves that build rows from relations
+# (`_out_join`, `_intersect_ship`, the final join of `join_one_sided_skew`)
+# return empty sets, so every row set the combinators see is empty too and
+# large instances can be dry-run for their loads without materializing
+# outputs.
 
-def _out_join(atoms, rel_tuples, out_vars):
-    if _COUNTING_ONLY:
+def _out_join(ctx, atoms, rel_tuples, out_vars):
+    if not ctx.eng.store_tuples:
         return set()
     return join_atoms(atoms, rel_tuples, out_vars)
 
@@ -126,9 +130,6 @@ def _reorder(vars_src, rows, vars_dst):
 def _join_rows(va, ra, vb, rb):
     """Join two row sets on their shared variables."""
     shared = [v for v in va if v in vb]
-    if _COUNTING_ONLY:
-        keep_b = [i for i, v in enumerate(vb) if v not in shared]
-        return tuple(va) + tuple(vb[i] for i in keep_b), set()
     keep_b = [i for i, v in enumerate(vb) if v not in shared]
     kb = [vb.index(v) for v in shared]
     index = {}
@@ -224,9 +225,8 @@ def _hc_ship(ctx, rnd, q, rels, shares, cells, tag, keep=None, dedup=False):
     every cell the coordinates expand to.  That skips the engine's dedup,
     which is sound because one shipment never repeats a delivery: tuples
     are distinct, one tuple's cells are distinct, and distinct cells are
-    disjoint server groups.  Pass ``dedup=True`` when that may not hold:
-    when another shipment of the same tuples in the same round may reach
-    the same servers, or when two cells share a server.
+    disjoint server groups.  Pass ``dedup=True`` when another shipment of
+    the same tuples in the same round may reach the same servers.
     """
     hashes = _balanced_hashes(ctx, q, rels, shares, tag)
     eng = ctx.eng
@@ -287,7 +287,7 @@ def _intersect_ship(ctx, rnd, named_sets, P, fresh, tag):
     for name, ts in named_sets:
         for t in ts:
             _send_group(ctx.eng, rnd, block[h(t, n) - 1], name, t)
-    if _COUNTING_ONLY:
+    if not ctx.eng.store_tuples:
         return set()
     out = set(named_sets[0][1])
     for _, ts in named_sets[1:]:
@@ -295,51 +295,58 @@ def _intersect_ship(ctx, rnd, named_sets, P, fresh, tag):
     return out
 
 
-def _semijoin_ship(ctx, rnd, a_name, a_keys, b_name, b_tuples, keypos,
-                   P, fresh, tag):
-    """One round of the skew-resilient semi-join of B against key set A.
+def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
+                    b_keypos, P, fresh, h, hpart):
+    """One round of the skew-resilient binary join of A and B on a key.
 
-    A's keys are unique, so only B can be skewed on the key: key values
-    with frequency above m/P each get an exclusive block of ceil(P*f/m)
-    logical servers (B partitioned, matching A keys broadcast); everything
-    else goes through a hash join on a block of P servers.  Returns the
-    tuples of B whose key projection is in A.
+    A plays the skew-free side: key values with frequency above m/P in B
+    each get an exclusive block of ceil(P*f/m) logical servers, where A's
+    tuples with that key are broadcast and B's are partitioned by hpart;
+    everything else goes through a hash join on h over a block of P
+    servers.  Returns the heavy key -> block map.
     """
     P = max(1, P)
-    m = max(len(a_keys), len(b_tuples), 1)
-    freq = Counter(tuple(t[i] for i in keypos) for t in b_tuples)
-    heavy = {kv: f for kv, f in freq.items() if f * P > m}
+    m = max(len(a_tuples), len(b_tuples), 1)
+    freq = Counter(tuple(t[i] for i in b_keypos) for t in b_tuples)
     block = [fresh() for _ in range(P)]
-    h = hash_family(ctx.seed, tag, "sjh")
-    hpart = hash_family(ctx.seed, tag, "sjp")
-    hblocks = {}
-    for kv in sorted(heavy):
-        ph = -(-P * heavy[kv] // m)     # ceil
-        hblocks[kv] = [fresh() for _ in range(ph)]
-    ctx.register(a_name, len(keypos))
-    for kv in a_keys:
+    heavy = sorted(kv for kv, f in freq.items() if f * P > m)
+    hblocks = {kv: [fresh() for _ in range(-(-P * freq[kv] // m))]  # ceil
+               for kv in heavy}
+    eng = ctx.eng
+    for t in a_tuples:
+        kv = tuple(t[i] for i in a_keypos)
         if kv in hblocks:
             for g in hblocks[kv]:
-                _send_group(ctx.eng, rnd, g, a_name, kv)
+                _send_group(eng, rnd, g, a_name, t)
         else:
-            _send_group(ctx.eng, rnd, block[h(kv, P) - 1], a_name, kv)
+            _send_group(eng, rnd, block[h(kv, P) - 1], a_name, t)
     for t in b_tuples:
-        kv = tuple(t[i] for i in keypos)
+        kv = tuple(t[i] for i in b_keypos)
         if kv in hblocks:
             g = hblocks[kv]
-            _send_group(ctx.eng, rnd, g[hpart(t, len(g)) - 1], b_name, t)
+            _send_group(eng, rnd, g[hpart(t, len(g)) - 1], b_name, t)
         else:
-            _send_group(ctx.eng, rnd, block[h(kv, P) - 1], b_name, t)
+            _send_group(eng, rnd, block[h(kv, P) - 1], b_name, t)
+    return hblocks
+
+
+def _semijoin_ship(ctx, rnd, a_name, a_keys, b_name, b_tuples, keypos,
+                   P, fresh, tag):
+    """One round of the semi-join of B against key set A; returns the
+    tuples of B whose key projection is in A.
+
+    A's keys are unique, so only B can be skewed on the key: this is the
+    one-sided skew join with A as the skew-free side.
+    """
+    ctx.register(a_name, len(keypos))
+    _skew_join_ship(ctx, rnd, a_name, a_keys, range(len(keypos)), b_name,
+                    b_tuples, keypos, P, fresh,
+                    hash_family(ctx.seed, tag, "sjh"),
+                    hash_family(ctx.seed, tag, "sjp"))
     return {t for t in b_tuples if tuple(t[i] for i in keypos) in a_keys}
 
 
 # -- one-round algorithms --------------------------------------------------
-
-def _subsets(vs):
-    n = len(vs)
-    for mask in range(1 << n):
-        yield frozenset(vs[i] for i in range(n) if mask >> i & 1)
-
 
 def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
     """Skew-resilient one-round hypercube: one share allocation per heavy
@@ -368,8 +375,7 @@ def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
         if all(groups[a.relation].get(pr) for a, pr in zip(q.atoms, profs)):
             active.append((X, profs))
     # A tuple group shipped under two profiles can reach the same base
-    # server twice, and so can cells folded onto one base server when
-    # ncells > P; only the engine's per-delivery dedup counts such a
+    # server twice; only the engine's per-delivery dedup counts such a
     # repeat once.
     uses = Counter((a.relation, pr) for _, profs in active
                    for a, pr in zip(q.atoms, profs))
@@ -380,21 +386,15 @@ def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
         filtered = {a.relation: groups[a.relation][pr]
                     for a, pr in zip(q.atoms, profs)}
         alloc = share_lp(q, sizes, P, X)
-        shares = alloc.shares
         xkey = "|".join(sorted(X))
         mkey = derive_key(ctx.seed, tag, "map", xkey)
-        ncells = 1
-        for s in shares.values():
-            ncells *= s
-        if ncells <= P:
-            # collision-free placement of the share grid on the base block
-            cellmap = sorted(range(P), key=lambda c: mix64(mkey ^ c))[:ncells]
-        else:
-            cellmap = [mix64(mkey ^ c) % P for c in range(ncells)]
-        _hc_ship(ctx, rnd, q, filtered, shares,
-                 [base[cellmap[c]] for c in range(ncells)], tag + "v" + xkey,
-                 dedup=shared or ncells > P)
-        out |= _out_join(q.atoms, filtered, q.variables)
+        # collision-free placement of the share grid (at most P cells, as
+        # _round_shares keeps the product of shares <= P) on the base block
+        ncells = alloc.grid_size()
+        cellmap = sorted(range(P), key=lambda c: mix64(mkey ^ c))[:ncells]
+        _hc_ship(ctx, rnd, q, filtered, alloc.shares,
+                 [base[c] for c in cellmap], tag + "v" + xkey, dedup=shared)
+        out |= _out_join(ctx, q.atoms, filtered, q.variables)
     return out
 
 
@@ -453,8 +453,8 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     for name, ts, pos in ((s1.relation, light1, 1), (s2.relation, light2, 0)):
         for t in ts:
             _send_group(ctx.eng, rnd, cols[hcol(t[pos], p1) - 1], name, t)
-    head = _out_join([s1, s2], {s1.relation: light1, s2.relation: light2},
-                      (s1.vars[0], x1, s2.vars[1]))
+    head = _out_join(ctx, [s1, s2], {s1.relation: light1, s2.relation: light2},
+                     (s1.vars[0], x1, s2.vars[1]))
     ov, rows = _join_rows((s1.vars[0], x1, s2.vars[1]), head, v0, out0)
     out |= _reorder(ov, rows, vs)
     rounds = max(rounds, max(r0, 1))
@@ -491,16 +491,12 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
 
 
 def _chain_eval(ctx, rnd, chain, rels, P, fresh, tag):
-    """Evaluate a path whose end atoms may coincide on one edge.
+    """Evaluate a path of at least two atoms whose end atoms may coincide
+    on one edge.
 
-    Single atom: distribute it over a block (1 round).  Two atoms on the
-    same edge: co-locate and intersect (1 round).  Otherwise a line join.
+    Two atoms on the same edge: co-locate and intersect (1 round).
+    Otherwise a line join.
     """
-    if len(chain) == 1:
-        a = chain[0]
-        block = [fresh() for _ in range(max(1, P))]
-        _distribute(ctx, rnd, a.relation, rels[a.relation], block, tag + "c1")
-        return a.vars, set(rels[a.relation]), 1
     if len(chain) == 2 and set(chain[0].vars) == set(chain[1].vars):
         a, b = chain
         rows_b = set(rels[b.relation])
@@ -513,31 +509,41 @@ def _chain_eval(ctx, rnd, chain, rels, P, fresh, tag):
     return _line(ctx, rnd, chain, rels, P, fresh, tag)
 
 
-# -- cycle queries ---------------------------------------------------------
+# -- multi-round skeleton --------------------------------------------------
 
-def _cycle_odd(ctx, rnd, q, atoms, rels, P, fresh, tag):
-    k = len(atoms)
-    m = max(max(len(rels[a.relation]) for a in atoms), 1)
-    heavy = _heavy_at(atoms, rels, q.variables,
+def _light_hypercube(ctx, rnd, q, rels, P, fresh, tag):
+    """The light round shared by odd cycles, Loomis-Whitney joins and
+    cliques on k = q.k variables.
+
+    A value is heavy for variable v when its degree in some atom exceeds
+    m/P^(1/k).  Tuples whose values are all light go through one hypercube
+    on shares P^(1/k) per variable.  Returns (per-variable heavy value
+    sets, output rows over q.variables of the all-light tuples).
+    """
+    k = q.k
+    m = max(max(len(rels[a.relation]) for a in q.atoms), 1)
+    heavy = _heavy_at(q.atoms, rels, q.variables,
                       lambda f, mj: _gt_root(f, m, P, 1, k))
-    out = set()
-    rounds = 0
-
-    # light part: uniform hypercube on tuples light at both endpoints
     shares = _round_shares(q, {v: Fraction(1, k) for v in q.variables}, P)
-    ncells = 1
-    for s in shares.values():
-        ncells *= s
-    cells = [fresh() for _ in range(ncells)]
+    cells = [fresh() for _ in range(math.prod(shares.values()))]
 
     def is_light(a, t):
         return all(val not in heavy[v] for v, val in zip(a.vars, t))
 
     _hc_ship(ctx, rnd, q, rels, shares, cells, tag + "l", keep=is_light)
+    if not ctx.eng.store_tuples:
+        return heavy, set()
     filtered = {a.relation: [t for t in rels[a.relation] if is_light(a, t)]
-                for a in atoms}
-    out |= _out_join(atoms, filtered, q.variables)
-    rounds = max(rounds, 1)
+                for a in q.atoms}
+    return heavy, join_atoms(q.atoms, filtered, q.variables)
+
+
+# -- cycle queries ---------------------------------------------------------
+
+def _cycle_odd(ctx, rnd, q, atoms, rels, P, fresh, tag):
+    k = len(atoms)
+    heavy, out = _light_hypercube(ctx, rnd, q, rels, P, fresh, tag)
+    rounds = 1
 
     p1 = max(1, pow_floor(P, Fraction(k - 1, k)))
     for i in range(k):
@@ -612,12 +618,9 @@ def _cycle_even(ctx, rnd, q, atoms, rels, P, fresh, tag):
         for i in range(k):
             exps[var_at[i]] = e_odd if i % 2 == first_odd else e_even
     shares = _round_shares(q, exps, P)
-    ncells = 1
-    for s in shares.values():
-        ncells *= s
-    cells = [fresh() for _ in range(ncells)]
+    cells = [fresh() for _ in range(math.prod(shares.values()))]
     _hc_ship(ctx, rnd, q, rels, shares, cells, tag + "g")
-    out |= _out_join(atoms, rels, q.variables)
+    out |= _out_join(ctx, atoms, rels, q.variables)
     rounds = max(rounds, 1)
 
     # Case 1: exclusive blocks for qualifying heavy pairs at odd distance.
@@ -723,26 +726,8 @@ def _lw(ctx, rnd, q, rels, P, fresh, tag):
     for a in atoms:
         missing = [v for v in q.variables if v not in a.vars]
         omit[missing[0]] = a
-    m = max(max(len(rels[a.relation]) for a in atoms), 1)
-    heavy = _heavy_at(atoms, rels, q.variables,
-                      lambda f, mj: _gt_root(f, m, P, 1, k))
-    out = set()
-    rounds = 0
-
-    shares = _round_shares(q, {v: Fraction(1, k) for v in q.variables}, P)
-    ncells = 1
-    for s in shares.values():
-        ncells *= s
-    cells = [fresh() for _ in range(ncells)]
-
-    def is_light(a, t):
-        return all(val not in heavy[v] for v, val in zip(a.vars, t))
-
-    _hc_ship(ctx, rnd, q, rels, shares, cells, tag + "l", keep=is_light)
-    filtered = {a.relation: [t for t in rels[a.relation] if is_light(a, t)]
-                for a in atoms}
-    out |= _out_join(atoms, filtered, q.variables)
-    rounds = max(rounds, 1)
+    heavy, out = _light_hypercube(ctx, rnd, q, rels, P, fresh, tag)
+    rounds = 1
 
     P1 = max(1, pow_floor(P, Fraction(k - 1, k)))
     for xi in q.variables:
@@ -795,26 +780,8 @@ def _clique(ctx, rnd, var_list, atoms, rels, P, fresh, tag):
         return tuple(var_list), _reorder(a.vars, inter, tuple(var_list)), 1
 
     q = Query("sub", tuple(var_list), tuple(atoms))
-    m = max(max(len(rels[a.relation]) for a in atoms), 1)
-    heavy = _heavy_at(atoms, rels, var_list,
-                      lambda f, mj: _gt_root(f, m, P, 1, k))
-    out = set()
-    rounds = 0
-
-    shares = _round_shares(q, {v: Fraction(1, k) for v in var_list}, P)
-    ncells = 1
-    for s in shares.values():
-        ncells *= s
-    cells = [fresh() for _ in range(ncells)]
-
-    def is_light(a, t):
-        return all(val not in heavy[v] for v, val in zip(a.vars, t))
-
-    _hc_ship(ctx, rnd, q, rels, shares, cells, tag + "l", keep=is_light)
-    filtered = {a.relation: [t for t in rels[a.relation] if is_light(a, t)]
-                for a in atoms}
-    out |= _out_join(atoms, filtered, tuple(var_list))
-    rounds = max(rounds, 1)
+    heavy, out = _light_hypercube(ctx, rnd, q, rels, P, fresh, tag)
+    rounds = 1
 
     def atom_for(u, v):
         for a in atoms:
@@ -993,36 +960,10 @@ class AlgorithmResult:
         return len(self.output)
 
 
-_COUNTING_ONLY = False
-"""When True, engines are created in counting mode (loads only, no
-per-server tuple storage) and results are not assembled: the row-set
-combinators return empty sets, so outputs are empty, except that covering
-on two atoms returns the semi-join result it ships.  Loads are unaffected.
-Used for cheap dry runs on large instances; see `counting_mode`."""
-
-
-class counting_mode:
-    """Context manager that switches new engines to counting mode."""
-
-    def __enter__(self):
-        global _COUNTING_ONLY
-        self._prev = _COUNTING_ONLY
-        _COUNTING_ONLY = True
-        return self
-
-    def __exit__(self, *exc):
-        global _COUNTING_ONLY
-        _COUNTING_ONLY = self._prev
-        return False
-
-
-def _setup(db):
-    widths = db.widths_bits()
-    eng = Engine(widths, store_tuples=not _COUNTING_ONLY)
-    pool = Pool()
+def _setup(db, seed, counting):
+    eng = Engine(db.widths_bits(), store_tuples=not counting)
     vbits = max(ri.value_bits for ri in db.relations.values())
-    ctx = _Ctx(eng, pool, 0, vbits)
-    return ctx
+    return _Ctx(eng, Pool(), seed, vbits)
 
 
 def _finish(name, db, p, ctx, output, extras=None):
@@ -1036,37 +977,32 @@ def _root(ctx):
     return lambda: (ctx.pool.phys(),)
 
 
-def hc_one_round(db, p: int, seed: int) -> AlgorithmResult:
+def hc_one_round(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     """Plain one-round hypercube with size-optimized shares (no skew
     handling)."""
     q = db.query
-    ctx = _setup(db)
-    ctx.seed = seed
+    ctx = _setup(db, seed, counting)
     alloc = share_lp(q, db.sizes_bits(), p)
-    shares = alloc.shares
-    ncells = 1
-    for s in shares.values():
-        ncells *= s
     fresh = _root(ctx)
-    cells = [fresh() for _ in range(ncells)]
+    cells = [fresh() for _ in range(alloc.grid_size())]
     rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
-    _hc_ship(ctx, 0, q, rels, shares, cells, "hc")
-    out = _out_join(q.atoms, rels, q.variables)
-    return _finish("hc", db, p, ctx, out, {"shares": shares, "lambda": alloc.lam})
+    _hc_ship(ctx, 0, q, rels, alloc.shares, cells, "hc")
+    out = _out_join(ctx, q.atoms, rels, q.variables)
+    return _finish("hc", db, p, ctx, out,
+                   {"shares": alloc.shares, "lambda": alloc.lam})
 
 
-def one_round_skew(db, p: int, seed: int) -> AlgorithmResult:
+def one_round_skew(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     """One-round hypercube resilient to skew: one share allocation per
     heavy profile, all run in parallel on the same p servers."""
     q = db.query
-    ctx = _setup(db)
-    ctx.seed = seed
+    ctx = _setup(db, seed, counting)
     rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
     out = _one_round_skew_core(ctx, 0, q, rels, p, _root(ctx), "ors")
     return _finish("one_round_skew", db, p, ctx, out)
 
 
-def join_one_sided_skew(db, p: int, seed: int) -> AlgorithmResult:
+def join_one_sided_skew(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     """Binary join resilient to skew on one side.
 
     The side with the lower maximum key frequency plays the skew-free role;
@@ -1080,8 +1016,7 @@ def join_one_sided_skew(db, p: int, seed: int) -> AlgorithmResult:
     key = [v for v in a.vars if v in b.vars]
     if not key:
         raise QueryError("atoms share no variables")
-    ctx = _setup(db)
-    ctx.seed = seed
+    ctx = _setup(db, seed, counting)
     ta = list(db.relations[a.relation].tuples)
     tb = list(db.relations[b.relation].tuples)
     ka = tuple(a.vars.index(v) for v in key)
@@ -1089,39 +1024,20 @@ def join_one_sided_skew(db, p: int, seed: int) -> AlgorithmResult:
     fa = Counter(tuple(t[i] for i in ka) for t in ta)
     fb = Counter(tuple(t[i] for i in kb) for t in tb)
     if max(fb.values(), default=0) < max(fa.values(), default=0):
-        a, b, ta, tb, ka, kb, fa, fb = b, a, tb, ta, kb, ka, fb, fa
-    m = max(len(ta), len(tb), 1)
-    heavy = {kv: f for kv, f in fb.items() if f * p > m}
-    fresh = _root(ctx)
-    block = [fresh() for _ in range(p)]
-    h = hash_family(seed, "j1s", "h")
-    hpart = hash_family(seed, "j1s", "p")
-    hblocks = {}
-    for kv in sorted(heavy):
-        ph = -(-p * heavy[kv] // m)
-        hblocks[kv] = [fresh() for _ in range(ph)]
-    for t in ta:
-        kv = tuple(t[i] for i in ka)
-        if kv in hblocks:
-            for g in hblocks[kv]:
-                _send_group(ctx.eng, 0, g, a.relation, t)
-        else:
-            _send_group(ctx.eng, 0, block[h(kv, p) - 1], a.relation, t)
-    for t in tb:
-        kv = tuple(t[i] for i in kb)
-        if kv in hblocks:
-            g = hblocks[kv]
-            _send_group(ctx.eng, 0, g[hpart(t, len(g)) - 1], b.relation, t)
-        else:
-            _send_group(ctx.eng, 0, block[h(kv, p) - 1], b.relation, t)
-    av, rows = _join_rows(a.vars, set(ta), b.vars, set(tb))
-    out = _reorder(av, rows, q.variables)
+        a, b, ta, tb, ka, kb = b, a, tb, ta, kb, ka
+    hblocks = _skew_join_ship(ctx, 0, a.relation, ta, ka, b.relation, tb, kb,
+                              p, _root(ctx), hash_family(seed, "j1s", "h"),
+                              hash_family(seed, "j1s", "p"))
+    out = set()
+    if ctx.eng.store_tuples:
+        av, rows = _join_rows(a.vars, set(ta), b.vars, set(tb))
+        out = _reorder(av, rows, q.variables)
     return _finish("join_one_sided_skew", db, p, ctx, out,
-                   {"heavy_keys": len(heavy),
+                   {"heavy_keys": len(hblocks),
                     "heavy_servers": sum(len(g) for g in hblocks.values())})
 
 
-def semi_join(db, p: int, seed: int) -> AlgorithmResult:
+def semi_join(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     """Semi-join q = S filtered by key set R, in one round.
 
     Expects two atoms where one atom's variables are a subset of the
@@ -1136,31 +1052,29 @@ def semi_join(db, p: int, seed: int) -> AlgorithmResult:
     if not (set(a.vars) <= set(b.vars) or set(b.vars) <= set(a.vars)):
         raise QueryError("semi-join needs one atom's variables to contain "
                          "the other's")
-    res = join_one_sided_skew(db, p, seed)
+    res = join_one_sided_skew(db, p, seed, counting)
     return AlgorithmResult("semi_join", q, p, res.output, res.report,
                            res.rounds, res.extras)
 
 
-def line_multiround(db, p: int, seed: int) -> AlgorithmResult:
+def line_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     shaped = as_line(db)
     if shaped is None:
         raise QueryError("query is not a line")
     atoms, rels = shaped
-    ctx = _setup(db)
-    ctx.seed = seed
+    ctx = _setup(db, seed, counting)
     vs, rows, _ = _line(ctx, 0, atoms, rels, p, _root(ctx), "L")
     return _finish("line", db, p, ctx, _reorder(vs, rows, db.query.variables))
 
 
-def cycle_multiround(db, p: int, seed: int) -> AlgorithmResult:
+def cycle_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     shaped = as_cycle(db)
     if shaped is None:
         raise QueryError("query is not a cycle")
     atoms, rels = shaped
     vs = tuple(a.vars[0] for a in atoms)
     q = Query("cyc", vs, tuple(atoms))
-    ctx = _setup(db)
-    ctx.seed = seed
+    ctx = _setup(db, seed, counting)
     if len(atoms) % 2 == 1:
         out, _ = _cycle_odd(ctx, 0, q, atoms, rels, p, _root(ctx), "C")
     else:
@@ -1168,43 +1082,40 @@ def cycle_multiround(db, p: int, seed: int) -> AlgorithmResult:
     return _finish("cycle", db, p, ctx, _reorder(vs, out, db.query.variables))
 
 
-def triangle_2round(db, p: int, seed: int) -> AlgorithmResult:
+def triangle_2round(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     if db.query.k != 3 or db.query.num_atoms != 3:
         raise QueryError("not a triangle query")
-    res = cycle_multiround(db, p, seed)
+    res = cycle_multiround(db, p, seed, counting)
     return AlgorithmResult("triangle", db.query, p, res.output, res.report,
                            res.rounds, res.extras)
 
 
-def lw_multiround(db, p: int, seed: int) -> AlgorithmResult:
+def lw_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     q = db.query
     if not is_lw(q):
         raise QueryError("query is not a Loomis-Whitney join")
-    ctx = _setup(db)
-    ctx.seed = seed
+    ctx = _setup(db, seed, counting)
     rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
     out, _ = _lw(ctx, 0, q, rels, p, _root(ctx), "W")
     return _finish("lw", db, p, ctx, out)
 
 
-def clique_multiround(db, p: int, seed: int) -> AlgorithmResult:
+def clique_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     q = db.query
     if not is_clique(q):
         raise QueryError("query is not a clique")
-    ctx = _setup(db)
-    ctx.seed = seed
+    ctx = _setup(db, seed, counting)
     rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
     vs, rows, _ = _clique(ctx, 0, list(q.variables), list(q.atoms), rels,
                           p, _root(ctx), "K")
     return _finish("clique", db, p, ctx, _reorder(vs, rows, q.variables))
 
 
-def covering_atom_2round(db, p: int, seed: int) -> AlgorithmResult:
+def covering_atom_2round(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     q = db.query
     if covering_atom(q) is None:
         raise QueryError("no atom covers all variables")
-    ctx = _setup(db)
-    ctx.seed = seed
+    ctx = _setup(db, seed, counting)
     rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
     out, _ = _covering(ctx, 0, q, rels, p, _root(ctx), "V")
     return _finish("covering", db, p, ctx, out)
@@ -1243,7 +1154,20 @@ def pick_algorithm(q: Query) -> str:
     return "one_round_skew"
 
 
-def run_algorithm(name: str, db, p: int, seed: int) -> AlgorithmResult:
+def run_algorithm(name: str, db, p: int, seed: int,
+                  counting: bool = False) -> AlgorithmResult:
+    """Run strategy `name` ("auto" picks one by shape) on `db` with nominal
+    server count p >= 1 and the given seed.
+
+    With ``counting=True`` the run is a dry run for its loads: the engine
+    keeps only the load ledger (no per-server tuple storage) and results
+    are not assembled, so the returned output is an empty set, except that
+    covering on two atoms returns the semi-join result it ships.  Loads,
+    rounds and extras are the same as in a storing run.  Used for cheap
+    dry runs on large instances.
+    """
+    if p < 1:
+        raise ValueError("server count p must be at least 1, got %d" % p)
     if name == "auto":
         name = pick_algorithm(db.query)
     try:
@@ -1251,7 +1175,7 @@ def run_algorithm(name: str, db, p: int, seed: int) -> AlgorithmResult:
     except KeyError:
         raise KeyError("unknown algorithm %r (one of %s)"
                        % (name, "/".join(sorted(ALGORITHMS)))) from None
-    return fn(db, p, seed)
+    return fn(db, p, seed, counting)
 
 
 def declared_rounds(name: str, q: Query) -> int:

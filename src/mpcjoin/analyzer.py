@@ -188,10 +188,7 @@ class ShareAllocation:
     heavy_set: frozenset = field(default_factory=frozenset)
 
     def grid_size(self) -> int:
-        g = 1
-        for s in self.shares.values():
-            g *= s
-        return g
+        return math.prod(self.shares.values())
 
 
 def _round_shares(q: Query, exponents: dict, p: int) -> dict:

@@ -208,9 +208,6 @@ def build_parser():
         description="analyze, generate, and simulate parallel join strategies")
     default_seed = int(os.environ.get("MPCJOIN_SEED", "0"))
     ap.add_argument("--seed", type=int, default=default_seed)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; execution is "
-                         "single-threaded for determinism")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     a = sub.add_parser("analyze", help="exact LP quantities and shares")

@@ -270,18 +270,27 @@ def write_instance(db: DatabaseInstance, outdir: str) -> None:
 
 
 def read_instance(q: Query, indir: str) -> DatabaseInstance:
+    """Read an instance written by `write_instance`; raises ValueError when
+    the manifest gives no domain size n for one of q's relations or a value
+    lies outside the relation's domain [1, n]."""
     with open(os.path.join(indir, "manifest.json")) as f:
         manifest = json.load(f)
     rels = {}
     for a in q.atoms:
+        entry = manifest.get("relations", {}).get(a.relation)
+        if not isinstance(entry, dict) or not isinstance(entry.get("n"), int):
+            raise ValueError("%s: manifest has no domain size n for relation %s"
+                             % (indir, a.relation))
+        n = entry["n"]
         path = os.path.join(indir, "%s.tsv" % a.relation)
         tuples = []
         with open(path) as f:
             for line in f:
                 line = line.strip()
                 if line:
-                    tuples.append(tuple(int(v) for v in line.split("\t")))
-        rels[a.relation] = RelationInstance(
-            a.relation, a.arity, tuple(tuples),
-            manifest["relations"][a.relation]["n"])
+                    tuples.append(tuple(map(int, line.split("\t"))))
+        if tuples and (min(map(min, tuples)) < 1 or max(map(max, tuples)) > n):
+            raise ValueError("%s: a value lies outside the domain [1, %d]"
+                             % (path, n))
+        rels[a.relation] = RelationInstance(a.relation, a.arity, tuple(tuples), n)
     return DatabaseInstance(q, rels, manifest["seed"], manifest.get("meta", {}))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algorithms import counting_mode, run_algorithm
+from .algorithms import run_algorithm
 from .sim import LoadReport
 
 
@@ -159,8 +159,7 @@ def simulate_em(db, W: int, B: int, alg: str = "auto", seed: int = 0,
     def measure(p):
         key = (alg, seed, p)
         if key not in cache:
-            with counting_mode():
-                cache[key] = run_algorithm(alg, db, p, seed)
+            cache[key] = run_algorithm(alg, db, p, seed, counting=True)
         res = cache[key]
         return res.rounds, res.report.max_tuples()
 

@@ -99,12 +99,6 @@ class LoadReport:
     def server_total_tuples(self, s) -> int:
         return sum(t.get(s, 0) for t in self.tuples)
 
-    def servers(self):
-        out = set()
-        for t in self.tuples:
-            out.update(t)
-        return out
-
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
@@ -222,11 +216,6 @@ class Engine:
         if not self.store_tuples:
             raise RuntimeError("engine is in counting mode")
         return self.stored.get(server, {}).get(rel, frozenset())
-
-    def server_relations(self, server: int):
-        if not self.store_tuples:
-            raise RuntimeError("engine is in counting mode")
-        return sorted(self.stored.get(server, {}))
 
 
 # -- joins -----------------------------------------------------------------

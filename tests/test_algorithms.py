@@ -1,7 +1,7 @@
 import pytest
 
-from mpcjoin.algorithms import (ALGORITHMS, counting_mode, declared_rounds,
-                                pick_algorithm, run_algorithm, semi_join)
+from mpcjoin.algorithms import (ALGORITHMS, declared_rounds, pick_algorithm,
+                                run_algorithm, semi_join)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.query import QueryError, canonical_query, parse_query
@@ -173,9 +173,14 @@ def two_heavy(q, m, seed):
 def test_counting_mode_same_loads_no_output():
     # Counting mode computes hypercube ledgers from histograms, without the
     # engine's per-delivery dedup; storing mode delivers every replica.
+    # L5, C5 and C6 reach line's odd k >= 5 branch, odd cycles' chains and
+    # even cycles' heavy pairs, whose row joins rely on seeing only empty
+    # row sets in counting mode.
     queries = [canonical_query("C", 3), canonical_query("C", 4),
                canonical_query("L", 4), canonical_query("LW", 4),
                canonical_query("K", 4), canonical_query("W", 3),
+               canonical_query("L", 5), canonical_query("C", 5),
+               canonical_query("C", 6),
                parse_query("Q(x,z,y) :- S1(x,z), S2(z,y)"),
                parse_query("Q(z,y) :- R(z), S(z,y)")]
     compared = set()
@@ -190,8 +195,7 @@ def test_counting_mode_same_loads_no_output():
                         full = run_algorithm(name, db, p, 3)
                     except QueryError:
                         continue            # shape check rejects the query
-                    with counting_mode():
-                        dry = run_algorithm(name, db, p, 3)
+                    dry = run_algorithm(name, db, p, 3, counting=True)
                     where = (name, q.name, db.meta["generator"], p)
                     assert dry.report.tuples == full.report.tuples, where
                     assert dry.report.bits == full.report.bits, where

@@ -69,6 +69,19 @@ def test_run_one_round_on_matching(capsys):
     assert "rounds=1" in capsys.readouterr().out
 
 
+def test_server_count_below_one_exit_2(capsys):
+    j1 = ["--query", "Q(x,z,y) :- S1(x,z), S2(z,y)"]
+    tri = ["--family", "C", "--k", "3"]
+    for qf, alg, p in ((j1, "join_one_sided_skew", "0"),
+                       (tri, "triangle", "0"), (tri, "one_round_skew", "-3")):
+        rc = main(["run"] + qf + ["--gen", "matching", "--m", "50",
+                                  "--alg", alg, "--p", p])
+        captured = capsys.readouterr()
+        assert rc == 2, alg
+        assert "p must be at least 1" in captured.err
+        assert "p=" not in captured.out
+
+
 def test_run_from_generated_instance(tmp_path, capsys):
     d = str(tmp_path / "inst")
     assert main(["generate", "--family", "L", "--k", "3",

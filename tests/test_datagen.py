@@ -134,6 +134,27 @@ def test_write_read_round_trip(tmp_path):
     assert manifest["relations"]["S1"]["m"] == db.relations["S1"].m
 
 
+def test_read_rejects_bad_manifest_and_values(tmp_path):
+    q = triangle()
+    out = str(tmp_path / "inst")
+    write_instance(gen_matching(q, 20, 1), out)
+    mpath = os.path.join(out, "manifest.json")
+    with open(mpath) as f:
+        manifest = json.load(f)
+    del manifest["relations"]["S2"]
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+    with pytest.raises(ValueError, match="S2"):
+        read_instance(q, out)
+
+    for bad in (0, 21):                 # the domain is [1, 20]
+        write_instance(gen_matching(q, 20, 1), out)
+        with open(os.path.join(out, "S3.tsv"), "a") as f:
+            f.write("%d\t5\n" % bad)
+        with pytest.raises(ValueError, match="outside the domain"):
+            read_instance(q, out)
+
+
 def test_written_files_byte_identical(tmp_path):
     q = triangle()
     p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
