@@ -176,11 +176,6 @@ def _heavy_at(atoms, rels, var_list, test):
 
 # -- shipment primitives ---------------------------------------------------
 
-def _send_group(eng, rnd, group, rel, tup):
-    for s in group:
-        eng.send(rnd, s, rel, tup)
-
-
 def _balanced_hashes(ctx, q, rels, shares, tag):
     """Per-variable bucket maps with near-equal bucket sizes.
 
@@ -215,57 +210,61 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
     return hashes
 
 
-def _hc_ship(ctx, rnd, q, rels, shares, cells, tag, keep=None, dedup=False):
+def _hc_ship(ctx, rnd, q, rels, shares, cells, tag, keep=None):
     """Hypercube shipment of every atom of q onto the given logical cells.
 
     `cells` has exactly prod(shares) entries; keep(atom, tuple) filters.
+    """
+    hashes = _balanced_hashes(ctx, q, rels, shares, tag)
+    for a in q.atoms:
+        ts = [t for t in rels[a.relation] if keep is None or keep(a, t)]
+        _hc_ship_atom(ctx, rnd, q.variables, a, ts, shares, hashes, cells)
+
+
+def _hc_route(a, order, shares, hashes, cells):
+    """Route of a's tuples: every server of every cell they expand to."""
+    bound = set(a.vars)
+
+    def route(t):
+        cs = hc_destinations(bound, dict(zip(a.vars, t)), shares, order, hashes)
+        return [s for c in cs for s in cells[c]]
+    return route
+
+
+def _hc_ship_atom(ctx, rnd, order, a, tuples, shares, hashes, cells):
+    """Hypercube shipment of one atom's tuples.
 
     In counting mode the ledger is computed without replicating: tuples
     are counted by their bound hash coordinates and each count is added to
-    every cell the coordinates expand to.  That skips the engine's dedup,
-    which is sound because one shipment never repeats a delivery: tuples
-    are distinct, one tuple's cells are distinct, and distinct cells are
-    disjoint server groups.  Pass ``dedup=True`` when another shipment of
-    the same tuples in the same round may reach the same servers.
+    every cell the coordinates expand to.  That is exact because one such
+    shipment never repeats a delivery: tuples are distinct, one tuple's
+    cells are distinct, and distinct cells are disjoint server groups.
     """
-    hashes = _balanced_hashes(ctx, q, rels, shares, tag)
     eng = ctx.eng
-    if eng.store_tuples or dedup:
-        for a in q.atoms:
-            for t in rels[a.relation]:
-                if keep is not None and not keep(a, t):
-                    continue
-                asg = dict(zip(a.vars, t))
-                for c in hc_destinations(set(a.vars), asg, shares, q.variables, hashes):
-                    _send_group(eng, rnd, cells[c], a.relation, t)
+    if eng.store_tuples:
+        eng.ship(rnd, a.relation, tuples, _hc_route(a, order, shares, hashes, cells))
         return
-    # Mixed-radix cell index over q.variables, as in hc_destinations.
-    split = [v for v in q.variables if shares[v] > 1]
+    # Mixed-radix cell index over `order`, as in hc_destinations.
+    split = [v for v in order if shares[v] > 1]
     stride = {}
     step = 1
     for v in reversed(split):
         stride[v] = step
         step *= shares[v]
-    for a in q.atoms:
-        bound = [(a.vars.index(v), hashes[v], shares[v], stride[v])
-                 for v in split if v in a.vars]
-        free = [0]
-        for v in split:
-            if v not in a.vars:
-                free = [f + d * stride[v] for f in free for d in range(shares[v])]
-        hist = Counter()
-        for t in rels[a.relation]:
-            if keep is None or keep(a, t):
-                hist[sum((h(t[i], s) - 1) * st for i, h, s, st in bound)] += 1
-        per_cell = Counter()
-        for c0, n in hist.items():
-            for f in free:
-                per_cell[c0 + f] += n
-        counts = Counter()
-        for c, n in per_cell.items():
-            for srv in cells[c]:
+    bound = [(a.vars.index(v), hashes[v], shares[v], stride[v])
+             for v in split if v in a.vars]
+    free = [0]
+    for v in split:
+        if v not in a.vars:
+            free = [f + d * stride[v] for f in free for d in range(shares[v])]
+    hist = Counter(sum((h(t[i], s) - 1) * st for i, h, s, st in bound)
+                   for t in tuples)
+    counts = Counter()
+    for c0, n in hist.items():
+        for f in free:
+            for srv in cells[c0 + f]:
                 counts[srv] += n
-        eng.add_counts(rnd, a.relation, counts)
+    eng.add_counts(rnd, a.relation, counts)
 
 
 def _distribute(ctx, rnd, name, tuples, groups, tag):
@@ -274,8 +273,7 @@ def _distribute(ctx, rnd, name, tuples, groups, tag):
     if n == 0:
         return
     h = hash_family(ctx.seed, tag, "dist")
-    for t in tuples:
-        _send_group(ctx.eng, rnd, groups[h(t, n) - 1], name, t)
+    ctx.eng.ship(rnd, name, tuples, lambda t: groups[h(t, n) - 1])
 
 
 def _intersect_ship(ctx, rnd, named_sets, P, fresh, tag):
@@ -285,8 +283,7 @@ def _intersect_ship(ctx, rnd, named_sets, P, fresh, tag):
     h = hash_family(ctx.seed, tag, "ix")
     n = len(block)
     for name, ts in named_sets:
-        for t in ts:
-            _send_group(ctx.eng, rnd, block[h(t, n) - 1], name, t)
+        ctx.eng.ship(rnd, name, ts, lambda t: block[h(t, n) - 1])
     if not ctx.eng.store_tuples:
         return set()
     out = set(named_sets[0][1])
@@ -312,21 +309,19 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     heavy = sorted(kv for kv, f in freq.items() if f * P > m)
     hblocks = {kv: [fresh() for _ in range(-(-P * freq[kv] // m))]  # ceil
                for kv in heavy}
-    eng = ctx.eng
-    for t in a_tuples:
+    bcast = {kv: [s for g in gs for s in g] for kv, gs in hblocks.items()}
+
+    def route_a(t):
         kv = tuple(t[i] for i in a_keypos)
-        if kv in hblocks:
-            for g in hblocks[kv]:
-                _send_group(eng, rnd, g, a_name, t)
-        else:
-            _send_group(eng, rnd, block[h(kv, P) - 1], a_name, t)
-    for t in b_tuples:
+        return bcast[kv] if kv in bcast else block[h(kv, P) - 1]
+
+    def route_b(t):
         kv = tuple(t[i] for i in b_keypos)
-        if kv in hblocks:
-            g = hblocks[kv]
-            _send_group(eng, rnd, g[hpart(t, len(g)) - 1], b_name, t)
-        else:
-            _send_group(eng, rnd, block[h(kv, P) - 1], b_name, t)
+        g = hblocks.get(kv)
+        return g[hpart(t, len(g)) - 1] if g else block[h(kv, P) - 1]
+
+    ctx.eng.ship(rnd, a_name, a_tuples, route_a)
+    ctx.eng.ship(rnd, b_name, b_tuples, route_b)
     return hblocks
 
 
@@ -374,13 +369,8 @@ def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
         profs = [frozenset(X & set(a.vars)) for a in q.atoms]
         if all(groups[a.relation].get(pr) for a, pr in zip(q.atoms, profs)):
             active.append((X, profs))
-    # A tuple group shipped under two profiles can reach the same base
-    # server twice; only the engine's per-delivery dedup counts such a
-    # repeat once.
-    uses = Counter((a.relation, pr) for _, profs in active
-                   for a, pr in zip(q.atoms, profs))
-    shared = any(n > 1 for n in uses.values())
     base = [fresh() for _ in range(P)] if active else None
+    uses = {}      # (atom, profile) -> [(shares, hashes, cells) per X]
     out = set()
     for X, profs in active:
         filtered = {a.relation: groups[a.relation][pr]
@@ -392,9 +382,21 @@ def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
         # _round_shares keeps the product of shares <= P) on the base block
         ncells = alloc.grid_size()
         cellmap = sorted(range(P), key=lambda c: mix64(mkey ^ c))[:ncells]
-        _hc_ship(ctx, rnd, q, filtered, alloc.shares,
-                 [base[c] for c in cellmap], tag + "v" + xkey, dedup=shared)
+        hashes = _balanced_hashes(ctx, q, filtered, alloc.shares, tag + "v" + xkey)
+        for a, pr in zip(q.atoms, profs):
+            uses.setdefault((a, pr), []).append(
+                (alloc.shares, hashes, [base[c] for c in cellmap]))
         out |= _out_join(ctx, q.atoms, filtered, q.variables)
+    # A group shipped under several profiles shares one base block, so it
+    # goes once to the union of its cells under all of them.
+    for (a, pr), grids in uses.items():
+        ts = groups[a.relation][pr]
+        if len(grids) == 1:
+            _hc_ship_atom(ctx, rnd, q.variables, a, ts, *grids[0])
+            continue
+        routes = [_hc_route(a, q.variables, *g) for g in grids]
+        ctx.eng.ship(rnd, a.relation, ts,
+                     lambda t, routes=routes: {s for r in routes for s in r(t)})
     return out
 
 
@@ -451,8 +453,7 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     light1 = [t for t in rels[s1.relation] if t[1] not in hset]
     light2 = [t for t in rels[s2.relation] if t[0] not in hset]
     for name, ts, pos in ((s1.relation, light1, 1), (s2.relation, light2, 0)):
-        for t in ts:
-            _send_group(ctx.eng, rnd, cols[hcol(t[pos], p1) - 1], name, t)
+        ctx.eng.ship(rnd, name, ts, lambda t, pos=pos: cols[hcol(t[pos], p1) - 1])
     head = _out_join(ctx, [s1, s2], {s1.relation: light1, s2.relation: light2},
                      (s1.vars[0], x1, s2.vars[1]))
     ov, rows = _join_rows((s1.vars[0], x1, s2.vars[1]), head, v0, out0)
@@ -494,17 +495,15 @@ def _chain_eval(ctx, rnd, chain, rels, P, fresh, tag):
     """Evaluate a path of at least two atoms whose end atoms may coincide
     on one edge.
 
-    Two atoms on the same edge: co-locate and intersect (1 round).
-    Otherwise a line join.
+    Two atoms with the same variable tuple: co-locate and intersect
+    (1 round).  Otherwise a line join.
     """
-    if len(chain) == 2 and set(chain[0].vars) == set(chain[1].vars):
+    if len(chain) == 2 and chain[0].vars == chain[1].vars:
         a, b = chain
-        rows_b = set(rels[b.relation])
-        if a.vars != b.vars:
-            rows_b = _reorder(b.vars, rows_b, a.vars)
         out = _intersect_ship(ctx, rnd,
                               [(a.relation, set(rels[a.relation])),
-                               (b.relation, rows_b)], P, fresh, tag + "c2")
+                               (b.relation, set(rels[b.relation]))],
+                              P, fresh, tag + "c2")
         return a.vars, out, 1
     return _line(ctx, rnd, chain, rels, P, fresh, tag)
 
@@ -768,10 +767,6 @@ def _clique(ctx, rnd, var_list, atoms, rels, P, fresh, tag):
     atoms allowed only at k == 2).  Returns (vars, rows, rounds)."""
     k = len(var_list)
     if k == 2:
-        if len(atoms) == 1:
-            a = atoms[0]
-            rows = set(rels[a.relation])
-            return tuple(var_list), _reorder(a.vars, rows, tuple(var_list)), 0
         a, b = atoms
         rows_b = _reorder(b.vars, set(rels[b.relation]), a.vars)
         inter = _intersect_ship(ctx, rnd, [(a.relation, set(rels[a.relation])),
@@ -1162,7 +1157,8 @@ def run_algorithm(name: str, db, p: int, seed: int,
     With ``counting=True`` the run is a dry run for its loads: the engine
     keeps only the load ledger (no per-server tuple storage) and results
     are not assembled, so the returned output is an empty set, except that
-    covering on two atoms returns the semi-join result it ships.  Loads,
+    covering on two atoms returns the semi-join result it ships and a
+    one-atom query under line or covering returns its relation.  Loads,
     rounds and extras are the same as in a storing run.  Used for cheap
     dry runs on large instances.
     """

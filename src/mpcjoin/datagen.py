@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .analyzer import pow_floor
 from .lp import OPTIMAL, lp_solve_exact
-from .query import Query
+from .query import Query, parse_query
 from .rng import Stream
 
 
@@ -271,10 +271,16 @@ def write_instance(db: DatabaseInstance, outdir: str) -> None:
 
 def read_instance(q: Query, indir: str) -> DatabaseInstance:
     """Read an instance written by `write_instance`; raises ValueError when
-    the manifest gives no domain size n for one of q's relations or a value
-    lies outside the relation's domain [1, n]."""
+    the manifest's query has other atoms than q, when it gives no domain
+    size n for one of q's relations, or when a value lies outside the
+    relation's domain [1, n]."""
     with open(os.path.join(indir, "manifest.json")) as f:
         manifest = json.load(f)
+    written = parse_query(str(manifest.get("query", "")))
+    if {(a.relation, a.vars) for a in written.atoms} != \
+            {(a.relation, a.vars) for a in q.atoms}:
+        raise ValueError("%s: instance was written for %s, not for %s"
+                         % (indir, written.render(), q.render()))
     rels = {}
     for a in q.atoms:
         entry = manifest.get("relations", {}).get(a.relation)

@@ -111,7 +111,7 @@ def replay_io(report: LoadReport, input_tuples: int, cfg: EMConfig,
     state = {}               # server -> words accumulated so far
     max_resident = 0
     for r in range(rounds):
-        incoming = report.tuples[r]
+        incoming = report.server_tuples(r)
         # (1) partition: scan the pending message stream (round 1 reuses
         # the init scan), appending to one open block per destination
         # bucket.

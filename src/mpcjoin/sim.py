@@ -2,8 +2,10 @@
 
 The model: servers exchange tuples in synchronized rounds.  A tuple may be
 sent to any set of servers, but the destination set must be a pure function
-of the tuple and of public data statistics — the engine spot-checks this by
-re-evaluating routes.  The per-round load of a server is the data it
+of the tuple and of public data statistics.  Every shipment goes through
+one primitive, `Engine.ship`, which spot-checks that on every call by
+re-evaluating routes; delivering the same tuple to the same server twice in
+one round is an error.  The per-round load of a server is the data it
 receives that round; the cost of a run is the maximum over servers and
 rounds, reported both in tuples and in bits.
 
@@ -15,6 +17,7 @@ shipments into the same global round.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .query import Query
@@ -24,7 +27,9 @@ _MASK = (1 << 64) - 1
 
 
 class RoutingError(RuntimeError):
-    """A route function returned different destinations for the same tuple."""
+    """A shipment broke the routing contract: its route is not a pure
+    function of the tuple, or it delivers a tuple twice to one server in
+    one round."""
 
 
 def hash_family(seed: int, *path):
@@ -71,21 +76,34 @@ def hc_destinations(bound_vars, assignment: dict, shares: dict, order, hashes: d
 
 @dataclass
 class LoadReport:
-    """Per-round, per-server receive totals for one simulated run."""
+    """Per-round receive counts of one simulated run.
+
+    `by_relation[r]` maps (server, relation) to the tuples that server
+    received in round r (0-based); every per-server, per-round total in
+    tuples or bits follows from it and the relation widths.
+    """
     widths: dict = field(default_factory=dict)   # relation -> bits per tuple
-    bits: list = field(default_factory=list)     # per round: {server: bits}
-    tuples: list = field(default_factory=list)   # per round: {server: tuples}
     by_relation: list = field(default_factory=list)  # per round: {(server, rel): tuples}
 
     @property
     def rounds(self) -> int:
-        return len(self.bits)
+        return len(self.by_relation)
+
+    def server_tuples(self, r: int) -> Counter:
+        """{server: tuples received in round r}."""
+        out = Counter()
+        for (s, _), n in self.by_relation[r].items():
+            out[s] += n
+        return out
 
     def round_max_bits(self, r: int) -> int:
-        return max(self.bits[r].values(), default=0)
+        bits = Counter()
+        for (s, rel), n in self.by_relation[r].items():
+            bits[s] += n * self.widths[rel]
+        return max(bits.values(), default=0)
 
     def round_max_tuples(self, r: int) -> int:
-        return max(self.tuples[r].values(), default=0)
+        return max(self.server_tuples(r).values(), default=0)
 
     def max_bits(self) -> int:
         return max((self.round_max_bits(r) for r in range(self.rounds)), default=0)
@@ -94,10 +112,11 @@ class LoadReport:
         return max((self.round_max_tuples(r) for r in range(self.rounds)), default=0)
 
     def round_total_tuples(self, r: int) -> int:
-        return sum(self.tuples[r].values())
+        return sum(self.by_relation[r].values())
 
     def server_total_tuples(self, s) -> int:
-        return sum(t.get(s, 0) for t in self.tuples)
+        return sum(n for rnd in self.by_relation
+                   for (srv, _), n in rnd.items() if srv == s)
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as f:
@@ -109,113 +128,89 @@ class LoadReport:
 
 
 class Engine:
-    """Tracks what every server receives per round and optionally holds.
+    """Delivers shipments round by round and keeps the load ledger.
 
-    With ``store_tuples=False`` only counters are kept (cheap dry runs on
-    large instances); per-server holdings are then unavailable.
+    `ship` is the one way to deliver tuples.  Every tuple goes once to each
+    server its route names, and the route must be a pure function of the
+    tuple, which is spot-checked on every shipment.  With
+    ``store_tuples=True`` the engine also keeps what each server received,
+    and a tuple delivered twice to one server in one round raises
+    `RoutingError`.  With ``store_tuples=False`` only the ledger is kept
+    (cheap dry runs on large instances); `add_counts` then charges
+    precomputed per-server counts in bulk.
     """
 
     def __init__(self, widths: dict, store_tuples: bool = True):
         self.widths = dict(widths)     # relation -> bits per tuple
         self.store_tuples = store_tuples
         self.report = LoadReport(self.widths)
-        self.stored = {} if store_tuples else None   # server -> {rel: set}
-        self._seen = []                # per round: set of (server, rel, tup)
+        self._held = {}                # round -> {(server, rel): set of tuples}
 
     def register_relation(self, rel: str, width: int) -> None:
         """Declare an intermediate relation (e.g. a semi-join result)."""
         self.widths.setdefault(rel, width)
 
-    def _ensure(self, r: int) -> None:
-        while len(self.report.bits) <= r:
-            self.report.bits.append({})
-            self.report.tuples.append({})
-            self.report.by_relation.append({})
-            self._seen.append(set())
-
-    def send(self, rnd: int, server: int, rel: str, tup: tuple) -> None:
-        """Deliver one tuple to one server in round `rnd` (0-based).
-
-        Duplicate deliveries of the same tuple to the same server within a
-        round are counted once.  `add_counts` is the bulk, dedup-free
-        entry point for counting mode.
-        """
-        if rnd < 0 or server < 0:
-            raise ValueError("negative round or server")
-        self._ensure(rnd)
-        if self.store_tuples:
-            key = (server, rel, tup)
-        else:
-            # Counting mode: fold the identity into 64 bits to keep the
-            # dedup set small (collisions are ~2^-64 per pair, harmless
-            # for load accounting).
-            acc = mix64(server ^ 0x9E3779B97F4A7C15)
-            acc = mix64(acc ^ (hash(rel) & _MASK))
-            for v in tup:
-                acc = mix64(acc ^ (v & _MASK))
-            key = acc
-        if key in self._seen[rnd]:
-            return
-        self._seen[rnd].add(key)
-        w = self.widths.get(rel)
-        if w is None:
-            raise KeyError("unknown relation %r" % rel)
-        rep = self.report
-        rep.bits[rnd][server] = rep.bits[rnd].get(server, 0) + w
-        rep.tuples[rnd][server] = rep.tuples[rnd].get(server, 0) + 1
-        bk = (server, rel)
-        rep.by_relation[rnd][bk] = rep.by_relation[rnd].get(bk, 0) + 1
-        if self.store_tuples:
-            self.stored.setdefault(server, {}).setdefault(rel, set()).add(tup)
-
-    def add_counts(self, rnd: int, rel: str, counts: dict) -> None:
-        """Deliver counts[server] tuples of `rel` to each server in round
-        `rnd`, updating the whole ledger in one call.
-
-        Only for counting mode (per-server holdings are not recorded), and
-        only for deliveries known to be distinct: nothing is deduplicated,
-        so the caller must guarantee that no counted (server, tuple) pair
-        repeats another delivery of `rel` in the same round, whether made
-        by `send` or by an earlier `add_counts`.
-        """
-        if self.store_tuples:
-            raise RuntimeError("add_counts needs counting mode")
-        w = self.widths.get(rel)
-        if w is None:
+    def _charge(self, rnd: int, rel: str, counts: dict) -> None:
+        if rel not in self.widths:
             raise KeyError("unknown relation %r" % rel)
         if rnd < 0 or any(s < 0 or n < 1 for s, n in counts.items()):
             raise ValueError("negative round or server, or a count below 1")
         if not counts:
             return
-        self._ensure(rnd)
-        bits = self.report.bits[rnd]
-        tuples = self.report.tuples[rnd]
-        by_rel = self.report.by_relation[rnd]
+        ledger = self.report.by_relation
+        while len(ledger) <= rnd:
+            ledger.append({})
+        by_rel = ledger[rnd]
         for s, n in counts.items():
-            bits[s] = bits.get(s, 0) + w * n
-            tuples[s] = tuples.get(s, 0) + n
             by_rel[s, rel] = by_rel.get((s, rel), 0) + n
 
-    def ship(self, rnd: int, rel: str, tuples, route) -> None:
-        """Ship every tuple to route(tup) (an iterable of servers).
+    def add_counts(self, rnd: int, rel: str, counts: dict) -> None:
+        """Deliver counts[server] tuples of `rel` to each server in round
+        `rnd` (0-based), updating the ledger in one call.
 
-        The route must be a pure function of the tuple; the first few
-        tuples are re-routed to spot-check that.
+        Only for counting mode, where no holdings are kept, so the caller
+        must guarantee that the counted deliveries are distinct from each
+        other and from every other delivery of `rel` in the same round.
         """
-        checked = 0
-        for tup in tuples:
-            dests = list(route(tup))
-            if checked < 64:
-                if sorted(route(tup)) != sorted(dests):
-                    raise RoutingError("route for %s/%s is not tuple-determined" % (rel, tup))
-                checked += 1
-            for s in dests:
-                self.send(rnd, s, rel, tup)
+        if self.store_tuples:
+            raise RuntimeError("add_counts needs counting mode")
+        self._charge(rnd, rel, counts)
 
-    def holdings(self, server: int, rel: str):
+    def ship(self, rnd: int, rel: str, tuples, route) -> None:
+        """Deliver every tuple of `rel` to each server of route(tup) (an
+        iterable of server ids) in round `rnd` (0-based).
+
+        The first 64 tuples are routed twice to check that the route is a
+        pure function of the tuple.  In storing mode a tuple that reaches a
+        server it already reached in this round raises `RoutingError`.
+        """
+        if rnd < 0:
+            raise ValueError("negative round")
+        counts = Counter()
+        held = self._held.setdefault(rnd, {}) if self.store_tuples else None
+        for i, tup in enumerate(tuples):
+            dests = list(route(tup))
+            if i < 64 and sorted(route(tup)) != sorted(dests):
+                raise RoutingError("route for %s/%s is not tuple-determined" % (rel, tup))
+            for s in dests:
+                counts[s] += 1
+                if held is None:
+                    continue
+                got = held.get((s, rel))
+                if got is None:
+                    got = held[s, rel] = set()
+                n = len(got)
+                got.add(tup)
+                if len(got) == n:
+                    raise RoutingError("%s/%s delivered twice to server %d in round %d"
+                                       % (rel, tup, s, rnd))
+        self._charge(rnd, rel, counts)
+
+    def holdings(self, server: int, rel: str) -> set:
+        """The tuples of `rel` that `server` received, over all rounds."""
         if not self.store_tuples:
             raise RuntimeError("engine is in counting mode")
-        return self.stored.get(server, {}).get(rel, frozenset())
+        return set().union(*(h.get((server, rel), ()) for h in self._held.values()))
 
 
 # -- joins -----------------------------------------------------------------

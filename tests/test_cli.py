@@ -82,6 +82,17 @@ def test_server_count_below_one_exit_2(capsys):
         assert "p=" not in captured.out
 
 
+def test_run_on_instance_of_other_query_exit_2(tmp_path, capsys):
+    d = str(tmp_path / "tri")
+    assert main(["generate", "--family", "C", "--k", "3", "--gen", "matching",
+                 "--m", "50", "--out", d]) == 0
+    capsys.readouterr()
+    assert main(["run", "--family", "L", "--k", "3", "--indir", d]) == 2
+    captured = capsys.readouterr()
+    assert "written for C3" in captured.err
+    assert "oracle check" not in captured.out
+
+
 def test_run_from_generated_instance(tmp_path, capsys):
     d = str(tmp_path / "inst")
     assert main(["generate", "--family", "L", "--k", "3",

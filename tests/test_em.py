@@ -118,22 +118,13 @@ def test_dry_run_cache_keyed_by_algorithm_and_instance():
 
 
 def test_replay_flags_overflow():
-    rep = LoadReport({"R": 8})
-    rep.bits.append({0: 8 * 50})
-    rep.tuples.append({0: 50})
-    rep.by_relation.append({(0, "R"): 50})
-    rep.bits.append({0: 8 * 60})
-    rep.tuples.append({0: 60})
-    rep.by_relation.append({(0, "R"): 60})
+    rep = LoadReport({"R": 8}, [{(0, "R"): 50}, {(0, "R"): 60}])
     with pytest.raises(MemoryOverflow):
         replay_io(rep, 100, EMConfig(100, 10), p_o=2)
 
 
 def test_warnings_when_fanout_exceeds_memory():
-    rep = LoadReport({"R": 8})
-    rep.bits.append({s: 8 for s in range(64)})
-    rep.tuples.append({s: 1 for s in range(64)})
-    rep.by_relation.append({(s, "R"): 1 for s in range(64)})
+    rep = LoadReport({"R": 8}, [{(s, "R"): 1 for s in range(64)}])
     io = replay_io(rep, 64, EMConfig(32, 8), p_o=64)
     assert any("p_o" in w for w in io.warnings)
 

@@ -48,27 +48,30 @@ def test_hc_destinations_bound_and_unbound():
     assert len(cells) == 3 and len(set(cells)) == 3
 
 
-def test_engine_counts_and_dedup():
-    eng = Engine({"R": 10})
-    eng.send(0, 1, "R", (1, 2))
-    eng.send(0, 1, "R", (1, 2))      # duplicate in same round: ignored
-    eng.send(0, 2, "R", (1, 2))
-    eng.send(1, 1, "R", (1, 2))      # new round: counted again
+def test_engine_counts_and_rejects_repeats():
+    eng = Engine({"R": 10, "S": 3})
+    eng.ship(0, "R", [(1, 2)], lambda t: [1, 2])
+    eng.ship(0, "S", [(1, 2)], lambda t: [1])   # same tuple, other relation
+    with pytest.raises(RoutingError):
+        eng.ship(0, "R", [(1, 2)], lambda t: [1])   # repeat in the same round
+    with pytest.raises(RoutingError):
+        eng.ship(0, "R", [(3, 4)], lambda t: [5, 5])
+    eng.ship(1, "R", [(1, 2), (5, 6)], lambda t: [1])   # new round: counted again
     rep = eng.report
     assert rep.rounds == 2
-    assert rep.tuples[0] == {1: 1, 2: 1}
-    assert rep.bits[0] == {1: 10, 2: 10}
-    assert rep.tuples[1] == {1: 1}
-    assert rep.max_tuples() == 1
-    assert rep.round_total_tuples(0) == 2
-    assert rep.server_total_tuples(1) == 2
-    assert eng.holdings(1, "R") == {(1, 2)}
+    assert rep.by_relation[0] == {(1, "R"): 1, (2, "R"): 1, (1, "S"): 1}
+    assert rep.server_tuples(0) == {1: 2, 2: 1}
+    assert rep.max_tuples() == 2 and rep.round_max_bits(0) == 13
+    assert rep.round_total_tuples(0) == 3
+    assert rep.server_total_tuples(1) == 4
+    assert eng.holdings(1, "R") == {(1, 2), (5, 6)}    # union over rounds
+    assert eng.holdings(2, "R") == {(1, 2)}
 
 
 def test_engine_unknown_relation():
     eng = Engine({"R": 4})
     with pytest.raises(KeyError):
-        eng.send(0, 0, "Q", (1,))
+        eng.ship(0, "Q", [(1,)], lambda t: [0])
 
 
 def test_ship_detects_impure_route():
@@ -88,19 +91,15 @@ def test_counting_mode_matches_storing_mode():
     reports = []
     for store in (True, False):
         eng = Engine({"R": 8}, store_tuples=store)
-        eng.ship(0, "R", tuples, lambda t: [t[1], (t[0] * 7) % 13])
+        eng.ship(0, "R", tuples, lambda t: {t[1], (t[0] * 7) % 13})
         reports.append(eng.report)
-    assert reports[0].tuples == reports[1].tuples
-    assert reports[0].bits == reports[1].bits
+    assert reports[0] == reports[1]
 
 
 def test_add_counts_equals_distinct_sends():
     sent = Engine({"R": 8, "S": 3}, store_tuples=False)
-    for t in range(5):
-        sent.send(1, 0, "R", (t,))
-    for t in range(2):
-        sent.send(1, 4, "R", (t,))
-    sent.send(1, 4, "S", (9,))
+    sent.ship(1, "R", [(t,) for t in range(5)], lambda t: [0, 4] if t[0] < 2 else [0])
+    sent.ship(1, "S", [(9,)], lambda t: [4])
     bulk = Engine({"R": 8, "S": 3}, store_tuples=False)
     bulk.add_counts(1, "R", {0: 5, 4: 2})
     bulk.add_counts(1, "S", {4: 1})
@@ -116,14 +115,15 @@ def test_add_counts_equals_distinct_sends():
 
 def test_counting_mode_has_no_holdings():
     eng = Engine({"R": 8}, store_tuples=False)
-    eng.send(0, 0, "R", (1,))
+    eng.ship(0, "R", [(1,), (1,)], lambda t: [0])   # no repeat check either
+    assert eng.report.by_relation == [{(0, "R"): 2}]
     with pytest.raises(RuntimeError):
         eng.holdings(0, "R")
 
 
 def test_load_report_csv(tmp_path):
     eng = Engine({"R": 10})
-    eng.send(0, 3, "R", (1,))
+    eng.ship(0, "R", [(1,)], lambda t: [3])
     path = str(tmp_path / "load.csv")
     eng.report.write_csv(path)
     lines = open(path).read().strip().splitlines()
