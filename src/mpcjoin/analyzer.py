@@ -6,6 +6,13 @@ rational simplex in :mod:`mpcjoin.lp`.  Relation sizes enter the load
 formulas through their base-p logarithm; sizes that are exact rational
 powers of p keep the whole computation rational, anything else is
 approximated by a controlled rational (denominator <= 10^6).
+
+psi* = max over X of tau*(q_X) ranges over every residual q_X, 2^k - 1 of
+them, but few distinct LPs: duplicate edges and edges that contain another
+edge leave tau* unchanged, and tau* is the sum of tau* over connected
+components.  `residual_tau_star` solves one packing LP per component of
+minimal edges, cached by the component's edge sets for the length of one
+`psi_star` or `psi_star_recursive` call (SP6: 82 LPs for 8,191 residuals).
 """
 
 from __future__ import annotations
@@ -102,25 +109,27 @@ class FractionalWeighting:
                     raise ValueError("variable %s packed with %s > 1" % (v, s))
 
 
+def _unit_lp(vertices, edges, rel: str, maximize: bool, what: str):
+    """Optimize the total edge weight subject to sum_{e ∋ v} w_e (rel) 1."""
+    A = [[1 if v in e else 0 for e in edges] for v in vertices]
+    res = lp_solve_exact([1] * len(edges), A, [rel] * len(A), [1] * len(A),
+                         maximize=maximize)
+    if res.status != OPTIMAL:
+        raise LPError("%s LP not optimal: %s" % (what, res.status))
+    return res
+
+
 def tau_star(q: Query):
     """Fractional edge packing number with a witness packing."""
-    rels = [a.relation for a in q.atoms]
-    A = [[1 if v in a.vars else 0 for a in q.atoms] for v in q.variables]
-    res = lp_solve_exact([1] * len(rels), A, ["<="] * len(A), [1] * len(A), maximize=True)
-    if res.status != OPTIMAL:
-        raise LPError("packing LP not optimal: %s" % res.status)
-    w = FractionalWeighting(dict(zip(rels, res.x)), "packing")
+    res = _unit_lp(q.variables, [a.vars for a in q.atoms], "<=", True, "packing")
+    w = FractionalWeighting(dict(zip((a.relation for a in q.atoms), res.x)), "packing")
     return res.value, w
 
 
 def rho_star(q: Query):
     """Fractional edge cover number with a witness cover."""
-    rels = [a.relation for a in q.atoms]
-    A = [[1 if v in a.vars else 0 for a in q.atoms] for v in q.variables]
-    res = lp_solve_exact([1] * len(rels), A, [">="] * len(A), [1] * len(A), maximize=False)
-    if res.status != OPTIMAL:
-        raise LPError("cover LP not optimal: %s" % res.status)
-    w = FractionalWeighting(dict(zip(rels, res.x)), "cover")
+    res = _unit_lp(q.variables, [a.vars for a in q.atoms], ">=", False, "cover")
+    w = FractionalWeighting(dict(zip((a.relation for a in q.atoms), res.x)), "cover")
     return res.value, w
 
 
@@ -130,52 +139,96 @@ def _subsets(vs):
         yield frozenset(vs[i] for i in range(n) if mask >> i & 1)
 
 
+def residual_tau_star(q: Query, x, cache: dict):
+    """tau*(q_X) with a quasi-packing witness, one packing LP per component.
+
+    Two exact facts keep the LPs small.  Moving an edge's weight onto an
+    edge it contains never breaks a packing, so only the minimal edges of
+    q_X matter: a duplicate edge is kept at its first atom in atom order,
+    and an edge that strictly contains another is dropped.  The packing LP
+    of the minimal edges then splits into its connected components.  Each
+    component is keyed by its edges as variable bitmasks, so `cache` serves
+    every residual, of any X, that has the same component.  The witness has
+    weight 0 on every atom that is dropped, inside X or not.
+    """
+    x = frozenset(x)
+    bit = {v: 1 << i for i, v in enumerate(q.variables)}
+    xmask = sum(bit[v] for v in x)
+    first = {}                                  # edge mask -> relation
+    for a in q.atoms:
+        e = sum(bit[v] for v in a.vars) & ~xmask
+        if e and e not in first:
+            first[e] = a.relation
+    components = []                             # [vertex mask, [edge masks]]
+    for e in first:
+        if any(f & e == f for f in first if f != e):
+            continue
+        merged = [e, [e]]
+        for c in [c for c in components if c[0] & e]:
+            components.remove(c)
+            merged[0] |= c[0]
+            merged[1] += c[1]
+        components.append(merged)
+    weights = dict.fromkeys((a.relation for a in q.atoms), Fraction(0))
+    total = Fraction(0)
+    for vmask, edges in components:
+        key = tuple(sorted(edges))
+        if key not in cache:
+            vertices = [b for b in bit.values() if b & vmask]
+            res = _unit_lp(vertices, [frozenset(b for b in vertices if b & e) for e in key],
+                           "<=", True, "packing")
+            cache[key] = (res.value, res.x)
+        value, ws = cache[key]
+        total += value
+        for e, w in zip(key, ws):
+            weights[first[e]] = w
+    return total, FractionalWeighting(weights, "quasi-packing", x)
+
+
 def psi_star(q: Query):
     """Edge quasi-packing number by residual enumeration.
 
-    Maximizes tau*(q_X) over X strictly inside vars(q); atoms swallowed by X
-    carry weight 0 in the returned witness.  The first maximizing X in
-    bitmask order over the canonical variable order is returned, so the
-    result is deterministic.
+    Maximizes tau*(q_X) over X strictly inside vars(q), each by
+    :func:`residual_tau_star` with one component cache for the whole call;
+    atoms swallowed by X, duplicate atoms and atoms containing another
+    atom's residual edge carry weight 0 in the returned witness.  The first
+    maximizing X in bitmask order over the canonical variable order is
+    returned, so the result is deterministic.
     """
-    best = None
-    best_x = None
-    best_w = None
     cache = {}
+    best = None
+    best_w = None
     for x in _subsets(q.variables):
         if len(x) == q.k:
             continue
-        qx = residual_query(q, x) if x else q
-        sig = frozenset((a.relation, a.vars) for a in qx.atoms)
-        if sig in cache:
-            val, w = cache[sig]
-        else:
-            val, w = tau_star(qx)
-            cache[sig] = (val, w)
+        val, w = residual_tau_star(q, x, cache)
         if best is None or val > best:
-            best = val
-            best_x = x
-            weights = dict(w.weights)
-            for a in q.atoms:
-                weights.setdefault(a.relation, Fraction(0))
-            best_w = FractionalWeighting(weights, "quasi-packing", best_x)
+            best, best_w = val, w
     return best, best_w
 
 
-def psi_star_recursive(q: Query, _memo=None) -> Fraction:
-    """psi* via the residual recursion psi*(q) = max(tau*(q), max_x psi*(q_x))."""
-    if _memo is None:
-        _memo = {}
-    sig = frozenset((a.relation, a.vars) for a in q.atoms)
-    if sig in _memo:
-        return _memo[sig]
-    best, _ = tau_star(q)
-    for v in q.variables:
-        qx = residual_query(q, {v})
-        if qx is not None:
-            best = max(best, psi_star_recursive(qx, _memo))
-    _memo[sig] = best
-    return best
+def psi_star_recursive(q: Query) -> Fraction:
+    """psi* via the residual recursion psi*(q) = max(tau*(q), max_x psi*(q_x)).
+
+    The residuals q_X are memoized by the bitmask of the removed set X, and
+    their tau* come from :func:`residual_tau_star` with one component cache
+    for the whole call, as in `psi_star`.
+    """
+    vs = q.variables
+    full = (1 << q.k) - 1
+    cache, memo = {}, {}
+
+    def rec(xmask):
+        if xmask not in memo:
+            x = [vs[i] for i in range(q.k) if xmask >> i & 1]
+            best = residual_tau_star(q, x, cache)[0]
+            for i in range(q.k):
+                sub = xmask | 1 << i
+                if sub != xmask and sub != full:
+                    best = max(best, rec(sub))
+            memo[xmask] = best
+        return memo[xmask]
+    return rec(0)
 
 
 @dataclass

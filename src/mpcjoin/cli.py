@@ -61,6 +61,10 @@ def _echo(args):
 
 
 def cmd_analyze(args) -> int:
+    if args.p is not None and args.p < 1:
+        raise ValueError("--p must be at least 1, got %d" % args.p)
+    if args.m < 1:
+        raise ValueError("--m must be at least 1, got %d" % args.m)
     q = _load_query(args)
     _echo(args)
     t, tw = tau_star(q)
@@ -74,7 +78,7 @@ def cmd_analyze(args) -> int:
     print("  cover:   %s" % {k: str(v) for k, v in sorted(rw.weights.items())})
     print("psi_star: %s" % _frac(p))
     print("  residual heavy set: %s" % sorted(pw.residual_witness or ()))
-    if args.p:
+    if args.p is not None:
         sizes = {a.relation: args.m for a in q.atoms}
         alloc = share_lp(q, sizes, args.p)
         print("shares (p=%d, equal sizes m=%d):" % (args.p, args.m))
@@ -148,7 +152,7 @@ def cmd_sweep(args) -> int:
     rows = []
     status = 0
     if args.W:
-        if not args.B:
+        if args.B is None:
             raise QueryError("--W sweep needs --B")
         cache = {}
         m = max(db.sizes_tuples().values())

@@ -3,7 +3,9 @@
 Two-phase primal simplex on Fraction tableaus with Bland's anti-cycling
 pivot rule.  All problems solved here are tiny (hypergraph packing/cover
 polytopes and share LPs), so a dense tableau is the right tool; the point
-is exactness and determinism, not speed.
+is exactness and determinism.  A pivot touches only the columns where the
+pivot row is nonzero, which skips most of the Fraction arithmetic of the
+sparse incidence tableaus and changes no result.
 """
 
 from __future__ import annotations
@@ -29,16 +31,19 @@ class LPResult:
 
 
 def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    inv = Fraction(1) / piv
-    T[row] = [v * inv for v in T[row]]
+    """Pivot in place; a column where the pivot row is 0 keeps a - f*0 == a."""
     prow = T[row]
-    for r in range(len(T)):
+    inv = Fraction(1) / prow[col]
+    nz = [j for j, v in enumerate(prow) if v]
+    for j in nz:
+        prow[j] = prow[j] * inv
+    for r, trow in enumerate(T):
         if r == row:
             continue
-        f = T[r][col]
+        f = trow[col]
         if f:
-            T[r] = [a - f * b for a, b in zip(T[r], prow)]
+            for j in nz:
+                trow[j] = trow[j] - f * prow[j]
     basis[row] = col
 
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpcjoin.analyzer as analyzer
 from mpcjoin.analyzer import (FractionalWeighting, iroot, load_bound_packing,
                               load_bound_worstcase, log_base_p, pow_floor,
-                              psi_star, psi_star_recursive, rho_star, share_lp,
-                              tau_star)
-from mpcjoin.query import canonical_query, parse_query, residual_query
+                              psi_star, psi_star_recursive, residual_tau_star,
+                              rho_star, share_lp, tau_star)
+from mpcjoin.query import Atom, Query, canonical_query, parse_query, residual_query
 
 F = Fraction
 
@@ -69,6 +70,65 @@ def test_bad_witness_rejected():
     w = FractionalWeighting({"S1": F(1), "S2": F(1), "S3": F(1)}, "packing")
     with pytest.raises(ValueError):
         w.check(q)
+
+
+@st.composite
+def hypergraphs(draw):
+    """Queries of <= 7 variables, <= 8 atoms and arity <= 3, with some
+    atoms repeating or nesting inside another atom's variable set."""
+    n = draw(st.integers(1, 7))
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+    edges = draw(st.lists(edge, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(1, 2))):
+        e = draw(st.sampled_from(edges))
+        # a prefix of full length duplicates e, a shorter one nests inside it
+        edges.append(e[:draw(st.integers(1, len(e)))])
+    edges = draw(st.permutations(edges))
+    used = sorted({i for e in edges for i in e})
+    return Query("H", tuple("x%d" % i for i in used),
+                 tuple(Atom("R%d" % j, tuple("x%d" % i for i in e))
+                       for j, e in enumerate(edges)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(hypergraphs())
+def test_residual_tau_star_matches_full_lp(q):
+    cache = {}
+    best = None
+    for mask in range((1 << q.k) - 1):
+        x = frozenset(v for i, v in enumerate(q.variables) if mask >> i & 1)
+        direct = tau_star(residual_query(q, x))[0]
+        val, w = residual_tau_star(q, x, cache)
+        assert val == direct
+        w.check(q)
+        assert w.total() == val and w.residual_witness == x
+        # only the first atom of a minimal residual edge carries weight
+        edges = [frozenset(a.vars) - x for a in q.atoms]
+        for j, a in enumerate(q.atoms):
+            if w.weights[a.relation]:
+                assert not any(f and (f < edges[j] or (f == edges[j] and i < j))
+                               for i, f in enumerate(edges))
+        if best is None or direct > best[0]:
+            best = (direct, x)
+    psi, w = psi_star(q)
+    assert (psi, w.residual_witness) == best
+    assert psi == psi_star_recursive(q)
+
+
+def test_psi_star_one_lp_per_distinct_component(monkeypatch):
+    solves = []
+    real = analyzer.lp_solve_exact
+
+    def counted(*args, **kw):
+        solves.append(1)
+        return real(*args, **kw)
+    monkeypatch.setattr(analyzer, "lp_solve_exact", counted)
+    q = canonical_query("SP", 6)
+    assert psi_star(q)[0] == 7
+    assert len(solves) <= 82
+    solves.clear()
+    assert psi_star_recursive(q) == 7
+    assert len(solves) <= 82
 
 
 # -- share allocation ------------------------------------------------------

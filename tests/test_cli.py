@@ -29,6 +29,22 @@ def test_analyze_shares(capsys):
     assert "lambda: 4/3" in out
 
 
+def test_analyze_bad_server_count_exit_2(capsys):
+    for p in ("-4", "0"):
+        assert main(["analyze", "--family", "C", "--k", "3", "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert "--p must be at least 1" in captured.err
+        assert captured.out == ""
+
+
+def test_analyze_bad_relation_size_exit_2(capsys):
+    assert main(["analyze", "--family", "C", "--k", "3",
+                 "--p", "64", "--m", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--m must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_parse_error_exit_2(capsys):
     assert main(["analyze", "--query", "q(x) :- S(x,y)"]) == 2
     assert "error" in capsys.readouterr().err
@@ -121,6 +137,13 @@ def test_sweep_w_io(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("p_o=") == 2
+
+
+def test_sweep_w_zero_block_size_exit_2(capsys):
+    rc = main(["sweep", "--family", "C", "--k", "3", "--gen", "matching",
+               "--m", "50", "--alg", "triangle", "--W", "300", "--B", "0"])
+    assert rc == 2
+    assert "need 1 <= B <= W" in capsys.readouterr().err
 
 
 def test_sweep_empty_list_rejected(capsys):
