@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .analyzer import _round_shares, _subsets, log_base_p, pow_floor, share_lp
@@ -341,6 +341,19 @@ def _semijoin_ship(ctx, rnd, a_name, a_keys, b_name, b_tuples, keypos,
     return {t for t in b_tuples if tuple(t[i] for i in keypos) in a_keys}
 
 
+def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
+                   P, fresh, tag):
+    """Semi-join `target` against key set `keys` (named after kprefix) into
+    a fresh relation named after prefix; returns (Atom(name, target.vars),
+    rows)."""
+    name = ctx.fresh_name(prefix)
+    ctx.register(name, len(target.vars))
+    rows = _semijoin_ship(ctx, rnd, ctx.fresh_name(kprefix), keys,
+                          target.relation, rels[target.relation], keypos,
+                          P, fresh, tag)
+    return Atom(name, target.vars), rows
+
+
 # -- one-round algorithms --------------------------------------------------
 
 def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
@@ -469,15 +482,12 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
         left = {(t[0],) for t in rels[s1.relation] if t[1] == h}
         keys = {(t[1],) for t in rels[s2.relation] if t[0] == h}
         grid2 = _Grid(fresh, p0h)
-        aname = ctx.fresh_name(tag + "k")
-        tname = ctx.fresh_name(tag + "s")
-        ctx.register(tname, 2)
-        res = _semijoin_ship(ctx, rnd, aname, keys, s3.relation,
-                             rels[s3.relation], (0,), p1h, grid2.fresh_row,
-                             tag + "j" + str(h))
-        chain = [Atom(tname, s3.vars)] + list(atoms[3:])
+        head3, res = _semijoin_into(ctx, rnd, tag + "s", tag + "k", keys, s3,
+                                    (0,), rels, p1h, grid2.fresh_row,
+                                    tag + "j" + str(h))
+        chain = [head3] + list(atoms[3:])
         crels = dict(rels)
-        crels[tname] = res
+        crels[head3.relation] = res
         cv, crows, cr = _line(ctx, rnd + 1, chain, crels, p1h,
                               grid2.fresh_row, tag + "h" + str(h))
         lname = ctx.fresh_name(tag + "u")
@@ -511,8 +521,7 @@ def _chain_eval(ctx, rnd, chain, rels, P, fresh, tag):
 # -- multi-round skeleton --------------------------------------------------
 
 def _light_hypercube(ctx, rnd, q, rels, P, fresh, tag):
-    """The light round shared by odd cycles, Loomis-Whitney joins and
-    cliques on k = q.k variables.
+    """The light round of `_heavy_residuals` on k = q.k variables.
 
     A value is heavy for variable v when its degree in some atom exceeds
     m/P^(1/k).  Tuples whose values are all light go through one hypercube
@@ -537,50 +546,66 @@ def _light_hypercube(ctx, rnd, q, rels, P, fresh, tag):
     return heavy, join_atoms(q.atoms, filtered, q.variables)
 
 
-# -- cycle queries ---------------------------------------------------------
+def _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual):
+    """The plan shared by odd cycles, Loomis-Whitney joins and cliques.
 
-def _cycle_odd(ctx, rnd, q, atoms, rels, P, fresh, tag):
-    k = len(atoms)
+    The light round (`_light_hypercube`) covers the all-light output.  Then,
+    for the i-th variable x of q and each heavy value h of x in sorted
+    order, residual(i, x, h, P1) runs a semi-join round on
+    P1 = P^((k-1)/k) servers and evaluates the residual q_x from round
+    rnd + 1, returning (vars, rows, rounds); x = h is plugged back in.
+    Returns (output rows over q.variables, rounds).
+    """
     heavy, out = _light_hypercube(ctx, rnd, q, rels, P, fresh, tag)
     rounds = 1
-
-    p1 = max(1, pow_floor(P, Fraction(k - 1, k)))
-    for i in range(k):
-        # variable x at position i joins atoms[i-1] (pos 1) and atoms[i] (pos 0)
-        x = atoms[i].vars[0]
+    P1 = max(1, pow_floor(P, Fraction(q.k - 1, q.k)))
+    for i, x in enumerate(q.variables):
         for h in sorted(heavy[x]):
-            nxt = atoms[(i + 1) % k]        # receives the left semi-join
-            prv = atoms[(i - 2) % k]        # receives the right semi-join
-            lkeys = {(t[1],) for t in rels[atoms[i].relation] if t[0] == h}
-            rkeys = {(t[0],) for t in rels[atoms[(i - 1) % k].relation] if t[1] == h}
-            ta = ctx.fresh_name(tag + "a")
-            tb = ctx.fresh_name(tag + "b")
-            ctx.register(ta, 2)
-            ctx.register(tb, 2)
-            res_a = _semijoin_ship(ctx, rnd, ctx.fresh_name(tag + "ka"), lkeys,
-                                   nxt.relation, rels[nxt.relation], (0,),
-                                   p1, fresh, tag + "sa%d_%s" % (i, h))
-            res_b = _semijoin_ship(ctx, rnd, ctx.fresh_name(tag + "kb"), rkeys,
-                                   prv.relation, rels[prv.relation], (1,),
-                                   p1, fresh, tag + "sb%d_%s" % (i, h))
-            if nxt is prv:                  # k == 3: both ends hit the middle atom
-                chain = [Atom(ta, nxt.vars), Atom(tb, nxt.vars)]
-            else:
-                mids = [atoms[(i + j) % k] for j in range(2, k - 2)]
-                chain = [Atom(ta, nxt.vars)] + mids + [Atom(tb, prv.vars)]
-            crels = dict(rels)
-            crels[ta] = res_a
-            crels[tb] = res_b
-            cv, crows, cr = _chain_eval(ctx, rnd + 1, chain, crels, p1,
-                                        fresh, tag + "c%d_%s" % (i, h))
+            cv, crows, r = residual(i, x, h, P1)
             pv, prows = _plug(cv, crows, {x: h})
             out |= _reorder(pv, prows, q.variables)
-            rounds = max(rounds, 1 + cr)
+            rounds = max(rounds, 1 + r)
     return out, rounds
 
 
-def _cycle_even(ctx, rnd, q, atoms, rels, P, fresh, tag):
-    k = len(atoms)
+def _arc(ctx, rnd, path, keys_a, keys_b, rels, P, fresh, tag, sfx, names):
+    """Semi-join both ends of a path of binary atoms, then evaluate it.
+
+    keys_a filters the first atom's first variable and keys_b the last
+    atom's second, into relations named after tag + names[0] and
+    tag + names[1]; the path is then evaluated with `_chain_eval` from
+    round rnd + 1.  Returns (vars, rows, rounds).
+    """
+    a, rows_a = _semijoin_into(ctx, rnd, tag + names[0], tag + "ka", keys_a,
+                               path[0], (0,), rels, P, fresh, tag + "sa" + sfx)
+    b, rows_b = _semijoin_into(ctx, rnd, tag + names[1], tag + "kb", keys_b,
+                               path[-1], (1,), rels, P, fresh, tag + "sb" + sfx)
+    crels = dict(rels)
+    crels[a.relation] = rows_a
+    crels[b.relation] = rows_b
+    return _chain_eval(ctx, rnd + 1, [a] + path[1:-1] + [b], crels, P, fresh,
+                       tag + "c" + sfx)
+
+
+# -- cycle queries ---------------------------------------------------------
+
+def _cycle_odd(ctx, rnd, q, rels, P, fresh, tag):
+    atoms, k = q.atoms, q.k
+
+    def residual(i, x, h, P1):
+        # x joins atoms[i-1] (pos 1) and atoms[i] (pos 0); the rest of the
+        # cycle is the path atoms[i+1] .. atoms[i-2]
+        path = [atoms[(i + j) % k] for j in range(1, k - 1)]
+        keys_a = {(t[1],) for t in rels[atoms[i].relation] if t[0] == h}
+        keys_b = {(t[0],) for t in rels[atoms[i - 1].relation] if t[1] == h}
+        return _arc(ctx, rnd, path, keys_a, keys_b, rels, P1, fresh, tag,
+                    "%d_%s" % (i, h), ("a", "b"))
+
+    return _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual)
+
+
+def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
+    atoms, k = q.atoms, q.k
     m = max(max(len(rels[a.relation]) for a in atoms), 1)
     var_at = [a.vars[0] for a in atoms]      # position i -> variable
     # per-position maximum degree of each value
@@ -638,16 +663,16 @@ def _cycle_even(ctx, rnd, q, atoms, rels, P, fresh, tag):
                     rhs = P ** 2 * (deg[i][h] * deg[j][h2]) ** k
                     if lhs > rhs:
                         continue
-                    r = _cycle_pair(ctx, rnd, q, atoms, rels, P, P1, fresh,
+                    r = _cycle_pair(ctx, rnd, q, rels, P, P1, fresh,
                                     i, h, j, h2, tag, out)
                     rounds = max(rounds, r)
     return out, rounds
 
 
-def _cycle_pair(ctx, rnd, q, atoms, rels, P, P1, fresh, i, h, j, h2, tag, out):
+def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag, out):
     """Residual of an even cycle after fixing a qualifying heavy pair."""
-    k = len(atoms)
-    var_at = [a.vars[0] for a in atoms]
+    atoms, k = q.atoms, q.k
+    var_at = q.variables
     if (i - j) % k == 1:                    # normalize to j == i+1 (mod k)
         i, j, h, h2 = j, i, h2, h
     ptag = tag + "p%d_%d_%s_%s" % (i, j, h, h2)
@@ -659,31 +684,10 @@ def _cycle_pair(ctx, rnd, q, atoms, rels, P, P1, fresh, i, h, j, h2, tag, out):
     def unary_left(pos, val):
         return {(t[0],) for t in rels[atoms[pos].relation] if t[1] == val}
 
-    def arc(rnd2, start, end, ukeys_a, ukeys_b, Pa, alloc, atag):
-        """Semi-join the unary ends into the arc start..end, then evaluate.
-
-        The arc covers positions start..end (atoms), i.e. variables
-        var_at[start] .. var_at[end+1]."""
-        first, last = atoms[start % k], atoms[end % k]
-        ta = ctx.fresh_name(atag + "A")
-        tb = ctx.fresh_name(atag + "B")
-        ctx.register(ta, 2)
-        ctx.register(tb, 2)
-        res_a = _semijoin_ship(ctx, rnd2, ctx.fresh_name(atag + "ka"), ukeys_a,
-                               first.relation, rels[first.relation], (0,),
-                               Pa, alloc, atag + "sa")
-        res_b = _semijoin_ship(ctx, rnd2, ctx.fresh_name(atag + "kb"), ukeys_b,
-                               last.relation, rels[last.relation], (1,),
-                               Pa, alloc, atag + "sb")
-        if first is last:
-            chain = [Atom(ta, first.vars), Atom(tb, first.vars)]
-        else:
-            mids = [atoms[t % k] for t in range(start + 1, end)]
-            chain = [Atom(ta, first.vars)] + mids + [Atom(tb, last.vars)]
-        crels = dict(rels)
-        crels[ta] = res_a
-        crels[tb] = res_b
-        return _chain_eval(ctx, rnd2 + 1, chain, crels, Pa, alloc, atag + "c")
+    def path(start, end):
+        # atoms at positions start..end, i.e. variables var_at[start] ..
+        # var_at[end+1]
+        return [atoms[t % k] for t in range(start, end + 1)]
 
     if (j - i) % k == 1:
         # adjacent: the pair must be an actual tuple of the shared atom
@@ -691,135 +695,108 @@ def _cycle_pair(ctx, rnd, q, atoms, rels, P, P1, fresh, i, h, j, h2, tag, out):
             return 0
         ua = unary_right((i + 1) % k, h2)        # constrains var_at[i+2]
         ub = unary_left((i - 1) % k, h)          # constrains var_at[i-1]
-        cv, crows, cr = arc(rnd, i + 2, i + k - 2, ua, ub, P1, fresh, ptag)
-        pv, prows = _plug(cv, crows, {var_at[i]: h, var_at[j]: h2})
-        out |= _reorder(pv, prows, q.variables)
-        return 1 + cr
-
-    # non-adjacent: two arcs evaluated on a grid
-    alpha = (j - i) - 2
-    beta = k - (j - i) - 2
-    g1 = max(1, pow_floor(P, Fraction(alpha + 1, k)))
-    g2 = max(1, pow_floor(P, Fraction(beta + 1, k)))
-    grid = _Grid(fresh, 8 * g2 + 16)
-    u1a = unary_right(i, h)                      # var_at[i+1]
-    u1b = unary_left((j - 1) % k, h2)            # var_at[j-1]
-    v1, rows1, r1 = arc(rnd, i + 1, j - 2, u1a, u1b, g1, grid.fresh_row,
-                        ptag + "x")
-    u2a = unary_right(j, h2)                     # var_at[j+1]
-    u2b = unary_left((i - 1) % k, h)             # var_at[i-1]
-    v2, rows2, r2 = arc(rnd, j + 1, i + k - 2, u2a, u2b, g2, grid.fresh_col,
-                        ptag + "y")
-    jv, jrows = _join_rows(v1, rows1, v2, rows2)
-    pv, prows = _plug(jv, jrows, {var_at[i]: h, var_at[j % k]: h2})
+        cv, crows, r = _arc(ctx, rnd, path(i + 2, i + k - 2), ua, ub, rels,
+                            P1, fresh, ptag, "", ("A", "B"))
+    else:
+        # non-adjacent: two arcs evaluated on a grid
+        alpha = (j - i) - 2
+        beta = k - (j - i) - 2
+        g1 = max(1, pow_floor(P, Fraction(alpha + 1, k)))
+        g2 = max(1, pow_floor(P, Fraction(beta + 1, k)))
+        grid = _Grid(fresh, 8 * g2 + 16)
+        u1a = unary_right(i, h)                  # var_at[i+1]
+        u1b = unary_left((j - 1) % k, h2)        # var_at[j-1]
+        v1, rows1, r1 = _arc(ctx, rnd, path(i + 1, j - 2), u1a, u1b, rels,
+                             g1, grid.fresh_row, ptag + "x", "", ("A", "B"))
+        u2a = unary_right(j, h2)                 # var_at[j+1]
+        u2b = unary_left((i - 1) % k, h)         # var_at[i-1]
+        v2, rows2, r2 = _arc(ctx, rnd, path(j + 1, i + k - 2), u2a, u2b, rels,
+                             g2, grid.fresh_col, ptag + "y", "", ("A", "B"))
+        cv, crows = _join_rows(v1, rows1, v2, rows2)
+        r = max(r1, r2)
+    pv, prows = _plug(cv, crows, {var_at[i]: h, var_at[j % k]: h2})
     out |= _reorder(pv, prows, q.variables)
-    return 1 + max(r1, r2)
+    return 1 + r
 
 
 # -- Loomis-Whitney joins --------------------------------------------------
 
 def _lw(ctx, rnd, q, rels, P, fresh, tag):
-    k = q.k
-    atoms = list(q.atoms)
     omit = {}
-    for a in atoms:
+    for a in q.atoms:
         missing = [v for v in q.variables if v not in a.vars]
         omit[missing[0]] = a
-    heavy, out = _light_hypercube(ctx, rnd, q, rels, P, fresh, tag)
-    rounds = 1
 
-    P1 = max(1, pow_floor(P, Fraction(k - 1, k)))
-    for xi in q.variables:
-        base = omit[xi]                     # the one atom without x_i
-        for h in sorted(heavy[xi]):
-            results = []
-            for a in atoms:
-                if a is base:
-                    continue
-                pos = a.vars.index(xi)
-                keyvars = [v for v in a.vars if v != xi]
-                keys = {tuple(val for p2, val in enumerate(t) if p2 != pos)
-                        for t in rels[a.relation] if t[pos] == h}
-                keypos = tuple(base.vars.index(v) for v in keyvars)
-                # align projected keys to base's variable order
-                keys = _reorder(tuple(keyvars), keys,
-                                tuple(base.vars[i] for i in sorted(keypos)))
-                keypos = tuple(sorted(keypos))
-                nm = ctx.fresh_name(tag + "w")
-                ctx.register(nm, k - 1)
-                res = _semijoin_ship(ctx, rnd, ctx.fresh_name(tag + "kw"),
-                                     keys, base.relation, rels[base.relation],
-                                     keypos, P1, fresh,
-                                     tag + "s%s_%s_%s" % (xi, a.relation, h))
-                results.append((nm, res))
-            inter = _intersect_ship(ctx, rnd + 1, results, P1, fresh,
-                                    tag + "i%s_%s" % (xi, h))
-            pv, prows = _plug(base.vars, inter, {xi: h})
-            out |= _reorder(pv, prows, q.variables)
-            rounds = max(rounds, 2)
-    return out, rounds
+    def residual(i, x, h, P1):
+        base = omit[x]                      # the one atom without x
+        results = []
+        for a in q.atoms:
+            if a is base:
+                continue
+            pos = a.vars.index(x)
+            keyvars = [v for v in a.vars if v != x]
+            keys = {tuple(val for p2, val in enumerate(t) if p2 != pos)
+                    for t in rels[a.relation] if t[pos] == h}
+            keypos = tuple(sorted(base.vars.index(v) for v in keyvars))
+            # align projected keys to base's variable order
+            keys = _reorder(tuple(keyvars), keys,
+                            tuple(base.vars[kp] for kp in keypos))
+            b, res = _semijoin_into(ctx, rnd, tag + "w", tag + "kw", keys, base,
+                                    keypos, rels, P1, fresh,
+                                    tag + "s%s_%s_%s" % (x, a.relation, h))
+            results.append((b.relation, res))
+        inter = _intersect_ship(ctx, rnd + 1, results, P1, fresh,
+                                tag + "i%s_%s" % (x, h))
+        return base.vars, inter, 1
+
+    return _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual)
 
 
 # -- clique queries --------------------------------------------------------
 
-def _clique(ctx, rnd, var_list, atoms, rels, P, fresh, tag):
+def _clique(ctx, rnd, q, rels, P, fresh, tag):
     """Clique join; atoms are binary, one per variable pair (two parallel
-    atoms allowed only at k == 2).  Returns (vars, rows, rounds)."""
-    k = len(var_list)
-    if k == 2:
-        a, b = atoms
-        rows_b = _reorder(b.vars, set(rels[b.relation]), a.vars)
+    atoms with the same `vars` allowed only at k == 2).  Returns (output
+    rows over q.variables, rounds)."""
+    if q.k == 2:
+        a, b = q.atoms
         inter = _intersect_ship(ctx, rnd, [(a.relation, set(rels[a.relation])),
-                                           (b.relation, rows_b)],
+                                           (b.relation, set(rels[b.relation]))],
                                 P, fresh, tag + "i")
-        return tuple(var_list), _reorder(a.vars, inter, tuple(var_list)), 1
+        # a parsed clique may list the pair in the other order
+        return _reorder(a.vars, inter, q.variables), 1
 
-    q = Query("sub", tuple(var_list), tuple(atoms))
-    heavy, out = _light_hypercube(ctx, rnd, q, rels, P, fresh, tag)
-    rounds = 1
+    atom_for = {frozenset(a.vars): a for a in q.atoms}   # one per pair
 
-    def atom_for(u, v):
-        for a in atoms:
-            if set(a.vars) == {u, v}:
-                return a
-        raise QueryError("missing clique atom for %s,%s" % (u, v))
+    def residual(i, x, h, P1):
+        others = [v for v in q.variables if v != x]
+        replaced = {}
+        for idx, y in enumerate(others):
+            src = atom_for[frozenset((x, y))]
+            pos = src.vars.index(x)
+            keys = {(t[1 - pos],) for t in rels[src.relation] if t[pos] == h}
+            target = atom_for[frozenset((y, others[(idx + 1) % len(others)]))]
+            semi = _semijoin_into(ctx, rnd, tag + "q", tag + "kq", keys, target,
+                                  (target.vars.index(y),), rels, P1, fresh,
+                                  tag + "s%s_%s_%s" % (x, y, h))
+            replaced.setdefault(target.relation, []).append(semi)
+        sub_atoms = []
+        sub_rels = dict(rels)
+        for a in q.atoms:
+            if x in a.vars:
+                continue
+            if a.relation in replaced:
+                for b, res in replaced[a.relation]:
+                    sub_atoms.append(b)
+                    sub_rels[b.relation] = res
+            else:
+                sub_atoms.append(a)
+        sub = Query("sub", tuple(others), tuple(sub_atoms))
+        out, r = _clique(ctx, rnd + 1, sub, sub_rels, P1, fresh,
+                         tag + "h%s_%s" % (x, h))
+        return sub.variables, out, r
 
-    P1 = max(1, pow_floor(P, Fraction(k - 1, k)))
-    for xt in var_list:
-        others = [v for v in var_list if v != xt]
-        for h in sorted(heavy[xt]):
-            replaced = {}
-            for idx, y in enumerate(others):
-                src = atom_for(xt, y)
-                pos = src.vars.index(xt)
-                keys = {(t[1 - pos],) for t in rels[src.relation] if t[pos] == h}
-                z = others[(idx + 1) % len(others)]
-                target = atom_for(y, z)
-                kp = (target.vars.index(y),)
-                nm = ctx.fresh_name(tag + "q")
-                ctx.register(nm, 2)
-                res = _semijoin_ship(ctx, rnd, ctx.fresh_name(tag + "kq"),
-                                     keys, target.relation,
-                                     rels[target.relation], kp, P1, fresh,
-                                     tag + "s%s_%s_%s" % (xt, y, h))
-                replaced.setdefault(target.relation, []).append((nm, res))
-            sub_atoms = []
-            sub_rels = dict(rels)
-            for a in atoms:
-                if xt in a.vars:
-                    continue
-                if a.relation in replaced:
-                    for nm, res in replaced[a.relation]:
-                        sub_atoms.append(Atom(nm, a.vars))
-                        sub_rels[nm] = res
-                else:
-                    sub_atoms.append(a)
-            cv, crows, cr = _clique(ctx, rnd + 1, others, sub_atoms, sub_rels,
-                                    P1, fresh, tag + "h%s_%s" % (xt, h))
-            pv, prows = _plug(cv, crows, {xt: h})
-            out |= _reorder(pv, prows, tuple(var_list))
-            rounds = max(rounds, 1 + cr)
-    return tuple(var_list), out, rounds
+    return _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual)
 
 
 # -- covering-atom queries -------------------------------------------------
@@ -834,12 +811,9 @@ def _covering(ctx, rnd, q, rels, P, fresh, tag):
         keypos = tuple(sorted(cover.vars.index(v) for v in a.vars))
         keys = _reorder(a.vars, set(rels[a.relation]),
                         tuple(cover.vars[i] for i in keypos))
-        nm = ctx.fresh_name(tag + "c")
-        ctx.register(nm, len(cover.vars))
-        res = _semijoin_ship(ctx, rnd, ctx.fresh_name(tag + "kc"), keys,
-                             cover.relation, rels[cover.relation], keypos,
-                             P, fresh, tag + "s" + a.relation)
-        results.append((nm, res))
+        b, res = _semijoin_into(ctx, rnd, tag + "c", tag + "kc", keys, cover,
+                                keypos, rels, P, fresh, tag + "s" + a.relation)
+        results.append((b.relation, res))
     if len(results) == 1:
         inter = results[0][1]
         rounds = 1
@@ -1047,9 +1021,7 @@ def semi_join(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     if not (set(a.vars) <= set(b.vars) or set(b.vars) <= set(a.vars)):
         raise QueryError("semi-join needs one atom's variables to contain "
                          "the other's")
-    res = join_one_sided_skew(db, p, seed, counting)
-    return AlgorithmResult("semi_join", q, p, res.output, res.report,
-                           res.rounds, res.extras)
+    return replace(join_one_sided_skew(db, p, seed, counting), name="semi_join")
 
 
 def line_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
@@ -1071,18 +1043,16 @@ def cycle_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     q = Query("cyc", vs, tuple(atoms))
     ctx = _setup(db, seed, counting)
     if len(atoms) % 2 == 1:
-        out, _ = _cycle_odd(ctx, 0, q, atoms, rels, p, _root(ctx), "C")
+        out, _ = _cycle_odd(ctx, 0, q, rels, p, _root(ctx), "C")
     else:
-        out, _ = _cycle_even(ctx, 0, q, atoms, rels, p, _root(ctx), "C")
+        out, _ = _cycle_even(ctx, 0, q, rels, p, _root(ctx), "C")
     return _finish("cycle", db, p, ctx, _reorder(vs, out, db.query.variables))
 
 
 def triangle_2round(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     if db.query.k != 3 or db.query.num_atoms != 3:
         raise QueryError("not a triangle query")
-    res = cycle_multiround(db, p, seed, counting)
-    return AlgorithmResult("triangle", db.query, p, res.output, res.report,
-                           res.rounds, res.extras)
+    return replace(cycle_multiround(db, p, seed, counting), name="triangle")
 
 
 def lw_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
@@ -1101,9 +1071,8 @@ def clique_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
         raise QueryError("query is not a clique")
     ctx = _setup(db, seed, counting)
     rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
-    vs, rows, _ = _clique(ctx, 0, list(q.variables), list(q.atoms), rels,
-                          p, _root(ctx), "K")
-    return _finish("clique", db, p, ctx, _reorder(vs, rows, q.variables))
+    out, _ = _clique(ctx, 0, q, rels, p, _root(ctx), "K")
+    return _finish("clique", db, p, ctx, out)
 
 
 def covering_atom_2round(db, p: int, seed: int, counting=False) -> AlgorithmResult:

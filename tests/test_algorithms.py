@@ -1,7 +1,11 @@
+import hashlib
+import re
+
 import pytest
 
-from mpcjoin.algorithms import (ALGORITHMS, declared_rounds, pick_algorithm,
-                                run_algorithm, semi_join)
+from mpcjoin.algorithms import (ALGORITHMS, cycle_multiround, declared_rounds,
+                                join_one_sided_skew, pick_algorithm,
+                                run_algorithm, semi_join, triangle_2round)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.query import QueryError, canonical_query, parse_query
@@ -210,6 +214,76 @@ def test_counting_mode_same_loads_no_output():
                     assert full.output == want, where
                     compared.add(name)
     assert compared == set(ALGORITHMS)
+
+
+def _ledger_digest(res):
+    parts = [sorted(res.output), res.rounds, sorted(res.extras.items(), key=repr),
+             [sorted(r.items()) for r in res.report.by_relation]]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# (strategy, query, instance, p, relation-name pattern of the heavy path,
+# sha256 of output, rounds, extras and by_relation of the storing run).
+# The instance is two_heavy, or single_heavy on the named variable.
+# The patterns are the key relations of clique's and LW's semi-joins
+# (Kkq, Wkw), odd cycles' (Cka), the arcs of even cycles' heavy pairs,
+# adjacent and not (Cp...A, Cp...xA), line's odd branch (Lk) and
+# covering's semi-joins (Vkc).  The last clique lists a pair out of head
+# order, so its k == 2 residual must reorder its rows.
+_PINNED = [
+    ("clique", canonical_query("K", 4), "two_heavy", 1024, r"Kkq#",
+     "c126ade7237ee9f9c4405862f337b35ba9c933514ef67c7c932b6c13b5bd08de"),
+    ("clique", canonical_query("K", 5), "x1", 64, r"Kkq#",
+     "fc87a80cb6081bb0c2ce1032528d05ed368e6cc41b49968af552b1ac23bf4363"),
+    ("lw", canonical_query("LW", 4), "two_heavy", 1024, r"Wkw#",
+     "d117aef815327e76581b46dea78784815303e65a865232ad07418a1b485e8ba7"),
+    ("lw", canonical_query("LW", 3), "two_heavy", 216, r"Wkw#",
+     "a85a2f061c43f0b88aeb805c2f2c5f572e816cf1338402da87a220182c7272a8"),
+    ("triangle", canonical_query("C", 3), "two_heavy", 216, r"Cka#",
+     "47983f4150255f9bf6ef27c2404b95c91cff7f02517993f975a28f1558519e5b"),
+    ("cycle", canonical_query("C", 5), "x1", 27, r"Cka#",
+     "bd39d47d11839d025fc55daa6e7f24bc773be5ced0b991a2f8b35bec445d57bc"),
+    ("cycle", canonical_query("C", 4), "two_heavy", 1024, r"Cp[\d_]+A#",
+     "27581dc1e478a6b447af1881082cb0461fd8b5cc0a00cfee6f2d64e37bd3e9c8"),
+    ("cycle", canonical_query("C", 6), "two_heavy", 16384, r"Cp[\d_]+xA#",
+     "d41cbbed7a352ff95d8d9bdd42a37130face8df3f34ec467ef5f35cf550b4c15"),
+    ("line", canonical_query("L", 5), "x1", 64, r"Lk#",
+     "4eda4605e5f467b4933be86b1975fd19e554dc05806a7a9eddb4ff80b95a8727"),
+    ("covering", canonical_query("W", 3), "two_heavy", 8, r"Vkc#",
+     "e65cdd50dc8c32f979e5380d93d997a633f2d60132396bbbdcbbd8be594dc6b3"),
+    ("clique", parse_query("Q(a,b,c) :- R(b,a), S(b,c), T(a,c)"), "c", 27, r"Kkq#",
+     "98ec6e9713ff9e9b7fefcf071143905b0a1787205bddc68c9fb86d541a0e1055"),
+]
+
+
+def test_heavy_residual_ledgers_pinned():
+    # The heavy-residual paths keep storing equal to counting and match the
+    # oracle under many re-routings, so their ledgers are pinned by digest.
+    for alg, q, inst, p, pattern, digest in _PINNED:
+        db = two_heavy(q, 40, 1) if inst == "two_heavy" \
+            else gen_single_heavy(q, 40, inst, 1)
+        res = run_algorithm(alg, db, p, 1)
+        where = (alg, q.name, inst, p)
+        assert any(re.match(pattern, rel) for rnd in res.report.by_relation
+                   for _, rel in rnd), where
+        dry = run_algorithm(alg, db, p, 1, counting=True)
+        assert dry.report.by_relation == res.report.by_relation, where
+        assert _ledger_digest(res) == digest, where
+
+
+def test_renaming_wrappers_only_rename():
+    tri = gen_single_heavy(canonical_query("C", 3), 30, "x1", 2)
+    sj = gen_single_heavy(parse_query("Q(z,y) :- R(z), S(z,y)"), 30, "z", 2)
+    for wrapper, body, db, name in (
+            (triangle_2round, cycle_multiround, tri, "triangle"),
+            (semi_join, join_one_sided_skew, sj, "semi_join")):
+        res, ref = wrapper(db, 27, 3), body(db, 27, 3)
+        assert res.name == name
+        assert (res.query, res.p, res.output, res.rounds, res.extras) == \
+            (ref.query, ref.p, ref.output, ref.rounds, ref.extras)
+        assert res.report.by_relation == ref.report.by_relation
+    with pytest.raises(QueryError):
+        triangle_2round(gen_matching(canonical_query("C", 4), 10, 1), 8, 0)
 
 
 def test_every_registered_algorithm_has_contract():

@@ -1,0 +1,94 @@
+"""Storing/counting differential matrix: one digest over every strategy run.
+
+Runs every strategy in `ALGORITHMS`, in storing and in counting mode, on
+L2-L7, C3-C7, LW3-LW4, K3-K5, W3, T3, the two-atom semi-join
+`Q(z,y) :- R(z), S(z,y)`, the one-atom `Q(x,y) :- R(x,y)` and a triangle
+clique whose atoms list their pairs out of head order, each under six
+seeded generators (matching, single_heavy, agm_worst, coin_flip,
+lb_matching and the tests' two_heavy) at p in {1, 8, 27, 64, 1024}.  It
+prints the number of runs, the number that completed (the rest are shape
+rejections) and one sha256 over every completed run's output, rounds,
+extras, per-round `by_relation` ledger and relation widths.  A refactor
+that must keep every simulated value prints the same digest before and
+after.
+
+    python3 tools/ledger_matrix.py
+
+Only `QueryError` (a shape check rejecting the query) is caught; any other
+exception, such as a `RoutingError` for a repeated delivery, aborts the run.
+Standard library only; nothing under `src/` imports this file.
+"""
+
+import hashlib
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from mpcjoin.algorithms import ALGORITHMS, run_algorithm  # noqa: E402
+from mpcjoin.datagen import (gen_agm_worst, gen_coin_flip,  # noqa: E402
+                             gen_lowerbound_matching, gen_matching,
+                             gen_single_heavy)
+from mpcjoin.query import QueryError, canonical_query, parse_query  # noqa: E402
+from test_algorithms import two_heavy  # noqa: E402
+
+# m = 12 keeps the AGM-worst outputs of L7 (m^4 rows) small enough to run
+# the whole matrix in well under a minute.
+M = 12
+SEED = 1
+QUERIES = ([canonical_query(fam, k) for fam, ks in
+            (("L", range(2, 8)), ("C", range(3, 8)), ("LW", (3, 4)),
+             ("K", (3, 4, 5)), ("W", (3,)), ("T", (3,))) for k in ks]
+           + [parse_query("Q(z,y) :- R(z), S(z,y)"), parse_query("Q(x,y) :- R(x,y)"),
+              parse_query("Q(a,b,c) :- R(b,a), S(b,c), T(a,c)")])
+PS = (1, 8, 27, 64, 1024)
+
+
+def instances(q):
+    x = q.variables[0]
+    yield gen_matching(q, M, SEED)
+    yield gen_single_heavy(q, M, x, SEED)
+    yield gen_agm_worst(q, M, SEED)
+    yield gen_coin_flip(q, M, SEED)
+    yield gen_lowerbound_matching(q, {a.relation: M for a in q.atoms},
+                                  frozenset([x]), SEED)
+    yield two_heavy(q, M, SEED)
+
+
+def run_digest(res) -> bytes:
+    rep = res.report
+    parts = [sorted(res.output), res.rounds, sorted(res.extras.items(), key=repr),
+             [sorted(r.items()) for r in rep.by_relation], sorted(rep.widths.items())]
+    return repr(parts).encode()
+
+
+def main() -> int:
+    t0 = time.perf_counter()
+    h = hashlib.sha256()
+    runs = done = 0
+    for q in QUERIES:
+        for db in instances(q):
+            for p in PS:
+                for name in ALGORITHMS:
+                    for counting in (False, True):
+                        runs += 1
+                        h.update(repr((q.name, db.meta["generator"], p, name,
+                                       counting)).encode())
+                        try:
+                            res = run_algorithm(name, db, p, SEED, counting=counting)
+                        except QueryError:
+                            h.update(b"rejected")
+                            continue
+                        done += 1
+                        h.update(run_digest(res))
+    print("runs %d" % runs)
+    print("completed %d" % done)
+    print("sha256 %s" % h.hexdigest())
+    print("seconds %.1f" % (time.perf_counter() - t0), file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
