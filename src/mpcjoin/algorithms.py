@@ -23,7 +23,7 @@ from fractions import Fraction
 from .analyzer import _round_shares, _subsets, log_base_p, pow_floor, share_lp
 from .query import Atom, Query, QueryError
 from .rng import derive_key, mix64
-from .sim import Engine, LoadReport, hash_family, hc_destinations, join_atoms
+from .sim import Engine, LoadReport, hash_family, hc_grid, join_atoms
 
 
 _MASK64 = (1 << 64) - 1
@@ -222,12 +222,22 @@ def _hc_ship(ctx, rnd, q, rels, shares, cells, tag, keep=None):
 
 
 def _hc_route(a, order, shares, hashes, cells):
-    """Route of a's tuples: every server of every cell they expand to."""
-    bound = set(a.vars)
+    """Route of a's tuples: every server of every cell they expand to.
+
+    The servers depend only on the base cell c0 of the bound coordinates,
+    so they are built once per c0.
+    """
+    bound, free = hc_grid(a.vars, order, shares, hashes)
+    servers = {}
 
     def route(t):
-        cs = hc_destinations(bound, dict(zip(a.vars, t)), shares, order, hashes)
-        return [s for c in cs for s in cells[c]]
+        c0 = 0
+        for i, h, s, st in bound:
+            c0 += (h(t[i], s) - 1) * st
+        dests = servers.get(c0)
+        if dests is None:
+            dests = servers[c0] = tuple(s for f in free for s in cells[c0 + f])
+        return dests
     return route
 
 
@@ -235,8 +245,8 @@ def _hc_ship_atom(ctx, rnd, order, a, tuples, shares, hashes, cells):
     """Hypercube shipment of one atom's tuples.
 
     In counting mode the ledger is computed without replicating: tuples
-    are counted by their bound hash coordinates and each count is added to
-    every cell the coordinates expand to.  That is exact because one such
+    are counted by their base cell (`hc_grid`) and each count is added to
+    every cell the base cell expands to.  That is exact because one such
     shipment never repeats a delivery: tuples are distinct, one tuple's
     cells are distinct, and distinct cells are disjoint server groups.
     """
@@ -244,19 +254,7 @@ def _hc_ship_atom(ctx, rnd, order, a, tuples, shares, hashes, cells):
     if eng.store_tuples:
         eng.ship(rnd, a.relation, tuples, _hc_route(a, order, shares, hashes, cells))
         return
-    # Mixed-radix cell index over `order`, as in hc_destinations.
-    split = [v for v in order if shares[v] > 1]
-    stride = {}
-    step = 1
-    for v in reversed(split):
-        stride[v] = step
-        step *= shares[v]
-    bound = [(a.vars.index(v), hashes[v], shares[v], stride[v])
-             for v in split if v in a.vars]
-    free = [0]
-    for v in split:
-        if v not in a.vars:
-            free = [f + d * stride[v] for f in free for d in range(shares[v])]
+    bound, free = hc_grid(a.vars, order, shares, hashes)
     hist = Counter(sum((h(t[i], s) - 1) * st for i, h, s, st in bound)
                    for t in tuples)
     counts = Counter()
@@ -309,7 +307,7 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     heavy = sorted(kv for kv, f in freq.items() if f * P > m)
     hblocks = {kv: [fresh() for _ in range(-(-P * freq[kv] // m))]  # ceil
                for kv in heavy}
-    bcast = {kv: [s for g in gs for s in g] for kv, gs in hblocks.items()}
+    bcast = {kv: tuple(s for g in gs for s in g) for kv, gs in hblocks.items()}
 
     def route_a(t):
         kv = tuple(t[i] for i in a_keypos)
@@ -409,7 +407,7 @@ def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
             continue
         routes = [_hc_route(a, q.variables, *g) for g in grids]
         ctx.eng.ship(rnd, a.relation, ts,
-                     lambda t, routes=routes: {s for r in routes for s in r(t)})
+                     lambda t, routes=routes: frozenset(s for r in routes for s in r(t)))
     return out
 
 

@@ -5,9 +5,12 @@ sent to any set of servers, but the destination set must be a pure function
 of the tuple and of public data statistics.  Every shipment goes through
 one primitive, `Engine.ship`, which spot-checks that on every call by
 re-evaluating routes; delivering the same tuple to the same server twice in
-one round is an error.  The per-round load of a server is the data it
-receives that round; the cost of a run is the maximum over servers and
-rounds, reported both in tuples and in bits.
+one round is an error.  `ship` groups the tuples of a shipment by their
+destination set and delivers each group to each of its servers in one
+step, so replication costs per group, not per delivered copy; the checks
+and the ledger are the same as for one delivery at a time.  The per-round
+load of a server is the data it receives that round; the cost of a run is
+the maximum over servers and rounds, reported both in tuples and in bits.
 
 Rounds are addressed by index rather than opened/closed sequentially, so
 that concurrently running sub-plans of different depths can deposit their
@@ -17,8 +20,9 @@ shipments into the same global round.
 from __future__ import annotations
 
 import csv
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .query import Query
 from .rng import derive_key, mix64
@@ -54,24 +58,42 @@ def hash_family(seed: int, *path):
     return h
 
 
+def hc_grid(avars, order, shares: dict, hashes: dict):
+    """The mixed-radix cell arithmetic of one atom's hypercube shipment.
+
+    Cells are linear indices of the mixed-radix coordinate over the
+    variables of `order` whose share exceeds 1, the last one varying
+    fastest.  Returns (bound, free): `bound` lists (position in avars,
+    hash, share, stride) for every such variable the atom binds, and a
+    tuple t over avars goes to cells c0 + f for f in `free`, in that order,
+    where c0 = sum((hash(t[position], share) - 1) * stride).
+    """
+    split = [v for v in order if shares[v] > 1]
+    stride = {}
+    step = 1
+    for v in reversed(split):
+        stride[v] = step
+        step *= shares[v]
+    bound = [(avars.index(v), hashes[v], shares[v], stride[v])
+             for v in split if v in avars]
+    free = [0]
+    for v in split:
+        if v not in avars:
+            free = [f + d * stride[v] for f in free for d in range(shares[v])]
+    return bound, free
+
+
 def hc_destinations(bound_vars, assignment: dict, shares: dict, order, hashes: dict):
     """All hypercube cell indices a tuple must be replicated to.
 
-    Cells are linear indices of the mixed-radix coordinate over `order`;
-    coordinates of variables not bound by the tuple range over their full
-    share.
+    Cells are linear indices of the mixed-radix coordinate over `order`
+    (see `hc_grid`); coordinates of variables not bound by the tuple range
+    over their full share.
     """
-    cells = [0]
-    for v in order:
-        s = shares[v]
-        if s == 1:
-            continue
-        if v in bound_vars:
-            d = hashes[v](assignment[v], s) - 1
-            cells = [c * s + d for c in cells]
-        else:
-            cells = [c * s + d for c in cells for d in range(s)]
-    return cells
+    avars = [v for v in order if v in bound_vars]
+    bound, free = hc_grid(avars, order, shares, hashes)
+    c0 = sum((h(assignment[avars[i]], s) - 1) * st for i, h, s, st in bound)
+    return [c0 + f for f in free]
 
 
 @dataclass
@@ -132,12 +154,14 @@ class Engine:
 
     `ship` is the one way to deliver tuples.  Every tuple goes once to each
     server its route names, and the route must be a pure function of the
-    tuple, which is spot-checked on every shipment.  With
-    ``store_tuples=True`` the engine also keeps what each server received,
-    and a tuple delivered twice to one server in one round raises
-    `RoutingError`.  With ``store_tuples=False`` only the ledger is kept
-    (cheap dry runs on large instances); `add_counts` then charges
-    precomputed per-server counts in bulk.
+    tuple, which is spot-checked on every shipment.  Delivery is grouped
+    per destination set: a server's holdings and ledger entry grow by a
+    whole group at a time.  With ``store_tuples=True`` the engine also
+    keeps what each server received, and a tuple delivered twice to one
+    server in one round raises `RoutingError`.  With
+    ``store_tuples=False`` only the ledger is kept (cheap dry runs on large
+    instances); `add_counts` then charges precomputed per-server counts in
+    bulk.
     """
 
     def __init__(self, widths: dict, store_tuples: bool = True):
@@ -177,33 +201,48 @@ class Engine:
         self._charge(rnd, rel, counts)
 
     def ship(self, rnd: int, rel: str, tuples, route) -> None:
-        """Deliver every tuple of `rel` to each server of route(tup) (an
-        iterable of server ids) in round `rnd` (0-based).
+        """Deliver every tuple of `rel` to each server of route(tup) in
+        round `rnd` (0-based).
 
-        The first 64 tuples are routed twice to check that the route is a
-        pure function of the tuple.  In storing mode a tuple that reaches a
-        server it already reached in this round raises `RoutingError`.
+        A route returns a tuple or frozenset of server ids, used as given,
+        or any other iterable, which is made a tuple.  Tuples are grouped
+        by their destination set, and each group reaches each of its
+        servers in one step, so the cost is per tuple and per group rather
+        than per delivery.  The first 64 tuples are routed twice to check
+        that the route is a pure function of the tuple.  In storing mode a
+        tuple that reaches a server it already reached in this round (a
+        route naming a server twice, or a tuple repeated in the input)
+        raises `RoutingError`; counting mode charges every server named.
         """
         if rnd < 0:
             raise ValueError("negative round")
-        counts = Counter()
-        held = self._held.setdefault(rnd, {}) if self.store_tuples else None
+        groups = defaultdict(list)
         for i, tup in enumerate(tuples):
-            dests = list(route(tup))
+            dests = route(tup)
+            if type(dests) is not tuple and type(dests) is not frozenset:
+                dests = tuple(dests)
             if i < 64 and sorted(route(tup)) != sorted(dests):
                 raise RoutingError("route for %s/%s is not tuple-determined" % (rel, tup))
+            groups[dests].append(tup)
+        counts = Counter()
+        held = self._held.setdefault(rnd, {}) if self.store_tuples else None
+        for dests, group in groups.items():
+            n = len(group)
             for s in dests:
-                counts[s] += 1
-                if held is None:
-                    continue
+                counts[s] += n
+            if held is None or not dests:
+                continue
+            # One set per group; merging it keeps the tuples' hashes.
+            fresh = set(group)
+            for s in dests:
                 got = held.get((s, rel))
-                if got is None:
-                    got = held[s, rel] = set()
-                n = len(got)
-                got.add(tup)
-                if len(got) == n:
+                if len(fresh) < n or got is not None and not got.isdisjoint(fresh):
                     raise RoutingError("%s/%s delivered twice to server %d in round %d"
-                                       % (rel, tup, s, rnd))
+                                       % (rel, _repeated(group, got), s, rnd))
+                if got is None:
+                    held[s, rel] = set(fresh)
+                else:
+                    got |= fresh
         self._charge(rnd, rel, counts)
 
     def holdings(self, server: int, rel: str) -> set:
@@ -213,48 +252,66 @@ class Engine:
         return set().union(*(h.get((server, rel), ()) for h in self._held.values()))
 
 
+def _repeated(group, held):
+    """The first tuple of `group` that repeats in it or is in `held`."""
+    seen = set(held or ())
+    for t in group:
+        if t in seen:
+            return t
+        seen.add(t)
+
+
 # -- joins -----------------------------------------------------------------
+
+def _columns(idx):
+    """t -> tuple(t[i] for i in idx)."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda t: (t[i],)
+    return itemgetter(*idx) if idx else (lambda t: ())
+
+
+def _key(idx):
+    """t -> the values of t at idx, as a join key: a scalar for one index."""
+    return itemgetter(*idx) if idx else (lambda t: ())
+
 
 def join_atoms(atoms, rel_tuples, out_vars, guard: int = 0):
     """Join the given atoms; returns assignments projected onto out_vars.
 
-    Plain index-based pipeline: atoms are joined smallest-first, always
-    picking a next atom connected to the prefix, each step probing an index
-    on the variables shared so far.  `guard`, if positive, bounds the
-    intermediate result size.
+    Plain index-based pipeline on tuple rows: atoms are sorted smallest
+    first, and the next atom joined is always the one sharing the most
+    variables with the prefix (ties keep the smallest-first order).  Each
+    step indexes the next atom on those shared variables and extends every
+    row by the values of its new variables.  Atoms must not repeat a
+    variable.  `guard`, if positive, bounds the intermediate result size.
     """
     atoms = sorted(atoms, key=lambda a: (len(rel_tuples.get(a.relation, ())), a.relation))
-    ordered = [atoms[0]]
-    rest = atoms[1:]
-    bound = set(atoms[0].vars)
-    while rest:
-        pick = next((a for a in rest if bound & set(a.vars)), rest[0])
-        rest.remove(pick)
-        ordered.append(pick)
-        bound |= set(pick.vars)
-
-    partial = [dict(zip(ordered[0].vars, t))
-               for t in rel_tuples.get(ordered[0].relation, ())]
-    for a in ordered[1:]:
-        shared = [v for v in a.vars if partial and v in partial[0]]
+    first, rest = atoms[0], atoms[1:]
+    cols = list(first.vars)             # the variables of a row, in order
+    rows = list(rel_tuples.get(first.relation, ()))
+    while rest and rows:
+        a = max(rest, key=lambda a: sum(v in cols for v in a.vars))
+        rest.remove(a)
+        shared = [i for i, v in enumerate(a.vars) if v in cols]
+        new = [i for i, v in enumerate(a.vars) if v not in cols]
+        key, ext = _key(shared), _columns(new)
         index = {}
         for t in rel_tuples.get(a.relation, ()):
-            asg = dict(zip(a.vars, t))
-            key = tuple(asg[v] for v in shared)
-            index.setdefault(key, []).append(asg)
+            index.setdefault(key(t), []).append(ext(t))
+        probe = _key([cols.index(a.vars[i]) for i in shared])
         nxt = []
-        for row in partial:
-            key = tuple(row[v] for v in shared)
-            for asg in index.get(key, ()):
-                merged = dict(row)
-                merged.update(asg)
-                nxt.append(merged)
+        for row in rows:
+            tails = index.get(probe(row))
+            if tails:
+                nxt.extend([row + tail for tail in tails])
                 if guard and len(nxt) > guard:
                     raise MemoryError("instance too large for oracle join")
-        partial = nxt
-        if not partial:
-            return set()
-    return {tuple(row[v] for v in out_vars) for row in partial}
+        rows = nxt
+        cols += [a.vars[i] for i in new]
+    if not rows:
+        return set()
+    return set(map(_columns([cols.index(v) for v in out_vars]), rows))
 
 
 def local_join(q: Query, rel_tuples: dict):

@@ -1,7 +1,14 @@
-import pytest
+import ast
+import itertools
+import math
+import re
+from collections import Counter
 
-from mpcjoin.datagen import gen_coin_flip, gen_matching
-from mpcjoin.query import canonical_query, parse_query
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from mpcjoin.datagen import gen_coin_flip, gen_matching, gen_single_heavy
+from mpcjoin.query import Atom, canonical_query, parse_query
 from mpcjoin.sim import (Engine, RoutingError, hash_family, hc_destinations,
                          join_atoms, local_join, oracle_join)
 
@@ -66,6 +73,15 @@ def test_engine_counts_and_rejects_repeats():
     assert rep.server_total_tuples(1) == 4
     assert eng.holdings(1, "R") == {(1, 2), (5, 6)}    # union over rounds
     assert eng.holdings(2, "R") == {(1, 2)}
+
+
+def test_repeat_message_names_the_tuple():
+    eng = Engine({"R": 4})
+    eng.ship(0, "R", [(3, 4)], lambda t: (1,))
+    with pytest.raises(RoutingError, match=r"R/\(3, 4\) delivered twice to server 1 "):
+        eng.ship(0, "R", [(7, 8), (3, 4), (9, 9)], lambda t: (1, 2))
+    with pytest.raises(RoutingError, match=r"R/\(5, 5\) delivered twice to server 2 "):
+        eng.ship(1, "R", [(5, 5), (6, 6), (5, 5), (7, 7)], lambda t: [2])
 
 
 def test_engine_unknown_relation():
@@ -145,11 +161,161 @@ def test_join_atoms_matches_brute_force():
     assert join_atoms(q.atoms, rels, q.variables) == brute
 
 
+def test_hc_destinations_cell_order():
+    shares = {"x": 2, "y": 3, "z": 2}
+    hashes = {v: (lambda val, s: val % s + 1) for v in shares}
+    # y bound to coordinate 1 (stride 2); x and z range over their shares
+    assert hc_destinations({"y"}, {"y": 4}, shares, ["x", "y", "z"], hashes) \
+        == [2, 3, 8, 9]
+
+
+class _ReferenceEngine:
+    """Engine.ship as one delivery at a time, with its own ledger and
+    holdings: the semantics the grouped shipment must keep."""
+
+    def __init__(self, store_tuples):
+        self.store_tuples = store_tuples
+        self.by_relation = []
+        self.held = {}
+
+    def ship(self, rnd, rel, tuples, route):
+        counts = Counter()
+        held = self.held.setdefault(rnd, {}) if self.store_tuples else None
+        for i, tup in enumerate(tuples):
+            dests = list(route(tup))
+            if i < 64 and sorted(route(tup)) != sorted(dests):
+                raise RoutingError("route for %s/%s is not tuple-determined" % (rel, tup))
+            for s in dests:
+                counts[s] += 1
+                if held is None:
+                    continue
+                got = held.setdefault((s, rel), set())
+                n = len(got)
+                got.add(tup)
+                if len(got) == n:
+                    raise RoutingError("%s/%s delivered twice to server %d in round %d"
+                                       % (rel, tup, s, rnd))
+        if counts:
+            while len(self.by_relation) <= rnd:
+                self.by_relation.append({})
+            for s, n in counts.items():
+                key = (s, rel)
+                self.by_relation[rnd][key] = self.by_relation[rnd].get(key, 0) + n
+
+    def holdings(self, server, rel):
+        return set().union(*(h.get((server, rel), ()) for h in self.held.values()))
+
+
+_ROUTE_KINDS = {"list": list, "tuple": tuple, "set": set, "frozenset": frozenset,
+                "generator": lambda ds: (d for d in ds)}
+
+
+def _repeats_at(held, rnd, rel, tuples, route, tup, server):
+    """Whether delivering `tuples` makes `tup` reach `server` twice in
+    round rnd, given the holdings `held` before the call."""
+    before = held.get(rnd, {}).get((server, rel), set())
+    copies = sum(list(route(t)).count(server) for t in tuples if t == tup)
+    return copies + (tup in before) >= 2
+
+
+def _routing_error(ship, *args):
+    try:
+        ship(*args)
+    except RoutingError as e:
+        return str(e)
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_ship_matches_per_delivery_reference(data):
+    values = st.tuples(st.integers(0, 4), st.integers(0, 2))
+    pool = data.draw(st.lists(values, min_size=1, max_size=6, unique=True))
+    dests = data.draw(st.fixed_dictionaries(
+        {t: st.lists(st.integers(0, 5), max_size=4) for t in pool}))
+    calls = data.draw(st.lists(st.tuples(
+        st.integers(0, 1), st.sampled_from(["R", "S"]),
+        st.lists(st.sampled_from(pool), max_size=12),
+        st.sampled_from(sorted(_ROUTE_KINDS))), min_size=1, max_size=4))
+    for store in (True, False):
+        eng = Engine({"R": 8, "S": 3}, store_tuples=store)
+        ref = _ReferenceEngine(store)
+        for rnd, rel, tuples, kind in calls:
+            def route(t, kind=kind):
+                return _ROUTE_KINDS[kind](dests[t])
+            held = {r: {k: set(v) for k, v in h.items()} for r, h in ref.held.items()}
+            want = _routing_error(ref.ship, rnd, rel, tuples, route)
+            got = _routing_error(eng.ship, rnd, rel, tuples, route)
+            assert (want is None) == (got is None), (calls, want, got)
+            assert eng.report.by_relation == ref.by_relation
+            if got is not None:
+                m = re.match(r"%s/(\(.*\)) delivered twice to server (\d+) in round %d$"
+                             % (rel, rnd), got)
+                assert m, got
+                tup, server = ast.literal_eval(m.group(1)), int(m.group(2))
+                assert tup in tuples and server in dests[tup]
+                assert _repeats_at(held, rnd, rel, tuples, route, tup, server)
+                break
+        else:
+            if store:
+                for s, rel in itertools.product(range(6), "RS"):
+                    assert eng.holdings(s, rel) == ref.holdings(s, rel)
+
+
 def test_join_atoms_guard_trips():
     q = parse_query("q(x,y) :- R(x), S(y)")
     rels = {"R": [(i,) for i in range(100)], "S": [(i,) for i in range(100)]}
     with pytest.raises(MemoryError):
         join_atoms(q.atoms, rels, q.variables, guard=50)
+
+
+_VARS = "abcde"
+
+
+@st.composite
+def _join_cases(draw):
+    """At most 4 atoms of arity <= 3 over <= 5 variables, atom variable
+    orders independent of the head order, and data over domain <= 4."""
+    atoms = draw(st.lists(st.lists(st.sampled_from(_VARS), min_size=1, max_size=3,
+                                   unique=True), min_size=1, max_size=4))
+    used = sorted({v for a in atoms for v in a})
+    head = draw(st.permutations(used))
+    domain = draw(st.integers(1, 4))
+    rels = {"R%d" % i: draw(st.lists(st.tuples(*[st.integers(1, domain)] * len(a)),
+                                     max_size=8))
+            for i, a in enumerate(atoms)}
+    return [tuple(a) for a in atoms], tuple(head), domain, rels
+
+
+@settings(deadline=None, max_examples=300)
+@given(_join_cases())
+@example(([("a", "b"), ("c",), ("b", "a")], ("c", "b", "a"), 2,
+          {"R0": [(1, 2), (2, 2)], "R1": [(1,), (2,)], "R2": [(2, 1), (1, 1)]}))
+def test_join_atoms_matches_nested_loop(case):
+    atoms_vars, head, domain, rels = case
+    atoms = [Atom("R%d" % i, vs) for i, vs in enumerate(atoms_vars)]
+    variables = sorted(set(head))
+    full = set()
+    for values in itertools.product(range(1, domain + 1), repeat=len(variables)):
+        asg = dict(zip(variables, values))
+        if all(tuple(asg[v] for v in a.vars) in rels[a.relation] for a in atoms):
+            full.add(values)
+    want = {tuple(dict(zip(variables, f))[v] for v in head) for f in full}
+    assert join_atoms(atoms, rels, head) == want
+    # every intermediate is at most the product of the relation sizes, and
+    # the last one holds every full assignment (guard 0 means no guard)
+    bound = math.prod(max(1, len(ts)) for ts in rels.values())
+    assert join_atoms(atoms, rels, head, guard=bound) == want
+    if len(atoms) > 1 and len(full) > 1:
+        with pytest.raises(MemoryError):
+            join_atoms(atoms, rels, head, guard=len(full) - 1)
+
+
+def test_oracle_join_joins_most_connected_atom_next():
+    # K5 with x1 heavy: joining S1_2..S1_5 first (all share only x1 = 1)
+    # would build more than 2,000,000 rows for an empty result
+    db = gen_single_heavy(canonical_query("K", 5), 40, "x1", 1)
+    assert oracle_join(db, guard=2 * 10 ** 6) == set()
 
 
 def test_oracle_join_matching_is_diagonalish():

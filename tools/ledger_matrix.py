@@ -10,15 +10,17 @@ prints the number of runs, the number that completed (the rest are shape
 rejections) and one sha256 over every completed run's output, rounds,
 extras, per-round `by_relation` ledger and relation widths.  A refactor
 that must keep every simulated value prints the same digest before and
-after.
+after; `--expect SHA` compares it and exits 1, printing both digests, when
+they differ.  The current digest is
 
-    python3 tools/ledger_matrix.py
+    python3 tools/ledger_matrix.py --expect ee83b3fc3141be627e88faca008e5700668661ef27029e250b831772669bc3fe
 
 Only `QueryError` (a shape check rejecting the query) is caught; any other
 exception, such as a `RoutingError` for a repeated delivery, aborts the run.
 Standard library only; nothing under `src/` imports this file.
 """
 
+import argparse
 import hashlib
 import sys
 import time
@@ -64,7 +66,11 @@ def run_digest(res) -> bytes:
     return repr(parts).encode()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="storing/counting digest matrix")
+    ap.add_argument("--expect", metavar="SHA",
+                    help="exit 1 unless the digest equals SHA")
+    args = ap.parse_args(argv)
     t0 = time.perf_counter()
     h = hashlib.sha256()
     runs = done = 0
@@ -87,6 +93,9 @@ def main() -> int:
     print("completed %d" % done)
     print("sha256 %s" % h.hexdigest())
     print("seconds %.1f" % (time.perf_counter() - t0), file=sys.stderr)
+    if args.expect is not None and args.expect != h.hexdigest():
+        print("digest mismatch: expected %s, got %s" % (args.expect, h.hexdigest()))
+        return 1
     return 0
 
 
