@@ -19,6 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import itemgetter
 
 from .analyzer import _round_shares, _subsets, log_base_p, pow_floor, share_lp
 from .query import Atom, Query, QueryError
@@ -110,11 +111,11 @@ def _gt_root(d: int, m: int, P: int, num: int, den: int) -> bool:
 # -- row-set combinators ---------------------------------------------------
 #
 # These assemble *result* rows only; no routing decision ever depends on
-# them.  In counting mode the leaves that build rows from relations
-# (`_out_join`, `_intersect_ship`, the final join of `join_one_sided_skew`)
-# return empty sets, so every row set the combinators see is empty too and
-# large instances can be dry-run for their loads without materializing
-# outputs.
+# them.  In counting mode the two leaves that build rows from relations,
+# `_out_join` and `_intersect_ship`, are the only readers of
+# `store_tuples`: they return empty sets, so every row set the combinators
+# see is empty too and large instances can be dry-run for their loads
+# without materializing outputs.
 
 def _out_join(ctx, atoms, rel_tuples, out_vars):
     if not ctx.eng.store_tuples:
@@ -127,21 +128,10 @@ def _reorder(vars_src, rows, vars_dst):
     return {tuple(t[i] for i in idx) for t in rows}
 
 
-def _join_rows(va, ra, vb, rb):
-    """Join two row sets on their shared variables."""
-    shared = [v for v in va if v in vb]
-    keep_b = [i for i, v in enumerate(vb) if v not in shared]
-    kb = [vb.index(v) for v in shared]
-    index = {}
-    for t in rb:
-        index.setdefault(tuple(t[i] for i in kb), []).append(t)
-    ka = [va.index(v) for v in shared]
-    out_vars = tuple(va) + tuple(vb[i] for i in keep_b)
-    out = set()
-    for t in ra:
-        for u in index.get(tuple(t[i] for i in ka), ()):
-            out.add(t + tuple(u[i] for i in keep_b))
-    return out_vars, out
+def _join2(va, ra, vb, rb, out_vars):
+    """Join row sets ra over va and rb over vb, projected onto out_vars."""
+    return join_atoms((Atom("a", tuple(va)), Atom("b", tuple(vb))),
+                      {"a": ra, "b": rb}, out_vars)
 
 
 def _plug(vars_in, rows, extra: dict):
@@ -154,10 +144,7 @@ def _plug(vars_in, rows, extra: dict):
 # -- heavy-hitter bookkeeping ---------------------------------------------
 
 def _column_freqs(tuples, pos: int) -> Counter:
-    c = Counter()
-    for t in tuples:
-        c[t[pos]] += 1
-    return c
+    return Counter(map(itemgetter(pos), tuples))
 
 
 def _heavy_at(atoms, rels, var_list, test):
@@ -210,15 +197,12 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
     return hashes
 
 
-def _hc_ship(ctx, rnd, q, rels, shares, cells, tag, keep=None):
-    """Hypercube shipment of every atom of q onto the given logical cells.
-
-    `cells` has exactly prod(shares) entries; keep(atom, tuple) filters.
-    """
-    hashes = _balanced_hashes(ctx, q, rels, shares, tag)
+def _hc_ship(ctx, rnd, q, rels, shares, cells, hashes):
+    """Hypercube shipment of every atom's tuples in rels onto the given
+    logical cells (exactly prod(shares) of them), hashing with `hashes`."""
     for a in q.atoms:
-        ts = [t for t in rels[a.relation] if keep is None or keep(a, t)]
-        _hc_ship_atom(ctx, rnd, q.variables, a, ts, shares, hashes, cells)
+        ctx.eng.ship(rnd, a.relation, rels[a.relation],
+                     _hc_route(a, q.variables, shares, hashes, cells))
 
 
 def _hc_route(a, order, shares, hashes, cells):
@@ -239,30 +223,6 @@ def _hc_route(a, order, shares, hashes, cells):
             dests = servers[c0] = tuple(s for f in free for s in cells[c0 + f])
         return dests
     return route
-
-
-def _hc_ship_atom(ctx, rnd, order, a, tuples, shares, hashes, cells):
-    """Hypercube shipment of one atom's tuples.
-
-    In counting mode the ledger is computed without replicating: tuples
-    are counted by their base cell (`hc_grid`) and each count is added to
-    every cell the base cell expands to.  That is exact because one such
-    shipment never repeats a delivery: tuples are distinct, one tuple's
-    cells are distinct, and distinct cells are disjoint server groups.
-    """
-    eng = ctx.eng
-    if eng.store_tuples:
-        eng.ship(rnd, a.relation, tuples, _hc_route(a, order, shares, hashes, cells))
-        return
-    bound, free = hc_grid(a.vars, order, shares, hashes)
-    hist = Counter(sum((h(t[i], s) - 1) * st for i, h, s, st in bound)
-                   for t in tuples)
-    counts = Counter()
-    for c0, n in hist.items():
-        for f in free:
-            for srv in cells[c0 + f]:
-                counts[srv] += n
-    eng.add_counts(rnd, a.relation, counts)
 
 
 def _distribute(ctx, rnd, name, tuples, groups, tag):
@@ -381,7 +341,7 @@ def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
         if all(groups[a.relation].get(pr) for a, pr in zip(q.atoms, profs)):
             active.append((X, profs))
     base = [fresh() for _ in range(P)] if active else None
-    uses = {}      # (atom, profile) -> [(shares, hashes, cells) per X]
+    routes = {}    # (atom, profile) -> [hypercube route per X]
     out = set()
     for X, profs in active:
         filtered = {a.relation: groups[a.relation][pr]
@@ -394,20 +354,17 @@ def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
         ncells = alloc.grid_size()
         cellmap = sorted(range(P), key=lambda c: mix64(mkey ^ c))[:ncells]
         hashes = _balanced_hashes(ctx, q, filtered, alloc.shares, tag + "v" + xkey)
+        cells = [base[c] for c in cellmap]
         for a, pr in zip(q.atoms, profs):
-            uses.setdefault((a, pr), []).append(
-                (alloc.shares, hashes, [base[c] for c in cellmap]))
+            routes.setdefault((a, pr), []).append(
+                _hc_route(a, q.variables, alloc.shares, hashes, cells))
         out |= _out_join(ctx, q.atoms, filtered, q.variables)
     # A group shipped under several profiles shares one base block, so it
     # goes once to the union of its cells under all of them.
-    for (a, pr), grids in uses.items():
-        ts = groups[a.relation][pr]
-        if len(grids) == 1:
-            _hc_ship_atom(ctx, rnd, q.variables, a, ts, *grids[0])
-            continue
-        routes = [_hc_route(a, q.variables, *g) for g in grids]
-        ctx.eng.ship(rnd, a.relation, ts,
-                     lambda t, routes=routes: frozenset(s for r in routes for s in r(t)))
+    for (a, pr), rs in routes.items():
+        route = rs[0] if len(rs) == 1 else (
+            lambda t, rs=rs: frozenset(s for r in rs for s in r(t)))
+        ctx.eng.ship(rnd, a.relation, groups[a.relation][pr], route)
     return out
 
 
@@ -440,8 +397,7 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
         last = atoms[-1]
         cols = [grid.col_group(c) for c in range(p1)]
         _distribute(ctx, rnd, last.relation, rels[last.relation], cols, tag + "ed")
-        ov, rows = _join_rows(v0, out0, last.vars, set(rels[last.relation]))
-        return tuple(vs), _reorder(ov, rows, vs), max(r0, 1)
+        return vs, _join2(v0, out0, last.vars, rels[last.relation], vs), max(r0, 1)
 
     # odd k >= 5
     n = (k + 1) // 2
@@ -467,8 +423,7 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
         ctx.eng.ship(rnd, name, ts, lambda t, pos=pos: cols[hcol(t[pos], p1) - 1])
     head = _out_join(ctx, [s1, s2], {s1.relation: light1, s2.relation: light2},
                      (s1.vars[0], x1, s2.vars[1]))
-    ov, rows = _join_rows((s1.vars[0], x1, s2.vars[1]), head, v0, out0)
-    out |= _reorder(ov, rows, vs)
+    out |= _join2((s1.vars[0], x1, s2.vars[1]), head, v0, out0, vs)
     rounds = max(rounds, max(r0, 1))
 
     # heavy x1: one exclusive grid per heavy value
@@ -493,8 +448,7 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
         cols2 = [grid2.col_group(c) for c in range(p0h)]
         _distribute(ctx, rnd, lname, left, cols2, tag + "d" + str(h))
         pv, prows = _plug(cv, crows, {x1: h})
-        jv, jrows = _join_rows(pv, prows, (s1.vars[0],), left)
-        out |= _reorder(jv, jrows, vs)
+        out |= _join2(pv, prows, (s1.vars[0],), left, vs)
         rounds = max(rounds, 1 + cr, 1)
     return vs, out, rounds
 
@@ -533,15 +487,13 @@ def _light_hypercube(ctx, rnd, q, rels, P, fresh, tag):
     shares = _round_shares(q, {v: Fraction(1, k) for v in q.variables}, P)
     cells = [fresh() for _ in range(math.prod(shares.values()))]
 
-    def is_light(a, t):
-        return all(val not in heavy[v] for v, val in zip(a.vars, t))
-
-    _hc_ship(ctx, rnd, q, rels, shares, cells, tag + "l", keep=is_light)
-    if not ctx.eng.store_tuples:
-        return heavy, set()
-    filtered = {a.relation: [t for t in rels[a.relation] if is_light(a, t)]
-                for a in q.atoms}
-    return heavy, join_atoms(q.atoms, filtered, q.variables)
+    light = {a.relation: [t for t in rels[a.relation]
+                          if all(val not in heavy[v] for v, val in zip(a.vars, t))]
+             for a in q.atoms}
+    # hashes are balanced over the full relations, heavy tuples included
+    hashes = _balanced_hashes(ctx, q, rels, shares, tag + "l")
+    _hc_ship(ctx, rnd, q, light, shares, cells, hashes)
+    return heavy, _out_join(ctx, q.atoms, light, q.variables)
 
 
 def _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual):
@@ -641,7 +593,8 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
             exps[var_at[i]] = e_odd if i % 2 == first_odd else e_even
     shares = _round_shares(q, exps, P)
     cells = [fresh() for _ in range(math.prod(shares.values()))]
-    _hc_ship(ctx, rnd, q, rels, shares, cells, tag + "g")
+    _hc_ship(ctx, rnd, q, rels, shares, cells,
+             _balanced_hashes(ctx, q, rels, shares, tag + "g"))
     out |= _out_join(ctx, atoms, rels, q.variables)
     rounds = max(rounds, 1)
 
@@ -710,7 +663,8 @@ def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag, out):
         u2b = unary_left((i - 1) % k, h)         # var_at[i-1]
         v2, rows2, r2 = _arc(ctx, rnd, path(j + 1, i + k - 2), u2a, u2b, rels,
                              g2, grid.fresh_col, ptag + "y", "", ("A", "B"))
-        cv, crows = _join_rows(v1, rows1, v2, rows2)
+        cv = v1 + v2                        # disjoint arcs: a product
+        crows = _join2(v1, rows1, v2, rows2, cv)
         r = max(r1, r2)
     pv, prows = _plug(cv, crows, {var_at[i]: h, var_at[j % k]: h2})
     out |= _reorder(pv, prows, q.variables)
@@ -953,7 +907,8 @@ def hc_one_round(db, p: int, seed: int, counting=False) -> AlgorithmResult:
     fresh = _root(ctx)
     cells = [fresh() for _ in range(alloc.grid_size())]
     rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
-    _hc_ship(ctx, 0, q, rels, alloc.shares, cells, "hc")
+    _hc_ship(ctx, 0, q, rels, alloc.shares, cells,
+             _balanced_hashes(ctx, q, rels, alloc.shares, "hc"))
     out = _out_join(ctx, q.atoms, rels, q.variables)
     return _finish("hc", db, p, ctx, out,
                    {"shares": alloc.shares, "lambda": alloc.lam})
@@ -995,10 +950,7 @@ def join_one_sided_skew(db, p: int, seed: int, counting=False) -> AlgorithmResul
     hblocks = _skew_join_ship(ctx, 0, a.relation, ta, ka, b.relation, tb, kb,
                               p, _root(ctx), hash_family(seed, "j1s", "h"),
                               hash_family(seed, "j1s", "p"))
-    out = set()
-    if ctx.eng.store_tuples:
-        av, rows = _join_rows(a.vars, set(ta), b.vars, set(tb))
-        out = _reorder(av, rows, q.variables)
+    out = _out_join(ctx, (a, b), {a.relation: ta, b.relation: tb}, q.variables)
     return _finish("join_one_sided_skew", db, p, ctx, out,
                    {"heavy_keys": len(hblocks),
                     "heavy_servers": sum(len(g) for g in hblocks.values())})

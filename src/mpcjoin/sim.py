@@ -8,9 +8,11 @@ re-evaluating routes; delivering the same tuple to the same server twice in
 one round is an error.  `ship` groups the tuples of a shipment by their
 destination set and delivers each group to each of its servers in one
 step, so replication costs per group, not per delivered copy; the checks
-and the ledger are the same as for one delivery at a time.  The per-round
-load of a server is the data it receives that round; the cost of a run is
-the maximum over servers and rounds, reported both in tuples and in bits.
+and the ledger are the same as for one delivery at a time.  Counting mode
+is the same `ship` without holdings: it keeps only the ledger, so it
+stores no tuples and does not check for repeats.  The per-round load of a
+server is the data it receives that round; the cost of a run is the
+maximum over servers and rounds, reported both in tuples and in bits.
 
 Rounds are addressed by index rather than opened/closed sequentially, so
 that concurrently running sub-plans of different depths can deposit their
@@ -159,9 +161,9 @@ class Engine:
     whole group at a time.  With ``store_tuples=True`` the engine also
     keeps what each server received, and a tuple delivered twice to one
     server in one round raises `RoutingError`.  With
-    ``store_tuples=False`` only the ledger is kept (cheap dry runs on large
-    instances); `add_counts` then charges precomputed per-server counts in
-    bulk.
+    ``store_tuples=False`` (counting mode) the same `ship` calls keep only
+    the ledger: no holdings and no repeat check, which makes dry runs on
+    large instances cheap.
     """
 
     def __init__(self, widths: dict, store_tuples: bool = True):
@@ -174,32 +176,6 @@ class Engine:
         """Declare an intermediate relation (e.g. a semi-join result)."""
         self.widths.setdefault(rel, width)
 
-    def _charge(self, rnd: int, rel: str, counts: dict) -> None:
-        if rel not in self.widths:
-            raise KeyError("unknown relation %r" % rel)
-        if rnd < 0 or any(s < 0 or n < 1 for s, n in counts.items()):
-            raise ValueError("negative round or server, or a count below 1")
-        if not counts:
-            return
-        ledger = self.report.by_relation
-        while len(ledger) <= rnd:
-            ledger.append({})
-        by_rel = ledger[rnd]
-        for s, n in counts.items():
-            by_rel[s, rel] = by_rel.get((s, rel), 0) + n
-
-    def add_counts(self, rnd: int, rel: str, counts: dict) -> None:
-        """Deliver counts[server] tuples of `rel` to each server in round
-        `rnd` (0-based), updating the ledger in one call.
-
-        Only for counting mode, where no holdings are kept, so the caller
-        must guarantee that the counted deliveries are distinct from each
-        other and from every other delivery of `rel` in the same round.
-        """
-        if self.store_tuples:
-            raise RuntimeError("add_counts needs counting mode")
-        self._charge(rnd, rel, counts)
-
     def ship(self, rnd: int, rel: str, tuples, route) -> None:
         """Deliver every tuple of `rel` to each server of route(tup) in
         round `rnd` (0-based).
@@ -209,11 +185,15 @@ class Engine:
         by their destination set, and each group reaches each of its
         servers in one step, so the cost is per tuple and per group rather
         than per delivery.  The first 64 tuples are routed twice to check
-        that the route is a pure function of the tuple.  In storing mode a
-        tuple that reaches a server it already reached in this round (a
-        route naming a server twice, or a tuple repeated in the input)
-        raises `RoutingError`; counting mode charges every server named.
+        that the route is a pure function of the tuple; a route that
+        returns the same object twice (a memoized tuple) passes without
+        sorting.  In storing mode a tuple that reaches a server it already
+        reached in this round (a route naming a server twice, or a tuple
+        repeated in the input) raises `RoutingError`; counting mode charges
+        every server named.  A shipment with no deliveries opens no round.
         """
+        if rel not in self.widths:
+            raise KeyError("unknown relation %r" % rel)
         if rnd < 0:
             raise ValueError("negative round")
         groups = defaultdict(list)
@@ -221,8 +201,11 @@ class Engine:
             dests = route(tup)
             if type(dests) is not tuple and type(dests) is not frozenset:
                 dests = tuple(dests)
-            if i < 64 and sorted(route(tup)) != sorted(dests):
-                raise RoutingError("route for %s/%s is not tuple-determined" % (rel, tup))
+            if i < 64:
+                again = route(tup)
+                if again is not dests and sorted(again) != sorted(dests):
+                    raise RoutingError("route for %s/%s is not tuple-determined"
+                                       % (rel, tup))
             groups[dests].append(tup)
         counts = Counter()
         held = self._held.setdefault(rnd, {}) if self.store_tuples else None
@@ -243,7 +226,16 @@ class Engine:
                     held[s, rel] = set(fresh)
                 else:
                     got |= fresh
-        self._charge(rnd, rel, counts)
+        if not counts:
+            return
+        if min(counts) < 0:
+            raise ValueError("negative server id in a route for %s" % rel)
+        ledger = self.report.by_relation
+        while len(ledger) <= rnd:
+            ledger.append({})
+        by_rel = ledger[rnd]
+        for s, n in counts.items():
+            by_rel[s, rel] = by_rel.get((s, rel), 0) + n
 
     def holdings(self, server: int, rel: str) -> set:
         """The tuples of `rel` that `server` received, over all rounds."""

@@ -101,6 +101,14 @@ def test_ship_detects_impure_route():
     with pytest.raises(RoutingError):
         eng.ship(0, "R", [(1,), (2,), (3,)], flaky)
 
+    # a fresh tuple on every call is compared, not taken on identity
+    def fresh_tuples(t):
+        state["n"] += 1
+        return (state["n"] % 3,)
+
+    with pytest.raises(RoutingError):
+        eng.ship(0, "R", [(1,)], fresh_tuples)
+
 
 def test_counting_mode_matches_storing_mode():
     tuples = [(i, i % 5) for i in range(200)]
@@ -112,21 +120,15 @@ def test_counting_mode_matches_storing_mode():
     assert reports[0] == reports[1]
 
 
-def test_add_counts_equals_distinct_sends():
-    sent = Engine({"R": 8, "S": 3}, store_tuples=False)
-    sent.ship(1, "R", [(t,) for t in range(5)], lambda t: [0, 4] if t[0] < 2 else [0])
-    sent.ship(1, "S", [(9,)], lambda t: [4])
-    bulk = Engine({"R": 8, "S": 3}, store_tuples=False)
-    bulk.add_counts(1, "R", {0: 5, 4: 2})
-    bulk.add_counts(1, "S", {4: 1})
-    bulk.add_counts(2, "S", {})          # no deliveries: no round opened
-    assert bulk.report == sent.report
-    with pytest.raises(KeyError):
-        bulk.add_counts(0, "Q", {0: 1})
+@pytest.mark.parametrize("store", [True, False])
+def test_ship_empty_and_negative_server(store):
+    eng = Engine({"R": 8}, store_tuples=store)
+    eng.ship(2, "R", [], lambda t: [0])         # no deliveries: no round opened
+    assert eng.report.by_relation == []
     with pytest.raises(ValueError):
-        bulk.add_counts(0, "R", {-1: 1})
-    with pytest.raises(RuntimeError):
-        Engine({"R": 8}).add_counts(0, "R", {0: 1})
+        eng.ship(0, "R", [(1,)], lambda t: [0, -1])
+    with pytest.raises(ValueError):
+        eng.ship(-1, "R", [(1,)], lambda t: [0])
 
 
 def test_counting_mode_has_no_holdings():
