@@ -1,9 +1,14 @@
 """Parallel join strategies with measured communication loads.
 
-Every public algorithm takes a database instance, a nominal server count p,
-a seed and a `counting` flag (see `run_algorithm`), simulates its shipment
-schedule round by round on the engine, and returns the computed output
-together with the per-round load report.
+`ALGORITHMS` is the strategy table: each name maps to a `Strategy` of
+shape(q), the query the plan runs on (line and cycle atoms oriented by one
+walk) or None when the strategy does not accept q; plan(ctx, q, rels, p),
+which simulates its shipment schedule round by round on the engine and
+returns the output rows and extras; and rounds(q), the declared round
+bound.  `run_algorithm` is the one run path: it checks p, applies the
+shape, builds the engine and the oriented relations, runs the plan and
+returns the output with the per-round load report.  `pick_algorithm`
+("auto") takes the most specific strategy whose shape accepts the query.
 
 Internally, plans hand out *logical* servers through allocator closures: a
 logical server is a tuple of physical ids, so a sub-plan running inside a
@@ -17,9 +22,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .analyzer import _round_shares, _subsets, log_base_p, pow_floor, share_lp
 from .query import Atom, Query, QueryError
@@ -614,14 +620,18 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
                     rhs = P ** 2 * (deg[i][h] * deg[j][h2]) ** k
                     if lhs > rhs:
                         continue
-                    r = _cycle_pair(ctx, rnd, q, rels, P, P1, fresh,
-                                    i, h, j, h2, tag, out)
+                    cv, crows, r = _cycle_pair(ctx, rnd, q, rels, P, P1, fresh,
+                                               i, h, j, h2, tag)
+                    pv, prows = _plug(cv, crows, {var_at[i]: h, var_at[j]: h2})
+                    out |= _reorder(pv, prows, q.variables)
                     rounds = max(rounds, r)
     return out, rounds
 
 
-def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag, out):
-    """Residual of an even cycle after fixing a qualifying heavy pair."""
+def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
+    """Residual of an even cycle after fixing a qualifying heavy pair at
+    positions i and j; returns (vars, rows, rounds) over the other
+    variables."""
     atoms, k = q.atoms, q.k
     var_at = q.variables
     if (i - j) % k == 1:                    # normalize to j == i+1 (mod k)
@@ -641,13 +651,14 @@ def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag, out):
         return [atoms[t % k] for t in range(start, end + 1)]
 
     if (j - i) % k == 1:
+        arc = path(i + 2, i + k - 2)
         # adjacent: the pair must be an actual tuple of the shared atom
         if (h, h2) not in rels[atoms[i].relation]:
-            return 0
+            return _line_vars(arc), set(), 0
         ua = unary_right((i + 1) % k, h2)        # constrains var_at[i+2]
         ub = unary_left((i - 1) % k, h)          # constrains var_at[i-1]
-        cv, crows, r = _arc(ctx, rnd, path(i + 2, i + k - 2), ua, ub, rels,
-                            P1, fresh, ptag, "", ("A", "B"))
+        cv, crows, r = _arc(ctx, rnd, arc, ua, ub, rels, P1, fresh, ptag, "",
+                            ("A", "B"))
     else:
         # non-adjacent: two arcs evaluated on a grid
         alpha = (j - i) - 2
@@ -666,9 +677,7 @@ def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag, out):
         cv = v1 + v2                        # disjoint arcs: a product
         crows = _join2(v1, rows1, v2, rows2, cv)
         r = max(r1, r2)
-    pv, prows = _plug(cv, crows, {var_at[i]: h, var_at[j % k]: h2})
-    out |= _reorder(pv, prows, q.variables)
-    return 1 + r
+    return cv, crows, 1 + r
 
 
 # -- Loomis-Whitney joins --------------------------------------------------
@@ -754,7 +763,7 @@ def _clique(ctx, rnd, q, rels, P, fresh, tag):
 # -- covering-atom queries -------------------------------------------------
 
 def _covering(ctx, rnd, q, rels, P, fresh, tag):
-    cover = next(a for a in q.atoms if set(a.vars) == set(q.variables))
+    cover = covering_atom(q)
     others = [a for a in q.atoms if a is not cover]
     if not others:
         return _reorder(cover.vars, set(rels[cover.relation]), q.variables), 0
@@ -775,67 +784,39 @@ def _covering(ctx, rnd, q, rels, P, fresh, tag):
     return _reorder(cover.vars, inter, q.variables), rounds
 
 
-# -- shape detection -------------------------------------------------------
+# -- shapes ----------------------------------------------------------------
 
-def _oriented_copy(db, a: Atom, flip: bool):
-    if not flip:
-        return a, list(db.relations[a.relation].tuples)
-    return (Atom(a.relation, (a.vars[1], a.vars[0])),
-            [(t[1], t[0]) for t in db.relations[a.relation].tuples])
+def _chain(q: Query, closed: bool):
+    """q as a path (closed=False) or a cycle (closed=True) of binary atoms,
+    or None.
 
-
-def as_line(db):
-    """Orient the atoms of a path-shaped query into a left-to-right chain;
-    returns (atoms, rels) or None."""
-    q = db.query
-    if any(a.arity != 2 for a in q.atoms) or q.num_atoms != q.k - 1:
+    One walk orients every atom from the variable it is entered by: a path
+    from its first end in head order, a cycle from its first head variable
+    along its first atom.  The returned query lists the variables in walk
+    order.
+    """
+    if any(a.arity != 2 for a in q.atoms) or (closed and q.k < 3) \
+            or q.num_atoms != (q.k if closed else q.k - 1):
         return None
+    # with k - 1 (k) binary atoms, two (no) variables of degree 1 leave
+    # exactly degree 2 to every other variable
     degree = Counter(v for a in q.atoms for v in a.vars)
     ends = [v for v in q.variables if degree[v] == 1]
-    if len(ends) != 2 or any(degree[v] not in (1, 2) for v in q.variables):
+    if len(ends) != (0 if closed else 2):
         return None
-    start = ends[0]
-    atoms, rels = [], {}
-    rest = list(q.atoms)
-    cur = start
+    cur = ends[0] if ends else q.variables[0]
+    atoms, rest = [], list(q.atoms)
     while rest:
-        nxt = [a for a in rest if cur in a.vars]
-        if len(nxt) != 1:
-            return None
-        a = nxt[0]
+        a = next((a for a in rest if cur in a.vars), None)
+        if a is None:
+            return None                         # q is disconnected
         rest.remove(a)
-        oa, ts = _oriented_copy(db, a, a.vars[0] != cur)
-        atoms.append(oa)
-        rels[a.relation] = ts
-        cur = oa.vars[1]
-    return atoms, rels
-
-
-def as_cycle(db):
-    """Orient a cycle-shaped query; returns (atoms, rels) or None."""
-    q = db.query
-    if any(a.arity != 2 for a in q.atoms) or q.num_atoms != q.k or q.k < 3:
-        return None
-    degree = Counter(v for a in q.atoms for v in a.vars)
-    if any(degree[v] != 2 for v in q.variables):
-        return None
-    start = q.variables[0]
-    atoms, rels = [], {}
-    rest = list(q.atoms)
-    cur = start
-    while rest:
-        nxt = [a for a in rest if cur in a.vars]
-        if not nxt:
-            return None
-        a = nxt[0]
-        rest.remove(a)
-        oa, ts = _oriented_copy(db, a, a.vars[0] != cur)
-        atoms.append(oa)
-        rels[a.relation] = ts
-        cur = oa.vars[1]
-    if cur != start:
-        return None
-    return atoms, rels
+        if a.vars[0] != cur:
+            a = Atom(a.relation, a.vars[::-1])
+        atoms.append(a)
+        cur = a.vars[1]
+    vs = tuple(a.vars[0] for a in atoms)
+    return Query(q.name, vs if closed else vs + (cur,), tuple(atoms))
 
 
 def is_lw(q: Query) -> bool:
@@ -864,7 +845,117 @@ def covering_atom(q: Query):
     return None
 
 
-# -- public entry points ---------------------------------------------------
+def _as_is(test):
+    """The shape that runs q unchanged when test(q) holds."""
+    return lambda q: q if test(q) else None
+
+
+def _two_atoms(test):
+    """The shape of two atoms whose variable sets a, b pass test(a, b)."""
+    return _as_is(lambda q: q.num_atoms == 2
+                  and test(*(set(a.vars) for a in q.atoms)))
+
+
+# -- plans -----------------------------------------------------------------
+#
+# A plan runs from round 0 on root servers and returns the output rows over
+# its query's variables and the strategy's extras.
+
+def _root(ctx):
+    return lambda: (ctx.pool.phys(),)
+
+
+def _hc(ctx, q, rels, p):
+    """Plain one-round hypercube with size-optimized shares (no skew
+    handling)."""
+    sizes = {a.relation: max(1, ctx.eng.widths[a.relation] * len(rels[a.relation]))
+             for a in q.atoms}
+    alloc = share_lp(q, sizes, p)
+    fresh = _root(ctx)
+    cells = [fresh() for _ in range(alloc.grid_size())]
+    _hc_ship(ctx, 0, q, rels, alloc.shares, cells,
+             _balanced_hashes(ctx, q, rels, alloc.shares, "hc"))
+    return (_out_join(ctx, q.atoms, rels, q.variables),
+            {"shares": alloc.shares, "lambda": alloc.lam})
+
+
+def _one_round_skew(ctx, q, rels, p):
+    """One-round hypercube resilient to skew: one share allocation per
+    heavy profile, all run in parallel on the same p servers."""
+    return _one_round_skew_core(ctx, 0, q, rels, p, _root(ctx), "ors"), {}
+
+
+def _one_sided_skew(ctx, q, rels, p):
+    """Binary join resilient to skew on one side.
+
+    The side with the lower maximum key frequency plays the skew-free role;
+    heavy key values of the other side get exclusive blocks of servers, the
+    rest is a hash join on the shared key.
+    """
+    a, b = q.atoms
+    key = [v for v in a.vars if v in b.vars]
+    ta, tb = rels[a.relation], rels[b.relation]
+    ka = tuple(a.vars.index(v) for v in key)
+    kb = tuple(b.vars.index(v) for v in key)
+    fa = Counter(tuple(t[i] for i in ka) for t in ta)
+    fb = Counter(tuple(t[i] for i in kb) for t in tb)
+    if max(fb.values(), default=0) < max(fa.values(), default=0):
+        a, b, ta, tb, ka, kb = b, a, tb, ta, kb, ka
+    hblocks = _skew_join_ship(ctx, 0, a.relation, ta, ka, b.relation, tb, kb,
+                              p, _root(ctx), hash_family(ctx.seed, "j1s", "h"),
+                              hash_family(ctx.seed, "j1s", "p"))
+    return (_out_join(ctx, q.atoms, rels, q.variables),
+            {"heavy_keys": len(hblocks),
+             "heavy_servers": sum(len(g) for g in hblocks.values())})
+
+
+def _line_plan(ctx, q, rels, p):
+    return _line(ctx, 0, q.atoms, rels, p, _root(ctx), "L")[1], {}
+
+
+def _cycle(ctx, rnd, q, rels, P, fresh, tag):
+    body = _cycle_odd if q.k % 2 else _cycle_even
+    return body(ctx, rnd, q, rels, P, fresh, tag)
+
+
+def _from_round0(body, tag):
+    """The plan of body(ctx, rnd, q, rels, P, fresh, tag) -> (rows, rounds)."""
+    return lambda ctx, q, rels, p: (body(ctx, 0, q, rels, p, _root(ctx), tag)[0], {})
+
+
+# -- the strategy table ----------------------------------------------------
+
+class Strategy(NamedTuple):
+    shape: Callable     # q -> the query the plan runs on, or None
+    plan: Callable      # (ctx, shaped q, rels, p) -> (rows, extras)
+    rounds: Callable    # q -> declared upper bound on the rounds used
+
+
+_ONE_SIDED = Strategy(_two_atoms(lambda a, b: bool(a & b)), _one_sided_skew,
+                      lambda q: 1)
+_CYCLE = Strategy(lambda q: _chain(q, True), _from_round0(_cycle, "C"),
+                  lambda q: (q.num_atoms + 1) // 2)
+
+ALGORITHMS = {
+    "hc": Strategy(lambda q: q, _hc, lambda q: 1),
+    "one_round_skew": Strategy(lambda q: q, _one_round_skew, lambda q: 1),
+    "join_one_sided_skew": _ONE_SIDED,
+    # one atom's variables contain the other's: the key-set side has every
+    # key at most once, so it plays the skew-free role
+    "semi_join": _ONE_SIDED._replace(
+        shape=_two_atoms(lambda a, b: a <= b or b <= a)),
+    "line": Strategy(lambda q: _chain(q, False), _line_plan,
+                     lambda q: max(1, (q.k - 1) // 2)),   # k-1 atoms
+    "cycle": _CYCLE,
+    "triangle": _CYCLE._replace(shape=lambda q: _chain(q, True) if q.k == 3 else None),
+    "lw": Strategy(_as_is(is_lw), _from_round0(_lw, "W"), lambda q: 2),
+    "clique": Strategy(_as_is(is_clique), _from_round0(_clique, "K"),
+                       lambda q: q.k - 1),
+    "covering": Strategy(_as_is(lambda q: covering_atom(q) is not None),
+                         _from_round0(_covering, "V"),
+                         lambda q: min(q.num_atoms - 1, 2)),
+}
+
 
 @dataclass
 class AlgorithmResult:
@@ -881,191 +972,14 @@ class AlgorithmResult:
         return len(self.output)
 
 
-def _setup(db, seed, counting):
-    eng = Engine(db.widths_bits(), store_tuples=not counting)
-    vbits = max(ri.value_bits for ri in db.relations.values())
-    return _Ctx(eng, Pool(), seed, vbits)
-
-
-def _finish(name, db, p, ctx, output, extras=None):
-    ex = {"nominal_p": p, "physical_servers": ctx.pool.count}
-    ex.update(extras or {})
-    return AlgorithmResult(name, db.query, p, output, ctx.eng.report,
-                           ctx.eng.report.rounds, ex)
-
-
-def _root(ctx):
-    return lambda: (ctx.pool.phys(),)
-
-
-def hc_one_round(db, p: int, seed: int, counting=False) -> AlgorithmResult:
-    """Plain one-round hypercube with size-optimized shares (no skew
-    handling)."""
-    q = db.query
-    ctx = _setup(db, seed, counting)
-    alloc = share_lp(q, db.sizes_bits(), p)
-    fresh = _root(ctx)
-    cells = [fresh() for _ in range(alloc.grid_size())]
-    rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
-    _hc_ship(ctx, 0, q, rels, alloc.shares, cells,
-             _balanced_hashes(ctx, q, rels, alloc.shares, "hc"))
-    out = _out_join(ctx, q.atoms, rels, q.variables)
-    return _finish("hc", db, p, ctx, out,
-                   {"shares": alloc.shares, "lambda": alloc.lam})
-
-
-def one_round_skew(db, p: int, seed: int, counting=False) -> AlgorithmResult:
-    """One-round hypercube resilient to skew: one share allocation per
-    heavy profile, all run in parallel on the same p servers."""
-    q = db.query
-    ctx = _setup(db, seed, counting)
-    rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
-    out = _one_round_skew_core(ctx, 0, q, rels, p, _root(ctx), "ors")
-    return _finish("one_round_skew", db, p, ctx, out)
-
-
-def join_one_sided_skew(db, p: int, seed: int, counting=False) -> AlgorithmResult:
-    """Binary join resilient to skew on one side.
-
-    The side with the lower maximum key frequency plays the skew-free role;
-    heavy key values of the other side get exclusive blocks of servers, the
-    rest is a hash join on the shared key.
-    """
-    q = db.query
-    if q.num_atoms != 2:
-        raise QueryError("one-sided skew join needs exactly two atoms")
-    a, b = q.atoms
-    key = [v for v in a.vars if v in b.vars]
-    if not key:
-        raise QueryError("atoms share no variables")
-    ctx = _setup(db, seed, counting)
-    ta = list(db.relations[a.relation].tuples)
-    tb = list(db.relations[b.relation].tuples)
-    ka = tuple(a.vars.index(v) for v in key)
-    kb = tuple(b.vars.index(v) for v in key)
-    fa = Counter(tuple(t[i] for i in ka) for t in ta)
-    fb = Counter(tuple(t[i] for i in kb) for t in tb)
-    if max(fb.values(), default=0) < max(fa.values(), default=0):
-        a, b, ta, tb, ka, kb = b, a, tb, ta, kb, ka
-    hblocks = _skew_join_ship(ctx, 0, a.relation, ta, ka, b.relation, tb, kb,
-                              p, _root(ctx), hash_family(seed, "j1s", "h"),
-                              hash_family(seed, "j1s", "p"))
-    out = _out_join(ctx, (a, b), {a.relation: ta, b.relation: tb}, q.variables)
-    return _finish("join_one_sided_skew", db, p, ctx, out,
-                   {"heavy_keys": len(hblocks),
-                    "heavy_servers": sum(len(g) for g in hblocks.values())})
-
-
-def semi_join(db, p: int, seed: int, counting=False) -> AlgorithmResult:
-    """Semi-join q = S filtered by key set R, in one round.
-
-    Expects two atoms where one atom's variables are a subset of the
-    other's.  The key-set side has every key at most once, so it plays the
-    skew-free role of the one-sided skew join; heavy keys of the wide side
-    still get exclusive server blocks.
-    """
-    q = db.query
-    if q.num_atoms != 2:
-        raise QueryError("semi-join needs exactly two atoms")
-    a, b = q.atoms
-    if not (set(a.vars) <= set(b.vars) or set(b.vars) <= set(a.vars)):
-        raise QueryError("semi-join needs one atom's variables to contain "
-                         "the other's")
-    return replace(join_one_sided_skew(db, p, seed, counting), name="semi_join")
-
-
-def line_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
-    shaped = as_line(db)
-    if shaped is None:
-        raise QueryError("query is not a line")
-    atoms, rels = shaped
-    ctx = _setup(db, seed, counting)
-    vs, rows, _ = _line(ctx, 0, atoms, rels, p, _root(ctx), "L")
-    return _finish("line", db, p, ctx, _reorder(vs, rows, db.query.variables))
-
-
-def cycle_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
-    shaped = as_cycle(db)
-    if shaped is None:
-        raise QueryError("query is not a cycle")
-    atoms, rels = shaped
-    vs = tuple(a.vars[0] for a in atoms)
-    q = Query("cyc", vs, tuple(atoms))
-    ctx = _setup(db, seed, counting)
-    if len(atoms) % 2 == 1:
-        out, _ = _cycle_odd(ctx, 0, q, rels, p, _root(ctx), "C")
-    else:
-        out, _ = _cycle_even(ctx, 0, q, rels, p, _root(ctx), "C")
-    return _finish("cycle", db, p, ctx, _reorder(vs, out, db.query.variables))
-
-
-def triangle_2round(db, p: int, seed: int, counting=False) -> AlgorithmResult:
-    if db.query.k != 3 or db.query.num_atoms != 3:
-        raise QueryError("not a triangle query")
-    return replace(cycle_multiround(db, p, seed, counting), name="triangle")
-
-
-def lw_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
-    q = db.query
-    if not is_lw(q):
-        raise QueryError("query is not a Loomis-Whitney join")
-    ctx = _setup(db, seed, counting)
-    rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
-    out, _ = _lw(ctx, 0, q, rels, p, _root(ctx), "W")
-    return _finish("lw", db, p, ctx, out)
-
-
-def clique_multiround(db, p: int, seed: int, counting=False) -> AlgorithmResult:
-    q = db.query
-    if not is_clique(q):
-        raise QueryError("query is not a clique")
-    ctx = _setup(db, seed, counting)
-    rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
-    out, _ = _clique(ctx, 0, q, rels, p, _root(ctx), "K")
-    return _finish("clique", db, p, ctx, out)
-
-
-def covering_atom_2round(db, p: int, seed: int, counting=False) -> AlgorithmResult:
-    q = db.query
-    if covering_atom(q) is None:
-        raise QueryError("no atom covers all variables")
-    ctx = _setup(db, seed, counting)
-    rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
-    out, _ = _covering(ctx, 0, q, rels, p, _root(ctx), "V")
-    return _finish("covering", db, p, ctx, out)
-
-
-ALGORITHMS = {
-    "hc": hc_one_round,
-    "one_round_skew": one_round_skew,
-    "join_one_sided_skew": join_one_sided_skew,
-    "semi_join": semi_join,
-    "line": line_multiround,
-    "cycle": cycle_multiround,
-    "triangle": triangle_2round,
-    "lw": lw_multiround,
-    "clique": clique_multiround,
-    "covering": covering_atom_2round,
-}
-
-
 def pick_algorithm(q: Query) -> str:
-    """Choose the most specific strategy for the query's shape."""
-    if covering_atom(q) is not None and q.num_atoms > 1:
-        return "covering"
-    if is_clique(q):
-        return "clique"
-    if is_lw(q):
-        return "lw"
-    degree = Counter(v for a in q.atoms for v in a.vars)
-    if q.num_atoms == q.k and all(a.arity == 2 for a in q.atoms) \
-            and all(degree[v] == 2 for v in q.variables):
-        return "cycle"
-    if q.num_atoms == q.k - 1 and all(a.arity == 2 for a in q.atoms):
-        ends = [v for v in q.variables if degree[v] == 1]
-        if len(ends) == 2:
-            return "line"
-    return "one_round_skew"
+    """The most specific strategy whose shape accepts q: covering (on more
+    than one atom), clique, lw, cycle, line, else one_round_skew."""
+    names = ("covering", "clique", "lw", "cycle", "line")
+    if q.num_atoms == 1:
+        names = names[1:]         # a lone atom covers itself: nothing to do
+    return next((n for n in names if ALGORITHMS[n].shape(q) is not None),
+                "one_round_skew")
 
 
 def run_algorithm(name: str, db, p: int, seed: int,
@@ -1073,40 +987,45 @@ def run_algorithm(name: str, db, p: int, seed: int,
     """Run strategy `name` ("auto" picks one by shape) on `db` with nominal
     server count p >= 1 and the given seed.
 
-    With ``counting=True`` the run is a dry run for its loads: the engine
-    keeps only the load ledger (no per-server tuple storage) and results
-    are not assembled, so the returned output is an empty set, except that
-    covering on two atoms returns the semi-join result it ships and a
-    one-atom query under line or covering returns its relation.  Loads,
-    rounds and extras are the same as in a storing run.  Used for cheap
-    dry runs on large instances.
+    Raises `QueryError` when the strategy's shape does not accept the
+    query.  With ``counting=True`` the run is a dry run for its loads: the
+    engine keeps only the load ledger (no per-server tuple storage) and
+    results are not assembled, so the returned output is an empty set,
+    except that covering on two atoms returns the semi-join result it ships
+    and a one-atom query under line or covering returns its relation.
+    Loads, rounds and extras are the same as in a storing run.  Used for
+    cheap dry runs on large instances.
     """
     if p < 1:
         raise ValueError("server count p must be at least 1, got %d" % p)
     if name == "auto":
         name = pick_algorithm(db.query)
     try:
-        fn = ALGORITHMS[name]
+        strategy = ALGORITHMS[name]
     except KeyError:
         raise KeyError("unknown algorithm %r (one of %s)"
                        % (name, "/".join(sorted(ALGORITHMS)))) from None
-    return fn(db, p, seed, counting)
+    q = strategy.shape(db.query)
+    if q is None:
+        raise QueryError("%s does not accept %s" % (name, db.query.render()))
+    ctx = _Ctx(Engine(db.widths_bits(), store_tuples=not counting), Pool(), seed,
+               max(ri.value_bits for ri in db.relations.values()))
+    rels = {}
+    for a in q.atoms:
+        src = db.query.atom(a.relation).vars
+        ts = db.relations[a.relation].tuples
+        rels[a.relation] = list(ts) if a.vars == src else \
+            list(map(itemgetter(*map(src.index, a.vars)), ts))
+    rows, extras = strategy.plan(ctx, q, rels, p)
+    if q.variables != db.query.variables:
+        rows = _reorder(q.variables, rows, db.query.variables)
+    return AlgorithmResult(name, db.query, p, rows, ctx.eng.report,
+                           ctx.eng.report.rounds,
+                           {"nominal_p": p, "physical_servers": ctx.pool.count,
+                            **extras})
 
 
 def declared_rounds(name: str, q: Query) -> int:
-    """Upper bound on the number of communication rounds each strategy
+    """Upper bound on the number of communication rounds strategy `name`
     uses for the given query shape."""
-    k = q.k
-    if name in ("hc", "one_round_skew", "join_one_sided_skew", "semi_join"):
-        return 1
-    if name == "line":
-        return max(1, (k - 1) // 2)      # k-1 atoms on k variables
-    if name in ("cycle", "triangle"):
-        return (q.num_atoms + 1) // 2
-    if name == "lw":
-        return 2
-    if name == "clique":
-        return k - 1
-    if name == "covering":
-        return 0 if q.num_atoms == 1 else (1 if q.num_atoms == 2 else 2)
-    raise KeyError(name)
+    return ALGORITHMS[name].rounds(q)

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import datagen
-from .algorithms import ALGORITHMS, declared_rounds, pick_algorithm, run_algorithm
+from .algorithms import ALGORITHMS, declared_rounds, run_algorithm
 from .analyzer import (load_bound_worstcase, psi_star, rho_star, share_lp,
                        tau_star)
 from .em import simulate_em

@@ -2,13 +2,13 @@ import hashlib
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mpcjoin.algorithms import (ALGORITHMS, cycle_multiround, declared_rounds,
-                                join_one_sided_skew, pick_algorithm,
-                                run_algorithm, semi_join, triangle_2round)
+from mpcjoin.algorithms import (ALGORITHMS, declared_rounds, pick_algorithm,
+                                run_algorithm)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
-from mpcjoin.query import QueryError, canonical_query, parse_query
+from mpcjoin.query import Atom, Query, QueryError, canonical_query, parse_query
 from mpcjoin.rng import Stream
 from mpcjoin.sim import oracle_join
 
@@ -80,7 +80,7 @@ def test_semi_join_empty_key_set():
 def test_semi_join_rejects_non_nested_atoms():
     q = parse_query("Q(x,z,y) :- S1(x,z), S2(z,y)")
     with pytest.raises(QueryError):
-        semi_join(gen_matching(q, 10, 1), 4, 0)
+        run_algorithm("semi_join", gen_matching(q, 10, 1), 4, 0)
 
 
 def test_multiround_strategies_match_oracle():
@@ -146,6 +146,10 @@ def test_physical_server_budget_reported():
     assert 0 < phys <= 8 * 27
 
 
+DISCONNECTED = ("Q(a,b,c,d,e) :- R(a,b), S(b,c), T(c,a), U(d,e)",
+                "Q(a,b,c,d,e,f) :- R(a,b), S(b,c), T(c,a), U(d,e), V(e,f), W(f,d)")
+
+
 def test_auto_dispatch():
     assert pick_algorithm(canonical_query("C", 4)) == "cycle"
     assert pick_algorithm(canonical_query("K", 4)) == "clique"
@@ -156,6 +160,65 @@ def test_auto_dispatch():
     db = gen_matching(canonical_query("C", 4), 12, 1)
     res = run_algorithm("auto", db, 8, 0)
     assert res.name == "cycle"
+    # Degrees and atom counts of a line or a cycle, but disconnected: the
+    # line and cycle shapes reject them, so auto falls back.
+    for text in DISCONNECTED:
+        q = parse_query(text)
+        assert pick_algorithm(q) == "one_round_skew", text
+        db = gen_single_heavy(q, 20, "a", 1)
+        res = run_algorithm("auto", db, 8, 0)
+        assert res.name == "one_round_skew"
+        assert res.output == oracle_join(db), text
+
+
+# Atom variable lists of the lines, cycles, cliques and LW joins that fit
+# in 6 variables, 6 atoms and arity 3; random bodies rarely have these shapes.
+SHAPED_BODIES = [[list(a.vars) for a in canonical_query(fam, k).atoms]
+                 for fam, ks in (("L", range(2, 7)), ("C", range(3, 7)),
+                                 ("K", (3, 4)), ("LW", (3, 4))) for k in ks]
+
+
+@st.composite
+def small_databases(draw):
+    """A query on at most 6 variables and 6 atoms of arity at most 3,
+    possibly disconnected, with at most 10 tuples per relation over a
+    domain of at most 4 values (so outputs stay below 4^6 rows).  Half of
+    the bodies are shaped ones with each atom's variables in random order."""
+    names = ["x%d" % i for i in range(draw(st.integers(1, 6)))]
+    random_body = st.lists(st.lists(st.sampled_from(names), min_size=1,
+                                    max_size=3, unique=True),
+                           min_size=1, max_size=6)
+    bodies = draw(st.sampled_from(SHAPED_BODIES) if draw(st.booleans())
+                  else random_body)
+    bodies = [draw(st.permutations(b)) for b in bodies]
+    head = draw(st.permutations(sorted({v for b in bodies for v in b})))
+    q = Query("Q", tuple(head),
+              tuple(Atom("R%d" % i, tuple(b)) for i, b in enumerate(bodies)))
+    n = draw(st.integers(1, 4))
+    rels = {}
+    for a in q.atoms:
+        ts = draw(st.sets(st.tuples(*[st.integers(1, n)] * a.arity), max_size=10))
+        rels[a.relation] = RelationInstance(a.relation, a.arity, tuple(sorted(ts)), n)
+    return DatabaseInstance(q, rels, 0, {"generator": "hypothesis"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 4, 8, 27)), small_databases())
+def test_shapes_decide_dispatch(p, db):
+    q = db.query
+    want = oracle_join(db)
+    for name, strategy in ALGORITHMS.items():
+        try:
+            res = run_algorithm(name, db, p, 3)
+        except QueryError:
+            assert strategy.shape(q) is None, (name, q.render())
+            continue
+        assert strategy.shape(q) is not None, (name, q.render())
+        assert res.rounds <= declared_rounds(name, q), (name, q.render())
+        assert res.output == want, (name, q.render())
+    res = run_algorithm("auto", db, p, 3)
+    assert res.name == pick_algorithm(q)
+    assert res.output == want
 
 
 def two_heavy(q, m, seed):
@@ -175,8 +238,8 @@ def two_heavy(q, m, seed):
 
 
 def test_counting_mode_same_loads_no_output():
-    # Counting mode computes hypercube ledgers from histograms; storing
-    # mode delivers every replica and raises on a repeated delivery.
+    # Counting mode ships through the same routes without keeping what
+    # servers hold; storing mode raises on a repeated delivery.
     # L5, C5 and C6 reach line's odd k >= 5 branch, odd cycles' chains and
     # even cycles' heavy pairs, whose row joins rely on seeing only empty
     # row sets in counting mode.  The one-atom query reaches line at k == 1
@@ -274,16 +337,15 @@ def test_heavy_residual_ledgers_pinned():
 def test_renaming_wrappers_only_rename():
     tri = gen_single_heavy(canonical_query("C", 3), 30, "x1", 2)
     sj = gen_single_heavy(parse_query("Q(z,y) :- R(z), S(z,y)"), 30, "z", 2)
-    for wrapper, body, db, name in (
-            (triangle_2round, cycle_multiround, tri, "triangle"),
-            (semi_join, join_one_sided_skew, sj, "semi_join")):
-        res, ref = wrapper(db, 27, 3), body(db, 27, 3)
+    for name, body, db in (("triangle", "cycle", tri),
+                           ("semi_join", "join_one_sided_skew", sj)):
+        res, ref = run_algorithm(name, db, 27, 3), run_algorithm(body, db, 27, 3)
         assert res.name == name
         assert (res.query, res.p, res.output, res.rounds, res.extras) == \
             (ref.query, ref.p, ref.output, ref.rounds, ref.extras)
         assert res.report.by_relation == ref.report.by_relation
     with pytest.raises(QueryError):
-        triangle_2round(gen_matching(canonical_query("C", 4), 10, 1), 8, 0)
+        run_algorithm("triangle", gen_matching(canonical_query("C", 4), 10, 1), 8, 0)
 
 
 def test_every_registered_algorithm_has_contract():

@@ -85,6 +85,19 @@ def test_run_one_round_on_matching(capsys):
     assert "rounds=1" in capsys.readouterr().out
 
 
+def test_run_auto_on_disconnected_queries(capsys):
+    # A triangle plus an edge has a line's atom count and two degree-1
+    # ends; two triangles have a cycle's degrees.  Neither is one walk.
+    for text in ("Q(a,b,c,d,e):-R(a,b),S(b,c),T(c,a),U(d,e)",
+                 "Q(a,b,c,d,e,f):-R(a,b),S(b,c),T(c,a),U(d,e),V(e,f),W(f,d)"):
+        rc = main(["run", "--query", text, "--gen", "single_heavy", "--m", "30",
+                   "--alg", "auto", "--p", "8"])
+        out = capsys.readouterr().out
+        assert rc == 0, text
+        assert "algorithm=one_round_skew" in out
+        assert "oracle check: OK" in out
+
+
 def test_server_count_below_one_exit_2(capsys):
     j1 = ["--query", "Q(x,z,y) :- S1(x,z), S2(z,y)"]
     tri = ["--family", "C", "--k", "3"]

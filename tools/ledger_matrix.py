@@ -11,7 +11,9 @@ rejections) and one sha256 over every completed run's output, rounds,
 extras, per-round `by_relation` ledger and relation widths.  A refactor
 that must keep every simulated value prints the same digest before and
 after; `--expect SHA` compares it and exits 1, printing both digests, when
-they differ.  The current digest is
+they differ.  It also runs `auto` once (storing mode) on every query,
+instance and p, outside the digest, prints `auto rejected N` and exits 1
+when auto's pick rejects any query (N > 0).  The current digest is
 
     python3 tools/ledger_matrix.py --expect ee83b3fc3141be627e88faca008e5700668661ef27029e250b831772669bc3fe
 
@@ -73,10 +75,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     t0 = time.perf_counter()
     h = hashlib.sha256()
-    runs = done = 0
+    runs = done = auto_rejected = 0
     for q in QUERIES:
         for db in instances(q):
             for p in PS:
+                try:
+                    run_algorithm("auto", db, p, SEED)
+                except QueryError:
+                    auto_rejected += 1
                 for name in ALGORITHMS:
                     for counting in (False, True):
                         runs += 1
@@ -92,11 +98,12 @@ def main(argv=None) -> int:
     print("runs %d" % runs)
     print("completed %d" % done)
     print("sha256 %s" % h.hexdigest())
+    print("auto rejected %d" % auto_rejected)
     print("seconds %.1f" % (time.perf_counter() - t0), file=sys.stderr)
     if args.expect is not None and args.expect != h.hexdigest():
         print("digest mismatch: expected %s, got %s" % (args.expect, h.hexdigest()))
         return 1
-    return 0
+    return 1 if auto_rejected else 0
 
 
 if __name__ == "__main__":
