@@ -24,13 +24,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, not_
 from typing import Callable, NamedTuple
 
 from .analyzer import _round_shares, _subsets, log_base_p, pow_floor, share_lp
 from .query import Atom, Query, QueryError
 from .rng import derive_key, mix64
-from .sim import Engine, LoadReport, hash_family, hc_grid, join_atoms
+from .sim import Engine, LoadReport, _columns, hash_family, hc_grid, join_atoms
 
 
 _MASK64 = (1 << 64) - 1
@@ -130,8 +131,7 @@ def _out_join(ctx, atoms, rel_tuples, out_vars):
 
 
 def _reorder(vars_src, rows, vars_dst):
-    idx = [vars_src.index(v) for v in vars_dst]
-    return {tuple(t[i] for i in idx) for t in rows}
+    return set(map(_columns([vars_src.index(v) for v in vars_dst]), rows))
 
 
 def _join2(va, ra, vb, rb, out_vars):
@@ -167,63 +167,85 @@ def _heavy_at(atoms, rels, var_list, test):
     return heavy
 
 
+def _heavy_profiles(a, tuples, heavy):
+    """a's tuples grouped by heavy profile: {X: the tuples t whose value
+    t[i] is in heavy[v] for exactly the variables v in X}, over a.vars.
+
+    Groups are non-empty and keep the input order.  Only the positions whose
+    variable has heavy values are tested: each such position splits every
+    group in two by one membership pass over its column.  An atom with no
+    such position is one group under the empty profile, with no per-tuple
+    test.
+    """
+    groups = {frozenset(): list(tuples)} if tuples else {}
+    for i, v in enumerate(a.vars):
+        if not heavy[v]:
+            continue
+        split = {}
+        for X, ts in groups.items():
+            hot = list(map(heavy[v].__contains__, map(itemgetter(i), ts)))
+            for Y, part in ((X, compress(ts, map(not_, hot))),
+                            (X | {v}, compress(ts, hot))):
+                part = list(part)
+                if part:
+                    split[Y] = part
+        groups = split
+    return groups
+
+
 # -- shipment primitives ---------------------------------------------------
 
 def _balanced_hashes(ctx, q, rels, shares, tag):
     """Per-variable bucket maps with near-equal bucket sizes.
 
     Routing may depend on data statistics, so instead of hashing blindly we
-    order each variable's observed values by a seeded permutation and deal
-    them round-robin over the buckets: bucket counts differ by at most one,
-    which keeps hypercube cells balanced even when the active domain is
-    barely larger than the share.  Unseen values fall back to plain hashing.
+    order each variable's observed values in rels by a seeded permutation
+    and deal them round-robin over buckets 1..s, s its share: bucket counts
+    differ by at most one, which keeps hypercube cells balanced even when
+    the active domain is barely larger than the share.  Returns
+    {v: {value: bucket}} for the variables whose share exceeds 1, the only
+    ones a hypercube route reads; a value missing from rels has no bucket
+    (looking it up raises KeyError).
     """
-    hashes = {}
+    maps = {}
     for v in q.variables:
         s = shares.get(v, 1)
-        fb = hash_family(ctx.seed, tag, "hc", v)
         if s <= 1:
-            hashes[v] = fb
             continue
         key = derive_key(ctx.seed, tag, "bal", v)
         vals = set()
         for a in q.atoms:
             if v in a.vars:
-                pos = a.vars.index(v)
-                for t in rels[a.relation]:
-                    vals.add(t[pos])
+                vals.update(map(itemgetter(a.vars.index(v)), rels[a.relation]))
         ordered = sorted(vals, key=lambda x: (mix64((x & _MASK64) ^ key), x))
-        vmap = {val: i % s + 1 for i, val in enumerate(ordered)}
-
-        def h(value, buckets, vmap=vmap, fb=fb):
-            b = vmap.get(value)
-            return b if b is not None else fb(value, buckets)
-
-        hashes[v] = h
-    return hashes
+        maps[v] = {val: i % s + 1 for i, val in enumerate(ordered)}
+    return maps
 
 
-def _hc_ship(ctx, rnd, q, rels, shares, cells, hashes):
+def _hc_ship(ctx, rnd, q, rels, shares, cells, buckets):
     """Hypercube shipment of every atom's tuples in rels onto the given
-    logical cells (exactly prod(shares) of them), hashing with `hashes`."""
+    logical cells (exactly prod(shares) of them), placed by the bucket maps
+    of `_balanced_hashes`."""
     for a in q.atoms:
         ctx.eng.ship(rnd, a.relation, rels[a.relation],
-                     _hc_route(a, q.variables, shares, hashes, cells))
+                     _hc_route(a, q.variables, shares, buckets, cells))
 
 
-def _hc_route(a, order, shares, hashes, cells):
+def _hc_route(a, order, shares, buckets, cells):
     """Route of a's tuples: every server of every cell they expand to.
 
-    The servers depend only on the base cell c0 of the bound coordinates,
-    so they are built once per c0.
+    A tuple's base cell c0 sums (bucket - 1) * stride over the split
+    variables a binds, each bucket read from that variable's map in
+    `buckets`; the servers depend only on c0, so they are built once per c0.
     """
-    bound, free = hc_grid(a.vars, order, shares, hashes)
+    bound, free = hc_grid(a.vars, order, shares)
+    bound = [(i, buckets[v], st) for i, v, st in bound]
     servers = {}
 
     def route(t):
         c0 = 0
-        for i, h, s, st in bound:
-            c0 += (h(t[i], s) - 1) * st
+        for i, bucket, st in bound:
+            c0 += (bucket[t[i]] - 1) * st
         dests = servers.get(c0)
         if dests is None:
             dests = servers[c0] = tuple(s for f in free for s in cells[c0 + f])
@@ -234,8 +256,6 @@ def _hc_route(a, order, shares, hashes, cells):
 def _distribute(ctx, rnd, name, tuples, groups, tag):
     """Partition a relation over the given logical groups by tuple hash."""
     n = len(groups)
-    if n == 0:
-        return
     h = hash_family(ctx.seed, tag, "dist")
     ctx.eng.ship(rnd, name, tuples, lambda t: groups[h(t, n) - 1])
 
@@ -268,7 +288,8 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     """
     P = max(1, P)
     m = max(len(a_tuples), len(b_tuples), 1)
-    freq = Counter(tuple(t[i] for i in b_keypos) for t in b_tuples)
+    akey, bkey = _columns(a_keypos), _columns(b_keypos)
+    freq = Counter(map(bkey, b_tuples))
     block = [fresh() for _ in range(P)]
     heavy = sorted(kv for kv, f in freq.items() if f * P > m)
     hblocks = {kv: [fresh() for _ in range(-(-P * freq[kv] // m))]  # ceil
@@ -276,11 +297,11 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     bcast = {kv: tuple(s for g in gs for s in g) for kv, gs in hblocks.items()}
 
     def route_a(t):
-        kv = tuple(t[i] for i in a_keypos)
+        kv = akey(t)
         return bcast[kv] if kv in bcast else block[h(kv, P) - 1]
 
     def route_b(t):
-        kv = tuple(t[i] for i in b_keypos)
+        kv = bkey(t)
         g = hblocks.get(kv)
         return g[hpart(t, len(g)) - 1] if g else block[h(kv, P) - 1]
 
@@ -302,7 +323,8 @@ def _semijoin_ship(ctx, rnd, a_name, a_keys, b_name, b_tuples, keypos,
                     b_tuples, keypos, P, fresh,
                     hash_family(ctx.seed, tag, "sjh"),
                     hash_family(ctx.seed, tag, "sjp"))
-    return {t for t in b_tuples if tuple(t[i] for i in keypos) in a_keys}
+    return set(compress(b_tuples, map(a_keys.__contains__,
+                                      map(_columns(keypos), b_tuples))))
 
 
 def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
@@ -333,13 +355,8 @@ def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
     heavy = _heavy_at(q.atoms, rels, q.variables,
                       lambda f, mj: f * P >= mj)
     # group each relation's tuples by their heavy profile once
-    groups = {}
-    for a in q.atoms:
-        g = {}
-        for t in rels[a.relation]:
-            prof = frozenset(v for v, val in zip(a.vars, t) if val in heavy[v])
-            g.setdefault(prof, []).append(t)
-        groups[a.relation] = g
+    groups = {a.relation: _heavy_profiles(a, rels[a.relation], heavy)
+              for a in q.atoms}
     # heavy profiles X for which every atom has tuples
     active = []
     for X in _subsets(q.variables):
@@ -359,11 +376,11 @@ def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
         # _round_shares keeps the product of shares <= P) on the base block
         ncells = alloc.grid_size()
         cellmap = sorted(range(P), key=lambda c: mix64(mkey ^ c))[:ncells]
-        hashes = _balanced_hashes(ctx, q, filtered, alloc.shares, tag + "v" + xkey)
+        buckets = _balanced_hashes(ctx, q, filtered, alloc.shares, tag + "v" + xkey)
         cells = [base[c] for c in cellmap]
         for a, pr in zip(q.atoms, profs):
             routes.setdefault((a, pr), []).append(
-                _hc_route(a, q.variables, alloc.shares, hashes, cells))
+                _hc_route(a, q.variables, alloc.shares, buckets, cells))
         out |= _out_join(ctx, q.atoms, filtered, q.variables)
     # A group shipped under several profiles shares one base block, so it
     # goes once to the union of its cells under all of them.
@@ -493,12 +510,11 @@ def _light_hypercube(ctx, rnd, q, rels, P, fresh, tag):
     shares = _round_shares(q, {v: Fraction(1, k) for v in q.variables}, P)
     cells = [fresh() for _ in range(math.prod(shares.values()))]
 
-    light = {a.relation: [t for t in rels[a.relation]
-                          if all(val not in heavy[v] for v, val in zip(a.vars, t))]
+    light = {a.relation: _heavy_profiles(a, rels[a.relation], heavy).get(frozenset(), [])
              for a in q.atoms}
-    # hashes are balanced over the full relations, heavy tuples included
-    hashes = _balanced_hashes(ctx, q, rels, shares, tag + "l")
-    _hc_ship(ctx, rnd, q, light, shares, cells, hashes)
+    # buckets are balanced over the full relations, heavy tuples included
+    _hc_ship(ctx, rnd, q, light, shares, cells,
+             _balanced_hashes(ctx, q, rels, shares, tag + "l"))
     return heavy, _out_join(ctx, q.atoms, light, q.variables)
 
 
@@ -897,8 +913,8 @@ def _one_sided_skew(ctx, q, rels, p):
     ta, tb = rels[a.relation], rels[b.relation]
     ka = tuple(a.vars.index(v) for v in key)
     kb = tuple(b.vars.index(v) for v in key)
-    fa = Counter(tuple(t[i] for i in ka) for t in ta)
-    fb = Counter(tuple(t[i] for i in kb) for t in tb)
+    fa = Counter(map(_columns(ka), ta))
+    fb = Counter(map(_columns(kb), tb))
     if max(fb.values(), default=0) < max(fa.values(), default=0):
         a, b, ta, tb, ka, kb = b, a, tb, ta, kb, ka
     hblocks = _skew_join_ship(ctx, 0, a.relation, ta, ka, b.relation, tb, kb,

@@ -60,15 +60,16 @@ def hash_family(seed: int, *path):
     return h
 
 
-def hc_grid(avars, order, shares: dict, hashes: dict):
+def hc_grid(avars, order, shares: dict):
     """The mixed-radix cell arithmetic of one atom's hypercube shipment.
 
     Cells are linear indices of the mixed-radix coordinate over the
     variables of `order` whose share exceeds 1, the last one varying
     fastest.  Returns (bound, free): `bound` lists (position in avars,
-    hash, share, stride) for every such variable the atom binds, and a
-    tuple t over avars goes to cells c0 + f for f in `free`, in that order,
-    where c0 = sum((hash(t[position], share) - 1) * stride).
+    variable, stride) for every such variable the atom binds, and a tuple t
+    over avars goes to cells c0 + f for f in `free`, in that order, where
+    c0 = sum((b - 1) * stride) over `bound`, b the bucket in [1, share] of
+    t[position].
     """
     split = [v for v in order if shares[v] > 1]
     stride = {}
@@ -76,8 +77,7 @@ def hc_grid(avars, order, shares: dict, hashes: dict):
     for v in reversed(split):
         stride[v] = step
         step *= shares[v]
-    bound = [(avars.index(v), hashes[v], shares[v], stride[v])
-             for v in split if v in avars]
+    bound = [(avars.index(v), v, stride[v]) for v in split if v in avars]
     free = [0]
     for v in split:
         if v not in avars:
@@ -89,12 +89,13 @@ def hc_destinations(bound_vars, assignment: dict, shares: dict, order, hashes: d
     """All hypercube cell indices a tuple must be replicated to.
 
     Cells are linear indices of the mixed-radix coordinate over `order`
-    (see `hc_grid`); coordinates of variables not bound by the tuple range
-    over their full share.
+    (see `hc_grid`), each bound coordinate hashes[v](value, share);
+    coordinates of variables not bound by the tuple range over their full
+    share.
     """
     avars = [v for v in order if v in bound_vars]
-    bound, free = hc_grid(avars, order, shares, hashes)
-    c0 = sum((h(assignment[avars[i]], s) - 1) * st for i, h, s, st in bound)
+    bound, free = hc_grid(avars, order, shares)
+    c0 = sum((hashes[v](assignment[v], shares[v]) - 1) * st for _, v, st in bound)
     return [c0 + f for f in free]
 
 

@@ -4,8 +4,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpcjoin.algorithms import (ALGORITHMS, declared_rounds, pick_algorithm,
-                                run_algorithm)
+from mpcjoin.algorithms import (ALGORITHMS, _heavy_profiles, declared_rounds,
+                                pick_algorithm, run_algorithm)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.query import Atom, Query, QueryError, canonical_query, parse_query
@@ -351,3 +351,27 @@ def test_renaming_wrappers_only_rename():
 def test_every_registered_algorithm_has_contract():
     for name in ALGORITHMS:
         assert declared_rounds(name, canonical_query("C", 3)) >= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_heavy_profiles_match_per_tuple_definition(data):
+    # Zero, one or several of the atom's positions have heavy values; the
+    # classifier must give the groups, and so the light rows, of testing
+    # every value of every tuple.
+    arity = data.draw(st.integers(1, 4))
+    vs = tuple("v%d" % i for i in range(arity))
+    hot = data.draw(st.sets(st.sampled_from(vs)))
+    heavy = {v: data.draw(st.sets(st.integers(0, 4), min_size=1, max_size=3))
+             if v in hot else set() for v in vs}
+    ts = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * arity), max_size=40))
+    a = Atom("R", vs)
+    want = {}
+    for t in ts:
+        prof = frozenset(v for v, val in zip(vs, t) if val in heavy[v])
+        want.setdefault(prof, []).append(t)
+    got = _heavy_profiles(a, ts, heavy)
+    assert got == want
+    assert got.get(frozenset(), []) == [
+        t for t in ts if all(val not in heavy[v] for v, val in zip(vs, t))]
+    assert _heavy_profiles(a, [], heavy) == {}

@@ -18,6 +18,16 @@ def triangle():
     return canonical_query("C", 3)
 
 
+def test_packing_bound_on_one_server():
+    # p = 1: exponent 0, the largest relation's bits and tuples, and all
+    # packing weight on that relation.
+    q = triangle()
+    lb = load_bound_packing(q, {"S1": 800, "S2": 400, "S3": 200}, 1,
+                            {"S1": 8, "S2": 8, "S3": 4})
+    assert (lb.exponent, lb.bits, lb.tuples) == (0, 800.0, 100.0)
+    assert lb.witness.weights == {"S1": 1, "S2": 0, "S3": 0}
+
+
 def test_triangle_quantities():
     q = triangle()
     assert tau_star(q)[0] == F(3, 2)

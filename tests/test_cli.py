@@ -143,6 +143,15 @@ def test_sweep_p_writes_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_sweep_p_one_bound_is_largest_relation(tmp_path, capsys):
+    # At p = 1 the packing bound is the largest relation, in tuples.
+    path = str(tmp_path / "sweep.csv")
+    rc = main(["sweep", "--family", "C", "--k", "3", "--gen", "matching",
+               "--m", "100", "--p-list", "1", "--out", path])
+    assert rc == 0
+    assert open(path).read().splitlines()[1] == "1,clique,1,300,4200,100.0,3.0000"
+
+
 def test_sweep_w_io(capsys):
     rc = main(["sweep", "--family", "C", "--k", "3", "--gen", "single_heavy",
                "--m", "300", "--alg", "triangle", "--W", "300,1200",

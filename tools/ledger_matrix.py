@@ -17,6 +17,11 @@ when auto's pick rejects any query (N > 0).  The current digest is
 
     python3 tools/ledger_matrix.py --expect ee83b3fc3141be627e88faca008e5700668661ef27029e250b831772669bc3fe
 
+`tests/test_ledger_matrix.py` pins the digest of the reduced grid
+`GRIDS["tier1"]`: every query, strategy and mode, with the single_heavy and
+two_heavy generators at p in {8, 64}.  `matrix(grid)` is the one definition
+of the runs and the digest for both.
+
 Only `QueryError` (a shape check rejecting the query) is caught; any other
 exception, such as a `RoutingError` for a repeated delivery, aborts the run.
 Standard library only; nothing under `src/` imports this file.
@@ -27,6 +32,7 @@ import hashlib
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -47,18 +53,36 @@ QUERIES = ([canonical_query(fam, k) for fam, ks in
              ("K", (3, 4, 5)), ("W", (3,)), ("T", (3,))) for k in ks]
            + [parse_query("Q(z,y) :- R(z), S(z,y)"), parse_query("Q(x,y) :- R(x,y)"),
               parse_query("Q(a,b,c) :- R(b,a), S(b,c), T(a,c)")])
-PS = (1, 8, 27, 64, 1024)
+# generator name -> q -> instance, in digest order
+GENERATORS = {
+    "matching": lambda q: gen_matching(q, M, SEED),
+    "single_heavy": lambda q: gen_single_heavy(q, M, q.variables[0], SEED),
+    "agm_worst": lambda q: gen_agm_worst(q, M, SEED),
+    "coin_flip": lambda q: gen_coin_flip(q, M, SEED),
+    "lb_matching": lambda q: gen_lowerbound_matching(
+        q, {a.relation: M for a in q.atoms}, frozenset([q.variables[0]]), SEED),
+    "two_heavy": lambda q: two_heavy(q, M, SEED),
+}
 
 
-def instances(q):
-    x = q.variables[0]
-    yield gen_matching(q, M, SEED)
-    yield gen_single_heavy(q, M, x, SEED)
-    yield gen_agm_worst(q, M, SEED)
-    yield gen_coin_flip(q, M, SEED)
-    yield gen_lowerbound_matching(q, {a.relation: M for a in q.atoms},
-                                  frozenset([x]), SEED)
-    yield two_heavy(q, M, SEED)
+class Grid(NamedTuple):
+    generators: tuple       # names in GENERATORS
+    ps: tuple               # server counts
+
+
+GRIDS = {
+    "full": Grid(tuple(GENERATORS), (1, 8, 27, 64, 1024)),
+    # the skewed generators: bucket counts, and with them the ledger, depend
+    # on which values share a bucket
+    "tier1": Grid(("single_heavy", "two_heavy"), (8, 64)),
+}
+
+
+class Matrix(NamedTuple):
+    runs: int
+    completed: int
+    sha256: str
+    auto_rejected: int
 
 
 def run_digest(res) -> bytes:
@@ -68,17 +92,14 @@ def run_digest(res) -> bytes:
     return repr(parts).encode()
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description="storing/counting digest matrix")
-    ap.add_argument("--expect", metavar="SHA",
-                    help="exit 1 unless the digest equals SHA")
-    args = ap.parse_args(argv)
-    t0 = time.perf_counter()
+def matrix(grid: Grid) -> Matrix:
+    """Run every query, instance, p, strategy and mode of the grid."""
     h = hashlib.sha256()
     runs = done = auto_rejected = 0
     for q in QUERIES:
-        for db in instances(q):
-            for p in PS:
+        for gen in grid.generators:
+            db = GENERATORS[gen](q)
+            for p in grid.ps:
                 try:
                     run_algorithm("auto", db, p, SEED)
                 except QueryError:
@@ -95,15 +116,25 @@ def main(argv=None) -> int:
                             continue
                         done += 1
                         h.update(run_digest(res))
-    print("runs %d" % runs)
-    print("completed %d" % done)
-    print("sha256 %s" % h.hexdigest())
-    print("auto rejected %d" % auto_rejected)
+    return Matrix(runs, done, h.hexdigest(), auto_rejected)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="storing/counting digest matrix")
+    ap.add_argument("--expect", metavar="SHA",
+                    help="exit 1 unless the digest equals SHA")
+    args = ap.parse_args(argv)
+    t0 = time.perf_counter()
+    res = matrix(GRIDS["full"])
+    print("runs %d" % res.runs)
+    print("completed %d" % res.completed)
+    print("sha256 %s" % res.sha256)
+    print("auto rejected %d" % res.auto_rejected)
     print("seconds %.1f" % (time.perf_counter() - t0), file=sys.stderr)
-    if args.expect is not None and args.expect != h.hexdigest():
-        print("digest mismatch: expected %s, got %s" % (args.expect, h.hexdigest()))
+    if args.expect is not None and args.expect != res.sha256:
+        print("digest mismatch: expected %s, got %s" % (args.expect, res.sha256))
         return 1
-    return 1 if auto_rejected else 0
+    return 1 if res.auto_rejected else 0
 
 
 if __name__ == "__main__":
