@@ -12,7 +12,7 @@ from .datagen import (DatabaseInstance, RelationInstance, agm_domain_sizes,
                       gen_matching, gen_single_heavy, read_instance,
                       write_instance)
 from .sim import (Engine, LoadReport, RoutingError, hash_family,
-                  hc_destinations, local_join, oracle_join)
+                  local_join, oracle_join)
 from .algorithms import (ALGORITHMS, AlgorithmResult, InsufficientServers,
                          declared_rounds, pick_algorithm, run_algorithm)
 from .em import EMConfig, IOReport, MemoryOverflow, choose_po, simulate_em

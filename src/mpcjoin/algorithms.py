@@ -4,18 +4,25 @@
 shape(q), the query the plan runs on (line and cycle atoms oriented by one
 walk) or None when the strategy does not accept q; plan(ctx, q, rels, p),
 which simulates its shipment schedule round by round on the engine and
-returns the output rows and extras; and rounds(q), the declared round
-bound.  `run_algorithm` is the one run path: it checks p, applies the
-shape, builds the engine and the oriented relations, runs the plan and
-returns the output with the per-round load report.  `pick_algorithm`
-("auto") takes the most specific strategy whose shape accepts the query.
+returns the output rows; and rounds(q), the declared round bound.
+`run_algorithm` is the one run path: it checks p, applies the shape, builds
+the engine and the oriented relations, runs the plan and returns the output
+with the per-round load report.  `pick_algorithm` ("auto") takes the most
+specific strategy whose shape accepts the query.
+
+The plan protocol: a plan or sub-plan returns rows (a sub-plan whose
+variables are not fixed by its caller returns (vars, rows)), a plan writes
+any extras into ``ctx.extras``, and nothing counts rounds: the engine's
+ledger is the only round count (`AlgorithmResult.rounds`), checked against
+the declared bound `Strategy.rounds`.
 
 Internally, plans hand out *logical* servers through allocator closures: a
 logical server is a tuple of physical ids, so a sub-plan running inside a
 cartesian-product grid transparently replicates its traffic to every grid
-cell it spans.  Exclusive server blocks (for heavy-hitter values) are drawn
-from the same pool; the total number of physical servers used is a small
-constant multiple of p and is reported in ``extras["physical_servers"]``.
+cell it spans.  The root allocator is ``ctx.root``; exclusive server blocks
+(for heavy-hitter values) are drawn from it too, and the total number of
+physical servers used, ``ctx.servers``, is a small constant multiple of p
+and is reported in ``extras["physical_servers"]``.
 """
 
 from __future__ import annotations
@@ -41,25 +48,19 @@ class InsufficientServers(RuntimeError):
     """A sub-plan asked for more logical servers than its block provides."""
 
 
-class Pool:
-    """Source of fresh physical server ids."""
-
-    def __init__(self):
-        self.count = 0
-
-    def phys(self) -> int:
-        i = self.count
-        self.count += 1
-        return i
-
-
 @dataclass
 class _Ctx:
     eng: Engine
-    pool: Pool
     seed: int
     vbits: int                 # bits per value for intermediate relations
-    _names: Counter = field(default_factory=Counter)
+    servers: int = field(default=0, init=False)     # physical ids handed out
+    extras: dict = field(default_factory=dict, init=False)
+    _names: Counter = field(default_factory=Counter, init=False)
+
+    def root(self):
+        """A fresh logical server of one new physical id."""
+        self.servers += 1
+        return (self.servers - 1,)
 
     def fresh_name(self, prefix: str) -> str:
         n = self._names[prefix]
@@ -93,6 +94,9 @@ class _Grid:
 
     def col_group(self, c: int):
         return tuple(p for cols in self.rows for p in cols[c])
+
+    def cols(self):
+        return [self.col_group(c) for c in range(self.ncols)]
 
     def fresh_col(self):
         if self._next_col >= self.ncols:
@@ -151,6 +155,11 @@ def _plug(vars_in, rows, extra: dict):
 
 def _column_freqs(tuples, pos: int) -> Counter:
     return Counter(map(itemgetter(pos), tuples))
+
+
+def _slice(tuples, pos: int, h):
+    """The tuples whose value at pos is h, without that column."""
+    return {t[:pos] + t[pos + 1:] for t in tuples if t[pos] == h}
 
 
 def _heavy_at(atoms, rels, var_list, test):
@@ -277,19 +286,18 @@ def _intersect_ship(ctx, rnd, named_sets, P, fresh, tag):
 
 
 def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
-                    b_keypos, P, fresh, h, hpart):
+                    b_keypos, freq, P, fresh, h, hpart):
     """One round of the skew-resilient binary join of A and B on a key.
 
     A plays the skew-free side: key values with frequency above m/P in B
-    each get an exclusive block of ceil(P*f/m) logical servers, where A's
-    tuples with that key are broadcast and B's are partitioned by hpart;
-    everything else goes through a hash join on h over a block of P
-    servers.  Returns the heavy key -> block map.
+    (freq counts B's keys) each get an exclusive block of ceil(P*f/m)
+    logical servers, where A's tuples with that key are broadcast and B's
+    are partitioned by hpart; everything else goes through a hash join on h
+    over a block of P servers.  Returns the heavy key -> block map.
     """
     P = max(1, P)
     m = max(len(a_tuples), len(b_tuples), 1)
     akey, bkey = _columns(a_keypos), _columns(b_keypos)
-    freq = Counter(map(bkey, b_tuples))
     block = [fresh() for _ in range(P)]
     heavy = sorted(kv for kv, f in freq.items() if f * P > m)
     hblocks = {kv: [fresh() for _ in range(-(-P * freq[kv] // m))]  # ceil
@@ -310,39 +318,33 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     return hblocks
 
 
-def _semijoin_ship(ctx, rnd, a_name, a_keys, b_name, b_tuples, keypos,
-                   P, fresh, tag):
-    """One round of the semi-join of B against key set A; returns the
-    tuples of B whose key projection is in A.
-
-    A's keys are unique, so only B can be skewed on the key: this is the
-    one-sided skew join with A as the skew-free side.
-    """
-    ctx.register(a_name, len(keypos))
-    _skew_join_ship(ctx, rnd, a_name, a_keys, range(len(keypos)), b_name,
-                    b_tuples, keypos, P, fresh,
-                    hash_family(ctx.seed, tag, "sjh"),
-                    hash_family(ctx.seed, tag, "sjp"))
-    return set(compress(b_tuples, map(a_keys.__contains__,
-                                      map(_columns(keypos), b_tuples))))
-
-
 def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
                    P, fresh, tag):
-    """Semi-join `target` against key set `keys` (named after kprefix) into
-    a fresh relation named after prefix; returns (Atom(name, target.vars),
-    rows)."""
+    """One round of the semi-join of `target` against key set `keys`
+    (shipped as a relation named after kprefix) into a fresh relation named
+    after prefix; returns (Atom(name, target.vars), rows), the rows being
+    the target tuples whose key projection is in `keys`.
+
+    The keys are unique, so only the target can be skewed on the key: this
+    is the one-sided skew join with the keys as the skew-free side.
+    """
     name = ctx.fresh_name(prefix)
     ctx.register(name, len(target.vars))
-    rows = _semijoin_ship(ctx, rnd, ctx.fresh_name(kprefix), keys,
-                          target.relation, rels[target.relation], keypos,
-                          P, fresh, tag)
-    return Atom(name, target.vars), rows
+    kname = ctx.fresh_name(kprefix)
+    ctx.register(kname, len(keypos))
+    tuples = rels[target.relation]
+    tkeys = list(map(_columns(keypos), tuples))
+    _skew_join_ship(ctx, rnd, kname, keys, range(len(keypos)), target.relation,
+                    tuples, keypos, Counter(tkeys), P, fresh,
+                    hash_family(ctx.seed, tag, "sjh"),
+                    hash_family(ctx.seed, tag, "sjp"))
+    return Atom(name, target.vars), \
+        set(compress(tuples, map(keys.__contains__, tkeys)))
 
 
 # -- one-round algorithms --------------------------------------------------
 
-def _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag):
+def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
     """Skew-resilient one-round hypercube: one share allocation per heavy
     profile, all shipped in the same round onto a shared block of P cells.
 
@@ -401,26 +403,24 @@ def _line_vars(atoms):
 
 
 def _line(ctx, rnd, atoms, rels, P, fresh, tag):
-    """Path join over the chained atoms; returns (vars, rows, rounds)."""
+    """Path join over the chained atoms; returns (vars, rows)."""
     P = max(1, P)
     vs = _line_vars(atoms)
     k = len(atoms)
     if k == 1:
-        return atoms[0].vars, set(rels[atoms[0].relation]), 0
+        return atoms[0].vars, set(rels[atoms[0].relation])
     if k <= 4:
         q = Query("sub", vs, tuple(atoms))
-        out = _one_round_skew_core(ctx, rnd, q, rels, P, fresh, tag + "b")
-        return vs, out, 1
+        return vs, _one_round_skew(ctx, rnd, q, rels, P, fresh, tag + "b")
     if k % 2 == 0:
         n = k // 2
         p1 = max(1, pow_floor(P, Fraction(1, n + 1)))
         p0 = max(1, P // p1)
         grid = _Grid(fresh, p1)
-        v0, out0, r0 = _line(ctx, rnd, atoms[:-1], rels, p0, grid.fresh_row, tag + "e")
+        v0, out0 = _line(ctx, rnd, atoms[:-1], rels, p0, grid.fresh_row, tag + "e")
         last = atoms[-1]
-        cols = [grid.col_group(c) for c in range(p1)]
-        _distribute(ctx, rnd, last.relation, rels[last.relation], cols, tag + "ed")
-        return vs, _join2(v0, out0, last.vars, rels[last.relation], vs), max(r0, 1)
+        _distribute(ctx, rnd, last.relation, rels[last.relation], grid.cols(), tag + "ed")
+        return vs, _join2(v0, out0, last.vars, rels[last.relation], vs)
 
     # odd k >= 5
     n = (k + 1) // 2
@@ -430,15 +430,13 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     deg = _column_freqs(rels[s1.relation], 1)
     heavy = sorted(h for h, d in deg.items() if _ge_root(d, m, P, 1, n))
     hset = set(heavy)
-    rounds = 0
-    out = set()
 
     # light x1: cartesian grid of the tail line with the head join
     p1 = max(1, pow_floor(P, Fraction(1, n)))
     p0 = max(1, P // p1)
     grid = _Grid(fresh, p1)
-    v0, out0, r0 = _line(ctx, rnd, atoms[2:], rels, p0, grid.fresh_row, tag + "t")
-    cols = [grid.col_group(c) for c in range(p1)]
+    v0, out0 = _line(ctx, rnd, atoms[2:], rels, p0, grid.fresh_row, tag + "t")
+    cols = grid.cols()
     hcol = hash_family(ctx.seed, tag, "lx1")
     light1 = [t for t in rels[s1.relation] if t[1] not in hset]
     light2 = [t for t in rels[s2.relation] if t[0] not in hset]
@@ -446,8 +444,7 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
         ctx.eng.ship(rnd, name, ts, lambda t, pos=pos: cols[hcol(t[pos], p1) - 1])
     head = _out_join(ctx, [s1, s2], {s1.relation: light1, s2.relation: light2},
                      (s1.vars[0], x1, s2.vars[1]))
-    out |= _join2((s1.vars[0], x1, s2.vars[1]), head, v0, out0, vs)
-    rounds = max(rounds, max(r0, 1))
+    out = _join2((s1.vars[0], x1, s2.vars[1]), head, v0, out0, vs)
 
     # heavy x1: one exclusive grid per heavy value
     p1k = pow_floor(P, Fraction(1, n))
@@ -455,8 +452,8 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     for h in heavy:
         p0h = max(1, (deg[h] * p1k) // m)
         p1h = max(1, pow_floor(P, Fraction(n - 1, n)))
-        left = {(t[0],) for t in rels[s1.relation] if t[1] == h}
-        keys = {(t[1],) for t in rels[s2.relation] if t[0] == h}
+        left = _slice(rels[s1.relation], 1, h)
+        keys = _slice(rels[s2.relation], 0, h)
         grid2 = _Grid(fresh, p0h)
         head3, res = _semijoin_into(ctx, rnd, tag + "s", tag + "k", keys, s3,
                                     (0,), rels, p1h, grid2.fresh_row,
@@ -464,16 +461,14 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
         chain = [head3] + list(atoms[3:])
         crels = dict(rels)
         crels[head3.relation] = res
-        cv, crows, cr = _line(ctx, rnd + 1, chain, crels, p1h,
-                              grid2.fresh_row, tag + "h" + str(h))
+        cv, crows = _line(ctx, rnd + 1, chain, crels, p1h,
+                          grid2.fresh_row, tag + "h" + str(h))
         lname = ctx.fresh_name(tag + "u")
         ctx.register(lname, 1)
-        cols2 = [grid2.col_group(c) for c in range(p0h)]
-        _distribute(ctx, rnd, lname, left, cols2, tag + "d" + str(h))
+        _distribute(ctx, rnd, lname, left, grid2.cols(), tag + "d" + str(h))
         pv, prows = _plug(cv, crows, {x1: h})
         out |= _join2(pv, prows, (s1.vars[0],), left, vs)
-        rounds = max(rounds, 1 + cr, 1)
-    return vs, out, rounds
+    return vs, out
 
 
 def _chain_eval(ctx, rnd, chain, rels, P, fresh, tag):
@@ -481,7 +476,7 @@ def _chain_eval(ctx, rnd, chain, rels, P, fresh, tag):
     on one edge.
 
     Two atoms with the same variable tuple: co-locate and intersect
-    (1 round).  Otherwise a line join.
+    (1 round).  Otherwise a line join.  Returns (vars, rows).
     """
     if len(chain) == 2 and chain[0].vars == chain[1].vars:
         a, b = chain
@@ -489,7 +484,7 @@ def _chain_eval(ctx, rnd, chain, rels, P, fresh, tag):
                               [(a.relation, set(rels[a.relation])),
                                (b.relation, set(rels[b.relation]))],
                               P, fresh, tag + "c2")
-        return a.vars, out, 1
+        return a.vars, out
     return _line(ctx, rnd, chain, rels, P, fresh, tag)
 
 
@@ -525,19 +520,16 @@ def _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual):
     for the i-th variable x of q and each heavy value h of x in sorted
     order, residual(i, x, h, P1) runs a semi-join round on
     P1 = P^((k-1)/k) servers and evaluates the residual q_x from round
-    rnd + 1, returning (vars, rows, rounds); x = h is plugged back in.
-    Returns (output rows over q.variables, rounds).
+    rnd + 1, returning (vars, rows); x = h is plugged back in.  Returns the
+    output rows over q.variables.
     """
     heavy, out = _light_hypercube(ctx, rnd, q, rels, P, fresh, tag)
-    rounds = 1
     P1 = max(1, pow_floor(P, Fraction(q.k - 1, q.k)))
     for i, x in enumerate(q.variables):
         for h in sorted(heavy[x]):
-            cv, crows, r = residual(i, x, h, P1)
-            pv, prows = _plug(cv, crows, {x: h})
+            pv, prows = _plug(*residual(i, x, h, P1), {x: h})
             out |= _reorder(pv, prows, q.variables)
-            rounds = max(rounds, 1 + r)
-    return out, rounds
+    return out
 
 
 def _arc(ctx, rnd, path, keys_a, keys_b, rels, P, fresh, tag, sfx, names):
@@ -546,7 +538,7 @@ def _arc(ctx, rnd, path, keys_a, keys_b, rels, P, fresh, tag, sfx, names):
     keys_a filters the first atom's first variable and keys_b the last
     atom's second, into relations named after tag + names[0] and
     tag + names[1]; the path is then evaluated with `_chain_eval` from
-    round rnd + 1.  Returns (vars, rows, rounds).
+    round rnd + 1.  Returns (vars, rows).
     """
     a, rows_a = _semijoin_into(ctx, rnd, tag + names[0], tag + "ka", keys_a,
                                path[0], (0,), rels, P, fresh, tag + "sa" + sfx)
@@ -568,8 +560,8 @@ def _cycle_odd(ctx, rnd, q, rels, P, fresh, tag):
         # x joins atoms[i-1] (pos 1) and atoms[i] (pos 0); the rest of the
         # cycle is the path atoms[i+1] .. atoms[i-2]
         path = [atoms[(i + j) % k] for j in range(1, k - 1)]
-        keys_a = {(t[1],) for t in rels[atoms[i].relation] if t[0] == h}
-        keys_b = {(t[0],) for t in rels[atoms[i - 1].relation] if t[1] == h}
+        keys_a = _slice(rels[atoms[i].relation], 0, h)
+        keys_b = _slice(rels[atoms[i - 1].relation], 1, h)
         return _arc(ctx, rnd, path, keys_a, keys_b, rels, P1, fresh, tag,
                     "%d_%s" % (i, h), ("a", "b"))
 
@@ -587,8 +579,6 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
             deg[i][val] = max(deg[i][val], f)
         for val, f in _column_freqs(rels[atoms[(i - 1) % k].relation], 1).items():
             deg[i][val] = max(deg[i][val], f)
-    out = set()
-    rounds = 0
 
     # Case 2: a single skew-aware hypercube round covering the whole output.
     if P == 1:
@@ -617,8 +607,7 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
     cells = [fresh() for _ in range(math.prod(shares.values()))]
     _hc_ship(ctx, rnd, q, rels, shares, cells,
              _balanced_hashes(ctx, q, rels, shares, tag + "g"))
-    out |= _out_join(ctx, atoms, rels, q.variables)
-    rounds = max(rounds, 1)
+    out = _out_join(ctx, atoms, rels, q.variables)
 
     # Case 1: exclusive blocks for qualifying heavy pairs at odd distance.
     cand = []
@@ -636,18 +625,16 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
                     rhs = P ** 2 * (deg[i][h] * deg[j][h2]) ** k
                     if lhs > rhs:
                         continue
-                    cv, crows, r = _cycle_pair(ctx, rnd, q, rels, P, P1, fresh,
-                                               i, h, j, h2, tag)
+                    cv, crows = _cycle_pair(ctx, rnd, q, rels, P, P1, fresh,
+                                            i, h, j, h2, tag)
                     pv, prows = _plug(cv, crows, {var_at[i]: h, var_at[j]: h2})
                     out |= _reorder(pv, prows, q.variables)
-                    rounds = max(rounds, r)
-    return out, rounds
+    return out
 
 
 def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
     """Residual of an even cycle after fixing a qualifying heavy pair at
-    positions i and j; returns (vars, rows, rounds) over the other
-    variables."""
+    positions i and j; returns (vars, rows) over the other variables."""
     atoms, k = q.atoms, q.k
     var_at = q.variables
     if (i - j) % k == 1:                    # normalize to j == i+1 (mod k)
@@ -656,10 +643,10 @@ def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
 
     def unary_right(pos, val):
         # values following val through the atom at `pos`
-        return {(t[1],) for t in rels[atoms[pos].relation] if t[0] == val}
+        return _slice(rels[atoms[pos].relation], 0, val)
 
     def unary_left(pos, val):
-        return {(t[0],) for t in rels[atoms[pos].relation] if t[1] == val}
+        return _slice(rels[atoms[pos].relation], 1, val)
 
     def path(start, end):
         # atoms at positions start..end, i.e. variables var_at[start] ..
@@ -670,30 +657,26 @@ def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
         arc = path(i + 2, i + k - 2)
         # adjacent: the pair must be an actual tuple of the shared atom
         if (h, h2) not in rels[atoms[i].relation]:
-            return _line_vars(arc), set(), 0
+            return _line_vars(arc), set()
         ua = unary_right((i + 1) % k, h2)        # constrains var_at[i+2]
         ub = unary_left((i - 1) % k, h)          # constrains var_at[i-1]
-        cv, crows, r = _arc(ctx, rnd, arc, ua, ub, rels, P1, fresh, ptag, "",
-                            ("A", "B"))
-    else:
-        # non-adjacent: two arcs evaluated on a grid
-        alpha = (j - i) - 2
-        beta = k - (j - i) - 2
-        g1 = max(1, pow_floor(P, Fraction(alpha + 1, k)))
-        g2 = max(1, pow_floor(P, Fraction(beta + 1, k)))
-        grid = _Grid(fresh, 8 * g2 + 16)
-        u1a = unary_right(i, h)                  # var_at[i+1]
-        u1b = unary_left((j - 1) % k, h2)        # var_at[j-1]
-        v1, rows1, r1 = _arc(ctx, rnd, path(i + 1, j - 2), u1a, u1b, rels,
-                             g1, grid.fresh_row, ptag + "x", "", ("A", "B"))
-        u2a = unary_right(j, h2)                 # var_at[j+1]
-        u2b = unary_left((i - 1) % k, h)         # var_at[i-1]
-        v2, rows2, r2 = _arc(ctx, rnd, path(j + 1, i + k - 2), u2a, u2b, rels,
-                             g2, grid.fresh_col, ptag + "y", "", ("A", "B"))
-        cv = v1 + v2                        # disjoint arcs: a product
-        crows = _join2(v1, rows1, v2, rows2, cv)
-        r = max(r1, r2)
-    return cv, crows, 1 + r
+        return _arc(ctx, rnd, arc, ua, ub, rels, P1, fresh, ptag, "", ("A", "B"))
+    # non-adjacent: two arcs evaluated on a grid
+    alpha = (j - i) - 2
+    beta = k - (j - i) - 2
+    g1 = max(1, pow_floor(P, Fraction(alpha + 1, k)))
+    g2 = max(1, pow_floor(P, Fraction(beta + 1, k)))
+    grid = _Grid(fresh, 8 * g2 + 16)
+    u1a = unary_right(i, h)                  # var_at[i+1]
+    u1b = unary_left((j - 1) % k, h2)        # var_at[j-1]
+    v1, rows1 = _arc(ctx, rnd, path(i + 1, j - 2), u1a, u1b, rels,
+                     g1, grid.fresh_row, ptag + "x", "", ("A", "B"))
+    u2a = unary_right(j, h2)                 # var_at[j+1]
+    u2b = unary_left((i - 1) % k, h)         # var_at[i-1]
+    v2, rows2 = _arc(ctx, rnd, path(j + 1, i + k - 2), u2a, u2b, rels,
+                     g2, grid.fresh_col, ptag + "y", "", ("A", "B"))
+    cv = v1 + v2                        # disjoint arcs: a product
+    return cv, _join2(v1, rows1, v2, rows2, cv)
 
 
 # -- Loomis-Whitney joins --------------------------------------------------
@@ -712,8 +695,7 @@ def _lw(ctx, rnd, q, rels, P, fresh, tag):
                 continue
             pos = a.vars.index(x)
             keyvars = [v for v in a.vars if v != x]
-            keys = {tuple(val for p2, val in enumerate(t) if p2 != pos)
-                    for t in rels[a.relation] if t[pos] == h}
+            keys = _slice(rels[a.relation], pos, h)
             keypos = tuple(sorted(base.vars.index(v) for v in keyvars))
             # align projected keys to base's variable order
             keys = _reorder(tuple(keyvars), keys,
@@ -722,9 +704,8 @@ def _lw(ctx, rnd, q, rels, P, fresh, tag):
                                     keypos, rels, P1, fresh,
                                     tag + "s%s_%s_%s" % (x, a.relation, h))
             results.append((b.relation, res))
-        inter = _intersect_ship(ctx, rnd + 1, results, P1, fresh,
-                                tag + "i%s_%s" % (x, h))
-        return base.vars, inter, 1
+        return base.vars, _intersect_ship(ctx, rnd + 1, results, P1, fresh,
+                                          tag + "i%s_%s" % (x, h))
 
     return _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual)
 
@@ -733,15 +714,15 @@ def _lw(ctx, rnd, q, rels, P, fresh, tag):
 
 def _clique(ctx, rnd, q, rels, P, fresh, tag):
     """Clique join; atoms are binary, one per variable pair (two parallel
-    atoms with the same `vars` allowed only at k == 2).  Returns (output
-    rows over q.variables, rounds)."""
+    atoms with the same `vars` allowed only at k == 2).  Returns the
+    output rows over q.variables."""
     if q.k == 2:
         a, b = q.atoms
         inter = _intersect_ship(ctx, rnd, [(a.relation, set(rels[a.relation])),
                                            (b.relation, set(rels[b.relation]))],
                                 P, fresh, tag + "i")
         # a parsed clique may list the pair in the other order
-        return _reorder(a.vars, inter, q.variables), 1
+        return _reorder(a.vars, inter, q.variables)
 
     atom_for = {frozenset(a.vars): a for a in q.atoms}   # one per pair
 
@@ -751,7 +732,7 @@ def _clique(ctx, rnd, q, rels, P, fresh, tag):
         for idx, y in enumerate(others):
             src = atom_for[frozenset((x, y))]
             pos = src.vars.index(x)
-            keys = {(t[1 - pos],) for t in rels[src.relation] if t[pos] == h}
+            keys = _slice(rels[src.relation], pos, h)
             target = atom_for[frozenset((y, others[(idx + 1) % len(others)]))]
             semi = _semijoin_into(ctx, rnd, tag + "q", tag + "kq", keys, target,
                                   (target.vars.index(y),), rels, P1, fresh,
@@ -769,9 +750,8 @@ def _clique(ctx, rnd, q, rels, P, fresh, tag):
             else:
                 sub_atoms.append(a)
         sub = Query("sub", tuple(others), tuple(sub_atoms))
-        out, r = _clique(ctx, rnd + 1, sub, sub_rels, P1, fresh,
-                         tag + "h%s_%s" % (x, h))
-        return sub.variables, out, r
+        return sub.variables, _clique(ctx, rnd + 1, sub, sub_rels, P1, fresh,
+                                      tag + "h%s_%s" % (x, h))
 
     return _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual)
 
@@ -782,7 +762,7 @@ def _covering(ctx, rnd, q, rels, P, fresh, tag):
     cover = covering_atom(q)
     others = [a for a in q.atoms if a is not cover]
     if not others:
-        return _reorder(cover.vars, set(rels[cover.relation]), q.variables), 0
+        return _reorder(cover.vars, set(rels[cover.relation]), q.variables)
     results = []
     for a in others:
         keypos = tuple(sorted(cover.vars.index(v) for v in a.vars))
@@ -791,13 +771,9 @@ def _covering(ctx, rnd, q, rels, P, fresh, tag):
         b, res = _semijoin_into(ctx, rnd, tag + "c", tag + "kc", keys, cover,
                                 keypos, rels, P, fresh, tag + "s" + a.relation)
         results.append((b.relation, res))
-    if len(results) == 1:
-        inter = results[0][1]
-        rounds = 1
-    else:
-        inter = _intersect_ship(ctx, rnd + 1, results, P, fresh, tag + "i")
-        rounds = 2
-    return _reorder(cover.vars, inter, q.variables), rounds
+    inter = results[0][1] if len(results) == 1 else \
+        _intersect_ship(ctx, rnd + 1, results, P, fresh, tag + "i")
+    return _reorder(cover.vars, inter, q.variables)
 
 
 # -- shapes ----------------------------------------------------------------
@@ -874,12 +850,9 @@ def _two_atoms(test):
 
 # -- plans -----------------------------------------------------------------
 #
-# A plan runs from round 0 on root servers and returns the output rows over
-# its query's variables and the strategy's extras.
-
-def _root(ctx):
-    return lambda: (ctx.pool.phys(),)
-
+# A plan runs from round 0 on root servers (`ctx.root`) and returns the
+# output rows over its query's variables; it writes its extras into
+# `ctx.extras`.  No plan counts rounds: the ledger is the only round count.
 
 def _hc(ctx, q, rels, p):
     """Plain one-round hypercube with size-optimized shares (no skew
@@ -887,18 +860,11 @@ def _hc(ctx, q, rels, p):
     sizes = {a.relation: max(1, ctx.eng.widths[a.relation] * len(rels[a.relation]))
              for a in q.atoms}
     alloc = share_lp(q, sizes, p)
-    fresh = _root(ctx)
-    cells = [fresh() for _ in range(alloc.grid_size())]
+    cells = [ctx.root() for _ in range(alloc.grid_size())]
     _hc_ship(ctx, 0, q, rels, alloc.shares, cells,
              _balanced_hashes(ctx, q, rels, alloc.shares, "hc"))
-    return (_out_join(ctx, q.atoms, rels, q.variables),
-            {"shares": alloc.shares, "lambda": alloc.lam})
-
-
-def _one_round_skew(ctx, q, rels, p):
-    """One-round hypercube resilient to skew: one share allocation per
-    heavy profile, all run in parallel on the same p servers."""
-    return _one_round_skew_core(ctx, 0, q, rels, p, _root(ctx), "ors"), {}
+    ctx.extras.update({"shares": alloc.shares, "lambda": alloc.lam})
+    return _out_join(ctx, q.atoms, rels, q.variables)
 
 
 def _one_sided_skew(ctx, q, rels, p):
@@ -916,17 +882,17 @@ def _one_sided_skew(ctx, q, rels, p):
     fa = Counter(map(_columns(ka), ta))
     fb = Counter(map(_columns(kb), tb))
     if max(fb.values(), default=0) < max(fa.values(), default=0):
-        a, b, ta, tb, ka, kb = b, a, tb, ta, kb, ka
+        a, b, ta, tb, ka, kb, fb = b, a, tb, ta, kb, ka, fa
     hblocks = _skew_join_ship(ctx, 0, a.relation, ta, ka, b.relation, tb, kb,
-                              p, _root(ctx), hash_family(ctx.seed, "j1s", "h"),
+                              fb, p, ctx.root, hash_family(ctx.seed, "j1s", "h"),
                               hash_family(ctx.seed, "j1s", "p"))
-    return (_out_join(ctx, q.atoms, rels, q.variables),
-            {"heavy_keys": len(hblocks),
-             "heavy_servers": sum(len(g) for g in hblocks.values())})
+    ctx.extras.update(heavy_keys=len(hblocks),
+                      heavy_servers=sum(len(g) for g in hblocks.values()))
+    return _out_join(ctx, q.atoms, rels, q.variables)
 
 
 def _line_plan(ctx, q, rels, p):
-    return _line(ctx, 0, q.atoms, rels, p, _root(ctx), "L")[1], {}
+    return _line(ctx, 0, q.atoms, rels, p, ctx.root, "L")[1]
 
 
 def _cycle(ctx, rnd, q, rels, P, fresh, tag):
@@ -935,15 +901,15 @@ def _cycle(ctx, rnd, q, rels, P, fresh, tag):
 
 
 def _from_round0(body, tag):
-    """The plan of body(ctx, rnd, q, rels, P, fresh, tag) -> (rows, rounds)."""
-    return lambda ctx, q, rels, p: (body(ctx, 0, q, rels, p, _root(ctx), tag)[0], {})
+    """The plan of body(ctx, rnd, q, rels, P, fresh, tag) -> rows."""
+    return lambda ctx, q, rels, p: body(ctx, 0, q, rels, p, ctx.root, tag)
 
 
 # -- the strategy table ----------------------------------------------------
 
 class Strategy(NamedTuple):
     shape: Callable     # q -> the query the plan runs on, or None
-    plan: Callable      # (ctx, shaped q, rels, p) -> (rows, extras)
+    plan: Callable      # (ctx, shaped q, rels, p) -> rows; extras in ctx.extras
     rounds: Callable    # q -> declared upper bound on the rounds used
 
 
@@ -954,7 +920,8 @@ _CYCLE = Strategy(lambda q: _chain(q, True), _from_round0(_cycle, "C"),
 
 ALGORITHMS = {
     "hc": Strategy(lambda q: q, _hc, lambda q: 1),
-    "one_round_skew": Strategy(lambda q: q, _one_round_skew, lambda q: 1),
+    "one_round_skew": Strategy(lambda q: q, _from_round0(_one_round_skew, "ors"),
+                               lambda q: 1),
     "join_one_sided_skew": _ONE_SIDED,
     # one atom's variables contain the other's: the key-set side has every
     # key at most once, so it plays the skew-free role
@@ -980,7 +947,7 @@ class AlgorithmResult:
     p: int
     output: set               # rows in query.variables order
     report: LoadReport
-    rounds: int               # rounds with any traffic (measured)
+    rounds: int               # the ledger's round count, report.rounds
     extras: dict = field(default_factory=dict)
 
     @property
@@ -1024,7 +991,7 @@ def run_algorithm(name: str, db, p: int, seed: int,
     q = strategy.shape(db.query)
     if q is None:
         raise QueryError("%s does not accept %s" % (name, db.query.render()))
-    ctx = _Ctx(Engine(db.widths_bits(), store_tuples=not counting), Pool(), seed,
+    ctx = _Ctx(Engine(db.widths_bits(), store_tuples=not counting), seed,
                max(ri.value_bits for ri in db.relations.values()))
     rels = {}
     for a in q.atoms:
@@ -1032,13 +999,13 @@ def run_algorithm(name: str, db, p: int, seed: int,
         ts = db.relations[a.relation].tuples
         rels[a.relation] = list(ts) if a.vars == src else \
             list(map(itemgetter(*map(src.index, a.vars)), ts))
-    rows, extras = strategy.plan(ctx, q, rels, p)
+    rows = strategy.plan(ctx, q, rels, p)
     if q.variables != db.query.variables:
         rows = _reorder(q.variables, rows, db.query.variables)
     return AlgorithmResult(name, db.query, p, rows, ctx.eng.report,
                            ctx.eng.report.rounds,
-                           {"nominal_p": p, "physical_servers": ctx.pool.count,
-                            **extras})
+                           {"nominal_p": p, "physical_servers": ctx.servers,
+                            **ctx.extras})
 
 
 def declared_rounds(name: str, q: Query) -> int:

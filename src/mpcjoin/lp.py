@@ -163,16 +163,12 @@ def lp_solve_exact(c: Sequence, A: Sequence[Sequence], rel: Sequence[str],
     # Phase 2 objective in terms of the current basis.
     obj = [Fraction(0)] * (ncols + 1)
     obj[:n] = c
-    for j in art_cols:
-        obj[j] = Fraction(0)
     T.append(obj)
     for r in range(m):
         f = T[m][basis[r]]
         if f:
             T[m] = [a - f * b_ for a, b_ in zip(T[m], T[r])]
-    # Forbid artificials from re-entering.
-    for j in art_cols:
-        T[m][j] = Fraction(-1)
+    # Artificials never re-enter: the scan stops before their columns.
     status = _simplex(T, basis, n + nslack)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, [Fraction(0)] * n, Fraction(0))

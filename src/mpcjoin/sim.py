@@ -85,20 +85,6 @@ def hc_grid(avars, order, shares: dict):
     return bound, free
 
 
-def hc_destinations(bound_vars, assignment: dict, shares: dict, order, hashes: dict):
-    """All hypercube cell indices a tuple must be replicated to.
-
-    Cells are linear indices of the mixed-radix coordinate over `order`
-    (see `hc_grid`), each bound coordinate hashes[v](value, share);
-    coordinates of variables not bound by the tuple range over their full
-    share.
-    """
-    avars = [v for v in order if v in bound_vars]
-    bound, free = hc_grid(avars, order, shares)
-    c0 = sum((hashes[v](assignment[v], shares[v]) - 1) * st for _, v, st in bound)
-    return [c0 + f for f in free]
-
-
 @dataclass
 class LoadReport:
     """Per-round receive counts of one simulated run.

@@ -96,3 +96,17 @@ def test_random_feasible_bounded_lps(data):
     # with nonnegativity the maximizer picks ub_i when c_i > 0, else 0
     expect = sum(ci * ui for ci, ui in zip(c, ub) if ci > 0)
     assert res.value == expect
+
+
+def test_negative_rhs_row_is_flipped():
+    # min x + 2y st -x - y <= -1, i.e. x + y >= 1
+    res = lp_solve_exact([1, 2], [[-1, -1]], ["<="], [-1], maximize=False)
+    assert res.status == OPTIMAL
+    assert res.x == [F(1), F(0)] and res.value == 1
+
+
+def test_artificial_left_basic_at_zero_is_pivoted_out():
+    # -x == 0: phase 1 ends with the artificial basic at zero, and x enters
+    res = lp_solve_exact([1], [[-1]], ["=="], [0])
+    assert res.status == OPTIMAL
+    assert res.x == [F(0)] and res.value == 0

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mpcjoin.datagen import gen_coin_flip, gen_matching, gen_single_heavy
 from mpcjoin.query import Atom, canonical_query, parse_query
-from mpcjoin.sim import (Engine, RoutingError, hash_family, hc_destinations,
+from mpcjoin.sim import (Engine, RoutingError, hash_family, hc_grid,
                          join_atoms, local_join, oracle_join)
 
 
@@ -42,17 +42,14 @@ def test_hash_family_tuple_keys():
     assert 1 <= h((1, 2, 3), 9) <= 9
 
 
-def test_hc_destinations_bound_and_unbound():
+def test_hc_grid_bound_and_unbound():
     shares = {"x": 2, "y": 3, "z": 1}
-    hashes = {v: hash_family(0, v) for v in shares}
     order = ["x", "y", "z"]
-    # fully bound: exactly one cell
-    cells = hc_destinations({"x", "y", "z"}, {"x": 4, "y": 5, "z": 6},
-                            shares, order, hashes)
-    assert len(cells) == 1 and 0 <= cells[0] < 6
-    # one unbound variable of share 3: three cells
-    cells = hc_destinations({"x"}, {"x": 4}, shares, order, hashes)
-    assert len(cells) == 3 and len(set(cells)) == 3
+    # fully bound: one cell; z (share 1) is not split, y varies fastest
+    assert hc_grid(("x", "y", "z"), order, shares) == \
+        ([(0, "x", 3), (1, "y", 1)], [0])
+    # one unbound variable of share 3: three consecutive cells
+    assert hc_grid(("x",), order, shares) == ([(0, "x", 3)], [0, 1, 2])
 
 
 def test_engine_counts_and_rejects_repeats():
@@ -163,12 +160,13 @@ def test_join_atoms_matches_brute_force():
     assert join_atoms(q.atoms, rels, q.variables) == brute
 
 
-def test_hc_destinations_cell_order():
+def test_hc_grid_cell_order():
     shares = {"x": 2, "y": 3, "z": 2}
-    hashes = {v: (lambda val, s: val % s + 1) for v in shares}
-    # y bound to coordinate 1 (stride 2); x and z range over their shares
-    assert hc_destinations({"y"}, {"y": 4}, shares, ["x", "y", "z"], hashes) \
-        == [2, 3, 8, 9]
+    bound, free = hc_grid(("y",), ("x", "y", "z"), shares)
+    assert (bound, free) == ([(0, "y", 2)], [0, 1, 6, 7])
+    # y in bucket 2 (coordinate 1, stride 2); x and z range over their shares
+    c0 = sum((2 - 1) * st for _, _, st in bound)
+    assert [c0 + f for f in free] == [2, 3, 8, 9]
 
 
 class _ReferenceEngine:
