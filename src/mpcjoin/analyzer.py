@@ -11,8 +11,12 @@ psi* = max over X of tau*(q_X) ranges over every residual q_X, 2^k - 1 of
 them, but few distinct LPs: duplicate edges and edges that contain another
 edge leave tau* unchanged, and tau* is the sum of tau* over connected
 components.  `residual_tau_star` solves one packing LP per component of
-minimal edges, cached by the component's edge sets for the length of one
-`psi_star` or `psi_star_recursive` call (SP6: 82 LPs for 8,191 residuals).
+minimal edges, cached for the length of one `psi_star` or
+`psi_star_recursive` call by the component's edges relabelled onto bits
+0..n-1 in order, so components that differ only in which variables they
+use share an LP (SP6: 8 LPs for 8,191 residuals).  Both calls rank the
+residuals by an integer-pair value that builds no witness; `psi_star`
+builds the winner's witness once.
 """
 
 from __future__ import annotations
@@ -139,6 +143,76 @@ def _subsets(vs):
         yield frozenset(vs[i] for i in range(n) if mask >> i & 1)
 
 
+def _edge_masks(q: Query):
+    """Each atom's variables as a bitmask over `q.variables`, in atom order."""
+    bit = {v: 1 << i for i, v in enumerate(q.variables)}
+    return [sum(bit[v] for v in a.vars) for a in q.atoms]
+
+
+def _components(masks, xmask: int):
+    """The minimal edges of q_X as connected components, each a (vertex
+    mask, [edge masks]) pair.
+
+    Edges are the atoms' masks minus X; duplicates collapse, and an edge
+    that strictly contains another is dropped.  A strict subset is a
+    smaller mask, so in sorted order it comes first.
+    """
+    keep = ~xmask
+    minimal, components = [], []
+    for e in sorted({m & keep for m in masks}):
+        if not e:
+            continue
+        for f in minimal:
+            if f & e == f:
+                break
+        else:
+            minimal.append(e)
+            vmask, edges, rest = e, [e], []
+            for c in components:
+                if c[0] & e:
+                    vmask |= c[0]
+                    edges += c[1]
+                else:
+                    rest.append(c)
+            rest.append((vmask, edges))
+            components = rest
+    return components
+
+
+def _component_lp(vmask: int, edges, cache: dict):
+    """(key, (num, den, x)) of the packing LP of one component.
+
+    The edges are sorted and relabelled onto bits 0..n-1 in increasing bit
+    order.  The relabel is monotone, so it keeps the order of the vertices
+    and of the sorted edges: the LP is the same matrix, with the same value
+    and the same x.  The entry is cached under both the original and the
+    relabelled key, which name the same LP.
+    """
+    key = tuple(sorted(edges))
+    entry = cache.get(key)
+    if entry is None:
+        bits = [1 << i for i in range(vmask.bit_length()) if vmask >> i & 1]
+        rkey = tuple(sum(1 << i for i, b in enumerate(bits) if e & b) for e in key)
+        entry = cache.get(rkey)
+        if entry is None:
+            vertices = range(len(bits))
+            res = _unit_lp(vertices, [[i for i in vertices if e >> i & 1] for e in rkey],
+                           "<=", True, "packing")
+            entry = (res.value.numerator, res.value.denominator, res.x)
+            cache[rkey] = entry
+        cache[key] = entry
+    return key, entry
+
+
+def _residual_value(masks, xmask: int, cache: dict):
+    """tau*(q_X) as an unreduced integer pair (num, den); no witness."""
+    num, den = 0, 1
+    for vmask, edges in _components(masks, xmask):
+        _, (n, d, _) = _component_lp(vmask, edges, cache)
+        num, den = num * d + n * den, den * d
+    return num, den
+
+
 def residual_tau_star(q: Query, x, cache: dict):
     """tau*(q_X) with a quasi-packing witness, one packing LP per component.
 
@@ -147,39 +221,22 @@ def residual_tau_star(q: Query, x, cache: dict):
     q_X matter: a duplicate edge is kept at its first atom in atom order,
     and an edge that strictly contains another is dropped.  The packing LP
     of the minimal edges then splits into its connected components.  Each
-    component is keyed by its edges as variable bitmasks, so `cache` serves
-    every residual, of any X, that has the same component.  The witness has
-    weight 0 on every atom that is dropped, inside X or not.
+    component's LP is keyed by its edges relabelled onto bits 0..n-1, so
+    `cache` serves every residual, of any X, with a component that has the
+    same relabelled edges.  The witness has weight 0 on every atom that is
+    dropped, inside X or not.
     """
     x = frozenset(x)
-    bit = {v: 1 << i for i, v in enumerate(q.variables)}
-    xmask = sum(bit[v] for v in x)
-    first = {}                                  # edge mask -> relation
-    for a in q.atoms:
-        e = sum(bit[v] for v in a.vars) & ~xmask
-        if e and e not in first:
-            first[e] = a.relation
-    components = []                             # [vertex mask, [edge masks]]
-    for e in first:
-        if any(f & e == f for f in first if f != e):
-            continue
-        merged = [e, [e]]
-        for c in [c for c in components if c[0] & e]:
-            components.remove(c)
-            merged[0] |= c[0]
-            merged[1] += c[1]
-        components.append(merged)
+    masks = _edge_masks(q)
+    xmask = sum(1 << q.variables.index(v) for v in x)
+    first = {}                                  # residual edge -> relation
+    for a, m in zip(q.atoms, masks):
+        first.setdefault(m & ~xmask, a.relation)
     weights = dict.fromkeys((a.relation for a in q.atoms), Fraction(0))
     total = Fraction(0)
-    for vmask, edges in components:
-        key = tuple(sorted(edges))
-        if key not in cache:
-            vertices = [b for b in bit.values() if b & vmask]
-            res = _unit_lp(vertices, [frozenset(b for b in vertices if b & e) for e in key],
-                           "<=", True, "packing")
-            cache[key] = (res.value, res.x)
-        value, ws = cache[key]
-        total += value
+    for vmask, edges in _components(masks, xmask):
+        key, (n, d, ws) = _component_lp(vmask, edges, cache)
+        total += Fraction(n, d)
         for e, w in zip(key, ws):
             weights[first[e]] = w
     return total, FractionalWeighting(weights, "quasi-packing", x)
@@ -188,47 +245,48 @@ def residual_tau_star(q: Query, x, cache: dict):
 def psi_star(q: Query):
     """Edge quasi-packing number by residual enumeration.
 
-    Maximizes tau*(q_X) over X strictly inside vars(q), each by
-    :func:`residual_tau_star` with one component cache for the whole call;
-    atoms swallowed by X, duplicate atoms and atoms containing another
-    atom's residual edge carry weight 0 in the returned witness.  The first
-    maximizing X in bitmask order over the canonical variable order is
-    returned, so the result is deterministic.
+    Maximizes tau*(q_X) over X strictly inside vars(q) with one component
+    cache for the whole call: every X by :func:`_residual_value`, then the
+    witness of the winner by :func:`residual_tau_star`.  Atoms swallowed by
+    X, duplicate atoms and atoms containing another atom's residual edge
+    carry weight 0 in the returned witness.  The first maximizing X in
+    bitmask order over the canonical variable order is returned, so the
+    result is deterministic.
     """
+    masks = _edge_masks(q)
     cache = {}
-    best = None
-    best_w = None
-    for x in _subsets(q.variables):
-        if len(x) == q.k:
-            continue
-        val, w = residual_tau_star(q, x, cache)
-        if best is None or val > best:
-            best, best_w = val, w
-    return best, best_w
+    best, bn, bd = 0, -1, 1                     # below every tau*
+    for xmask in range((1 << q.k) - 1):
+        n, d = _residual_value(masks, xmask, cache)
+        if n * bd > bn * d:
+            best, bn, bd = xmask, n, d
+    x = [v for i, v in enumerate(q.variables) if best >> i & 1]
+    return residual_tau_star(q, x, cache)
 
 
 def psi_star_recursive(q: Query) -> Fraction:
     """psi* via the residual recursion psi*(q) = max(tau*(q), max_x psi*(q_x)).
 
-    The residuals q_X are memoized by the bitmask of the removed set X, and
-    their tau* come from :func:`residual_tau_star` with one component cache
-    for the whole call, as in `psi_star`.
+    The recursion is evaluated bottom-up over the bitmasks of the removed
+    set X: q_X's children have larger masks, so walking the masks down
+    from the full set finds them done.  Each tau*(q_X) comes from
+    :func:`_residual_value` with one component cache for the whole call,
+    as in `psi_star`.
     """
-    vs = q.variables
+    masks = _edge_masks(q)
     full = (1 << q.k) - 1
-    cache, memo = {}, {}
-
-    def rec(xmask):
-        if xmask not in memo:
-            x = [vs[i] for i in range(q.k) if xmask >> i & 1]
-            best = residual_tau_star(q, x, cache)[0]
-            for i in range(q.k):
-                sub = xmask | 1 << i
-                if sub != xmask and sub != full:
-                    best = max(best, rec(sub))
-            memo[xmask] = best
-        return memo[xmask]
-    return rec(0)
+    cache = {}
+    psi = [None] * full
+    for xmask in range(full - 1, -1, -1):
+        bn, bd = _residual_value(masks, xmask, cache)
+        for i in range(q.k):
+            sub = xmask | 1 << i
+            if sub != xmask and sub != full:
+                n, d = psi[sub]
+                if n * bd > bn * d:
+                    bn, bd = n, d
+        psi[xmask] = bn, bd
+    return Fraction(*psi[0])
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -100,6 +101,31 @@ def hypergraphs(draw):
                        for j, e in enumerate(edges)))
 
 
+def reference_witness(q, x):
+    """residual_tau_star's weights, by one `tau_star` per component over
+    q's own variables: the same LP as the cached one, columns in edge-mask
+    order, with no cache and no relabelling."""
+    index = {v: i for i, v in enumerate(q.variables)}
+    first = {}
+    for a in q.atoms:
+        e = frozenset(a.vars) - x
+        if e:
+            first.setdefault(e, a.relation)
+    components = []
+    for e in (e for e in first if not any(f < e for f in first)):
+        joined = [c for c in components if any(e & f for f in c)]
+        components = [c for c in components if c not in joined]
+        components.append([e] + [f for c in joined for f in c])
+    weights = dict.fromkeys((a.relation for a in q.atoms), 0)
+    for edges in components:
+        edges.sort(key=lambda e: sum(1 << index[v] for v in e))
+        vs = tuple(v for v in q.variables if any(v in e for e in edges))
+        comp = Query("C", vs, tuple(Atom(first[e], tuple(sorted(e, key=index.get)))
+                                    for e in edges))
+        weights.update(tau_star(comp)[1].weights)
+    return weights
+
+
 @settings(deadline=None, max_examples=150)
 @given(hypergraphs())
 def test_residual_tau_star_matches_full_lp(q):
@@ -110,6 +136,10 @@ def test_residual_tau_star_matches_full_lp(q):
         direct = tau_star(residual_query(q, x))[0]
         val, w = residual_tau_star(q, x, cache)
         assert val == direct
+        # a cached LP of a relabelled component never changes the witness
+        fresh, fw = residual_tau_star(q, x, {})
+        assert (fresh, fw.weights) == (val, w.weights)
+        assert w.weights == reference_witness(q, x)
         w.check(q)
         assert w.total() == val and w.residual_witness == x
         # only the first atom of a minimal residual edge carries weight
@@ -134,11 +164,26 @@ def test_psi_star_one_lp_per_distinct_component(monkeypatch):
         return real(*args, **kw)
     monkeypatch.setattr(analyzer, "lp_solve_exact", counted)
     q = canonical_query("SP", 6)
+    # 8,191 residuals, 8 distinct components once relabelled onto bits 0..n-1
     assert psi_star(q)[0] == 7
-    assert len(solves) <= 82
+    assert len(solves) == 8
     solves.clear()
     assert psi_star_recursive(q) == 7
-    assert len(solves) <= 82
+    assert len(solves) == 8
+
+
+def test_psi_star_leaves_no_garbage():
+    # every object either call allocates is freed by reference counting
+    q = canonical_query("SP", 6)
+    gc.disable()
+    try:
+        gc.collect()
+        assert psi_star_recursive(q) == 7
+        assert gc.collect() == 0
+        assert psi_star(q)[0] == 7
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- share allocation ------------------------------------------------------
