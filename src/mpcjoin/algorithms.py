@@ -31,14 +31,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter, not_
+from functools import partial
+from itertools import compress, repeat
+from operator import add, itemgetter, not_
 from typing import Callable, NamedTuple
 
 from .analyzer import _round_shares, _subsets, log_base_p, pow_floor, share_lp
 from .query import Atom, Query, QueryError
-from .rng import derive_key, mix64
-from .sim import Engine, LoadReport, _columns, hash_family, hc_grid, join_atoms
+from .rng import MIX1, MIX2, derive_key, mix64
+from .sim import (Engine, LoadReport, Route, _columns, _key, hash_family,
+                  hc_grid, join_atoms)
 
 
 _MASK64 = (1 << 64) - 1
@@ -205,61 +207,96 @@ def _heavy_profiles(a, tuples, heavy):
 # -- shipment primitives ---------------------------------------------------
 
 def _balanced_hashes(ctx, q, rels, shares, tag):
-    """Per-variable bucket maps with near-equal bucket sizes.
+    """Per-variable cell offsets from bucket maps with near-equal bucket
+    sizes.
 
     Routing may depend on data statistics, so instead of hashing blindly we
     order each variable's observed values in rels by a seeded permutation
     and deal them round-robin over buckets 1..s, s its share: bucket counts
     differ by at most one, which keeps hypercube cells balanced even when
     the active domain is barely larger than the share.  Returns
-    {v: {value: bucket}} for the variables whose share exceeds 1, the only
-    ones a hypercube route reads; a value missing from rels has no bucket
+    {v: {value: (bucket - 1) * stride}} for the variables whose share
+    exceeds 1, the only ones a hypercube route reads, with the strides of
+    `hc_grid` over q.variables; a value missing from rels has no offset
     (looking it up raises KeyError).
     """
+    bound, _ = hc_grid(q.variables, q.variables, shares)
     maps = {}
-    for v in q.variables:
-        s = shares.get(v, 1)
-        if s <= 1:
-            continue
+    for _, v, stride in bound:
+        s = shares[v]
         key = derive_key(ctx.seed, tag, "bal", v)
         vals = set()
         for a in q.atoms:
             if v in a.vars:
                 vals.update(map(itemgetter(a.vars.index(v)), rels[a.relation]))
-        ordered = sorted(vals, key=lambda x: (mix64((x & _MASK64) ^ key), x))
-        maps[v] = {val: i % s + 1 for i, val in enumerate(ordered)}
+
+        def rank(x):
+            # mix64((x & _MASK64) ^ key), inlined
+            z = (x & _MASK64) ^ key
+            z = ((z ^ (z >> 30)) * MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * MIX2) & _MASK64
+            return z ^ (z >> 31)
+        # by rank, ties by value: the sort is stable
+        ordered = sorted(sorted(vals), key=rank)
+        maps[v] = {val: i % s * stride for i, val in enumerate(ordered)}
     return maps
 
 
-def _hc_ship(ctx, rnd, q, rels, shares, cells, buckets):
+def _hc_ship(ctx, rnd, q, rels, shares, cells, offsets):
     """Hypercube shipment of every atom's tuples in rels onto the given
-    logical cells (exactly prod(shares) of them), placed by the bucket maps
+    logical cells (exactly prod(shares) of them), placed by the offset maps
     of `_balanced_hashes`."""
     for a in q.atoms:
         ctx.eng.ship(rnd, a.relation, rels[a.relation],
-                     _hc_route(a, q.variables, shares, buckets, cells))
+                     _hc_route(a, q.variables, shares, offsets, cells))
 
 
-def _hc_route(a, order, shares, buckets, cells):
+def _hc_route(a, order, shares, offsets, cells):
     """Route of a's tuples: every server of every cell they expand to.
 
-    A tuple's base cell c0 sums (bucket - 1) * stride over the split
-    variables a binds, each bucket read from that variable's map in
-    `buckets`; the servers depend only on c0, so they are built once per c0.
+    A tuple's key is its base cell c0, the sum of the offsets of the split
+    variables a binds, computed a column at a time from the offset maps of
+    `_balanced_hashes`; the servers of c0 are built once per c0.
     """
     bound, free = hc_grid(a.vars, order, shares)
-    bound = [(i, buckets[v], st) for i, v, st in bound]
+    cols = [(itemgetter(i), offsets[v].__getitem__) for i, v, _ in bound]
     servers = {}
 
-    def route(t):
-        c0 = 0
-        for i, bucket, st in bound:
-            c0 += (bucket[t[i]] - 1) * st
-        dests = servers.get(c0)
-        if dests is None:
-            dests = servers[c0] = tuple(s for f in free for s in cells[c0 + f])
-        return dests
-    return route
+    def keys(ts):
+        c0 = None
+        for get, off in cols:
+            col = map(off, map(get, ts))
+            c0 = col if c0 is None else map(add, c0, col)
+        return repeat(0, len(ts)) if c0 is None else c0
+
+    def dests(c0):
+        d = servers.get(c0)
+        if d is None:
+            d = servers[c0] = tuple(s for f in free for s in cells[c0 + f])
+        return d
+    return Route(keys, dests)
+
+
+def _keyed(getter, dests):
+    """The route whose key is getter(t), a C-level projection of t."""
+    return Route(partial(map, getter), dests)
+
+
+def _union(routes):
+    """The route to the union of the servers the given routes name; its key
+    is the tuple of their keys, and each key's union is built once."""
+    union = {}
+
+    def keys(ts):
+        return zip(*[r.keys(ts) for r in routes])
+
+    def dests(key):
+        d = union.get(key)
+        if d is None:
+            d = union[key] = frozenset(s for r, k in zip(routes, key)
+                                       for s in r.dests(k))
+        return d
+    return Route(keys, dests)
 
 
 def _distribute(ctx, rnd, name, tuples, groups, tag):
@@ -289,32 +326,36 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
                     b_keypos, freq, P, fresh, h, hpart):
     """One round of the skew-resilient binary join of A and B on a key.
 
+    A key is a tuple's projection on its key positions by `sim._key`: a
+    scalar for a one-column key, which h hashes as it does the 1-tuple.
     A plays the skew-free side: key values with frequency above m/P in B
     (freq counts B's keys) each get an exclusive block of ceil(P*f/m)
     logical servers, where A's tuples with that key are broadcast and B's
     are partitioned by hpart; everything else goes through a hash join on h
-    over a block of P servers.  Returns the heavy key -> block map.
+    over a block of P servers, routed by key so that h runs once per
+    distinct key.  Returns the heavy key -> block map.
     """
     P = max(1, P)
     m = max(len(a_tuples), len(b_tuples), 1)
-    akey, bkey = _columns(a_keypos), _columns(b_keypos)
+    akey, bkey = _key(a_keypos), _key(b_keypos)
     block = [fresh() for _ in range(P)]
     heavy = sorted(kv for kv, f in freq.items() if f * P > m)
     hblocks = {kv: [fresh() for _ in range(-(-P * freq[kv] // m))]  # ceil
                for kv in heavy}
     bcast = {kv: tuple(s for g in gs for s in g) for kv, gs in hblocks.items()}
 
-    def route_a(t):
-        kv = akey(t)
-        return bcast[kv] if kv in bcast else block[h(kv, P) - 1]
+    def heavy_b(t):
+        g = hblocks[bkey(t)]
+        return g[hpart(t, len(g)) - 1]
 
-    def route_b(t):
-        kv = bkey(t)
-        g = hblocks.get(kv)
-        return g[hpart(t, len(g)) - 1] if g else block[h(kv, P) - 1]
-
-    ctx.eng.ship(rnd, a_name, a_tuples, route_a)
-    ctx.eng.ship(rnd, b_name, b_tuples, route_b)
+    ctx.eng.ship(rnd, a_name, a_tuples, _keyed(
+        akey, lambda kv: bcast[kv] if kv in bcast else block[h(kv, P) - 1]))
+    if hblocks:
+        # B's tuples with a heavy key are placed by their whole tuple
+        hot = list(map(hblocks.__contains__, map(bkey, b_tuples)))
+        ctx.eng.ship(rnd, b_name, list(compress(b_tuples, hot)), heavy_b)
+        b_tuples = list(compress(b_tuples, map(not_, hot)))
+    ctx.eng.ship(rnd, b_name, b_tuples, _keyed(bkey, lambda kv: block[h(kv, P) - 1]))
     return hblocks
 
 
@@ -333,13 +374,13 @@ def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
     kname = ctx.fresh_name(kprefix)
     ctx.register(kname, len(keypos))
     tuples = rels[target.relation]
-    tkeys = list(map(_columns(keypos), tuples))
+    tkeys = list(map(_key(keypos), tuples))
     _skew_join_ship(ctx, rnd, kname, keys, range(len(keypos)), target.relation,
                     tuples, keypos, Counter(tkeys), P, fresh,
                     hash_family(ctx.seed, tag, "sjh"),
                     hash_family(ctx.seed, tag, "sjp"))
-    return Atom(name, target.vars), \
-        set(compress(tuples, map(keys.__contains__, tkeys)))
+    kset = set(map(_key(range(len(keypos))), keys))
+    return Atom(name, target.vars), set(compress(tuples, map(kset.__contains__, tkeys)))
 
 
 # -- one-round algorithms --------------------------------------------------
@@ -378,18 +419,17 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
         # _round_shares keeps the product of shares <= P) on the base block
         ncells = alloc.grid_size()
         cellmap = sorted(range(P), key=lambda c: mix64(mkey ^ c))[:ncells]
-        buckets = _balanced_hashes(ctx, q, filtered, alloc.shares, tag + "v" + xkey)
+        offsets = _balanced_hashes(ctx, q, filtered, alloc.shares, tag + "v" + xkey)
         cells = [base[c] for c in cellmap]
         for a, pr in zip(q.atoms, profs):
             routes.setdefault((a, pr), []).append(
-                _hc_route(a, q.variables, alloc.shares, buckets, cells))
+                _hc_route(a, q.variables, alloc.shares, offsets, cells))
         out |= _out_join(ctx, q.atoms, filtered, q.variables)
     # A group shipped under several profiles shares one base block, so it
     # goes once to the union of its cells under all of them.
     for (a, pr), rs in routes.items():
-        route = rs[0] if len(rs) == 1 else (
-            lambda t, rs=rs: frozenset(s for r in rs for s in r(t)))
-        ctx.eng.ship(rnd, a.relation, groups[a.relation][pr], route)
+        ctx.eng.ship(rnd, a.relation, groups[a.relation][pr],
+                     rs[0] if len(rs) == 1 else _union(rs))
     return out
 
 
@@ -441,7 +481,8 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     light1 = [t for t in rels[s1.relation] if t[1] not in hset]
     light2 = [t for t in rels[s2.relation] if t[0] not in hset]
     for name, ts, pos in ((s1.relation, light1, 1), (s2.relation, light2, 0)):
-        ctx.eng.ship(rnd, name, ts, lambda t, pos=pos: cols[hcol(t[pos], p1) - 1])
+        ctx.eng.ship(rnd, name, ts, _keyed(itemgetter(pos),
+                                           lambda v: cols[hcol(v, p1) - 1]))
     head = _out_join(ctx, [s1, s2], {s1.relation: light1, s2.relation: light2},
                      (s1.vars[0], x1, s2.vars[1]))
     out = _join2((s1.vars[0], x1, s2.vars[1]), head, v0, out0, vs)
@@ -879,8 +920,8 @@ def _one_sided_skew(ctx, q, rels, p):
     ta, tb = rels[a.relation], rels[b.relation]
     ka = tuple(a.vars.index(v) for v in key)
     kb = tuple(b.vars.index(v) for v in key)
-    fa = Counter(map(_columns(ka), ta))
-    fb = Counter(map(_columns(kb), tb))
+    fa = Counter(map(_key(ka), ta))
+    fb = Counter(map(_key(kb), tb))
     if max(fb.values(), default=0) < max(fa.values(), default=0):
         a, b, ta, tb, ka, kb, fb = b, a, tb, ta, kb, ka, fa
     hblocks = _skew_join_ship(ctx, 0, a.relation, ta, ka, b.relation, tb, kb,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .analyzer import pow_floor
 from .lp import OPTIMAL, lp_solve_exact
@@ -32,9 +33,8 @@ class RelationInstance:
     n: int                   # domain size
 
     def __post_init__(self):
-        for t in self.tuples:
-            if len(t) != self.arity:
-                raise ValueError("tuple arity mismatch in %s" % self.relation)
+        if self.tuples and set(map(len, self.tuples)) != {self.arity}:
+            raise ValueError("tuple arity mismatch in %s" % self.relation)
         if len(set(self.tuples)) != len(self.tuples):
             raise ValueError("duplicate tuples in %s" % self.relation)
 
@@ -251,9 +251,9 @@ def write_instance(db: DatabaseInstance, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     for name, ri in sorted(db.relations.items()):
         path = os.path.join(outdir, "%s.tsv" % name)
+        row = "\t".join(["%d"] * ri.arity) + "\n"
         with open(path, "w", encoding="ascii", newline="\n") as f:
-            for t in sorted(ri.tuples):
-                f.write("\t".join(str(v) for v in t) + "\n")
+            f.writelines(map(row.__mod__, sorted(ri.tuples)))
     manifest = {
         "query": db.query.render(),
         "seed": db.seed,
@@ -272,8 +272,13 @@ def write_instance(db: DatabaseInstance, outdir: str) -> None:
 def read_instance(q: Query, indir: str) -> DatabaseInstance:
     """Read an instance written by `write_instance`; raises ValueError when
     the manifest's query has other atoms than q, when it gives no domain
-    size n for one of q's relations, or when a value lies outside the
-    relation's domain [1, n]."""
+    size n for one of q's relations, when a non-blank line of a relation
+    has other than arity tab-separated integer fields, or when a value
+    lies outside the relation's domain [1, n].
+
+    Each file is read whole: its non-blank lines are split into fields
+    once, every field is read with int, and the tuples are cut from the
+    flat value list."""
     with open(os.path.join(indir, "manifest.json")) as f:
         manifest = json.load(f)
     written = parse_query(str(manifest.get("query", "")))
@@ -289,14 +294,15 @@ def read_instance(q: Query, indir: str) -> DatabaseInstance:
                              % (indir, a.relation))
         n = entry["n"]
         path = os.path.join(indir, "%s.tsv" % a.relation)
-        tuples = []
         with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    tuples.append(tuple(map(int, line.split("\t"))))
-        if tuples and (min(map(min, tuples)) < 1 or max(map(max, tuples)) > n):
+            lines = list(filter(None, map(str.strip, f.read().split("\n"))))
+        if lines and set(map(str.count, lines, repeat("\t"))) != {a.arity - 1}:
+            raise ValueError("%s: tuple arity mismatch in %s (a line has other "
+                             "than %d fields)" % (path, a.relation, a.arity))
+        vals = list(map(int, "\t".join(lines).split("\t"))) if lines else []
+        if vals and (min(vals) < 1 or max(vals) > n):
             raise ValueError("%s: a value lies outside the domain [1, %d]"
                              % (path, n))
-        rels[a.relation] = RelationInstance(a.relation, a.arity, tuple(tuples), n)
+        rels[a.relation] = RelationInstance(a.relation, a.arity,
+                                            tuple(zip(*[iter(vals)] * a.arity)), n)
     return DatabaseInstance(q, rels, manifest["seed"], manifest.get("meta", {}))

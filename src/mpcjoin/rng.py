@@ -11,13 +11,17 @@ from __future__ import annotations
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# The finalizer's multipliers.  Loops that mix once per element inline
+# `mix64` with these, as the call itself costs more than the mixing.
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: one full avalanche of a 64-bit value."""
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * MIX2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -58,10 +62,16 @@ class Stream:
         return bool(self.next64() & 1)
 
     def shuffle(self, xs: list) -> list:
-        """In-place Fisher-Yates; returns xs."""
+        """In-place Fisher-Yates; returns xs.  Draws what `below(i + 1)`
+        would, with the state kept in a local."""
+        z0 = self._state
         for i in range(len(xs) - 1, 0, -1):
-            j = self.below(i + 1)
+            z0 = (z0 + _GAMMA) & _MASK
+            z = ((z0 ^ (z0 >> 30)) * MIX1) & _MASK
+            z = ((z ^ (z >> 27)) * MIX2) & _MASK
+            j = (z ^ (z >> 31)) % (i + 1)
             xs[i], xs[j] = xs[j], xs[i]
+        self._state = z0
         return xs
 
     def sample_distinct(self, count: int, n: int) -> list:

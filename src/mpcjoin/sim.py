@@ -3,16 +3,18 @@
 The model: servers exchange tuples in synchronized rounds.  A tuple may be
 sent to any set of servers, but the destination set must be a pure function
 of the tuple and of public data statistics.  Every shipment goes through
-one primitive, `Engine.ship`, which spot-checks that on every call by
-re-evaluating routes; delivering the same tuple to the same server twice in
-one round is an error.  `ship` groups the tuples of a shipment by their
-destination set and delivers each group to each of its servers in one
-step, so replication costs per group, not per delivered copy; the checks
-and the ledger are the same as for one delivery at a time.  Counting mode
-is the same `ship` without holdings: it keeps only the ledger, so it
-stores no tuples and does not check for repeats.  The per-round load of a
-server is the data it receives that round; the cost of a run is the
-maximum over servers and rounds, reported both in tuples and in bits.
+one primitive, `Engine.ship`, which spot-checks that on every call;
+delivering the same tuple to the same server twice in one round is an
+error.  A route is a `Route` of keys(tuples), computed one column at a
+time, and dests(key), evaluated once per distinct key; a plain callable is
+the route whose key is the tuple itself.  Counting mode charges each
+key's count to that key's servers, with no per-tuple work beyond
+computing the keys; storing mode also groups the tuples by destination
+set and keeps one frozenset per delivered group, shared by its servers.
+So replication costs per group, not per delivered copy, and the checks
+and the ledger are the same as for one delivery at a time.  The per-round
+load of a server is the data it receives that round; the cost of a run is
+the maximum over servers and rounds, reported both in tuples and in bits.
 
 Rounds are addressed by index rather than opened/closed sequentially, so
 that concurrently running sub-plans of different depths can deposit their
@@ -22,12 +24,14 @@ shipments into the same global round.
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .query import Query
-from .rng import derive_key, mix64
+from .rng import MIX1, MIX2, derive_key
 
 _MASK = (1 << 64) - 1
 
@@ -43,19 +47,27 @@ def hash_family(seed: int, *path):
 
     The family member is selected by the key path, so distinct (plan
     variant, variable) pairs hash independently.  Values may be ints or
-    tuples of ints (multi-variable keys are folded together).
+    tuples of ints (multi-variable keys are folded together); a 1-tuple
+    hashes as its one value does.
     """
     key = derive_key(seed, *path)
 
     def h(value, buckets: int) -> int:
+        # mix64 inlined: h runs once per shipped key
         if buckets <= 1:
             return 1
         if isinstance(value, tuple):
-            acc = key
+            z = key
             for v in value:
-                acc = mix64(acc ^ (v & _MASK))
-            return acc % buckets + 1
-        return mix64((value & _MASK) ^ key) % buckets + 1
+                z ^= v & _MASK
+                z = ((z ^ (z >> 30)) * MIX1) & _MASK
+                z = ((z ^ (z >> 27)) * MIX2) & _MASK
+                z ^= z >> 31
+            return z % buckets + 1
+        z = (value & _MASK) ^ key
+        z = ((z ^ (z >> 30)) * MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * MIX2) & _MASK
+        return (z ^ (z >> 31)) % buckets + 1
 
     return h
 
@@ -138,6 +150,26 @@ class LoadReport:
                     w.writerow([r + 1, s, rel, cnt, self.widths.get(rel, 0)])
 
 
+class Route(NamedTuple):
+    """A route given column-wise.
+
+    keys(tuples) yields one key per tuple, in order, and must depend on
+    each tuple alone; dests(key) names the servers of every tuple with
+    that key, as a tuple or frozenset (used as given) or any other iterable.
+    """
+    keys: Callable
+    dests: Callable
+
+
+def _itself(tuples):
+    return tuples
+
+
+def _servers(dests):
+    """A route's servers as given when a tuple or frozenset, else a tuple."""
+    return dests if type(dests) is tuple or type(dests) is frozenset else tuple(dests)
+
+
 class Engine:
     """Delivers shipments round by round and keeps the load ledger.
 
@@ -145,9 +177,10 @@ class Engine:
     server its route names, and the route must be a pure function of the
     tuple, which is spot-checked on every shipment.  Delivery is grouped
     per destination set: a server's holdings and ledger entry grow by a
-    whole group at a time.  With ``store_tuples=True`` the engine also
-    keeps what each server received, and a tuple delivered twice to one
-    server in one round raises `RoutingError`.  With
+    whole group at a time, and a group's tuples are kept once, in one
+    frozenset shared by all of its servers.  With ``store_tuples=True``
+    the engine keeps what each server received, and a tuple delivered
+    twice to one server in one round raises `RoutingError`.  With
     ``store_tuples=False`` (counting mode) the same `ship` calls keep only
     the ledger: no holdings and no repeat check, which makes dry runs on
     large instances cheap.
@@ -157,83 +190,137 @@ class Engine:
         self.widths = dict(widths)     # relation -> bits per tuple
         self.store_tuples = store_tuples
         self.report = LoadReport(self.widths)
-        self._held = {}                # round -> {(server, rel): set of tuples}
+        self._held = {}                # round -> {(server, rel): [frozenset]}
 
     def register_relation(self, rel: str, width: int) -> None:
         """Declare an intermediate relation (e.g. a semi-join result)."""
         self.widths.setdefault(rel, width)
 
     def ship(self, rnd: int, rel: str, tuples, route) -> None:
-        """Deliver every tuple of `rel` to each server of route(tup) in
+        """Deliver every tuple of `rel` to each server of its route in
         round `rnd` (0-based).
 
-        A route returns a tuple or frozenset of server ids, used as given,
-        or any other iterable, which is made a tuple.  Tuples are grouped
-        by their destination set, and each group reaches each of its
-        servers in one step, so the cost is per tuple and per group rather
-        than per delivery.  The first 64 tuples are routed twice to check
-        that the route is a pure function of the tuple; a route that
-        returns the same object twice (a memoized tuple) passes without
-        sorting.  In storing mode a tuple that reaches a server it already
-        reached in this round (a route naming a server twice, or a tuple
-        repeated in the input) raises `RoutingError`; counting mode charges
-        every server named.  A shipment with no deliveries opens no round.
+        `route` is a `Route`, or a callable tup -> servers, which is the
+        route whose key is the tuple itself.  The keys are computed for the
+        whole shipment at once and dests runs once per distinct key.  In
+        counting mode each key's count is charged to its servers; in
+        storing mode the tuples are grouped by destination set, and each
+        group reaches each of its servers in one step.  The first 64
+        tuples check that the route depends on the tuple alone: their keys
+        are computed again, in reverse order, and dests runs twice on each
+        of their keys (a dests that returns the same object twice passes
+        without sorting).  In storing mode a tuple that reaches a server it
+        already reached in this round (a route naming a server twice, or a
+        tuple repeated in the input) raises `RoutingError`, and the failed
+        shipment delivers nothing; counting mode charges every server
+        named.  A shipment with no deliveries opens no round.
         """
         if rel not in self.widths:
             raise KeyError("unknown relation %r" % rel)
         if rnd < 0:
             raise ValueError("negative round")
-        groups = defaultdict(list)
-        for i, tup in enumerate(tuples):
-            dests = route(tup)
-            if type(dests) is not tuple and type(dests) is not frozenset:
-                dests = tuple(dests)
-            if i < 64:
-                again = route(tup)
-                if again is not dests and sorted(again) != sorted(dests):
-                    raise RoutingError("route for %s/%s is not tuple-determined"
-                                       % (rel, tup))
-            groups[dests].append(tup)
-        counts = Counter()
-        held = self._held.setdefault(rnd, {}) if self.store_tuples else None
-        for dests, group in groups.items():
-            n = len(group)
+        if not isinstance(route, Route):
+            route = Route(_itself, route)
+        if not isinstance(tuples, (list, tuple, set, frozenset)):
+            tuples = list(tuples)
+        keys = iter(route.keys(tuples))
+        head = list(islice(keys, 64))
+        first = list(islice(tuples, len(head)))
+        rekeyed = list(route.keys(first[::-1]))[::-1]
+        if rekeyed != head:
+            raise RoutingError("keys for %s/%s are not tuple-determined"
+                               % (rel, next((t for t, k, j in zip(first, head, rekeyed)
+                                             if k != j), first[:1])))
+        # the distinct keys in order of appearance, and their servers
+        if self.store_tuples:
+            keys = head + list(keys)
+            total = len(keys)
+            distinct = list(dict.fromkeys(keys))
+        else:
+            counts = Counter(head)
+            counts.update(keys)
+            total = sum(counts.values())
+            distinct = list(counts)
+        if total != len(tuples):
+            raise RoutingError("keys for %s give %d keys for %d tuples"
+                               % (rel, total, len(tuples)))
+        checked = len(set(head))        # head's keys come first
+        servers = []
+        for k in distinct[:checked]:
+            dests = _servers(route.dests(k))
+            again = route.dests(k)
+            if again is not dests and sorted(again) != sorted(dests):
+                raise RoutingError("route for %s/%s is not tuple-determined"
+                                   % (rel, first[head.index(k)]))
+            servers.append(dests)
+        servers += map(route.dests, distinct[checked:])
+        if not {tuple, frozenset}.issuperset(map(type, servers)):
+            servers = list(map(_servers, servers))
+        if self.store_tuples:
+            groups = defaultdict(list)      # dests -> its tuples
+            of_key = dict(zip(distinct, map(groups.__getitem__, servers)))
+            deque(map(list.append, map(of_key.__getitem__, keys), tuples), 0)
+            sizes = {d: len(g) for d, g in groups.items()}
+        else:
+            sizes = defaultdict(int)
+            for dests, n in zip(servers, counts.values()):
+                sizes[dests] += n
+        load = Counter()
+        for dests, n in sizes.items():
             for s in dests:
-                counts[s] += n
-            if held is None or not dests:
-                continue
-            # One set per group; merging it keeps the tuples' hashes.
-            fresh = set(group)
-            for s in dests:
-                got = held.get((s, rel))
-                if len(fresh) < n or got is not None and not got.isdisjoint(fresh):
-                    raise RoutingError("%s/%s delivered twice to server %d in round %d"
-                                       % (rel, _repeated(group, got), s, rnd))
-                if got is None:
-                    held[s, rel] = set(fresh)
-                else:
-                    got |= fresh
-        if not counts:
+                load[s] += n
+        if not load:
             return
-        if min(counts) < 0:
+        if min(load) < 0:
             raise ValueError("negative server id in a route for %s" % rel)
+        if self.store_tuples:
+            self._hold(rnd, rel, groups)
         ledger = self.report.by_relation
         while len(ledger) <= rnd:
             ledger.append({})
         by_rel = ledger[rnd]
-        for s, n in counts.items():
+        for s, n in load.items():
             by_rel[s, rel] = by_rel.get((s, rel), 0) + n
+
+    def _hold(self, rnd, rel, groups) -> None:
+        """Keep the groups {dests: tuples} of one shipment, or raise
+        `RoutingError` on a repeated delivery and keep none of them.
+
+        Within one shipment the groups are disjoint unless a tuple repeats
+        in one of them, so each group is compared only with its own size,
+        its own servers and what earlier shipments left in this round.
+        """
+        held = self._held.setdefault(rnd, {})
+        fresh = []
+        for dests, group in groups.items():
+            if not dests:
+                continue
+            tups = frozenset(group)
+            named = set()
+            for s in dests:
+                earlier = held.get((s, rel), ())
+                if len(tups) < len(group) or s in named \
+                        or not all(map(tups.isdisjoint, earlier)):
+                    seen = tups if s in named else set().union(*earlier)
+                    raise RoutingError("%s/%s delivered twice to server %d in round %d"
+                                       % (rel, _repeated(group, seen), s, rnd))
+                named.add(s)
+            fresh.append((dests, tups))
+        for dests, tups in fresh:
+            for s in dests:
+                held.setdefault((s, rel), []).append(tups)
 
     def holdings(self, server: int, rel: str) -> set:
         """The tuples of `rel` that `server` received, over all rounds."""
         if not self.store_tuples:
             raise RuntimeError("engine is in counting mode")
-        return set().union(*(h.get((server, rel), ()) for h in self._held.values()))
+        return set().union(*(t for h in self._held.values()
+                             for t in h.get((server, rel), ())))
 
 
 def _repeated(group, held):
     """The first tuple of `group` that repeats in it or is in `held`."""
-    seen = set(held or ())
+    seen = set(held)
     for t in group:
         if t in seen:
             return t
@@ -245,8 +332,7 @@ def _repeated(group, held):
 def _columns(idx):
     """t -> tuple(t[i] for i in idx)."""
     if len(idx) == 1:
-        i = idx[0]
-        return lambda t: (t[i],)
+        return itemgetter(slice(idx[0], idx[0] + 1))
     return itemgetter(*idx) if idx else (lambda t: ())
 
 
@@ -262,8 +348,10 @@ def join_atoms(atoms, rel_tuples, out_vars, guard: int = 0):
     first, and the next atom joined is always the one sharing the most
     variables with the prefix (ties keep the smallest-first order).  Each
     step indexes the next atom on those shared variables and extends every
-    row by the values of its new variables.  Atoms must not repeat a
-    variable.  `guard`, if positive, bounds the intermediate result size.
+    row by the values of its new variables; an atom with no new variables
+    is a filter that keeps the rows whose shared values it holds.  Atoms
+    must not repeat a variable.  `guard`, if positive, bounds every
+    intermediate result size.
     """
     atoms = sorted(atoms, key=lambda a: (len(rel_tuples.get(a.relation, ())), a.relation))
     first, rest = atoms[0], atoms[1:]
@@ -274,22 +362,29 @@ def join_atoms(atoms, rel_tuples, out_vars, guard: int = 0):
         rest.remove(a)
         shared = [i for i, v in enumerate(a.vars) if v in cols]
         new = [i for i, v in enumerate(a.vars) if v not in cols]
-        key, ext = _key(shared), _columns(new)
-        index = {}
-        for t in rel_tuples.get(a.relation, ()):
-            index.setdefault(key(t), []).append(ext(t))
+        ts = rel_tuples.get(a.relation, ())
+        key = _key(shared)
         probe = _key([cols.index(a.vars[i]) for i in shared])
+        if not new:
+            held = set(map(key, ts))
+            rows = list(compress(rows, map(held.__contains__, map(probe, rows))))
+            if guard and len(rows) > guard:
+                raise MemoryError("instance too large for oracle join")
+            continue
+        index = defaultdict(list)
+        deque(map(list.append, map(index.__getitem__, map(key, ts)),
+                  map(_columns(new), ts)), 0)
         nxt = []
-        for row in rows:
-            tails = index.get(probe(row))
-            if tails:
-                nxt.extend([row + tail for tail in tails])
-                if guard and len(nxt) > guard:
-                    raise MemoryError("instance too large for oracle join")
+        for row, tails in filter(itemgetter(1), zip(rows, map(index.get, map(probe, rows)))):
+            nxt += map(row.__add__, tails)
+            if guard and len(nxt) > guard:
+                raise MemoryError("instance too large for oracle join")
         rows = nxt
         cols += [a.vars[i] for i in new]
     if not rows:
         return set()
+    if cols == list(out_vars):
+        return set(rows)
     return set(map(_columns([cols.index(v) for v in out_vars]), rows))
 
 

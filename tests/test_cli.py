@@ -1,5 +1,6 @@
 import os
 
+from mpcjoin import cli, sim
 from mpcjoin.cli import main
 
 
@@ -171,3 +172,22 @@ def test_sweep_w_zero_block_size_exit_2(capsys):
 def test_sweep_empty_list_rejected(capsys):
     rc = main(["sweep", "--family", "C", "--k", "3", "--p-list", ","])
     assert rc == 2
+
+
+def test_run_check_skips_past_the_input_guard(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ORACLE_GUARD", 100)
+    rc = main(["run", "--family", "C", "--k", "3", "--gen", "matching",
+               "--m", "50", "--alg", "triangle", "--p", "8"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "oracle check: skipped (150 input tuples exceed 100)" in out
+
+
+def test_run_check_skips_when_the_oracle_runs_out_of_room(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "oracle_join", lambda db: sim.oracle_join(db, guard=10))
+    rc = main(["run", "--family", "L", "--k", "3", "--gen", "agm_worst",
+               "--m", "64", "--alg", "line", "--p", "8"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "oracle check: skipped (instance too large for oracle join)" in out
+    assert "oracle check: OK" not in out

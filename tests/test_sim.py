@@ -3,13 +3,14 @@ import itertools
 import math
 import re
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mpcjoin.datagen import gen_coin_flip, gen_matching, gen_single_heavy
 from mpcjoin.query import Atom, canonical_query, parse_query
-from mpcjoin.sim import (Engine, RoutingError, hash_family, hc_grid,
+from mpcjoin.sim import (Engine, Route, RoutingError, hash_family, hc_grid,
                          join_atoms, local_join, oracle_join)
 
 
@@ -40,6 +41,7 @@ def test_hash_family_tuple_keys():
     h = hash_family(2, "t")
     assert h((1, 2), 9) == h((1, 2), 9)
     assert 1 <= h((1, 2, 3), 9) <= 9
+    assert [h((v,), 9) for v in range(50)] == [h(v, 9) for v in range(50)]
 
 
 def test_hc_grid_bound_and_unbound():
@@ -260,6 +262,65 @@ def test_ship_matches_per_delivery_reference(data):
             if store:
                 for s, rel in itertools.product(range(6), "RS"):
                     assert eng.holdings(s, rel) == ref.holdings(s, rel)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_keyed_route_matches_per_delivery_reference(data):
+    # a random key per tuple and random servers per key: the keyed route
+    # and the per-tuple route it stands for must agree on the ledger, the
+    # holdings and the repeats reported
+    values = st.tuples(st.integers(0, 4), st.integers(0, 2))
+    pool = data.draw(st.lists(values, min_size=1, max_size=6, unique=True))
+    key_of = data.draw(st.fixed_dictionaries({t: st.integers(0, 3) for t in pool}))
+    dests = data.draw(st.fixed_dictionaries(
+        {k: st.lists(st.integers(0, 5), max_size=4) for k in range(4)}))
+    calls = data.draw(st.lists(st.tuples(
+        st.integers(0, 1), st.sampled_from(["R", "S"]),
+        st.lists(st.sampled_from(pool), max_size=12),
+        st.sampled_from(sorted(_ROUTE_KINDS))), min_size=1, max_size=4))
+    for store in (True, False):
+        eng = Engine({"R": 8, "S": 3}, store_tuples=store)
+        ref = _ReferenceEngine(store)
+        for rnd, rel, tuples, kind in calls:
+            def route(t, kind=kind):
+                return _ROUTE_KINDS[kind](dests[key_of[t]])
+            keyed = Route(lambda ts: map(key_of.__getitem__, ts),
+                          lambda k, kind=kind: _ROUTE_KINDS[kind](dests[k]))
+            held = {r: {k: set(v) for k, v in h.items()} for r, h in ref.held.items()}
+            want = _routing_error(ref.ship, rnd, rel, tuples, route)
+            got = _routing_error(eng.ship, rnd, rel, tuples, keyed)
+            assert (want is None) == (got is None), (calls, want, got)
+            assert eng.report.by_relation == ref.by_relation
+            if got is not None:
+                m = re.match(r"%s/(\(.*\)) delivered twice to server (\d+) in round %d$"
+                             % (rel, rnd), got)
+                assert m, got
+                tup, server = ast.literal_eval(m.group(1)), int(m.group(2))
+                assert tup in tuples and server in dests[key_of[tup]]
+                assert _repeats_at(held, rnd, rel, tuples, route, tup, server)
+                break
+        else:
+            if store:
+                for s, rel in itertools.product(range(6), "RS"):
+                    assert eng.holdings(s, rel) == ref.holdings(s, rel)
+
+
+@pytest.mark.parametrize("store", [True, False])
+def test_keys_must_depend_on_the_tuple_alone(store):
+    tuples = [(i, i % 3) for i in range(100)]
+    calls = itertools.count()
+    for keys in (lambda ts: range(len(ts)),                  # by position
+                 lambda ts: [next(calls) % 2 for _ in ts],   # by call
+                 lambda ts: itertools.islice(ts, 64)):       # keys run short
+        eng = Engine({"R": 8}, store_tuples=store)
+        with pytest.raises(RoutingError, match="keys for R"):
+            eng.ship(0, "R", tuples, Route(keys, lambda k: (0,)))
+        assert eng.report.by_relation == []
+    # the same tuples with keys that read only the tuple pass
+    eng = Engine({"R": 8}, store_tuples=store)
+    eng.ship(0, "R", tuples, Route(lambda ts: map(itemgetter(1), ts), lambda k: (k,)))
+    assert eng.report.by_relation == [{(0, "R"): 34, (1, "R"): 33, (2, "R"): 33}]
 
 
 def test_join_atoms_guard_trips():
