@@ -15,7 +15,7 @@ from .sim import (Engine, LoadReport, RoutingError, hash_family,
                   local_join, oracle_join)
 from .algorithms import (ALGORITHMS, AlgorithmResult, InsufficientServers,
                          declared_rounds, pick_algorithm, run_algorithm)
-from .em import EMConfig, IOReport, MemoryOverflow, choose_po, simulate_em
+from .em import IOReport, MemoryOverflow, choose_po, simulate_em
 from .rng import Stream, derive_key
 
 __version__ = "0.1.0"

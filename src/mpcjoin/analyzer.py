@@ -377,10 +377,9 @@ def share_lp(q: Query, M: dict, p: int, heavy: frozenset = frozenset()) -> Share
 
 @dataclass
 class LoadBound:
-    """A one-round load bound p**exponent for a given size vector."""
-    exponent: Fraction       # log_p of the bound over the bit-size map
-    bits: float
-    tuples: Optional[float]
+    """A one-round load bound value = p**exponent, in the unit of the sizes."""
+    exponent: Fraction       # log_p of the bound
+    value: float
     witness: FractionalWeighting
     heavy_set: Optional[frozenset] = None
 
@@ -416,35 +415,28 @@ def _packing_exponent(q: Query, sizes: dict, p: int):
     return res.value, FractionalWeighting(u, "packing")
 
 
-def load_bound_packing(q: Query, M: dict, p: int, widths: Optional[dict] = None) -> LoadBound:
-    """L^(q)(M, p): the worst load over fractional edge packings."""
+def load_bound_packing(q: Query, M: dict, p: int) -> LoadBound:
+    """L^(q)(M, p): the worst load over fractional edge packings, in the
+    unit of the sizes M (tuples or bits)."""
     if p == 1:
         # Only one server: every packing gives the geometric mean of sizes,
         # maximized by concentrating weight on the largest relation.
         big = max(q.atoms, key=lambda a: (M[a.relation], a.relation))
         w = FractionalWeighting({a.relation: Fraction(1 if a is big else 0)
                                  for a in q.atoms}, "packing")
-        tup = None
-        if widths:
-            tup = max(M[a.relation] / widths[a.relation] for a in q.atoms)
-        return LoadBound(Fraction(0), float(max(M.values())), tup, w)
+        return LoadBound(Fraction(0), float(M[big.relation]), w)
     exp, w = _packing_exponent(q, M, p)
-    tup = None
-    if widths:
-        m = {a.relation: max(1, M[a.relation] // widths[a.relation]) for a in q.atoms}
-        texp, _ = _packing_exponent(q, m, p)
-        tup = float(p) ** float(texp)
-    return LoadBound(exp, float(p) ** float(exp), tup, w)
+    return LoadBound(exp, float(p) ** float(exp), w)
 
 
-def load_bound_worstcase(q: Query, M: dict, p: int, widths: Optional[dict] = None) -> LoadBound:
+def load_bound_worstcase(q: Query, M: dict, p: int) -> LoadBound:
     """Worst-case one-round bound: max over heavy sets X of L^(q_X)(M, p)."""
     best = None
     for x in _subsets(q.variables):
         qx = residual_query(q, x) if x else q
         if qx is None:
             continue
-        lb = load_bound_packing(qx, M, p, widths)
+        lb = load_bound_packing(qx, M, p)
         if best is None or lb.exponent > best.exponent:
             lb.heavy_set = x
             lb.witness.kind = "quasi-packing"

@@ -170,12 +170,12 @@ def cmd_sweep(args) -> int:
     if args.W:
         if args.B is None:
             raise QueryError("--W sweep needs --B")
-        cache = {}
         m = max(db.sizes_tuples().values())
         header = ["W", "B", "p_o", "rounds", "io_blocks", "ref_blocks", "ratio"]
-        for W in args.W:
-            _, io = simulate_em(db, W, args.B, alg=args.alg, seed=args.seed,
-                                compute_output=False, cache=cache)
+        for W, io in zip(args.W, simulate_em(db, args.W, args.B, args.alg,
+                                             args.seed)):
+            for w in io.warnings:
+                print("warning: W=%d: %s" % (W, w), file=sys.stderr)
             ref = m ** 1.5 / (args.B * math.sqrt(W))
             rows.append([W, args.B, io.p_o, io.r, io.io_blocks,
                          "%.1f" % ref, "%.4f" % (io.io_blocks / ref)])
@@ -184,22 +184,21 @@ def cmd_sweep(args) -> int:
     else:
         header = ["p", "algorithm", "rounds", "max_load_tuples",
                   "max_load_bits", "bound_tuples", "ratio"]
-        sizes = db.sizes_bits()
-        widths = db.widths_bits()
+        sizes = {r: max(1, m) for r, m in db.sizes_tuples().items()}
         for p in args.p_list:
-            res = run_algorithm(args.alg, db, p, args.seed)
-            lb = load_bound_worstcase(q, sizes, p, widths)
+            res = run_algorithm(args.alg, db, p, args.seed, counting=True)
+            lb = load_bound_worstcase(q, sizes, p)
             got = res.report.max_tuples()
-            ratio = got / lb.tuples if lb.tuples else float("inf")
+            ratio = got / lb.value
             rows.append([p, res.name, res.rounds, got, res.report.max_bits(),
-                         "%.1f" % lb.tuples, "%.4f" % ratio])
+                         "%.1f" % lb.value, "%.4f" % ratio])
             budget = args.C * (1 + math.log(p))
             flag = ""
             if ratio > budget:
                 status = 1
                 flag = "  EXCEEDS %.2f" % budget
             print("p=%d alg=%s load=%d bound=%.1f ratio=%.3f%s"
-                  % (p, res.name, got, lb.tuples, ratio, flag))
+                  % (p, res.name, got, lb.value, ratio, flag))
     if args.out:
         with open(args.out, "w", newline="") as f:
             w = csv.writer(f)

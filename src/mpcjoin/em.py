@@ -12,7 +12,7 @@ The server count p_o is the smallest power of two whose measured per-round
 load fits the memory budget: r * L(p_o) <= W, with r and L taken from cheap
 counting-mode dry runs of the same strategy on the same instance.  Powers
 of two are probed in increasing order, so no dry run uses more than p_o
-servers.
+servers, and one sweep over several W shares its dry runs.
 """
 
 from __future__ import annotations
@@ -22,19 +22,11 @@ from dataclasses import dataclass, field
 from .algorithms import run_algorithm
 from .sim import LoadReport
 
+P_CAP = 1 << 24              # choose_po gives up past this many servers
+
 
 class MemoryOverflow(RuntimeError):
     """A simulated server accumulated more than W words of state."""
-
-
-@dataclass
-class EMConfig:
-    W: int                   # internal memory, in words (= tuples)
-    B: int                   # block size, in words
-
-    def __post_init__(self):
-        if not (1 <= self.B <= self.W):
-            raise ValueError("need 1 <= B <= W, got B=%d W=%d" % (self.B, self.W))
 
 
 @dataclass
@@ -46,42 +38,32 @@ class IOReport:
     max_resident: int        # peak words held by any simulated server
     warnings: list = field(default_factory=list)
 
-    def write_csv(self, path: str) -> None:
-        import csv
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["phase", "blocks"])
-            for name in ("init", "partition", "load", "write"):
-                w.writerow([name, self.phases.get(name, 0)])
-            w.writerow(["total", self.io_blocks])
-
 
 def _blocks(words: int, B: int) -> int:
     return -(-words // B)
 
 
-def choose_po(measure, W: int, p_cap: int = 1 << 24) -> int:
-    """Smallest power of two p <= p_cap with r(p) * L(p) <= W.
+def choose_po(measure, W: int) -> int:
+    """Smallest power of two p <= P_CAP with r(p) * L(p) <= W.
 
     `measure(p)` dry-runs the strategy at server count p and returns
     (rounds, max per-round per-server tuple load).  Every power of two is
     probed in increasing order until one fits, so the last dry run is the
-    answer's; MemoryOverflow is raised once p exceeds p_cap.
+    answer's; MemoryOverflow is raised once p exceeds P_CAP.
     """
     p = 1
-    while p <= p_cap:
+    while p <= P_CAP:
         r, load = measure(p)
         if max(1, r) * load <= W:
             return p
         p *= 2
     raise MemoryOverflow("no server count up to %d fits the memory budget W=%d"
-                         % (p_cap, W))
+                         % (P_CAP, W))
 
 
-def replay_io(report: LoadReport, input_tuples: int, cfg: EMConfig,
+def replay_io(report: LoadReport, input_tuples: int, W: int, B: int,
               p_o: int) -> IOReport:
     """Count the block I/Os of executing the reported run on one machine."""
-    W, B = cfg.W, cfg.B
     warnings = []
     if p_o > W:
         warnings.append("p_o=%d exceeds W=%d; bucket bookkeeping alone "
@@ -137,35 +119,28 @@ def replay_io(report: LoadReport, input_tuples: int, cfg: EMConfig,
     return IOReport(total, phases, p_o, rounds, max_resident, warnings)
 
 
-def simulate_em(db, W: int, B: int, alg: str = "auto", seed: int = 0,
-                p_cap: int = 1 << 24, compute_output: bool = True,
-                cache: dict = None):
-    """Run `alg` on `db` under the W/B machine; returns (output, IOReport).
+def simulate_em(db, Ws, B: int, alg: str = "auto", seed: int = 0) -> list:
+    """Replay `alg` on `db` under a W/B machine for every W in `Ws`; returns
+    one IOReport per W, in order.
 
-    The server count is chosen by `choose_po` from counting-mode dry runs
-    whose block transfers are then counted.  With ``compute_output=False``
-    the result set is not materialized (the run is replayed for its I/O
-    cost only) and None is returned in its place.  A `cache` dict may be
-    shared across calls on the same `db` to reuse dry runs; they are keyed
-    by (alg, seed, p), and a cache filled for another `db` object raises
-    ValueError.
+    ValueError is raised before any dry run unless 1 <= B <= W for every
+    W.  Each W's server count is chosen by `choose_po` from counting-mode dry
+    runs, which the whole sweep shares; the chosen run's ledger is then
+    replayed for its block transfers.  The result set is never
+    materialized: ``run_algorithm(alg, db, io.p_o, seed)`` rebuilds it.
     """
-    cfg = EMConfig(W, B)
-    if cache is None:
-        cache = {}
-    if cache.setdefault("db", db) is not db:
-        raise ValueError("the dry-run cache was filled for another instance")
+    for W in Ws:
+        if not 1 <= B <= W:
+            raise ValueError("need 1 <= B <= W, got B=%d W=%d" % (B, W))
+    runs = {}                # p -> counting-mode dry run
 
     def measure(p):
-        key = (alg, seed, p)
-        if key not in cache:
-            cache[key] = run_algorithm(alg, db, p, seed, counting=True)
-        res = cache[key]
-        return res.rounds, res.report.max_tuples()
+        if p not in runs:
+            runs[p] = run_algorithm(alg, db, p, seed, counting=True)
+        return runs[p].rounds, runs[p].report.max_tuples()
 
-    p_o = choose_po(measure, W, p_cap)
-    res = cache[alg, seed, p_o]
-    io = replay_io(res.report, db.total_tuples(), cfg, p_o)
-    if not compute_output:
-        return None, io
-    return run_algorithm(alg, db, p_o, seed).output, io
+    reports = []
+    for W in Ws:
+        p_o = choose_po(measure, W)
+        reports.append(replay_io(runs[p_o].report, db.total_tuples(), W, B, p_o))
+    return reports

@@ -10,7 +10,7 @@ variable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -36,9 +36,6 @@ class Query:
     name: str
     variables: tuple          # canonical order, fixed at construction
     atoms: tuple              # of Atom, order preserved
-    # Atoms dropped because all their variables were removed by residual
-    # construction; kept so quasi-packing weight-0 bookkeeping stays visible.
-    removed_atoms: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if not self.variables:
@@ -154,9 +151,9 @@ def parse_query(text: str) -> Query:
 def residual_query(q: Query, removed) -> Optional[Query]:
     """Remove the variables in `removed` from every atom.
 
-    Atoms whose arity drops to zero are dropped from the body and recorded in
-    ``removed_atoms``.  Returns None when every variable was removed (the
-    empty residual, which is not an error).
+    Atoms whose arity drops to zero are dropped from the body.  Returns None
+    when every variable was removed (the empty residual, which is not an
+    error); otherwise some atom keeps a surviving variable.
     """
     removed = frozenset(removed)
     unknown = removed - set(q.variables)
@@ -165,19 +162,12 @@ def residual_query(q: Query, removed) -> Optional[Query]:
     if removed == set(q.variables):
         return None
     atoms = []
-    dropped = list(q.removed_atoms)
     for a in q.atoms:
         kept = tuple(v for v in a.vars if v not in removed)
         if kept:
             atoms.append(Atom(a.relation, kept))
-        else:
-            dropped.append(a)
     head = tuple(v for v in q.variables if v not in removed)
-    if not atoms:
-        # Variables survive only if some atom mentions them, so this cannot
-        # happen for a valid full query unless removed == vars(q).
-        return None
-    return Query(q.name, head, tuple(atoms), tuple(dropped))
+    return Query(q.name, head, tuple(atoms))
 
 
 FAMILIES = ("T", "SP", "K", "W", "L", "Lstar", "Ldagger", "C", "LW")

@@ -312,12 +312,10 @@ def test_criterion_7_external_memory_cost():
     q = canonical_query("C", 3)
     m, B, C = 10 ** 5, 100, 32
     db = gen_agm_worst(q, m, 1)
-    cache = {}
     bad = []
     stats = []
-    for W in (10 ** 3, 4 * 10 ** 3, 16 * 10 ** 3):
-        _, io = simulate_em(db, W=W, B=B, alg="triangle", seed=3,
-                            compute_output=False, cache=cache)
+    Ws = (10 ** 3, 4 * 10 ** 3, 16 * 10 ** 3)
+    for W, io in zip(Ws, simulate_em(db, Ws, B, alg="triangle", seed=3)):
         bound = C * m ** 1.5 / (B * math.sqrt(W))
         stats.append((W, io.p_o, io.io_blocks, io.io_blocks * B * math.sqrt(W) / m ** 1.5))
         if io.io_blocks > bound:
@@ -326,8 +324,8 @@ def test_criterion_7_external_memory_cost():
             bad.append(("resident", W, io.max_resident))
 
     small = gen_agm_worst(q, 10 ** 4, 1)
-    out, io_small = simulate_em(small, W=4000, B=100, alg="triangle", seed=3)
-    if out != oracle_join(small):
+    io_small, = simulate_em(small, [4000], 100, alg="triangle", seed=3)
+    if run_algorithm("triangle", small, io_small.p_o, 3).output != oracle_join(small):
         bad.append(("output", "replica"))
     ok = record(7, not bad,
                 "io_blocks <= %d*m^1.5/(B*sqrt(W)) for W grid %s "

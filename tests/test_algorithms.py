@@ -4,7 +4,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpcjoin.algorithms import (ALGORITHMS, _heavy_profiles, declared_rounds,
+from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _Grid,
+                                _heavy_profiles, declared_rounds,
                                 pick_algorithm, run_algorithm)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
@@ -235,6 +236,16 @@ def two_heavy(q, m, seed):
         rels[a.relation] = RelationInstance(a.relation, a.arity,
                                             tuple(sorted(ts)), m + 2)
     return DatabaseInstance(q, rels, seed, {"generator": "two_heavy"})
+
+
+def test_grid_column_block_runs_out():
+    ids = iter(range(100))
+    grid = _Grid(lambda: (next(ids),), 2)
+    grid.fresh_row()
+    grid.fresh_row()
+    assert [grid.fresh_col(), grid.fresh_col()] == [(0, 2), (1, 3)]
+    with pytest.raises(InsufficientServers, match="2 columns"):
+        grid.fresh_col()
 
 
 def test_counting_mode_same_loads_no_output():

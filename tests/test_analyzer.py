@@ -20,12 +20,11 @@ def triangle():
 
 
 def test_packing_bound_on_one_server():
-    # p = 1: exponent 0, the largest relation's bits and tuples, and all
-    # packing weight on that relation.
+    # p = 1: exponent 0, the largest relation's size, and all packing
+    # weight on that relation.
     q = triangle()
-    lb = load_bound_packing(q, {"S1": 800, "S2": 400, "S3": 200}, 1,
-                            {"S1": 8, "S2": 8, "S3": 4})
-    assert (lb.exponent, lb.bits, lb.tuples) == (0, 800.0, 100.0)
+    lb = load_bound_packing(q, {"S1": 100, "S2": 50, "S3": 50}, 1)
+    assert (lb.exponent, lb.value) == (0, 100.0)
     assert lb.witness.weights == {"S1": 1, "S2": 0, "S3": 0}
 
 

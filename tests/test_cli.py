@@ -1,6 +1,7 @@
 import os
 
 from mpcjoin import cli, sim
+from mpcjoin.algorithms import run_algorithm
 from mpcjoin.cli import main
 
 
@@ -153,6 +154,42 @@ def test_sweep_p_one_bound_is_largest_relation(tmp_path, capsys):
     assert open(path).read().splitlines()[1] == "1,clique,1,300,4200,100.0,3.0000"
 
 
+def test_sweep_p_bound_is_largest_tuple_bound_over_x(tmp_path, capsys):
+    # Ldagger4 mixes unary and binary atoms: the worst residual in tuples
+    # is not the worst in bits.
+    path = str(tmp_path / "sweep.csv")
+    rc = main(["sweep", "--family", "Ldagger", "--k", "4", "--gen", "matching",
+               "--m", "400", "--p-list", "8,27,64", "--out", path])
+    assert rc == 0
+    assert open(path).read().splitlines()[1:] == [
+        "8,one_round_skew,1,1301,18018,237.8,5.4700",
+        "27,one_round_skew,1,1104,14472,175.5,6.2914",
+        "64,one_round_skew,1,721,9981,141.4,5.0982"]
+
+
+def test_sweep_p_runs_count_loads_only(monkeypatch, capsys):
+    # A load sweep reads only the ledger, so it never builds the output
+    # (T3 single_heavy on x1 at m = 400 would hold 400**3 rows).
+    modes = []
+
+    def spy(alg, db, p, seed, counting=False):
+        modes.append(counting)
+        return run_algorithm(alg, db, p, seed, counting=True)   # never OOM
+
+    monkeypatch.setattr(cli, "run_algorithm", spy)
+    rc = main(["sweep", "--family", "T", "--k", "3", "--gen", "single_heavy",
+               "--m", "400", "--p-list", "1,64"])
+    assert rc == 0
+    assert modes == [True, True]
+
+
+def test_sweep_p_flags_ratio_over_budget_exit_1(capsys):
+    rc = main(["sweep", "--family", "C", "--k", "3", "--gen", "matching",
+               "--m", "100", "--p-list", "8", "--C", "0.001"])
+    assert rc == 1
+    assert "EXCEEDS 0.00" in capsys.readouterr().out
+
+
 def test_sweep_w_io(capsys):
     rc = main(["sweep", "--family", "C", "--k", "3", "--gen", "single_heavy",
                "--m", "300", "--alg", "triangle", "--W", "300,1200",
@@ -160,6 +197,22 @@ def test_sweep_w_io(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("p_o=") == 2
+
+
+def test_sweep_w_prints_replay_warnings_on_stderr(tmp_path, capsys):
+    # B = 100 at W = 400 leaves room for at most 4 partition buckets.
+    path = str(tmp_path / "sweep.csv")
+    rc = main(["sweep", "--family", "C", "--k", "3", "--gen", "agm_worst",
+               "--m", "900", "--alg", "triangle", "--W", "400,6400",
+               "--B", "100", "--out", path])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "warning: W=400: partition fan-out p_o*B=3200 exceeds W=400; "
+        "counted as if one partial block per bucket still fits"]
+    assert "warning" not in captured.out
+    assert open(path).read().splitlines()[1:] == [
+        "400,100,32,1,189,13.5,14.0000", "6400,100,1,1,27,3.4,8.0000"]
 
 
 def test_sweep_w_zero_block_size_exit_2(capsys):
@@ -172,6 +225,18 @@ def test_sweep_w_zero_block_size_exit_2(capsys):
 def test_sweep_empty_list_rejected(capsys):
     rc = main(["sweep", "--family", "C", "--k", "3", "--p-list", ","])
     assert rc == 2
+
+
+def test_run_check_reports_oracle_mismatch_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "oracle_join",
+                        lambda db: sim.oracle_join(db) | {(0, 0, 0, 0)})
+    rc = main(["run", "--family", "L", "--k", "3", "--gen", "matching",
+               "--m", "50", "--alg", "line", "--p", "8"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "ORACLE MISMATCH: expected 51 rows, got 50" in out
+    assert "sample missing: [(0, 0, 0, 0)]" in out
+    assert "oracle check: OK" not in out
 
 
 def test_run_check_skips_past_the_input_guard(monkeypatch, capsys):
