@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 from .analyzer import _round_shares, _subsets, log_base_p, pow_floor, share_lp
 from .query import Atom, Query, QueryError
 from .rng import MIX1, MIX2, derive_key, mix64
-from .sim import (Engine, LoadReport, Route, _columns, _key, hash_family,
+from .sim import (Engine, LoadReport, Route, _key, hash_family,
                   hc_grid, join_atoms)
 
 
@@ -64,13 +64,12 @@ class _Ctx:
         self.servers += 1
         return (self.servers - 1,)
 
-    def fresh_name(self, prefix: str) -> str:
-        n = self._names[prefix]
+    def relation(self, prefix: str, arity: int) -> str:
+        """A fresh relation "<prefix>#<n>" of arity * vbits bits, registered."""
+        name = "%s#%d" % (prefix, self._names[prefix])
         self._names[prefix] += 1
-        return "%s#%d" % (prefix, n)
-
-    def register(self, name: str, arity: int) -> None:
         self.eng.register_relation(name, arity * self.vbits)
+        return name
 
 
 class _Grid:
@@ -85,7 +84,7 @@ class _Grid:
 
     def __init__(self, fresh, ncols: int):
         self.fresh = fresh
-        self.ncols = max(1, ncols)
+        self.ncols = ncols
         self.rows = []
         self._next_col = 0
 
@@ -121,14 +120,16 @@ def _gt_root(d: int, m: int, P: int, num: int, den: int) -> bool:
     return d ** den * P ** num > m ** den
 
 
-# -- row-set combinators ---------------------------------------------------
+# -- central rows ----------------------------------------------------------
 #
-# These assemble *result* rows only; no routing decision ever depends on
-# them.  In counting mode the two leaves that build rows from relations,
-# `_out_join` and `_intersect_ship`, are the only readers of
-# `store_tuples`: they return empty sets, so every row set the combinators
-# see is empty too and large instances can be dry-run for their loads
-# without materializing outputs.
+# Plans also assemble their output centrally, in two functions.
+# `_out_join` joins the relations a step shipped; it is the only reader of
+# `store_tuples` and returns the empty set in counting mode, so dry runs
+# materialize no output.  `_rows` reorders, plugs constants into and joins
+# row sets.  No route reads output rows, but two central results do, so
+# both modes compute them: the key sets that `_lw` and `_covering` reorder
+# with `_rows` before a semi-join ships them, and `_semijoin_into`'s
+# filter, whose result the next round ships.
 
 def _out_join(ctx, atoms, rel_tuples, out_vars):
     if not ctx.eng.store_tuples:
@@ -136,21 +137,12 @@ def _out_join(ctx, atoms, rel_tuples, out_vars):
     return join_atoms(atoms, rel_tuples, out_vars)
 
 
-def _reorder(vars_src, rows, vars_dst):
-    return set(map(_columns([vars_src.index(v) for v in vars_dst]), rows))
-
-
-def _join2(va, ra, vb, rb, out_vars):
-    """Join row sets ra over va and rb over vb, projected onto out_vars."""
-    return join_atoms((Atom("a", tuple(va)), Atom("b", tuple(vb))),
-                      {"a": ra, "b": rb}, out_vars)
-
-
-def _plug(vars_in, rows, extra: dict):
-    """Extend every row with fixed values for new variables."""
-    out_vars = tuple(vars_in) + tuple(extra)
-    tail = tuple(extra.values())
-    return out_vars, {t + tail for t in rows}
+def _rows(parts, out_vars):
+    """The natural join of (vars, rows) parts, projected onto out_vars; a
+    part of one row plugs constants."""
+    atoms = [Atom(str(i), tuple(vs)) for i, (vs, _) in enumerate(parts)]
+    return join_atoms(atoms, {a.relation: rows for a, (_, rows) in zip(atoms, parts)},
+                      out_vars)
 
 
 # -- heavy-hitter bookkeeping ---------------------------------------------
@@ -242,13 +234,18 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
     return maps
 
 
-def _hc_ship(ctx, rnd, q, rels, shares, cells, offsets):
-    """Hypercube shipment of every atom's tuples in rels onto the given
-    logical cells (exactly prod(shares) of them), placed by the offset maps
-    of `_balanced_hashes`."""
+def _hypercube(ctx, rnd, q, rels, shares, fresh, tag, stats=None):
+    """One hypercube round (Beame, Koutris and Suciu, PODS 2014): every
+    atom's tuples in rels go to prod(shares) fresh logical cells, placed by
+    the `_balanced_hashes` maps of the values in stats (rels by default),
+    hashed under tag.  Returns the output rows over q.variables."""
+    cells = [fresh() for _ in range(math.prod(shares.values()))]
+    offsets = _balanced_hashes(ctx, q, rels if stats is None else stats,
+                               shares, tag)
     for a in q.atoms:
         ctx.eng.ship(rnd, a.relation, rels[a.relation],
                      _hc_route(a, q.variables, shares, offsets, cells))
+    return _out_join(ctx, q.atoms, rels, q.variables)
 
 
 def _hc_route(a, order, shares, offsets, cells):
@@ -306,20 +303,15 @@ def _distribute(ctx, rnd, name, tuples, groups, tag):
     ctx.eng.ship(rnd, name, tuples, lambda t: groups[h(t, n) - 1])
 
 
-def _intersect_ship(ctx, rnd, named_sets, P, fresh, tag):
-    """Co-locate same-schema relations by full-tuple hash; return the
-    intersection."""
-    block = [fresh() for _ in range(max(1, P))]
+def _intersect_ship(ctx, rnd, atoms, rels, P, fresh, tag):
+    """Co-locate the atoms' relations, which share one variable tuple, by
+    full-tuple hash; returns their intersection."""
+    block = [fresh() for _ in range(P)]
     h = hash_family(ctx.seed, tag, "ix")
-    n = len(block)
-    for name, ts in named_sets:
-        ctx.eng.ship(rnd, name, ts, lambda t: block[h(t, n) - 1])
-    if not ctx.eng.store_tuples:
-        return set()
-    out = set(named_sets[0][1])
-    for _, ts in named_sets[1:]:
-        out &= set(ts)
-    return out
+    for a in atoms:
+        ctx.eng.ship(rnd, a.relation, rels[a.relation],
+                     lambda t: block[h(t, P) - 1])
+    return _out_join(ctx, atoms, rels, atoms[0].vars)
 
 
 def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
@@ -335,7 +327,6 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     over a block of P servers, routed by key so that h runs once per
     distinct key.  Returns the heavy key -> block map.
     """
-    P = max(1, P)
     m = max(len(a_tuples), len(b_tuples), 1)
     akey, bkey = _key(a_keypos), _key(b_keypos)
     block = [fresh() for _ in range(P)]
@@ -369,10 +360,8 @@ def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
     The keys are unique, so only the target can be skewed on the key: this
     is the one-sided skew join with the keys as the skew-free side.
     """
-    name = ctx.fresh_name(prefix)
-    ctx.register(name, len(target.vars))
-    kname = ctx.fresh_name(kprefix)
-    ctx.register(kname, len(keypos))
+    name = ctx.relation(prefix, len(target.vars))
+    kname = ctx.relation(kprefix, len(keypos))
     tuples = rels[target.relation]
     tkeys = list(map(_key(keypos), tuples))
     _skew_join_ship(ctx, rnd, kname, keys, range(len(keypos)), target.relation,
@@ -391,9 +380,7 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
 
     Returns the output rows over q.variables.
     """
-    P = max(1, P)
-    eng = ctx.eng
-    sizes = {a.relation: max(1, eng.widths[a.relation] * len(rels[a.relation]))
+    sizes = {a.relation: max(1, ctx.eng.widths[a.relation] * len(rels[a.relation]))
              for a in q.atoms}
     heavy = _heavy_at(q.atoms, rels, q.variables,
                       lambda f, mj: f * P >= mj)
@@ -444,7 +431,6 @@ def _line_vars(atoms):
 
 def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     """Path join over the chained atoms; returns (vars, rows)."""
-    P = max(1, P)
     vs = _line_vars(atoms)
     k = len(atoms)
     if k == 1:
@@ -460,7 +446,7 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
         v0, out0 = _line(ctx, rnd, atoms[:-1], rels, p0, grid.fresh_row, tag + "e")
         last = atoms[-1]
         _distribute(ctx, rnd, last.relation, rels[last.relation], grid.cols(), tag + "ed")
-        return vs, _join2(v0, out0, last.vars, rels[last.relation], vs)
+        return vs, _rows([(v0, out0), (last.vars, rels[last.relation])], vs)
 
     # odd k >= 5
     n = (k + 1) // 2
@@ -485,7 +471,7 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
                                            lambda v: cols[hcol(v, p1) - 1]))
     head = _out_join(ctx, [s1, s2], {s1.relation: light1, s2.relation: light2},
                      (s1.vars[0], x1, s2.vars[1]))
-    out = _join2((s1.vars[0], x1, s2.vars[1]), head, v0, out0, vs)
+    out = _rows([((s1.vars[0], x1, s2.vars[1]), head), (v0, out0)], vs)
 
     # heavy x1: one exclusive grid per heavy value
     p1k = pow_floor(P, Fraction(1, n))
@@ -504,11 +490,9 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
         crels[head3.relation] = res
         cv, crows = _line(ctx, rnd + 1, chain, crels, p1h,
                           grid2.fresh_row, tag + "h" + str(h))
-        lname = ctx.fresh_name(tag + "u")
-        ctx.register(lname, 1)
+        lname = ctx.relation(tag + "u", 1)
         _distribute(ctx, rnd, lname, left, grid2.cols(), tag + "d" + str(h))
-        pv, prows = _plug(cv, crows, {x1: h})
-        out |= _join2(pv, prows, (s1.vars[0],), left, vs)
+        out |= _rows([(cv, crows), ((x1,), [(h,)]), ((s1.vars[0],), left)], vs)
     return vs, out
 
 
@@ -520,12 +504,8 @@ def _chain_eval(ctx, rnd, chain, rels, P, fresh, tag):
     (1 round).  Otherwise a line join.  Returns (vars, rows).
     """
     if len(chain) == 2 and chain[0].vars == chain[1].vars:
-        a, b = chain
-        out = _intersect_ship(ctx, rnd,
-                              [(a.relation, set(rels[a.relation])),
-                               (b.relation, set(rels[b.relation]))],
-                              P, fresh, tag + "c2")
-        return a.vars, out
+        return chain[0].vars, _intersect_ship(ctx, rnd, chain, rels, P, fresh,
+                                              tag + "c2")
     return _line(ctx, rnd, chain, rels, P, fresh, tag)
 
 
@@ -544,14 +524,10 @@ def _light_hypercube(ctx, rnd, q, rels, P, fresh, tag):
     heavy = _heavy_at(q.atoms, rels, q.variables,
                       lambda f, mj: _gt_root(f, m, P, 1, k))
     shares = _round_shares(q, {v: Fraction(1, k) for v in q.variables}, P)
-    cells = [fresh() for _ in range(math.prod(shares.values()))]
-
     light = {a.relation: _heavy_profiles(a, rels[a.relation], heavy).get(frozenset(), [])
              for a in q.atoms}
     # buckets are balanced over the full relations, heavy tuples included
-    _hc_ship(ctx, rnd, q, light, shares, cells,
-             _balanced_hashes(ctx, q, rels, shares, tag + "l"))
-    return heavy, _out_join(ctx, q.atoms, light, q.variables)
+    return heavy, _hypercube(ctx, rnd, q, light, shares, fresh, tag + "l", rels)
 
 
 def _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual):
@@ -568,8 +544,7 @@ def _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual):
     P1 = max(1, pow_floor(P, Fraction(q.k - 1, q.k)))
     for i, x in enumerate(q.variables):
         for h in sorted(heavy[x]):
-            pv, prows = _plug(*residual(i, x, h, P1), {x: h})
-            out |= _reorder(pv, prows, q.variables)
+            out |= _rows([residual(i, x, h, P1), ((x,), [(h,)])], q.variables)
     return out
 
 
@@ -644,11 +619,8 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
         exps = {}
         for i in range(k):
             exps[var_at[i]] = e_odd if i % 2 == first_odd else e_even
-    shares = _round_shares(q, exps, P)
-    cells = [fresh() for _ in range(math.prod(shares.values()))]
-    _hc_ship(ctx, rnd, q, rels, shares, cells,
-             _balanced_hashes(ctx, q, rels, shares, tag + "g"))
-    out = _out_join(ctx, atoms, rels, q.variables)
+    out = _hypercube(ctx, rnd, q, rels, _round_shares(q, exps, P), fresh,
+                     tag + "g")
 
     # Case 1: exclusive blocks for qualifying heavy pairs at odd distance.
     cand = []
@@ -666,10 +638,10 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
                     rhs = P ** 2 * (deg[i][h] * deg[j][h2]) ** k
                     if lhs > rhs:
                         continue
-                    cv, crows = _cycle_pair(ctx, rnd, q, rels, P, P1, fresh,
-                                            i, h, j, h2, tag)
-                    pv, prows = _plug(cv, crows, {var_at[i]: h, var_at[j]: h2})
-                    out |= _reorder(pv, prows, q.variables)
+                    out |= _rows([_cycle_pair(ctx, rnd, q, rels, P, P1, fresh,
+                                              i, h, j, h2, tag),
+                                  ((var_at[i], var_at[j]), [(h, h2)])],
+                                 q.variables)
     return out
 
 
@@ -716,8 +688,8 @@ def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
     u2b = unary_left((i - 1) % k, h)         # var_at[i-1]
     v2, rows2 = _arc(ctx, rnd, path(j + 1, i + k - 2), u2a, u2b, rels,
                      g2, grid.fresh_col, ptag + "y", "", ("A", "B"))
-    cv = v1 + v2                        # disjoint arcs: a product
-    return cv, _join2(v1, rows1, v2, rows2, cv)
+    # disjoint arcs: a product
+    return v1 + v2, _rows([(v1, rows1), (v2, rows2)], v1 + v2)
 
 
 # -- Loomis-Whitney joins --------------------------------------------------
@@ -730,7 +702,7 @@ def _lw(ctx, rnd, q, rels, P, fresh, tag):
 
     def residual(i, x, h, P1):
         base = omit[x]                      # the one atom without x
-        results = []
+        semis, srels = [], {}
         for a in q.atoms:
             if a is base:
                 continue
@@ -739,13 +711,12 @@ def _lw(ctx, rnd, q, rels, P, fresh, tag):
             keys = _slice(rels[a.relation], pos, h)
             keypos = tuple(sorted(base.vars.index(v) for v in keyvars))
             # align projected keys to base's variable order
-            keys = _reorder(tuple(keyvars), keys,
-                            tuple(base.vars[kp] for kp in keypos))
-            b, res = _semijoin_into(ctx, rnd, tag + "w", tag + "kw", keys, base,
-                                    keypos, rels, P1, fresh,
-                                    tag + "s%s_%s_%s" % (x, a.relation, h))
-            results.append((b.relation, res))
-        return base.vars, _intersect_ship(ctx, rnd + 1, results, P1, fresh,
+            keys = _rows([(keyvars, keys)], tuple(base.vars[kp] for kp in keypos))
+            b, srels[b.relation] = _semijoin_into(
+                ctx, rnd, tag + "w", tag + "kw", keys, base, keypos, rels, P1,
+                fresh, tag + "s%s_%s_%s" % (x, a.relation, h))
+            semis.append(b)
+        return base.vars, _intersect_ship(ctx, rnd + 1, semis, srels, P1, fresh,
                                           tag + "i%s_%s" % (x, h))
 
     return _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual)
@@ -758,12 +729,9 @@ def _clique(ctx, rnd, q, rels, P, fresh, tag):
     atoms with the same `vars` allowed only at k == 2).  Returns the
     output rows over q.variables."""
     if q.k == 2:
-        a, b = q.atoms
-        inter = _intersect_ship(ctx, rnd, [(a.relation, set(rels[a.relation])),
-                                           (b.relation, set(rels[b.relation]))],
-                                P, fresh, tag + "i")
+        inter = _intersect_ship(ctx, rnd, q.atoms, rels, P, fresh, tag + "i")
         # a parsed clique may list the pair in the other order
-        return _reorder(a.vars, inter, q.variables)
+        return _rows([(q.atoms[0].vars, inter)], q.variables)
 
     atom_for = {frozenset(a.vars): a for a in q.atoms}   # one per pair
 
@@ -803,18 +771,19 @@ def _covering(ctx, rnd, q, rels, P, fresh, tag):
     cover = covering_atom(q)
     others = [a for a in q.atoms if a is not cover]
     if not others:
-        return _reorder(cover.vars, set(rels[cover.relation]), q.variables)
-    results = []
+        return _rows([(cover.vars, rels[cover.relation])], q.variables)
+    semis, srels = [], {}
     for a in others:
         keypos = tuple(sorted(cover.vars.index(v) for v in a.vars))
-        keys = _reorder(a.vars, set(rels[a.relation]),
-                        tuple(cover.vars[i] for i in keypos))
-        b, res = _semijoin_into(ctx, rnd, tag + "c", tag + "kc", keys, cover,
-                                keypos, rels, P, fresh, tag + "s" + a.relation)
-        results.append((b.relation, res))
-    inter = results[0][1] if len(results) == 1 else \
-        _intersect_ship(ctx, rnd + 1, results, P, fresh, tag + "i")
-    return _reorder(cover.vars, inter, q.variables)
+        keys = _rows([(a.vars, rels[a.relation])],
+                     tuple(cover.vars[i] for i in keypos))
+        b, srels[b.relation] = _semijoin_into(
+            ctx, rnd, tag + "c", tag + "kc", keys, cover, keypos, rels, P,
+            fresh, tag + "s" + a.relation)
+        semis.append(b)
+    inter = srels[semis[0].relation] if len(semis) == 1 else \
+        _intersect_ship(ctx, rnd + 1, semis, srels, P, fresh, tag + "i")
+    return _rows([(cover.vars, inter)], q.variables)
 
 
 # -- shapes ----------------------------------------------------------------
@@ -901,11 +870,8 @@ def _hc(ctx, q, rels, p):
     sizes = {a.relation: max(1, ctx.eng.widths[a.relation] * len(rels[a.relation]))
              for a in q.atoms}
     alloc = share_lp(q, sizes, p)
-    cells = [ctx.root() for _ in range(alloc.grid_size())]
-    _hc_ship(ctx, 0, q, rels, alloc.shares, cells,
-             _balanced_hashes(ctx, q, rels, alloc.shares, "hc"))
     ctx.extras.update({"shares": alloc.shares, "lambda": alloc.lam})
-    return _out_join(ctx, q.atoms, rels, q.variables)
+    return _hypercube(ctx, 0, q, rels, alloc.shares, ctx.root, "hc")
 
 
 def _one_sided_skew(ctx, q, rels, p):
@@ -1042,14 +1008,8 @@ def run_algorithm(name: str, db, p: int, seed: int,
             list(map(itemgetter(*map(src.index, a.vars)), ts))
     rows = strategy.plan(ctx, q, rels, p)
     if q.variables != db.query.variables:
-        rows = _reorder(q.variables, rows, db.query.variables)
+        rows = _rows([(q.variables, rows)], db.query.variables)
     return AlgorithmResult(name, db.query, p, rows, ctx.eng.report,
                            ctx.eng.report.rounds,
                            {"nominal_p": p, "physical_servers": ctx.servers,
                             **ctx.extras})
-
-
-def declared_rounds(name: str, q: Query) -> int:
-    """Upper bound on the number of communication rounds strategy `name`
-    uses for the given query shape."""
-    return ALGORITHMS[name].rounds(q)

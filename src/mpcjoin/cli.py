@@ -2,7 +2,8 @@
 
 Every command prints a `# mpcjoin <args>` header so any report can be
 reproduced from its own first line.  Exit codes: 0 success, 1 a measured
-bound or oracle check failed, 2 bad input.
+bound or oracle check failed, 2 bad input (including a W sweep whose memory
+budget no server count fits).
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import sys
 from fractions import Fraction
 
 from . import datagen
-from .algorithms import ALGORITHMS, declared_rounds, run_algorithm
+from .algorithms import ALGORITHMS, run_algorithm
 from .analyzer import (load_bound_worstcase, psi_star, rho_star, share_lp,
                        tau_star)
-from .em import simulate_em
+from .em import MemoryOverflow, simulate_em
 from .query import FAMILIES, QueryError, canonical_query, parse_query
 from .sim import oracle_join
 
@@ -93,8 +94,6 @@ def cmd_generate(args) -> int:
     q = _load_query(args)
     _echo(args)
     db = _build_instance(q, args)
-    if not args.out:
-        raise QueryError("generate needs --out DIR")
     datagen.write_instance(db, args.out)
     for name, ri in sorted(db.relations.items()):
         print("%s: %d tuples, domain [1,%d] -> %s.tsv"
@@ -116,7 +115,7 @@ def cmd_run(args) -> int:
     res = run_algorithm(args.alg, db, args.p, args.seed)
     print("algorithm=%s p=%d rounds=%d (declared <= %d) output=%d "
           "max_load_tuples=%d max_load_bits=%d physical_servers=%d"
-          % (res.name, res.p, res.rounds, declared_rounds(res.name, q),
+          % (res.name, res.p, res.rounds, ALGORITHMS[res.name].rounds(q),
              res.count, res.report.max_tuples(), res.report.max_bits(),
              res.extras["physical_servers"]))
     if args.out:
@@ -239,7 +238,7 @@ def build_parser():
     g = sub.add_parser("generate", help="write a seeded instance as TSV")
     _add_query_flags(g)
     _add_instance_flags(g)
-    g.add_argument("--out", help="output directory")
+    g.add_argument("--out", required=True, help="output directory")
     g.set_defaults(fn=cmd_generate)
 
     r = sub.add_parser("run", help="run one strategy, report loads")
@@ -277,7 +276,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (QueryError, ValueError, OSError) as e:
+    except (QueryError, ValueError, OSError, MemoryOverflow) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -75,9 +75,6 @@ class DatabaseInstance:
             raise ValueError("relations %s do not match query atoms %s"
                              % (sorted(self.relations), sorted(want)))
 
-    def sizes_bits(self) -> dict:
-        return {r: ri.size_bits for r, ri in self.relations.items()}
-
     def sizes_tuples(self) -> dict:
         return {r: ri.m for r, ri in self.relations.items()}
 

@@ -11,8 +11,9 @@ counted in whole blocks.
 The server count p_o is the smallest power of two whose measured per-round
 load fits the memory budget: r * L(p_o) <= W, with r and L taken from cheap
 counting-mode dry runs of the same strategy on the same instance.  Powers
-of two are probed in increasing order, so no dry run uses more than p_o
-servers, and one sweep over several W shares its dry runs.
+of two are probed in increasing order up to the number of input tuples, so
+no dry run uses more than p_o servers, and one sweep over several W shares
+its dry runs.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass, field
 
 from .algorithms import run_algorithm
 from .sim import LoadReport
-
-P_CAP = 1 << 24              # choose_po gives up past this many servers
 
 
 class MemoryOverflow(RuntimeError):
@@ -43,22 +42,22 @@ def _blocks(words: int, B: int) -> int:
     return -(-words // B)
 
 
-def choose_po(measure, W: int) -> int:
-    """Smallest power of two p <= P_CAP with r(p) * L(p) <= W.
+def choose_po(measure, W: int, p_max: int) -> int:
+    """Smallest power of two p <= p_max with r(p) * L(p) <= W.
 
     `measure(p)` dry-runs the strategy at server count p and returns
     (rounds, max per-round per-server tuple load).  Every power of two is
     probed in increasing order until one fits, so the last dry run is the
-    answer's; MemoryOverflow is raised once p exceeds P_CAP.
+    answer's; MemoryOverflow is raised when none up to p_max fits.
     """
     p = 1
-    while p <= P_CAP:
+    while p <= p_max:
         r, load = measure(p)
         if max(1, r) * load <= W:
             return p
         p *= 2
     raise MemoryOverflow("no server count up to %d fits the memory budget W=%d"
-                         % (P_CAP, W))
+                         % (p_max, W))
 
 
 def replay_io(report: LoadReport, input_tuples: int, W: int, B: int,
@@ -125,9 +124,11 @@ def simulate_em(db, Ws, B: int, alg: str = "auto", seed: int = 0) -> list:
 
     ValueError is raised before any dry run unless 1 <= B <= W for every
     W.  Each W's server count is chosen by `choose_po` from counting-mode dry
-    runs, which the whole sweep shares; the chosen run's ledger is then
-    replayed for its block transfers.  The result set is never
-    materialized: ``run_algorithm(alg, db, io.p_o, seed)`` rebuilds it.
+    runs, which the whole sweep shares, among the powers of two up to the
+    number of input tuples (MemoryOverflow when none fits a W); the chosen
+    run's ledger is then replayed for its block transfers.  The result set
+    is never materialized: ``run_algorithm(alg, db, io.p_o, seed)``
+    rebuilds it.
     """
     for W in Ws:
         if not 1 <= B <= W:
@@ -141,6 +142,6 @@ def simulate_em(db, Ws, B: int, alg: str = "auto", seed: int = 0) -> list:
 
     reports = []
     for W in Ws:
-        p_o = choose_po(measure, W)
+        p_o = choose_po(measure, W, db.total_tuples())
         reports.append(replay_io(runs[p_o].report, db.total_tuples(), W, B, p_o))
     return reports

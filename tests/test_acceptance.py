@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from conftest import record
 
-from mpcjoin.algorithms import declared_rounds, run_algorithm
+from mpcjoin.algorithms import run_algorithm
 from mpcjoin.analyzer import (psi_star, psi_star_recursive, rho_star,
                               share_lp, tau_star)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,

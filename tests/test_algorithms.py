@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _Grid,
-                                _heavy_profiles, declared_rounds,
-                                pick_algorithm, run_algorithm)
+                                _heavy_profiles, pick_algorithm, run_algorithm)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.query import Atom, Query, QueryError, canonical_query, parse_query
@@ -117,7 +116,7 @@ def test_round_contracts_on_skewed_instances():
         q = canonical_query(fam, k)
         res = check(all_ones(q), alg, p=16)
         assert res.rounds == rounds, (fam, k)
-        assert res.rounds <= declared_rounds(alg, q)
+        assert res.rounds <= ALGORITHMS[alg].rounds(q)
 
 
 def test_light_instances_finish_in_one_round():
@@ -129,12 +128,12 @@ def test_light_instances_finish_in_one_round():
 
 
 def test_declared_round_bounds():
-    assert declared_rounds("hc", canonical_query("C", 3)) == 1
-    assert declared_rounds("triangle", canonical_query("C", 3)) == 2
-    assert declared_rounds("cycle", canonical_query("C", 6)) == 3
-    assert declared_rounds("line", canonical_query("L", 6)) == 3
-    assert declared_rounds("clique", canonical_query("K", 4)) == 3
-    assert declared_rounds("lw", canonical_query("LW", 5)) == 2
+    assert ALGORITHMS["hc"].rounds(canonical_query("C", 3)) == 1
+    assert ALGORITHMS["triangle"].rounds(canonical_query("C", 3)) == 2
+    assert ALGORITHMS["cycle"].rounds(canonical_query("C", 6)) == 3
+    assert ALGORITHMS["line"].rounds(canonical_query("L", 6)) == 3
+    assert ALGORITHMS["clique"].rounds(canonical_query("K", 4)) == 3
+    assert ALGORITHMS["lw"].rounds(canonical_query("LW", 5)) == 2
 
 
 # -- bookkeeping -----------------------------------------------------------
@@ -215,7 +214,7 @@ def test_shapes_decide_dispatch(p, db):
             assert strategy.shape(q) is None, (name, q.render())
             continue
         assert strategy.shape(q) is not None, (name, q.render())
-        assert res.rounds <= declared_rounds(name, q), (name, q.render())
+        assert res.rounds <= ALGORITHMS[name].rounds(q), (name, q.render())
         assert res.output == want, (name, q.render())
     res = run_algorithm("auto", db, p, 3)
     assert res.name == pick_algorithm(q)
@@ -361,7 +360,7 @@ def test_renaming_wrappers_only_rename():
 
 def test_every_registered_algorithm_has_contract():
     for name in ALGORITHMS:
-        assert declared_rounds(name, canonical_query("C", 3)) >= 1
+        assert ALGORITHMS[name].rounds(canonical_query("C", 3)) >= 1
 
 
 @settings(max_examples=200, deadline=None)

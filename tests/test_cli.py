@@ -1,4 +1,7 @@
 import os
+import time
+
+import pytest
 
 from mpcjoin import cli, sim
 from mpcjoin.algorithms import run_algorithm
@@ -256,3 +259,38 @@ def test_run_check_skips_when_the_oracle_runs_out_of_room(monkeypatch, capsys):
     assert rc == 0
     assert "oracle check: skipped (instance too large for oracle join)" in out
     assert "oracle check: OK" not in out
+
+
+def test_run_no_check_prints_no_oracle_line(capsys):
+    rc = main(["run", "--family", "C", "--k", "3", "--gen", "matching",
+               "--m", "50", "--alg", "triangle", "--p", "8", "--no-check"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "algorithm=triangle" in out
+    assert "oracle check" not in out
+
+
+def test_sweep_w_no_server_count_fits_exit_2(capsys):
+    # no power of two up to the 150 input tuples fits W = 1: choose_po stops
+    # there instead of dry-running ever larger p
+    t0 = time.perf_counter()
+    rc = main(["sweep", "--family", "C", "--k", "3", "--gen", "matching",
+               "--m", "50", "--alg", "triangle", "--W", "1", "--B", "1"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no server count up to 150 fits the memory budget W=1"]
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["analyze", "--family", "C"], "error: --family requires --k"),
+    (["sweep", "--family", "C", "--k", "3", "--m", "50", "--W", "100"],
+     "error: --W sweep needs --B"),
+    (["sweep", "--family", "C", "--k", "3", "--p-list", "8,x"],
+     "expected comma-separated integers"),
+    (["generate", "--family", "C", "--k", "3", "--m", "50"],
+     "the following arguments are required: --out"),
+])
+def test_bad_arguments_exit_2(argv, msg, capsys):
+    assert main(argv) == 2
+    assert msg in capsys.readouterr().err

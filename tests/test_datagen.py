@@ -90,6 +90,20 @@ def test_lowerbound_matching_structure():
     assert n == 30 * 30
 
 
+def test_lowerbound_matching_at_two_tuples_is_a_matching():
+    # the largest relation has 2 tuples, so n = 4 and every free column is
+    # drawn by Stream.sample_distinct's shuffle branch (2 * count >= n)
+    q = triangle()
+    db = gen_lowerbound_matching(q, {"S1": 2, "S2": 2, "S3": 1},
+                                 frozenset({"x1"}), 3)
+    assert db.relations["S1"].n == 4
+    for name, pos in (("S1", 1), ("S2", 0), ("S2", 1), ("S3", 0)):
+        freq = db.relations[name].frequencies(pos)
+        assert set(freq.values()) == {1}
+        assert set(freq) <= {1, 2, 3, 4}
+    assert db.relations["S1"].frequencies(0) == {1: 2}
+
+
 def test_lowerbound_all_heavy_atom_padded():
     q = parse_query("q(x,y) :- S(x,y), T(x), U(y)")
     db = gen_lowerbound_matching(q, {"S": 5, "T": 5, "U": 5},

@@ -1,6 +1,5 @@
 import pytest
 
-from mpcjoin import em
 from mpcjoin.algorithms import run_algorithm
 from mpcjoin.em import MemoryOverflow, choose_po, replay_io, simulate_em
 from mpcjoin.datagen import gen_matching, gen_single_heavy
@@ -67,30 +66,32 @@ def test_choose_po_minimal_power_of_two():
     def measure(p):
         return 2, loads.get(p, 1)
 
-    assert choose_po(measure, W=200) == 1       # 2*100 <= 200
-    assert choose_po(measure, W=100) == 4       # 2*30 <= 100 < 2*60
-    assert choose_po(measure, W=19) == 16
+    assert choose_po(measure, W=200, p_max=1024) == 1   # 2*100 <= 200
+    assert choose_po(measure, W=100, p_max=1024) == 4   # 2*30 <= 100 < 2*60
+    assert choose_po(measure, W=19, p_max=1024) == 16
 
 
-def test_choose_po_gives_up_at_cap(monkeypatch):
-    seen = []
+def test_choose_po_gives_up_at_cap():
+    # the cap p_max need not be a power of two: the last probe is the
+    # largest power of two up to it
+    for p_max, last in ((1 << 10, 1 << 10), (1500, 1 << 10), (1, 1)):
+        seen = []
 
-    def measure(p):
-        seen.append(p)
-        return 1, 10 ** 9
+        def measure(p):
+            seen.append(p)
+            return 1, 10 ** 9
 
-    monkeypatch.setattr(em, "P_CAP", 1 << 10)
-    with pytest.raises(MemoryOverflow):
-        choose_po(measure, W=10)
-    assert max(seen) == 1 << 10
+        with pytest.raises(MemoryOverflow, match="up to %d fits" % p_max):
+            choose_po(measure, W=10, p_max=p_max)
+        assert max(seen) == last
 
 
 def test_choose_po_probes_every_power_up_to_cap():
-    # fits first at 2^20; the cap is 2^24
+    # fits first at 2^20, which is also the cap
     def measure(p):
         return 1, 1 if p >= 1 << 20 else 10 ** 9
 
-    assert choose_po(measure, W=10) == 1 << 20
+    assert choose_po(measure, W=10, p_max=1 << 20) == 1 << 20
 
 
 def test_choose_po_never_probes_past_answer():
@@ -100,7 +101,7 @@ def test_choose_po_never_probes_past_answer():
         seen.append(p)
         return 1, 1 if p >= 32 else 100
 
-    p_o = choose_po(measure, W=10)
+    p_o = choose_po(measure, W=10, p_max=1 << 24)
     assert p_o == 32
     assert max(seen) == p_o
     assert seen == [1, 2, 4, 8, 16, 32]

@@ -50,6 +50,17 @@ def test_syntax_error_reports_position():
         parse_query("q(x,y) :- S(x,y")
 
 
+@pytest.mark.parametrize("text, msg", [
+    ("q(x) :- S(x) $", "position 12: ' \\$'"),
+    ("q(x) S(x)", "position 5: expected ':-', got 'S'"),
+    ("q(x) :- S(,)", "position 10: expected identifier, got ','"),
+    ("q(x) :- S(x) T(x)", "position 13: trailing input"),
+])
+def test_syntax_errors_name_the_position(text, msg):
+    with pytest.raises(QueryError, match=msg):
+        parse_query(text)
+
+
 def test_residual_drops_variables_and_empty_atoms():
     q = triangle()
     r = residual_query(q, {"x"})

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from mpcjoin.rng import Stream, derive_key, mix64
@@ -41,10 +42,15 @@ def test_shuffle_is_permutation():
 
 
 def test_sample_distinct():
-    vals = Stream(3, "d").sample_distinct(50, 1000)
-    assert len(vals) == 50
-    assert len(set(vals)) == 50
-    assert all(1 <= v <= 1000 for v in vals)
+    # rejection sampling for count << n; a shuffled prefix of [1, n] once
+    # 2 * count >= n
+    for count, n in ((50, 1000), (2, 4), (3, 4), (5, 5)):
+        vals = Stream(3, "d").sample_distinct(count, n)
+        assert len(vals) == count
+        assert len(set(vals)) == count
+        assert all(1 <= v <= n for v in vals)
+    with pytest.raises(ValueError, match="cannot sample"):
+        Stream(3, "d").sample_distinct(6, 5)
 
 
 def test_coin_balance():
