@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress, cycle, repeat
 from operator import add, itemgetter, not_
 from typing import Callable, NamedTuple
 
@@ -120,6 +120,19 @@ def _gt_root(d: int, m: int, P: int, num: int, den: int) -> bool:
     return d ** den * P ** num > m ** den
 
 
+def _least(test, hi: int) -> int:
+    """The least f in [1, hi] passing test, which is monotone in f, else
+    hi + 1: a heavy threshold, found once by binary search."""
+    lo, hi = 1, hi + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 # -- central rows ----------------------------------------------------------
 #
 # Plans also assemble their output centrally, in two functions.
@@ -157,16 +170,17 @@ def _slice(tuples, pos: int, h):
 
 
 def _heavy_at(atoms, rels, var_list, test):
-    """Per-variable heavy value sets; test(freq, m_j) decides heaviness."""
+    """Per-variable heavy value sets; test(freq, m_j) decides heaviness and
+    holds for every frequency above one that passes."""
     heavy = {v: set() for v in var_list}
     for a in atoms:
         mj = len(rels[a.relation])
         if mj == 0:
             continue
+        least = _least(lambda f: test(f, mj), mj)
         for pos, v in enumerate(a.vars):
-            for val, f in _column_freqs(rels[a.relation], pos).items():
-                if test(f, mj):
-                    heavy[v].add(val)
+            freqs = _column_freqs(rels[a.relation], pos)
+            heavy[v].update(compress(freqs, map(least.__le__, freqs.values())))
     return heavy
 
 
@@ -230,7 +244,7 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
             return z ^ (z >> 31)
         # by rank, ties by value: the sort is stable
         ordered = sorted(sorted(vals), key=rank)
-        maps[v] = {val: i % s * stride for i, val in enumerate(ordered)}
+        maps[v] = dict(zip(ordered, cycle(range(0, s * stride, stride))))
     return maps
 
 
@@ -296,11 +310,24 @@ def _union(routes):
     return Route(keys, dests)
 
 
+class _Hashed(dict):
+    """key -> groups[h(key, len(groups)) - 1], hashed on a key's first
+    lookup, or the preset servers.  Its `__getitem__` is a route's dests,
+    so h runs once per distinct key over the shipments sharing the map."""
+
+    def __init__(self, h, groups, preset=()):
+        super().__init__(preset)
+        self.h, self.groups = h, groups
+
+    def __missing__(self, key):
+        d = self[key] = self.groups[self.h(key, len(self.groups)) - 1]
+        return d
+
+
 def _distribute(ctx, rnd, name, tuples, groups, tag):
     """Partition a relation over the given logical groups by tuple hash."""
-    n = len(groups)
-    h = hash_family(ctx.seed, tag, "dist")
-    ctx.eng.ship(rnd, name, tuples, lambda t: groups[h(t, n) - 1])
+    ctx.eng.ship(rnd, name, tuples,
+                 _Hashed(hash_family(ctx.seed, tag, "dist"), groups).__getitem__)
 
 
 def _intersect_ship(ctx, rnd, atoms, rels, P, fresh, tag):
@@ -324,8 +351,11 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     (freq counts B's keys) each get an exclusive block of ceil(P*f/m)
     logical servers, where A's tuples with that key are broadcast and B's
     are partitioned by hpart; everything else goes through a hash join on h
-    over a block of P servers, routed by key so that h runs once per
-    distinct key.  Returns the heavy key -> block map.
+    over a block of P servers.  A's tuples and B's light tuples are routed
+    by key through one `_Hashed` map with the heavy keys preset to their
+    broadcast blocks, so h runs once per distinct light key over both
+    sides; B's heavy tuples are placed by their whole tuple.  Returns the
+    heavy key -> block map.
     """
     m = max(len(a_tuples), len(b_tuples), 1)
     akey, bkey = _key(a_keypos), _key(b_keypos)
@@ -333,20 +363,20 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     heavy = sorted(kv for kv, f in freq.items() if f * P > m)
     hblocks = {kv: [fresh() for _ in range(-(-P * freq[kv] // m))]  # ceil
                for kv in heavy}
-    bcast = {kv: tuple(s for g in gs for s in g) for kv, gs in hblocks.items()}
+    servers = _Hashed(h, block, {kv: tuple(s for g in gs for s in g)
+                                 for kv, gs in hblocks.items()})
 
     def heavy_b(t):
         g = hblocks[bkey(t)]
         return g[hpart(t, len(g)) - 1]
 
-    ctx.eng.ship(rnd, a_name, a_tuples, _keyed(
-        akey, lambda kv: bcast[kv] if kv in bcast else block[h(kv, P) - 1]))
+    ctx.eng.ship(rnd, a_name, a_tuples, _keyed(akey, servers.__getitem__))
     if hblocks:
         # B's tuples with a heavy key are placed by their whole tuple
         hot = list(map(hblocks.__contains__, map(bkey, b_tuples)))
         ctx.eng.ship(rnd, b_name, list(compress(b_tuples, hot)), heavy_b)
         b_tuples = list(compress(b_tuples, map(not_, hot)))
-    ctx.eng.ship(rnd, b_name, b_tuples, _keyed(bkey, lambda kv: block[h(kv, P) - 1]))
+    ctx.eng.ship(rnd, b_name, b_tuples, _keyed(bkey, servers.__getitem__))
     return hblocks
 
 
@@ -454,7 +484,8 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     x1 = s1.vars[1]
     m = max(max(len(rels[a.relation]) for a in atoms), 1)
     deg = _column_freqs(rels[s1.relation], 1)
-    heavy = sorted(h for h, d in deg.items() if _ge_root(d, m, P, 1, n))
+    least = _least(lambda d: _ge_root(d, m, P, 1, n), m)
+    heavy = sorted(compress(deg, map(least.__le__, deg.values())))
     hset = set(heavy)
 
     # light x1: cartesian grid of the tail line with the head join
@@ -462,13 +493,11 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     p0 = max(1, P // p1)
     grid = _Grid(fresh, p1)
     v0, out0 = _line(ctx, rnd, atoms[2:], rels, p0, grid.fresh_row, tag + "t")
-    cols = grid.cols()
-    hcol = hash_family(ctx.seed, tag, "lx1")
+    hcol = _Hashed(hash_family(ctx.seed, tag, "lx1"), grid.cols())
     light1 = [t for t in rels[s1.relation] if t[1] not in hset]
     light2 = [t for t in rels[s2.relation] if t[0] not in hset]
     for name, ts, pos in ((s1.relation, light1, 1), (s2.relation, light2, 0)):
-        ctx.eng.ship(rnd, name, ts, _keyed(itemgetter(pos),
-                                           lambda v: cols[hcol(v, p1) - 1]))
+        ctx.eng.ship(rnd, name, ts, _keyed(itemgetter(pos), hcol.__getitem__))
     head = _out_join(ctx, [s1, s2], {s1.relation: light1, s2.relation: light2},
                      (s1.vars[0], x1, s2.vars[1]))
     out = _rows([((s1.vars[0], x1, s2.vars[1]), head), (v0, out0)], vs)
@@ -623,10 +652,8 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
                      tag + "g")
 
     # Case 1: exclusive blocks for qualifying heavy pairs at odd distance.
-    cand = []
-    for i in range(k):
-        cand.append(sorted(val for val, d in deg[i].items()
-                           if d ** k * P ** 2 >= m ** k))
+    least = _least(lambda d: _ge_root(d, m, P, 2, k), m)
+    cand = [sorted(compress(dg, map(least.__le__, dg.values()))) for dg in deg]
     P1 = max(1, pow_floor(P, Fraction(k - 2, k)))
     for i in range(k):
         for j in range(i + 1, k):

@@ -261,7 +261,10 @@ def build_parser():
                    help="comma-separated server counts")
     s.add_argument("--C", type=float, default=16.0,
                    help="constant for the load-ratio budget C*(1+ln p)")
-    s.add_argument("--W", type=_int_list, help="memory sizes for an I/O sweep")
+    s.add_argument("--W", type=_int_list,
+                   help="memory sizes for an I/O sweep; its ref_blocks is the "
+                        "triangle's m^1.5/(B*sqrt(W)) for every query and "
+                        "strategy, m the largest relation")
     s.add_argument("--B", type=int, help="block size for an I/O sweep")
     s.add_argument("--out", help="long-form CSV path")
     s.set_defaults(fn=cmd_sweep)

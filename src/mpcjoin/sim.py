@@ -27,7 +27,7 @@ import csv
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import compress, islice
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, NamedTuple
 
 from .query import Query
@@ -136,10 +136,6 @@ class LoadReport:
 
     def round_total_tuples(self, r: int) -> int:
         return sum(self.by_relation[r].values())
-
-    def server_total_tuples(self, s) -> int:
-        return sum(n for rnd in self.by_relation
-                   for (srv, _), n in rnd.items() if srv == s)
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as f:
@@ -348,10 +344,13 @@ def join_atoms(atoms, rel_tuples, out_vars, guard: int = 0):
     first, and the next atom joined is always the one sharing the most
     variables with the prefix (ties keep the smallest-first order).  Each
     step indexes the next atom on those shared variables and extends every
-    row by the values of its new variables; an atom with no new variables
-    is a filter that keeps the rows whose shared values it holds.  Atoms
-    must not repeat a variable.  `guard`, if positive, bounds every
-    intermediate result size.
+    row by the values of its new variables.  There are two kinds of step.
+    When the atom holds each key at most once, the index maps a key to its
+    one tail, and the rows that hit are extended by C-level maps; otherwise
+    a key's tails are listed and each row is extended by all of them.  An
+    atom with no new variables is a filter that keeps the rows whose shared
+    values it holds.  Atoms must not repeat a variable.  `guard`, if
+    positive, bounds every intermediate result size.
     """
     atoms = sorted(atoms, key=lambda a: (len(rel_tuples.get(a.relation, ())), a.relation))
     first, rest = atoms[0], atoms[1:]
@@ -368,18 +367,22 @@ def join_atoms(atoms, rel_tuples, out_vars, guard: int = 0):
         if not new:
             held = set(map(key, ts))
             rows = list(compress(rows, map(held.__contains__, map(probe, rows))))
-            if guard and len(rows) > guard:
-                raise MemoryError("instance too large for oracle join")
-            continue
-        index = defaultdict(list)
-        deque(map(list.append, map(index.__getitem__, map(key, ts)),
-                  map(_columns(new), ts)), 0)
-        nxt = []
-        for row, tails in filter(itemgetter(1), zip(rows, map(index.get, map(probe, rows)))):
-            nxt += map(row.__add__, tails)
-            if guard and len(nxt) > guard:
-                raise MemoryError("instance too large for oracle join")
-        rows = nxt
+        elif len(index := dict(zip(map(key, ts), map(_columns(new), ts)))) == len(ts):
+            # key-unique: a row's tail, if any, is a non-empty tuple
+            tails = list(map(index.get, map(probe, rows)))
+            rows = list(map(add, compress(rows, tails), filter(None, tails)))
+        else:
+            index = defaultdict(list)
+            deque(map(list.append, map(index.__getitem__, map(key, ts)),
+                      map(_columns(new), ts)), 0)
+            nxt = []
+            for row, tails in filter(itemgetter(1), zip(rows, map(index.get, map(probe, rows)))):
+                nxt += map(row.__add__, tails)
+                if guard and len(nxt) > guard:
+                    raise MemoryError("instance too large for oracle join")
+            rows = nxt
+        if guard and len(rows) > guard:
+            raise MemoryError("instance too large for oracle join")
         cols += [a.vars[i] for i in new]
     if not rows:
         return set()

@@ -1,11 +1,14 @@
 import hashlib
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _Grid,
-                                _heavy_profiles, pick_algorithm, run_algorithm)
+from mpcjoin import algorithms
+from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _ge_root, _Grid,
+                                _gt_root, _heavy_profiles, _least, pick_algorithm,
+                                run_algorithm)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.query import Atom, Query, QueryError, canonical_query, parse_query
@@ -75,6 +78,39 @@ def test_semi_join_empty_key_set():
     }
     res = check(DatabaseInstance(q, rels, 0, {}), "semi_join", p=4)
     assert res.output == set()
+
+
+@pytest.mark.parametrize("alg,text,heavy_var", [
+    ("semi_join", "Q(z,y) :- R(z), S(z,y)", None),
+    ("join_one_sided_skew", "Q(x,z,y) :- S1(x,z), S2(z,y)", None),
+    ("join_one_sided_skew", "Q(x,z,y) :- S1(x,z), S2(z,y)", "z"),
+])
+def test_join_hashes_each_light_key_once(monkeypatch, alg, text, heavy_var):
+    # A's side and B's light side share one server map, so the join's h
+    # runs once per distinct light key over both sides; heavy keys are
+    # preset to their blocks and never hashed.
+    q = parse_query(text)
+    db = gen_matching(q, 300, 4) if heavy_var is None \
+        else gen_single_heavy(q, 300, heavy_var, 4)
+    plain = run_algorithm(alg, db, 8, 5)
+    calls = Counter()
+    real = algorithms.hash_family
+
+    def counting(seed, *path):
+        h = real(seed, *path)
+
+        def counted(value, buckets):
+            calls[path] += 1
+            return h(value, buckets)
+        return counted
+    monkeypatch.setattr(algorithms, "hash_family", counting)
+    res = run_algorithm(alg, db, 8, 5)
+    assert res.report.by_relation == plain.report.by_relation
+    assert res.output == plain.output
+    keys = set().union(*({t[a.vars.index("z")] for t in db.relations[a.relation].tuples}
+                         for a in q.atoms))
+    assert (heavy_var is None) == (res.extras["heavy_keys"] == 0)
+    assert calls[("j1s", "h")] == len(keys) - res.extras["heavy_keys"]
 
 
 def test_semi_join_rejects_non_nested_atoms():
@@ -361,6 +397,22 @@ def test_renaming_wrappers_only_rename():
 def test_every_registered_algorithm_has_contract():
     for name in ALGORITHMS:
         assert ALGORITHMS[name].rounds(canonical_query("C", 3)) >= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 4), st.integers(1, 10 ** 4),
+       st.sampled_from([(_gt_root, 1), (_ge_root, 1), (_ge_root, 2), (None, 1)]),
+       st.integers(1, 10))
+def test_least_heavy_frequency_matches_brute_force(m, P, kind, den):
+    # the thresholds of _light_hypercube (_gt_root, 1/k), _line (_ge_root,
+    # 1/n), _cycle_even (_ge_root, 2/k) and _one_round_skew (f * P >= m)
+    root, num = kind
+    if root is None:
+        test = lambda f: f * P >= m     # noqa: E731
+    else:
+        test = lambda f: root(f, m, P, num, den)    # noqa: E731
+    want = next((f for f in range(1, m + 1) if test(f)), m + 1)
+    assert _least(test, m) == want
 
 
 @settings(max_examples=200, deadline=None)

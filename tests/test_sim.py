@@ -69,7 +69,7 @@ def test_engine_counts_and_rejects_repeats():
     assert rep.server_tuples(0) == {1: 2, 2: 1}
     assert rep.max_tuples() == 2 and rep.round_max_bits(0) == 13
     assert rep.round_total_tuples(0) == 3
-    assert rep.server_total_tuples(1) == 4
+    assert sum(n for rnd in rep.by_relation for (s, _), n in rnd.items() if s == 1) == 4
     assert eng.holdings(1, "R") == {(1, 2), (5, 6)}    # union over rounds
     assert eng.holdings(2, "R") == {(1, 2)}
 
@@ -352,6 +352,16 @@ def _join_cases(draw):
 @given(_join_cases())
 @example(([("a", "b"), ("c",), ("b", "a")], ("c", "b", "a"), 2,
           {"R0": [(1, 2), (2, 2)], "R1": [(1,), (2,)], "R2": [(2, 1), (1, 1)]}))
+# a key-unique step that extends every row by one tail
+@example(([("a",), ("a", "b"), ("b", "c")], ("a", "b", "c"), 3,
+          {"R0": [(1,), (2,)], "R1": [(1, 2), (2, 3), (3, 1)],
+           "R2": [(2, 1), (3, 3), (1, 2)]}))
+# a key-unique step whose input already exceeds guard = len(full) - 1
+@example(([("a",), ("a", "b")], ("b", "a"), 3,
+          {"R0": [(1,), (2,), (3,)], "R1": [(1, 1), (2, 1), (3, 2)]}))
+# a repeated key: the step lists each key's tails
+@example(([("a",), ("a", "b")], ("a", "b"), 2,
+          {"R0": [(1,)], "R1": [(1, 1), (1, 2), (2, 2)]}))
 def test_join_atoms_matches_nested_loop(case):
     atoms_vars, head, domain, rels = case
     atoms = [Atom("R%d" % i, vs) for i, vs in enumerate(atoms_vars)]
