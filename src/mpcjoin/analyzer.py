@@ -1,8 +1,8 @@
 """Hypergraph LP quantities: packing/cover/quasi-packing numbers, share
 allocations, and the one-round load-bound formulas.
 
-Everything is exact: weights and exponents are Fractions produced by the
-rational simplex in :mod:`mpcjoin.lp`.  Relation sizes enter the load
+Everything is exact: weights and exponents are Fractions returned by the
+integer-tableau simplex in :mod:`mpcjoin.lp`.  Relation sizes enter the load
 formulas through their base-p logarithm; sizes that are exact rational
 powers of p keep the whole computation rational, anything else is
 approximated by a controlled rational (denominator <= 10^6).

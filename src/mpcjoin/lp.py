@@ -1,22 +1,27 @@
 """Exact linear programming over rationals.
 
-Two-phase primal simplex on Fraction tableaus with Bland's anti-cycling
-pivot rule.  All problems solved here are tiny (hypergraph packing/cover
-polytopes and share LPs), so a dense tableau is the right tool; the point
-is exactness and determinism.  A pivot touches only the columns where the
-pivot row is nonzero, which skips most of the Fraction arithmetic of the
-sparse incidence tableaus and changes no result.
+Two-phase primal simplex with Bland's anti-cycling pivot rule on an
+integer tableau.  All problems solved here are tiny (hypergraph
+packing/cover polytopes and share LPs), so a dense tableau is the right
+tool; the point is exactness and determinism.  Coefficients go in and
+solutions come out as Fractions.  Inside, a tableau row is a list of
+integers: the numerators of its columns and its right-hand side, then one
+positive denominator they share.  Every update divides the row by the gcd
+of its entries, so each entry is the reduced rational a Fraction tableau
+would hold, while the pivot loop does integer arithmetic only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+_FLIP = {"<=": ">=", ">=": "<=", "==": "=="}  # relation after negating a row
 
 
 class LPError(Exception):
@@ -30,54 +35,73 @@ class LPResult:
     value: Fraction    # objective value in the caller's sense
 
 
+def _exact(v):
+    """An int or Fraction as it is; anything else (a float, a str) as a Fraction."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _reduced(row):
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _int_row(values):
+    """Ints and Fractions -> integer numerators, then their least common denominator."""
+    d = lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values] + [d]
+
+
+def _eliminate(trow, prow, col):
+    """trow - trow[col] * prow, where prow's entry at col is 1."""
+    g = gcd(trow[col], prow[-1])
+    f, q = trow[col] // g, prow[-1] // g
+    new = [a * q - f * b for a, b in zip(trow, prow)]
+    new[-1] = trow[-1] * q
+    return _reduced(new)
+
+
 def _pivot(T, basis, row, col):
-    """Pivot in place; a column where the pivot row is 0 keeps a - f*0 == a."""
-    prow = T[row]
-    inv = Fraction(1) / prow[col]
-    nz = [j for j, v in enumerate(prow) if v]
-    for j in nz:
-        prow[j] = prow[j] * inv
+    """Divide the pivot row by its entry at col, then clear col elsewhere.
+
+    The entry may be negative (an artificial driven out of the basis), so
+    the row's new denominator, the entry's numerator, takes its sign.
+    """
+    prow = T[row][:-1] + [T[row][col]]
+    if prow[-1] < 0:
+        prow = [-v for v in prow]
+    T[row] = prow = _reduced(prow)
     for r, trow in enumerate(T):
-        if r == row:
-            continue
-        f = trow[col]
-        if f:
-            for j in nz:
-                trow[j] = trow[j] - f * prow[j]
+        if r != row and trow[col]:
+            T[r] = _eliminate(trow, prow, col)
     basis[row] = col
 
 
 def _simplex(T, basis, ncols):
     """Maximize; objective is the last row with reduced costs negated.
 
-    T rows: m constraint rows then objective row; last column is RHS.
-    Returns OPTIMAL or UNBOUNDED.  Bland's rule: entering column is the
-    lowest-index column with positive reduced cost, leaving row is the
-    lowest-index basic variable among the minimum-ratio rows.
+    T rows: m constraint rows then objective row; the entry before the
+    denominator is the RHS.  Returns OPTIMAL or UNBOUNDED.  Bland's rule:
+    entering column is the lowest-index column with positive reduced cost,
+    leaving row is the lowest-index basic variable among the minimum-ratio
+    rows.  A row's ratio rhs/a is the ratio of its numerators, and two
+    ratios are compared by cross-multiplying (both a are positive).
     """
     m = len(T) - 1
-    obj = T[m]
     while True:
-        col = -1
-        for j in range(ncols):
-            if obj[j] > 0:
-                col = j
-                break
+        obj = T[m]
+        col = next((j for j in range(ncols) if obj[j] > 0), -1)
         if col < 0:
             return OPTIMAL
-        best = None
         row = -1
         for r in range(m):
             a = T[r][col]
             if a > 0:
-                ratio = T[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    best = ratio
-                    row = r
+                d = -1 if row < 0 else T[r][-2] * best_a - best_rhs * a
+                if d < 0 or (d == 0 and basis[r] < basis[row]):
+                    row, best_rhs, best_a = r, T[r][-2], a
         if row < 0:
             return UNBOUNDED
         _pivot(T, basis, row, col)
-        obj = T[m]
 
 
 def lp_solve_exact(c: Sequence, A: Sequence[Sequence], rel: Sequence[str],
@@ -85,29 +109,35 @@ def lp_solve_exact(c: Sequence, A: Sequence[Sequence], rel: Sequence[str],
     """Solve max/min c.x  s.t.  A_i.x (rel_i) b_i,  x >= 0, exactly.
 
     rel entries are "<=", ">=", or "==".  Returns an exactly optimal basic
-    feasible solution, or status infeasible/unbounded.
+    feasible solution, or status infeasible/unbounded.  Raises LPError on
+    malformed input: rel or b of another length than A, a row of another
+    width than c, or an unknown relation.
     """
     n = len(c)
     m = len(A)
-    c = [Fraction(v) for v in c]
-    if not maximize:
-        c = [-v for v in c]
+    if len(rel) != m or len(b) != m:
+        raise LPError("constraint %d: %d rows, %d relations, %d right-hand sides"
+                      % (min(m, len(rel), len(b)), m, len(rel), len(b)))
     rows = []
     rels = []
     for i in range(m):
         if len(A[i]) != n:
             raise LPError("constraint %d has wrong width" % i)
-        row = [Fraction(v) for v in A[i]]
-        rhs = Fraction(b[i])
         r = rel[i]
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-            r = {"<=": ">=", ">=": "<=", "==": "=="}[r]
-        rows.append((row, rhs))
+        if r not in _FLIP:
+            raise LPError("constraint %d has unknown relation %r" % (i, r))
+        row = _int_row([_exact(v) for v in A[i]] + [_exact(b[i])])
+        if row[-2] < 0:
+            row = [-v for v in row[:-1]] + row[-1:]
+            r = _FLIP[r]
+        rows.append(row)
         rels.append(r)
+    c = [_exact(v) for v in c]
+    if not maximize:
+        c = [-v for v in c]
 
-    # Column layout: original vars, slack/surplus, artificials, RHS.
+    # Column layout: original vars, slack/surplus, artificials, RHS,
+    # denominator.  A slack or artificial coefficient of +-1 is +-den.
     nslack = sum(1 for r in rels if r in ("<=", ">="))
     nart = sum(1 for r in rels if r in (">=", "=="))
     ncols = n + nslack + nart
@@ -116,40 +146,35 @@ def lp_solve_exact(c: Sequence, A: Sequence[Sequence], rel: Sequence[str],
     si = n
     ai = n + nslack
     art_cols = []
-    for i in range(m):
-        row = [Fraction(0)] * (ncols + 1)
-        coeffs, rhs = rows[i]
-        row[:n] = coeffs
-        row[-1] = rhs
-        if rels[i] == "<=":
-            row[si] = Fraction(1)
+    for num, r in zip(rows, rels):
+        row = num[:n] + [0] * (nslack + nart) + num[n:]
+        if r == "<=":
+            row[si] = row[-1]
             basis.append(si)
             si += 1
-        elif rels[i] == ">=":
-            row[si] = Fraction(-1)
-            si += 1
-            row[ai] = Fraction(1)
-            basis.append(ai)
-            art_cols.append(ai)
-            ai += 1
         else:
-            row[ai] = Fraction(1)
+            if r == ">=":
+                row[si] = -row[-1]
+                si += 1
+            row[ai] = row[-1]
             basis.append(ai)
             art_cols.append(ai)
             ai += 1
         T.append(row)
 
     if art_cols:
-        # Phase 1: maximize -(sum of artificials).
-        obj = [Fraction(0)] * (ncols + 1)
+        # Phase 1: maximize -(sum of artificials), priced out by the rows
+        # where an artificial is basic.
+        obj = [0] * (ncols + 2)
+        obj[-1] = 1
         for j in art_cols:
-            obj[j] = Fraction(-1)
-        T.append(obj)
+            obj[j] = -1
         for r in range(m):
             if basis[r] in art_cols:
-                T[m] = [a + b_ for a, b_ in zip(T[m], T[r])]
+                obj = _eliminate(obj, T[r], basis[r])
+        T.append(obj)
         status = _simplex(T, basis, ncols)
-        if status != OPTIMAL or T[m][-1] != 0:
+        if status != OPTIMAL or T[m][-2] != 0:
             return LPResult(INFEASIBLE, [Fraction(0)] * n, Fraction(0))
         # Drive any artificial still basic (at zero) out of the basis.
         for r in range(m):
@@ -161,22 +186,21 @@ def lp_solve_exact(c: Sequence, A: Sequence[Sequence], rel: Sequence[str],
         T.pop()
 
     # Phase 2 objective in terms of the current basis.
-    obj = [Fraction(0)] * (ncols + 1)
-    obj[:n] = c
-    T.append(obj)
+    obj = _int_row(c)
+    obj[n:n] = [0] * (nslack + nart + 1)
     for r in range(m):
-        f = T[m][basis[r]]
-        if f:
-            T[m] = [a - f * b_ for a, b_ in zip(T[m], T[r])]
+        if obj[basis[r]]:
+            obj = _eliminate(obj, T[r], basis[r])
+    T.append(obj)
     # Artificials never re-enter: the scan stops before their columns.
     status = _simplex(T, basis, n + nslack)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, [Fraction(0)] * n, Fraction(0))
 
     x = [Fraction(0)] * n
-    for r in range(len(T) - 1):
+    for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = T[r][-1]
+            x[basis[r]] = Fraction(T[r][-2], T[r][-1])
     value = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
     if not maximize:
         value = -value

@@ -223,6 +223,16 @@ def test_share_product_never_exceeds_p():
         assert alloc.grid_size() <= p
 
 
+def test_k8_share_lp_at_large_p_and_m():
+    # The largest LP of the analyze batch: mu = log_1024 10**6 is
+    # 1351462/678051, so the tableau's entries have large denominators.
+    q = canonical_query("K", 8)
+    alloc = share_lp(q, {a.relation: 10 ** 6 for a in q.atoms}, 1024)
+    assert alloc.lam == F(4727797, 2712204)
+    assert alloc.exponents == {v: F(1, 8) for v in q.variables}
+    assert [alloc.shares["x%d" % i] for i in range(1, 9)] == [3, 3, 3, 2, 2, 2, 2, 2]
+
+
 def test_unequal_sizes_shift_shares():
     # a tiny relation should not attract large shares on its private vars
     q = parse_query("q(x,y,z) :- S(x,y), T(y,z)")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpcjoin.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve_exact
+from mpcjoin.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, lp_solve_exact
 
 F = Fraction
 
@@ -110,3 +110,63 @@ def test_artificial_left_basic_at_zero_is_pivoted_out():
     res = lp_solve_exact([1], [[-1]], ["=="], [0])
     assert res.status == OPTIMAL
     assert res.x == [F(0)] and res.value == 0
+
+
+@pytest.mark.parametrize("A, rel, b, match", [
+    ([[1]], ["<"], [1], "constraint 0 has unknown relation '<'"),
+    ([[1], [1]], ["<=", "=<"], [1, -1], "constraint 1 has unknown relation '=<'"),
+    ([[1], [1]], ["<="], [1, 1], "constraint 1: 2 rows, 1 relations"),
+    ([[1], [1]], ["<=", "<="], [1], "constraint 1: 2 rows, 2 relations, 1 right"),
+    ([[1]], ["<=", "<="], [1, 1], "constraint 1: 1 rows, 2 relations"),
+    ([[1, 1]], ["<="], [1], "constraint 0 has wrong width"),
+])
+def test_malformed_input_is_rejected(A, rel, b, match):
+    with pytest.raises(LPError, match=match):
+        lp_solve_exact([1], A, rel, b)
+
+
+def _coef():
+    return st.one_of(st.integers(-4, 4),
+                     st.builds(F, st.integers(-999983, 999983), st.just(999983)))
+
+
+def _dual(c, A, rel, b):
+    """The dual of max c.x st A x (rel) b, x >= 0, in non-negative variables.
+
+    y_i >= 0 for "<=", y_i <= 0 for ">=" and y_i free for "==", each y_i
+    split into non-negative parts; minimize b.y st A^T y >= c.
+    """
+    signs = [{"<=": (1,), ">=": (-1,), "==": (1, -1)}[r] for r in rel]
+    cols = [(i, s) for i, ss in enumerate(signs) for s in ss]
+    dc = [s * b[i] for i, s in cols]
+    dA = [[s * A[i][j] for i, s in cols] for j in range(len(c))]
+    return lp_solve_exact(dc, dA, [">="] * len(c), c, maximize=False)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_optimality_certificate_by_duality(data):
+    """Mixed relations, negative right-hand sides and large denominators:
+    an optimum is feasible, its value is c.x and the dual's optimum, an
+    unbounded primal has an infeasible dual, and an infeasible primal has
+    an infeasible or unbounded dual."""
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 3))
+    c = [data.draw(_coef()) for _ in range(n)]
+    A = [[data.draw(_coef()) for _ in range(n)] for _ in range(m)]
+    rel = [data.draw(st.sampled_from(["<=", ">=", "=="])) for _ in range(m)]
+    b = [data.draw(_coef()) for _ in range(m)]
+    res = lp_solve_exact(c, A, rel, b, maximize=True)
+    dual = _dual(c, A, rel, b)
+    if res.status == OPTIMAL:
+        x = res.x
+        assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+        for row, r, rhs in zip(A, rel, b):
+            lhs = sum(a * v for a, v in zip(row, x))
+            assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[r]
+        assert sum(ci * v for ci, v in zip(c, x)) == res.value
+        assert dual.status == OPTIMAL and dual.value == res.value
+    elif res.status == UNBOUNDED:
+        assert dual.status == INFEASIBLE
+    else:
+        assert dual.status in (INFEASIBLE, UNBOUNDED)
