@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -220,12 +221,14 @@ def _add_instance_flags(sp):
     sp.add_argument("--indir", help="read a generated instance instead")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  `--seed` defaults to
+    None; `main` reads `MPCJOIN_SEED` in its place at each call."""
     ap = argparse.ArgumentParser(
         prog="mpcjoin",
         description="analyze, generate, and simulate parallel join strategies")
-    default_seed = int(os.environ.get("MPCJOIN_SEED", "0"))
-    ap.add_argument("--seed", type=int, default=default_seed)
+    ap.add_argument("--seed", type=int)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     a = sub.add_parser("analyze", help="exact LP quantities and shares")
@@ -272,12 +275,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if args.seed is None:
+            args.seed = int(os.environ.get("MPCJOIN_SEED", "0"))
         return args.fn(args)
     except (QueryError, ValueError, OSError, MemoryOverflow) as e:
         print("error: %s" % e, file=sys.stderr)

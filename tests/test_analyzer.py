@@ -154,21 +154,50 @@ def test_residual_tau_star_matches_full_lp(q):
     assert psi == psi_star_recursive(q)
 
 
-def test_psi_star_one_lp_per_distinct_component(monkeypatch):
-    solves = []
-    real = analyzer.lp_solve_exact
+@settings(deadline=None, max_examples=150)
+@given(hypergraphs())
+def test_residual_tau_star_bounds(q):
+    # tau*(q_X) <= |vars - X| and tau*(q_X) <= tau*(q_{X+v}) + 1 for v not
+    # in X, with tau* of an empty residual 0: the bounds both psi* paths
+    # prune by
+    values = {}
+    for mask in range(1 << q.k):
+        x = frozenset(v for i, v in enumerate(q.variables) if mask >> i & 1)
+        qx = residual_query(q, x)
+        values[x] = tau_star(qx)[0] if qx is not None else 0
+    for x, t in values.items():
+        assert t <= q.k - len(x)
+        for v in q.variables:
+            if v not in x:
+                assert t <= values[x | {v}] + 1
+
+
+def counting(monkeypatch, name):
+    """Wrap analyzer.<name> to append to the returned list at each call."""
+    calls = []
+    real = getattr(analyzer, name)
 
     def counted(*args, **kw):
-        solves.append(1)
+        calls.append(1)
         return real(*args, **kw)
-    monkeypatch.setattr(analyzer, "lp_solve_exact", counted)
+    monkeypatch.setattr(analyzer, name, counted)
+    return calls
+
+
+def test_psi_star_one_lp_per_distinct_component(monkeypatch):
+    solves = counting(monkeypatch, "lp_solve_exact")
+    values = counting(monkeypatch, "_residual_value")
     q = canonical_query("SP", 6)
-    # 8,191 residuals, 8 distinct components once relabelled onto bits 0..n-1
+    # of 8,191 residuals the size bound leaves 2,380 to evaluate, with 8
+    # distinct components once relabelled onto bits 0..n-1
     assert psi_star(q)[0] == 7
-    assert len(solves) == 8
+    assert (len(values), len(solves)) == (2380, 8)
+    values.clear()
     solves.clear()
+    # the size and child bounds leave 1,520, every one of whose minimal
+    # edges is a single variable: one LP
     assert psi_star_recursive(q) == 7
-    assert len(solves) == 8
+    assert (len(values), len(solves)) == (1520, 1)
 
 
 def test_psi_star_leaves_no_garbage():

@@ -1,3 +1,4 @@
+import gc
 import os
 import time
 
@@ -69,6 +70,34 @@ def test_generate_and_rerun_identical(tmp_path, capsys):
         with open(os.path.join(d1, name), "rb") as f1, \
                 open(os.path.join(d2, name), "rb") as f2:
             assert f1.read() == f2.read()
+
+
+def test_second_call_leaves_no_garbage(capsys):
+    # the parser is built once per process; a call after the first one
+    # allocates nothing that only the cyclic collector frees
+    argv = ["analyze", "--family", "C", "--k", "3", "--p", "64"]
+    assert main(argv) == 0
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_seed_environment_read_at_each_call(tmp_path, monkeypatch, capsys):
+    def generate(d, *seed):
+        assert main([*seed, "generate", "--family", "C", "--k", "3",
+                     "--gen", "matching", "--m", "50", "--out", str(d)]) == 0
+        return {f.name: f.read_bytes() for f in d.iterdir()}
+    monkeypatch.setenv("MPCJOIN_SEED", "3")
+    three = generate(tmp_path / "a")
+    monkeypatch.setenv("MPCJOIN_SEED", "4")
+    four = generate(tmp_path / "b")
+    assert three != four
+    assert four == generate(tmp_path / "c", "--seed", "4")
+    assert three == generate(tmp_path / "d", "--seed", "3")
 
 
 def test_run_with_oracle_check(tmp_path, capsys):
