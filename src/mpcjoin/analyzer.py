@@ -7,21 +7,34 @@ formulas through their base-p logarithm; sizes that are exact rational
 powers of p keep the whole computation rational, anything else is
 approximated by a controlled rational (denominator <= 10^6).
 
-psi* = max over X of tau*(q_X) ranges over every residual q_X, 2^k - 1 of
-them, but few distinct LPs: duplicate edges and edges that contain another
-edge leave tau* unchanged, and tau* is the sum of tau* over connected
-components.  `residual_tau_star` solves one packing LP per component of
-minimal edges, cached for the length of one `psi_star` or
-`psi_star_recursive` call by the component's edges relabelled onto bits
-0..n-1 in order, so components that differ only in which variables they
-use share an LP.  Both calls rank the residuals by an integer-pair value
-that builds no witness; `psi_star` builds the winner's witness once.
+psi* = max over X of tau*(q_X), X strictly inside vars, needs no LP.
+Let V = vars - X; the edges of q_X are the non-empty sets a.vars - X.
 
-Two exact upper bounds skip the residuals that cannot raise the maximum:
-tau*(q_X) <= |vars - X|, and tau*(q_X) <= tau*(q_{X+v}) + 1 for v not in
-X.  `psi_star` prunes by the first, `psi_star_recursive` by both.  SP6's
-8,191 residuals cost `psi_star` 2,380 evaluations and 8 LPs, and
-`psi_star_recursive` 1,520 evaluations and 1 LP.
+(a) If some v in V is no residual edge {v}, then removing v empties no
+    edge and leaves every other vertex's constraint as it was, so every
+    packing of q_X is a packing of q_{X+v}: tau*(q_X) <= tau*(q_{X+v}).
+(b) If every v in V is a residual edge {v} of its own, then
+    tau*(q_X) = |V|: weight 1 on one such edge per vertex is a packing,
+    and sum_e w_e <= sum_e w_e |e| = sum_v sum_{e ∋ v} w_e <= |V|
+    because every edge is non-empty.
+
+Every variable lies in some atom, so a lone remaining vertex owns a
+singleton edge: case (a) needs |V| >= 2, and X+v stays strictly inside
+vars.  An inclusion-maximal X among the maximizers is not under (a),
+since X+v would be a larger maximizer; so it is under (b), and psi* =
+max |vars - X| over the X whose every remaining vertex owns a singleton
+edge: an integer that bitmask tests find (`_singleton_count`).
+
+`psi_star` also names the first maximizing X in bitmask order with its
+witness, and that X need not fall under (b) (C4's is X = {}, tau* = 2).
+It evaluates tau*(q_X) only for the X with |vars - X| >= psi*, in order,
+and stops at the first that reaches psi*.  Each evaluation takes one
+packing LP per connected component of the residual's minimal edges
+(duplicate edges and edges that contain another edge leave tau*
+unchanged), cached for the call by the component's edges relabelled onto
+bits 0..n-1 in order, so components that differ only in which variables
+they use share an LP.  SP6's 8,191 residuals cost `psi_star` 3
+evaluations and 3 LPs, and `psi_star_recursive` none.
 """
 
 from __future__ import annotations
@@ -247,71 +260,63 @@ def residual_tau_star(q: Query, x, cache: dict):
     return total, FractionalWeighting(weights, "quasi-packing", x)
 
 
-def psi_star(q: Query):
-    """Edge quasi-packing number by residual enumeration.
+def _singleton_count(masks, k: int) -> int:
+    """max |vars - X| over the X whose every remaining vertex v is a
+    residual edge {v} of its own: psi* by the module's lemma.
 
-    Maximizes tau*(q_X) over X strictly inside vars(q) with one component
-    cache for the whole call: each X by :func:`_residual_value`, then the
-    witness of the winner by :func:`residual_tau_star`.  Every residual
-    edge is non-empty and each vertex packs at most 1, so tau*(q_X) <=
-    |vars - X|; an X whose bound is not above the best so far cannot
-    replace it and is skipped unevaluated.  Atoms swallowed by X,
-    duplicate atoms and atoms containing another atom's residual edge
-    carry weight 0 in the returned witness.  The first maximizing X in
-    bitmask order over the canonical variable order is returned, so the
-    result is deterministic.
+    A residual edge is a singleton when it is non-zero with one bit set,
+    so X qualifies when those edges cover vars - X.  One scan of the
+    masks skips every X that cannot beat the count so far.
+    """
+    full = (1 << k) - 1
+    best = 0
+    for xmask in range(full):
+        keep = full ^ xmask
+        size = keep.bit_count()
+        if size <= best:
+            continue
+        owned = 0
+        for m in masks:
+            r = m & keep
+            if not r & (r - 1):
+                owned |= r
+        if owned == keep:
+            best = size
+    return best
+
+
+def psi_star(q: Query):
+    """Edge quasi-packing number with the first maximizing X as witness.
+
+    psi* is the LP-free count of :func:`_singleton_count`.  The masks of
+    X strictly inside vars(q) are then walked in bitmask order over the
+    canonical variable order; an X with |vars - X| < psi* has tau*(q_X) <
+    psi* and is skipped, and the first X whose tau*(q_X), by
+    :func:`_residual_value`, equals psi* is the first maximizer, so the
+    result is deterministic.  Its witness comes from
+    :func:`residual_tau_star`, with one component cache for the whole
+    call; atoms swallowed by X, duplicate atoms and atoms containing
+    another atom's residual edge carry weight 0 in it.  A walk that
+    finds no such X contradicts the lemma and raises LPError.
     """
     masks = _edge_masks(q)
+    psi = _singleton_count(masks, q.k)
     cache = {}
-    best, bn, bd = 0, -1, 1                     # below every tau*
     for xmask in range((1 << q.k) - 1):
-        if (q.k - xmask.bit_count()) * bd <= bn:
-            continue
-        n, d = _residual_value(masks, xmask, cache)
-        if n * bd > bn * d:
-            best, bn, bd = xmask, n, d
-    x = [v for i, v in enumerate(q.variables) if best >> i & 1]
-    return residual_tau_star(q, x, cache)
+        if q.k - xmask.bit_count() >= psi:
+            n, d = _residual_value(masks, xmask, cache)
+            if n == psi * d:
+                x = [v for i, v in enumerate(q.variables) if xmask >> i & 1]
+                return residual_tau_star(q, x, cache)
+    raise LPError("no residual of %s reaches psi* = %d" % (q.name, psi))
 
 
 def psi_star_recursive(q: Query) -> Fraction:
-    """psi* via the residual recursion psi*(q) = max(tau*(q), max_x psi*(q_x)).
-
-    The recursion is evaluated bottom-up over the bitmasks of the removed
-    set X: q_X's children have larger masks, so walking the masks down
-    from the full set finds them done.  Each mask keeps an integer upper
-    bound on tau*(q_X): ceil(tau*) where tau* was evaluated, else the
-    smaller of |vars - X| and 1 + the least bound of a child.  Removing v
-    drops only the residual edges equal to {v}, whose weights sum to at
-    most 1, so tau*(q_X) <= tau*(q_{X+v}) + 1; the full set, an empty
-    residual, bounds at 0.  tau*(q_X) comes from :func:`_residual_value`,
-    with one component cache for the whole call as in `psi_star`, only
-    when the bound exceeds the children's largest psi*.
-    """
-    masks = _edge_masks(q)
-    full = (1 << q.k) - 1
-    cache = {}
-    psi = [None] * full + [(0, 1)]
-    bound = [0] * (full + 1)
-    for xmask in range(full - 1, -1, -1):
-        bn, bd = 0, 1
-        b = q.k - xmask.bit_count()
-        for i in range(q.k):
-            sub = xmask | 1 << i
-            if sub != xmask:
-                n, d = psi[sub]
-                if n * bd > bn * d:
-                    bn, bd = n, d
-                if bound[sub] < b - 1:
-                    b = bound[sub] + 1
-        if b * bd > bn:
-            n, d = _residual_value(masks, xmask, cache)
-            b = -(-n // d)
-            if n * bd > bn * d:
-                bn, bd = n, d
-        bound[xmask] = b
-        psi[xmask] = bn, bd
-    return Fraction(*psi[0])
+    """psi* of the residual recursion psi*(q) = max(tau*(q), max_x
+    psi*(q_x)), which is the max of tau*(q_X) over X strictly inside
+    vars(q): the LP-free count of :func:`_singleton_count`, as a
+    Fraction.  No residual is evaluated and no LP is solved."""
+    return Fraction(_singleton_count(_edge_masks(q), q.k))
 
 
 @dataclass

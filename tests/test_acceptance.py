@@ -101,11 +101,15 @@ def test_criterion_2_quasi_packing_dominance():
         r = rho_star(q)[0]
         psi, w = psi_star(q)
         w.check(q)
-        if not (psi >= t and psi >= r and psi == psi_star_recursive(q)):
+        # the LP reference: tau* of every residual q_X, X strictly inside vars
+        ref = max(tau_star(residual_query(q, [v for i, v in enumerate(q.variables)
+                                              if m >> i & 1]))[0]
+                  for m in range((1 << q.k) - 1))
+        if not (psi >= t and psi >= r and psi == psi_star_recursive(q) == ref):
             bad.append(s)
     ok = record(2, not bad,
-                "psi* >= max(tau*, rho*) and enumeration == recursion on "
-                "200 random hypergraphs, zero tolerance")
+                "psi* >= max(tau*, rho*) and enumeration == recursion == "
+                "max of tau*(q_X) by LP on 200 random hypergraphs, zero tolerance")
     assert ok, bad
 
 

@@ -10,6 +10,7 @@ from mpcjoin.analyzer import (FractionalWeighting, iroot, load_bound_packing,
                               load_bound_worstcase, log_base_p, pow_floor,
                               psi_star, psi_star_recursive, residual_tau_star,
                               rho_star, share_lp, tau_star)
+from mpcjoin.lp import LPError
 from mpcjoin.query import Atom, Query, canonical_query, parse_query, residual_query
 
 F = Fraction
@@ -83,10 +84,10 @@ def test_bad_witness_rejected():
 
 
 @st.composite
-def hypergraphs(draw):
-    """Queries of <= 7 variables, <= 8 atoms and arity <= 3, with some
+def hypergraphs(draw, max_vars=7):
+    """Queries of <= max_vars variables, <= 8 atoms and arity <= 3, with some
     atoms repeating or nesting inside another atom's variable set."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, max_vars))
     edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
     edges = draw(st.lists(edge, min_size=1, max_size=6))
     for _ in range(draw(st.integers(1, 2))):
@@ -158,8 +159,7 @@ def test_residual_tau_star_matches_full_lp(q):
 @given(hypergraphs())
 def test_residual_tau_star_bounds(q):
     # tau*(q_X) <= |vars - X| and tau*(q_X) <= tau*(q_{X+v}) + 1 for v not
-    # in X, with tau* of an empty residual 0: the bounds both psi* paths
-    # prune by
+    # in X, with tau* of an empty residual 0
     values = {}
     for mask in range(1 << q.k):
         x = frozenset(v for i, v in enumerate(q.variables) if mask >> i & 1)
@@ -170,6 +170,26 @@ def test_residual_tau_star_bounds(q):
         for v in q.variables:
             if v not in x:
                 assert t <= values[x | {v}] + 1
+
+
+@settings(deadline=None, max_examples=150)
+@given(hypergraphs(6))
+def test_singleton_lemma_by_lp(q):
+    # the lemma psi* rests on, checked by a full LP per residual: (a) a
+    # remaining vertex v that is no residual edge {v} can be removed
+    # without lowering tau*; (b) when every remaining vertex is one,
+    # tau*(q_X) = |vars - X|
+    tau = {}
+    for mask in range((1 << q.k) - 1):
+        x = frozenset(v for i, v in enumerate(q.variables) if mask >> i & 1)
+        tau[x] = tau_star(residual_query(q, x))[0]
+    for x, t in tau.items():
+        rest = set(q.variables) - x
+        owners = {v for v in rest if any(set(a.vars) - x == {v} for a in q.atoms)}
+        if owners == rest:
+            assert t == len(rest)
+        for v in rest - owners:
+            assert t <= tau[x | {v}]
 
 
 def counting(monkeypatch, name):
@@ -184,20 +204,29 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_psi_star_one_lp_per_distinct_component(monkeypatch):
+def test_psi_star_lp_counts_on_sp6(monkeypatch):
     solves = counting(monkeypatch, "lp_solve_exact")
     values = counting(monkeypatch, "_residual_value")
     q = canonical_query("SP", 6)
-    # of 8,191 residuals the size bound leaves 2,380 to evaluate, with 8
-    # distinct components once relabelled onto bits 0..n-1
-    assert psi_star(q)[0] == 7
-    assert (len(values), len(solves)) == (2380, 8)
+    # psi* = 7 is counted without an LP; of the 8,191 residuals the walk
+    # evaluates the first three in bitmask order with |vars - X| >= 7,
+    # X = {}, {z} and {x1}, and stops at {x1}, the first to reach 7
+    p, w = psi_star(q)
+    assert (p, w.residual_witness) == (7, {"x1"})
+    assert (len(values), len(solves)) == (3, 3)
     values.clear()
     solves.clear()
-    # the size and child bounds leave 1,520, every one of whose minimal
-    # edges is a single variable: one LP
     assert psi_star_recursive(q) == 7
-    assert (len(values), len(solves)) == (1520, 1)
+    assert (len(values), len(solves)) == (0, 0)
+
+
+def test_psi_star_raises_when_no_residual_reaches_the_count(monkeypatch):
+    q = canonical_query("SP", 3)
+    real = analyzer._singleton_count
+    monkeypatch.setattr(analyzer, "_singleton_count",
+                        lambda masks, k: real(masks, k) + 1)
+    with pytest.raises(LPError, match="reaches psi"):
+        psi_star(q)
 
 
 def test_psi_star_leaves_no_garbage():
