@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 
 from .analyzer import pow_floor
 from .lp import OPTIMAL, lp_solve_exact
@@ -54,13 +54,6 @@ class RelationInstance:
     def size_bits(self) -> int:
         return self.m * self.width_bits
 
-    def frequencies(self, position: int) -> dict:
-        freq = {}
-        for t in self.tuples:
-            v = t[position]
-            freq[v] = freq.get(v, 0) + 1
-        return freq
-
 
 @dataclass
 class DatabaseInstance:
@@ -89,6 +82,14 @@ def _sorted(tuples) -> tuple:
     return tuple(sorted(set(tuples)))
 
 
+def _sorted_by_permutation(cols, key: int) -> tuple:
+    """`_sorted(zip(*cols))` when cols[key] is a permutation of 1..m and
+    every column before it is constant: the rows are distinct, and the row
+    whose key column holds v comes v-th, so no sort is needed."""
+    rows = dict(zip(cols[key], zip(*cols)))
+    return tuple(map(rows.__getitem__, range(1, len(rows) + 1)))
+
+
 def gen_matching(q: Query, m: int, seed: int) -> DatabaseInstance:
     """Matching database: every value appears exactly once per attribute."""
     if m < 1:
@@ -101,8 +102,7 @@ def gen_matching(q: Query, m: int, seed: int) -> DatabaseInstance:
             Stream(seed, "matching", a.relation, pos).shuffle(perm)
             cols.append(perm)
         rels[a.relation] = RelationInstance(
-            a.relation, a.arity, _sorted(zip(*cols)) if a.arity > 1
-            else _sorted((v,) for v in cols[0]), m)
+            a.relation, a.arity, _sorted_by_permutation(cols, 0), m)
     return DatabaseInstance(q, rels, seed, {"generator": "matching", "m": m, "n": m})
 
 
@@ -125,7 +125,9 @@ def gen_single_heavy(q: Query, m: int, heavy_var: str, seed: int) -> DatabaseIns
                 perm = list(range(1, m + 1))
                 Stream(seed, "single_heavy", a.relation, pos).shuffle(perm)
                 cols.append(perm)
-        tuples = _sorted(zip(*cols))
+        free = [pos for pos, v in enumerate(a.vars) if v != heavy_var]
+        tuples = (_sorted_by_permutation(cols, free[0]) if free
+                  else _sorted(zip(*cols)))
         rels[a.relation] = RelationInstance(a.relation, a.arity, tuples, m)
     meta = {"generator": "single_heavy", "m": m, "n": m, "heavy_var": heavy_var}
     if warning:
@@ -191,8 +193,9 @@ def gen_coin_flip(q: Query, m: int, seed: int) -> DatabaseInstance:
     rels = {}
     for a in q.atoms:
         doms = [n[v] for v in a.vars]
-        st = Stream(seed, "coin_flip", a.relation)
-        kept = [t for t in _product_tuples(doms) if st.coin()]
+        cands = _product_tuples(doms)
+        coins = Stream(seed, "coin_flip", a.relation).draws(len(cands))
+        kept = list(compress(cands, map((1).__and__, coins)))
         if not kept:
             kept = [tuple(1 for _ in doms)]
         rels[a.relation] = RelationInstance(a.relation, a.arity, tuple(kept), max(doms))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mpcjoin.rng import Stream, derive_key, mix64
+from mpcjoin.rng import _CHUNK, Stream, derive_key, mix64
 
 
 def test_mix64_deterministic_and_in_range():
@@ -62,3 +62,57 @@ def test_coin_balance():
 @given(st.integers(0, 2 ** 64 - 1))
 def test_mix64_stays_in_word(v):
     assert 0 <= mix64(v) < 2 ** 64
+
+
+# The column kernel behind `Stream.draws` against the per-element
+# definitions it replaces.
+_LENGTHS = (0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
+_SEEDS = (0, 2 ** 64 - 1)
+
+
+def _stream_at(state):
+    s = Stream(0)
+    s._state = state
+    return s
+
+
+def _reference_shuffle(st_, xs):
+    """Per-element Fisher-Yates over `below(i + 1)`."""
+    for i in range(len(xs) - 1, 0, -1):
+        j = st_.below(i + 1)
+        xs[i], xs[j] = xs[j], xs[i]
+    return xs
+
+
+def _check_draws(state, n):
+    a, b = _stream_at(state), _stream_at(state)
+    assert a.draws(n) == [b.next64() for _ in range(n)]
+    assert a.next64() == b.next64()
+
+
+def _check_shuffle(state, n):
+    a, b = _stream_at(state), _stream_at(state)
+    assert a.shuffle(list(range(n))) == _reference_shuffle(b, list(range(n)))
+    assert a.next64() == b.next64()
+
+
+@pytest.mark.parametrize("state", _SEEDS)
+@pytest.mark.parametrize("n", _LENGTHS)
+def test_draws_and_shuffle_at_chunk_edges(state, n):
+    _check_draws(state, n)
+    _check_shuffle(state, n)
+
+
+@given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 * _CHUNK + 2))
+def test_draws_equal_successive_next64(state, n):
+    _check_draws(state, n)
+
+
+@given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 * _CHUNK + 2))
+def test_shuffle_equals_reference_fisher_yates(state, n):
+    _check_shuffle(state, n)
+
+
+def test_draws_rejects_negative_count():
+    with pytest.raises(ValueError, match="cannot draw"):
+        Stream(0).draws(-1)
