@@ -165,8 +165,9 @@ def _column_freqs(tuples, pos: int) -> Counter:
 
 
 def _slice(tuples, pos: int, h):
-    """The tuples whose value at pos is h, without that column."""
-    return {t[:pos] + t[pos + 1:] for t in tuples if t[pos] == h}
+    """The tuples whose value at pos is h, without that column, as a list:
+    for duplicate-free tuples its rows are distinct."""
+    return [t[:pos] + t[pos + 1:] for t in tuples if t[pos] == h]
 
 
 def _heavy_at(atoms, rels, var_list, test):
@@ -385,7 +386,8 @@ def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
     """One round of the semi-join of `target` against key set `keys`
     (shipped as a relation named after kprefix) into a fresh relation named
     after prefix; returns (Atom(name, target.vars), rows), the rows being
-    the target tuples whose key projection is in `keys`.
+    the target tuples whose key projection is in `keys`, as a list: a
+    filter of duplicate-free tuples has distinct rows.
 
     The keys are unique, so only the target can be skewed on the key: this
     is the one-sided skew join with the keys as the skew-free side.
@@ -399,7 +401,7 @@ def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
                     hash_family(ctx.seed, tag, "sjh"),
                     hash_family(ctx.seed, tag, "sjp"))
     kset = set(map(_key(range(len(keypos))), keys))
-    return Atom(name, target.vars), set(compress(tuples, map(kset.__contains__, tkeys)))
+    return Atom(name, target.vars), list(compress(tuples, map(kset.__contains__, tkeys)))
 
 
 # -- one-round algorithms --------------------------------------------------
@@ -917,6 +919,7 @@ def _one_sided_skew(ctx, q, rels, p):
     fb = Counter(map(_key(kb), tb))
     if max(fb.values(), default=0) < max(fa.values(), default=0):
         a, b, ta, tb, ka, kb, fb = b, a, tb, ta, kb, ka, fa
+    del fa      # only B's key counts are read from here on
     hblocks = _skew_join_ship(ctx, 0, a.relation, ta, ka, b.relation, tb, kb,
                               fb, p, ctx.root, hash_family(ctx.seed, "j1s", "h"),
                               hash_family(ctx.seed, "j1s", "p"))

@@ -109,6 +109,8 @@ def gen_matching(q: Query, m: int, seed: int) -> DatabaseInstance:
 def gen_single_heavy(q: Query, m: int, heavy_var: str, seed: int) -> DatabaseInstance:
     """One value (1) monopolizes heavy_var in every atom containing it; all
     other attributes, and all other atoms, are matchings."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if heavy_var not in q.variables:
         raise ValueError("unknown variable %r" % heavy_var)
     touched = [a for a in q.atoms if heavy_var in a.vars]
@@ -189,6 +191,8 @@ def gen_agm_worst(q: Query, m: int, seed: int) -> DatabaseInstance:
 
 def gen_coin_flip(q: Query, m: int, seed: int) -> DatabaseInstance:
     """AGM domains, each candidate tuple kept independently with prob 1/2."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     n = agm_domain_sizes(q, m)
     rels = {}
     for a in q.atoms:

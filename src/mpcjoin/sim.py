@@ -10,11 +10,12 @@ time, and dests(key), evaluated once per distinct key; a plain callable is
 the route whose key is the tuple itself.  Counting mode charges each
 key's count to that key's servers, with no per-tuple work beyond
 computing the keys; storing mode also groups the tuples by destination
-set and keeps one frozenset per delivered group, shared by its servers.
-So replication costs per group, not per delivered copy, and the checks
-and the ledger are the same as for one delivery at a time.  The per-round
-load of a server is the data it receives that round; the cost of a run is
-the maximum over servers and rounds, reported both in tuples and in bits.
+set and keeps each delivered group once, as one tuple shared by its
+servers, with no hash table per group.  So replication costs per group,
+not per delivered copy, and the checks and the ledger are the same as for
+one delivery at a time.  The per-round load of a server is the data it
+receives that round; the cost of a run is the maximum over servers and
+rounds, reported both in tuples and in bits.
 
 Rounds are addressed by index rather than opened/closed sequentially, so
 that concurrently running sub-plans of different depths can deposit their
@@ -174,7 +175,7 @@ class Engine:
     tuple, which is spot-checked on every shipment.  Delivery is grouped
     per destination set: a server's holdings and ledger entry grow by a
     whole group at a time, and a group's tuples are kept once, in one
-    frozenset shared by all of its servers.  With ``store_tuples=True``
+    tuple shared by all of its servers.  With ``store_tuples=True``
     the engine keeps what each server received, and a tuple delivered
     twice to one server in one round raises `RoutingError`.  With
     ``store_tuples=False`` (counting mode) the same `ship` calls keep only
@@ -186,7 +187,7 @@ class Engine:
         self.widths = dict(widths)     # relation -> bits per tuple
         self.store_tuples = store_tuples
         self.report = LoadReport(self.widths)
-        self._held = {}                # round -> {(server, rel): [frozenset]}
+        self._held = {}                # round -> {(server, rel): [group tuple]}
 
     def register_relation(self, rel: str, width: int) -> None:
         """Declare an intermediate relation (e.g. a semi-join result)."""
@@ -284,14 +285,17 @@ class Engine:
 
         Within one shipment the groups are disjoint unless a tuple repeats
         in one of them, so each group is compared only with its own size,
-        its own servers and what earlier shipments left in this round.
+        its own servers and what earlier shipments left in this round.  A
+        group is held as a tuple; the set that tests it lives only while
+        the group is checked (`set.isdisjoint` takes the held tuples as
+        they are).
         """
         held = self._held.setdefault(rnd, {})
         fresh = []
         for dests, group in groups.items():
             if not dests:
                 continue
-            tups = frozenset(group)
+            tups = set(group)
             named = set()
             for s in dests:
                 earlier = held.get((s, rel), ())
@@ -301,7 +305,7 @@ class Engine:
                     raise RoutingError("%s/%s delivered twice to server %d in round %d"
                                        % (rel, _repeated(group, seen), s, rnd))
                 named.add(s)
-            fresh.append((dests, tups))
+            fresh.append((dests, tuple(group)))
         for dests, tups in fresh:
             for s in dests:
                 held.setdefault((s, rel), []).append(tups)

@@ -319,6 +319,10 @@ def test_sweep_w_no_server_count_fits_exit_2(capsys):
      "expected comma-separated integers"),
     (["generate", "--family", "C", "--k", "3", "--m", "50"],
      "the following arguments are required: --out"),
+    (["run", "--family", "C", "--k", "3", "--gen", "single_heavy", "--m", "-5",
+      "--alg", "triangle", "--p", "8"], "error: m must be >= 1"),
+    (["run", "--family", "C", "--k", "3", "--gen", "coin_flip", "--m", "0",
+      "--alg", "triangle", "--p", "8"], "error: m must be >= 1"),
 ])
 def test_bad_arguments_exit_2(argv, msg, capsys):
     assert main(argv) == 2

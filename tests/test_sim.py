@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 from operator import itemgetter
 
@@ -81,6 +82,35 @@ def test_repeat_message_names_the_tuple():
         eng.ship(0, "R", [(7, 8), (3, 4), (9, 9)], lambda t: (1, 2))
     with pytest.raises(RoutingError, match=r"R/\(5, 5\) delivered twice to server 2 "):
         eng.ship(1, "R", [(5, 5), (6, 6), (5, 5), (7, 7)], lambda t: [2])
+    # against an earlier held group of 1,000 tuples: a small group after a
+    # large one, and a large group after a small one
+    large = [(i, i) for i in range(1000, 0, -1)]
+    eng.ship(2, "R", large, lambda t: (3,))
+    with pytest.raises(RoutingError, match=r"R/\(500, 500\) delivered twice to server 3 in round 2"):
+        eng.ship(2, "R", [(2000, 2000), (500, 500)], lambda t: (3, 4))
+    eng.ship(3, "R", [(7, 7)], lambda t: (4,))
+    with pytest.raises(RoutingError, match=r"R/\(7, 7\) delivered twice to server 4 in round 3"):
+        eng.ship(3, "R", large, lambda t: (4, 5))
+    # the failed shipments delivered nothing
+    assert eng.holdings(3, "R") == set(large) and eng.holdings(4, "R") == {(7, 7)}
+    assert eng.holdings(5, "R") == set()
+
+
+def test_storing_mode_retains_one_reference_per_tuple():
+    # 20,000 tuples in 64 single-server groups and one 4-server group: the
+    # engine keeps each group once, without a hash table per group
+    tuples = [(i, i % 65) for i in range(20000)]
+    dests = [(s,) for s in range(64)] + [(64, 65, 66, 67)]
+    eng = Engine({"R": 8})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eng.ship(0, "R", tuples, lambda t: dests[t[1]])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(eng.report.by_relation[0].values()) == 20000 + 3 * 307
+    assert retained < 20 * len(tuples)
 
 
 def test_engine_unknown_relation():
