@@ -27,14 +27,21 @@ edge: an integer that bitmask tests find (`_singleton_count`).
 
 `psi_star` also names the first maximizing X in bitmask order with its
 witness, and that X need not fall under (b) (C4's is X = {}, tau* = 2).
-It evaluates tau*(q_X) only for the X with |vars - X| >= psi*, in order,
-and stops at the first that reaches psi*.  Each evaluation takes one
-packing LP per connected component of the residual's minimal edges
-(duplicate edges and edges that contain another edge leave tau*
-unchanged), cached for the call by the component's edges relabelled onto
-bits 0..n-1 in order, so components that differ only in which variables
-they use share an LP.  SP6's 8,191 residuals cost `psi_star` 3
-evaluations and 3 LPs, and `psi_star_recursive` none.
+It evaluates tau*(q_X) by one packing LP on the residual query, in
+order, and stops at the first X that reaches psi*.  It skips every X
+for which one of two upper bounds on tau*(q_X) falls below psi*:
+
+- Smallest edge.  With s the size of the smallest residual edge,
+  s * sum_e w_e <= sum_e w_e |e| <= |V| as above, so tau*(q_X) <=
+  |V| / s, and an X with |V| < psi* * s cannot reach psi*.
+- Closure (`_closed`).  While some remaining vertex owns no singleton
+  edge, move the lowest such vertex into X.  Each move falls under (a)
+  and does not lower tau*, and the walk ends at an X' under (b), so
+  tau*(q_X) <= tau*(q_X') = |vars - X'|.
+
+Every X that reaches psi* passes both, so the first one is never
+skipped.  SP6's 8,191 residuals cost `psi_star` 1 LP, and
+`psi_star_recursive` none.
 """
 
 from __future__ import annotations
@@ -167,122 +174,47 @@ def _edge_masks(q: Query):
     return [sum(bit[v] for v in a.vars) for a in q.atoms]
 
 
-def _components(masks, xmask: int):
-    """The minimal edges of q_X as connected components, each a (vertex
-    mask, [edge masks]) pair.
-
-    Edges are the atoms' masks minus X; duplicates collapse, and an edge
-    that strictly contains another is dropped.  A strict subset is a
-    smaller mask, so in sorted order it comes first.
-    """
-    keep = ~xmask
-    minimal, components = [], []
-    for e in sorted({m & keep for m in masks}):
-        if not e:
-            continue
-        for f in minimal:
-            if f & e == f:
-                break
-        else:
-            minimal.append(e)
-            vmask, edges, rest = e, [e], []
-            for c in components:
-                if c[0] & e:
-                    vmask |= c[0]
-                    edges += c[1]
-                else:
-                    rest.append(c)
-            rest.append((vmask, edges))
-            components = rest
-    return components
-
-
-def _component_lp(vmask: int, edges, cache: dict):
-    """(key, (num, den, x)) of the packing LP of one component.
-
-    The edges are sorted and relabelled onto bits 0..n-1 in increasing bit
-    order.  The relabel is monotone, so it keeps the order of the vertices
-    and of the sorted edges: the LP is the same matrix, with the same value
-    and the same x.  The entry is cached under both the original and the
-    relabelled key, which name the same LP.
-    """
-    key = tuple(sorted(edges))
-    entry = cache.get(key)
-    if entry is None:
-        bits = [1 << i for i in range(vmask.bit_length()) if vmask >> i & 1]
-        rkey = tuple(sum(1 << i for i, b in enumerate(bits) if e & b) for e in key)
-        entry = cache.get(rkey)
-        if entry is None:
-            vertices = range(len(bits))
-            res = _unit_lp(vertices, [[i for i in vertices if e >> i & 1] for e in rkey],
-                           "<=", True, "packing")
-            entry = (res.value.numerator, res.value.denominator, res.x)
-            cache[rkey] = entry
-        cache[key] = entry
-    return key, entry
-
-
-def _residual_value(masks, xmask: int, cache: dict):
-    """tau*(q_X) as an unreduced integer pair (num, den); no witness."""
-    num, den = 0, 1
-    for vmask, edges in _components(masks, xmask):
-        _, (n, d, _) = _component_lp(vmask, edges, cache)
-        num, den = num * d + n * den, den * d
-    return num, den
-
-
-def residual_tau_star(q: Query, x, cache: dict):
-    """tau*(q_X) with a quasi-packing witness, one packing LP per component.
-
-    Two exact facts keep the LPs small.  Moving an edge's weight onto an
-    edge it contains never breaks a packing, so only the minimal edges of
-    q_X matter: a duplicate edge is kept at its first atom in atom order,
-    and an edge that strictly contains another is dropped.  The packing LP
-    of the minimal edges then splits into its connected components.  Each
-    component's LP is keyed by its edges relabelled onto bits 0..n-1, so
-    `cache` serves every residual, of any X, with a component that has the
-    same relabelled edges.  The witness has weight 0 on every atom that is
-    dropped, inside X or not.
-    """
-    x = frozenset(x)
-    masks = _edge_masks(q)
-    xmask = sum(1 << q.variables.index(v) for v in x)
-    first = {}                                  # residual edge -> relation
-    for a, m in zip(q.atoms, masks):
-        first.setdefault(m & ~xmask, a.relation)
-    weights = dict.fromkeys((a.relation for a in q.atoms), Fraction(0))
-    total = Fraction(0)
-    for vmask, edges in _components(masks, xmask):
-        key, (n, d, ws) = _component_lp(vmask, edges, cache)
-        total += Fraction(n, d)
-        for e, w in zip(key, ws):
-            weights[first[e]] = w
-    return total, FractionalWeighting(weights, "quasi-packing", x)
+def _owned(masks, keep: int) -> int:
+    """The vertices of `keep` that are a residual edge {v} of their own,
+    as a mask: a residual edge m & keep is a singleton when it is
+    non-zero with one bit set."""
+    owned = 0
+    for m in masks:
+        r = m & keep
+        if not r & (r - 1):
+            owned |= r
+    return owned
 
 
 def _singleton_count(masks, k: int) -> int:
     """max |vars - X| over the X whose every remaining vertex v is a
     residual edge {v} of its own: psi* by the module's lemma.
 
-    A residual edge is a singleton when it is non-zero with one bit set,
-    so X qualifies when those edges cover vars - X.  One scan of the
-    masks skips every X that cannot beat the count so far.
+    One scan of the masks skips every X that cannot beat the count so
+    far.
     """
     full = (1 << k) - 1
     best = 0
     for xmask in range(full):
         keep = full ^ xmask
         size = keep.bit_count()
-        if size <= best:
-            continue
-        owned = 0
-        for m in masks:
-            r = m & keep
-            if not r & (r - 1):
-                owned |= r
-        if owned == keep:
+        if size > best and _owned(masks, keep) == keep:
             best = size
     return best
+
+
+def _closed(masks, keep: int) -> int:
+    """An upper bound on tau*(q_X), keep = vars - X, by the lemma.
+
+    The lowest remaining vertex that owns no singleton edge joins X, one
+    at a time, until every remaining vertex owns one; the count left is
+    tau* of that larger X by (b), and no smaller than tau*(q_X) by (a).
+    """
+    while True:
+        lone = keep & ~_owned(masks, keep)
+        if not lone:
+            return keep.bit_count()
+        keep ^= lone & -lone
 
 
 def psi_star(q: Query):
@@ -290,24 +222,29 @@ def psi_star(q: Query):
 
     psi* is the LP-free count of :func:`_singleton_count`.  The masks of
     X strictly inside vars(q) are then walked in bitmask order over the
-    canonical variable order; an X with |vars - X| < psi* has tau*(q_X) <
-    psi* and is skipped, and the first X whose tau*(q_X), by
-    :func:`_residual_value`, equals psi* is the first maximizer, so the
-    result is deterministic.  Its witness comes from
-    :func:`residual_tau_star`, with one component cache for the whole
-    call; atoms swallowed by X, duplicate atoms and atoms containing
-    another atom's residual edge carry weight 0 in it.  A walk that
-    finds no such X contradicts the lemma and raises LPError.
+    canonical variable order.  An X is skipped when either upper bound
+    of the module docstring, the smallest-edge bound or
+    :func:`_closed`, falls below psi*; the first other X whose
+    tau*(q_X), by :func:`tau_star` on the residual query, equals psi*
+    is the first maximizer, so the result is deterministic.  Its witness
+    is that LP's packing, with weight 0 on the atoms inside X.  A walk
+    that finds no such X contradicts the lemma and raises LPError.
     """
     masks = _edge_masks(q)
     psi = _singleton_count(masks, q.k)
-    cache = {}
-    for xmask in range((1 << q.k) - 1):
-        if q.k - xmask.bit_count() >= psi:
-            n, d = _residual_value(masks, xmask, cache)
-            if n == psi * d:
-                x = [v for i, v in enumerate(q.variables) if xmask >> i & 1]
-                return residual_tau_star(q, x, cache)
+    full = (1 << q.k) - 1
+    for xmask in range(full):
+        keep = full ^ xmask
+        size = keep.bit_count()
+        smallest = min((m & keep).bit_count() for m in masks if m & keep)
+        if size < psi * smallest or _closed(masks, keep) < psi:
+            continue
+        x = frozenset(v for i, v in enumerate(q.variables) if xmask >> i & 1)
+        value, w = tau_star(residual_query(q, x))
+        if value == psi:
+            weights = dict.fromkeys((a.relation for a in q.atoms), Fraction(0))
+            weights.update(w.weights)
+            return value, FractionalWeighting(weights, "quasi-packing", x)
     raise LPError("no residual of %s reaches psi* = %d" % (q.name, psi))
 
 

@@ -42,20 +42,14 @@ def _load_query(args):
     raise QueryError("need --query or --family/--k")
 
 
-GENERATORS = ("matching", "single_heavy", "agm_worst", "coin_flip")
-
-
-def _build_instance(q, args):
-    if args.gen == "matching":
-        return datagen.gen_matching(q, args.m, args.seed)
-    if args.gen == "single_heavy":
-        hv = args.heavy_var or q.variables[0]
-        return datagen.gen_single_heavy(q, args.m, hv, args.seed)
-    if args.gen == "agm_worst":
-        return datagen.gen_agm_worst(q, args.m, args.seed)
-    if args.gen == "coin_flip":
-        return datagen.gen_coin_flip(q, args.m, args.seed)
-    raise QueryError("unknown generator %r" % args.gen)
+# generator name -> builder(q, args), in `--gen`'s order of choices
+GENERATORS = {
+    "matching": lambda q, args: datagen.gen_matching(q, args.m, args.seed),
+    "single_heavy": lambda q, args: datagen.gen_single_heavy(
+        q, args.m, args.heavy_var or q.variables[0], args.seed),
+    "agm_worst": lambda q, args: datagen.gen_agm_worst(q, args.m, args.seed),
+    "coin_flip": lambda q, args: datagen.gen_coin_flip(q, args.m, args.seed),
+}
 
 
 def _echo(args):
@@ -94,7 +88,7 @@ def cmd_analyze(args) -> int:
 def cmd_generate(args) -> int:
     q = _load_query(args)
     _echo(args)
-    db = _build_instance(q, args)
+    db = GENERATORS[args.gen](q, args)
     datagen.write_instance(db, args.out)
     for name, ri in sorted(db.relations.items()):
         print("%s: %d tuples, domain [1,%d] -> %s.tsv"
@@ -106,7 +100,7 @@ def cmd_generate(args) -> int:
 def _get_db(q, args):
     if args.indir:
         return datagen.read_instance(q, args.indir)
-    return _build_instance(q, args)
+    return GENERATORS[args.gen](q, args)
 
 
 def cmd_run(args) -> int:
@@ -162,6 +156,8 @@ def _int_list(text):
 
 
 def cmd_sweep(args) -> int:
+    if not args.C > 0:
+        raise ValueError("--C must be positive, got %g" % args.C)
     q = _load_query(args)
     _echo(args)
     db = _get_db(q, args)

@@ -275,16 +275,22 @@ def write_instance(db: DatabaseInstance, outdir: str) -> None:
 
 def read_instance(q: Query, indir: str) -> DatabaseInstance:
     """Read an instance written by `write_instance`; raises ValueError when
-    the manifest's query has other atoms than q, when it gives no domain
-    size n for one of q's relations, when a non-blank line of a relation
-    has other than arity tab-separated integer fields, or when a value
-    lies outside the relation's domain [1, n].
+    the manifest is not a JSON object with an integer seed and an object
+    of relations, when its query has other atoms than q, when it gives no
+    domain size n for one of q's relations, when a non-blank line of a
+    relation has other than arity tab-separated integer fields, or when a
+    value lies outside the relation's domain [1, n].
 
     Each file is read whole: its non-blank lines are split into fields
     once, every field is read with int, and the tuples are cut from the
     flat value list."""
-    with open(os.path.join(indir, "manifest.json")) as f:
+    mpath = os.path.join(indir, "manifest.json")
+    with open(mpath) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("seed"), int) \
+            or not isinstance(manifest.get("relations", {}), dict):
+        raise ValueError("%s: not a JSON object with an integer seed and an "
+                         "object of relations" % mpath)
     written = parse_query(str(manifest.get("query", "")))
     if {(a.relation, a.vars) for a in written.atoms} != \
             {(a.relation, a.vars) for a in q.atoms}:

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import mpcjoin.analyzer as analyzer
 from mpcjoin.analyzer import (FractionalWeighting, iroot, load_bound_packing,
                               load_bound_worstcase, log_base_p, pow_floor,
-                              psi_star, psi_star_recursive, residual_tau_star,
-                              rho_star, share_lp, tau_star)
+                              psi_star, psi_star_recursive, rho_star, share_lp,
+                              tau_star)
 from mpcjoin.lp import LPError
 from mpcjoin.query import Atom, Query, canonical_query, parse_query, residual_query
 
@@ -101,58 +101,22 @@ def hypergraphs(draw, max_vars=7):
                        for j, e in enumerate(edges)))
 
 
-def reference_witness(q, x):
-    """residual_tau_star's weights, by one `tau_star` per component over
-    q's own variables: the same LP as the cached one, columns in edge-mask
-    order, with no cache and no relabelling."""
-    index = {v: i for i, v in enumerate(q.variables)}
-    first = {}
-    for a in q.atoms:
-        e = frozenset(a.vars) - x
-        if e:
-            first.setdefault(e, a.relation)
-    components = []
-    for e in (e for e in first if not any(f < e for f in first)):
-        joined = [c for c in components if any(e & f for f in c)]
-        components = [c for c in components if c not in joined]
-        components.append([e] + [f for c in joined for f in c])
-    weights = dict.fromkeys((a.relation for a in q.atoms), 0)
-    for edges in components:
-        edges.sort(key=lambda e: sum(1 << index[v] for v in e))
-        vs = tuple(v for v in q.variables if any(v in e for e in edges))
-        comp = Query("C", vs, tuple(Atom(first[e], tuple(sorted(e, key=index.get)))
-                                    for e in edges))
-        weights.update(tau_star(comp)[1].weights)
-    return weights
-
-
 @settings(deadline=None, max_examples=150)
 @given(hypergraphs())
-def test_residual_tau_star_matches_full_lp(q):
-    cache = {}
+def test_psi_star_matches_full_lp(q):
+    # psi* and X are the first maximizer in bitmask order of tau*(q_X) over
+    # every X, by a full LP per residual
     best = None
     for mask in range((1 << q.k) - 1):
         x = frozenset(v for i, v in enumerate(q.variables) if mask >> i & 1)
-        direct = tau_star(residual_query(q, x))[0]
-        val, w = residual_tau_star(q, x, cache)
-        assert val == direct
-        # a cached LP of a relabelled component never changes the witness
-        fresh, fw = residual_tau_star(q, x, {})
-        assert (fresh, fw.weights) == (val, w.weights)
-        assert w.weights == reference_witness(q, x)
-        w.check(q)
-        assert w.total() == val and w.residual_witness == x
-        # only the first atom of a minimal residual edge carries weight
-        edges = [frozenset(a.vars) - x for a in q.atoms]
-        for j, a in enumerate(q.atoms):
-            if w.weights[a.relation]:
-                assert not any(f and (f < edges[j] or (f == edges[j] and i < j))
-                               for i, f in enumerate(edges))
-        if best is None or direct > best[0]:
-            best = (direct, x)
+        t = tau_star(residual_query(q, x))[0]
+        if best is None or t > best[0]:
+            best = (t, x)
     psi, w = psi_star(q)
     assert (psi, w.residual_witness) == best
     assert psi == psi_star_recursive(q)
+    w.check(q)
+    assert w.total() == psi
 
 
 @settings(deadline=None, max_examples=150)
@@ -178,11 +142,18 @@ def test_singleton_lemma_by_lp(q):
     # the lemma psi* rests on, checked by a full LP per residual: (a) a
     # remaining vertex v that is no residual edge {v} can be removed
     # without lowering tau*; (b) when every remaining vertex is one,
-    # tau*(q_X) = |vars - X|
+    # tau*(q_X) = |vars - X|; and psi_star's two skip bounds, |vars - X|
+    # over the smallest residual edge's size and the closure count, are
+    # never below tau*(q_X)
+    masks = analyzer._edge_masks(q)
+    full = (1 << q.k) - 1
     tau = {}
-    for mask in range((1 << q.k) - 1):
+    for mask in range(full):
         x = frozenset(v for i, v in enumerate(q.variables) if mask >> i & 1)
-        tau[x] = tau_star(residual_query(q, x))[0]
+        t = tau[x] = tau_star(residual_query(q, x))[0]
+        smallest = min(len(set(a.vars) - x) for a in q.atoms if set(a.vars) - x)
+        assert t * smallest <= q.k - len(x)
+        assert t <= analyzer._closed(masks, full ^ mask)
     for x, t in tau.items():
         rest = set(q.variables) - x
         owners = {v for v in rest if any(set(a.vars) - x == {v} for a in q.atoms)}
@@ -206,18 +177,32 @@ def counting(monkeypatch, name):
 
 def test_psi_star_lp_counts_on_sp6(monkeypatch):
     solves = counting(monkeypatch, "lp_solve_exact")
-    values = counting(monkeypatch, "_residual_value")
+    values = counting(monkeypatch, "tau_star")
     q = canonical_query("SP", 6)
-    # psi* = 7 is counted without an LP; of the 8,191 residuals the walk
-    # evaluates the first three in bitmask order with |vars - X| >= 7,
-    # X = {}, {z} and {x1}, and stops at {x1}, the first to reach 7
+    # psi* = 7 is counted without an LP; of the 8,191 residuals X = {}
+    # and {z} fail the closure bound (it reads 6 for both), and the walk
+    # evaluates {x1}, the first to reach 7
     p, w = psi_star(q)
     assert (p, w.residual_witness) == (7, {"x1"})
-    assert (len(values), len(solves)) == (3, 3)
+    assert (len(values), len(solves)) == (1, 1)
     values.clear()
     solves.clear()
     assert psi_star_recursive(q) == 7
     assert (len(values), len(solves)) == (0, 0)
+
+
+def test_psi_star_lp_counts_on_lw10(monkeypatch):
+    solves = counting(monkeypatch, "lp_solve_exact")
+    values = counting(monkeypatch, "tau_star")
+    q = canonical_query("LW", 10)
+    # psi* = 2.  Each atom misses one variable, so a residual with
+    # |vars - X| >= 3 owns no singleton edge and passes the closure bound
+    # (1,013 X do), but its edges have at least |vars - X| - 1 variables,
+    # so the smallest-edge bound passes only the 45 X with |vars - X| = 2;
+    # the walk evaluates the first, X = {x1..x8}
+    p, w = psi_star(q)
+    assert (p, w.residual_witness) == (2, {"x%d" % i for i in range(1, 9)})
+    assert (len(values), len(solves)) == (1, 1)
 
 
 def test_psi_star_raises_when_no_residual_reaches_the_count(monkeypatch):

@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import time
 
@@ -323,7 +324,28 @@ def test_sweep_w_no_server_count_fits_exit_2(capsys):
       "--alg", "triangle", "--p", "8"], "error: m must be >= 1"),
     (["run", "--family", "C", "--k", "3", "--gen", "coin_flip", "--m", "0",
       "--alg", "triangle", "--p", "8"], "error: m must be >= 1"),
+    (["sweep", "--family", "C", "--k", "3", "--m", "50", "--C", "0"],
+     "error: --C must be positive, got 0"),
+    (["sweep", "--family", "C", "--k", "3", "--m", "50", "--C", "-1"],
+     "error: --C must be positive, got -1"),
 ])
 def test_bad_arguments_exit_2(argv, msg, capsys):
     assert main(argv) == 2
     assert msg in capsys.readouterr().err
+
+
+def test_run_indir_without_seed_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "inst")
+    assert main(["generate", "--family", "C", "--k", "3", "--m", "20",
+                 "--out", out]) == 0
+    mpath = os.path.join(out, "manifest.json")
+    with open(mpath) as f:
+        manifest = json.load(f)
+    del manifest["seed"]
+    with open(mpath, "w") as f:
+        json.dump(manifest, f)
+    capsys.readouterr()
+    assert main(["run", "--family", "C", "--k", "3", "--indir", out,
+                 "--alg", "triangle", "--p", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: not a JSON object" % mpath)

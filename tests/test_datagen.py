@@ -168,6 +168,14 @@ def test_read_rejects_bad_manifest_and_values(tmp_path):
     with pytest.raises(ValueError, match="S2"):
         read_instance(q, out)
 
+    # no seed, not an object, and relations that are not an object
+    for bad in ({k: v for k, v in manifest.items() if k != "seed"},
+                [manifest], dict(manifest, relations=[1, 2, 3])):
+        with open(mpath, "w") as f:
+            json.dump(bad, f)
+        with pytest.raises(ValueError, match="manifest.json: not a JSON object"):
+            read_instance(q, out)
+
     for bad in (0, 21):                 # the domain is [1, 20]
         write_instance(gen_matching(q, 20, 1), out)
         with open(os.path.join(out, "S3.tsv"), "a") as f:
