@@ -36,7 +36,8 @@ from itertools import compress, cycle, repeat
 from operator import add, itemgetter, not_
 from typing import Callable, NamedTuple
 
-from .analyzer import _round_shares, _subsets, log_base_p, pow_floor, share_lp
+from .analyzer import (_round_shares, _subsets, iroot, log_base_p, pow_floor,
+                       share_lp)
 from .query import Atom, Query, QueryError
 from .rng import MIX1, MIX2, derive_key, mix64
 from .sim import (Engine, LoadReport, Route, _key, hash_family,
@@ -108,29 +109,20 @@ class _Grid:
         return self.col_group(c)
 
 
-# -- exact threshold tests -------------------------------------------------
+# -- exact heavy thresholds ------------------------------------------------
 
-def _ge_root(d: int, m: int, P: int, num: int, den: int) -> bool:
-    """d >= m / P**(num/den), exactly."""
-    return d ** den * P ** num >= m ** den
+def _least(m: int, P: int, num: int, den: int, strict: bool = False) -> int:
+    """The least frequency at which a value is heavy under the rule
+    f >= m / P**(num/den) (f > when strict), for m >= 1, exactly: the least
+    integer f >= 1 whose f**den reaches t, the least integer at (above, when
+    strict) m**den / P**num, which is iroot(t - 1, den) + 1."""
+    t = m ** den // P ** num + 1 if strict else -(-m ** den // P ** num)
+    return iroot(t - 1, den) + 1
 
 
-def _gt_root(d: int, m: int, P: int, num: int, den: int) -> bool:
-    """d > m / P**(num/den), exactly."""
-    return d ** den * P ** num > m ** den
-
-
-def _least(test, hi: int) -> int:
-    """The least f in [1, hi] passing test, which is monotone in f, else
-    hi + 1: a heavy threshold, found once by binary search."""
-    lo, hi = 1, hi + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if test(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _heavy(freqs: Counter, least: int) -> list:
+    """The values whose count in freqs reaches least, sorted."""
+    return sorted(compress(freqs, map(least.__le__, freqs.values())))
 
 
 # -- central rows ----------------------------------------------------------
@@ -170,18 +162,14 @@ def _slice(tuples, pos: int, h):
     return [t[:pos] + t[pos + 1:] for t in tuples if t[pos] == h]
 
 
-def _heavy_at(atoms, rels, var_list, test):
-    """Per-variable heavy value sets; test(freq, m_j) decides heaviness and
-    holds for every frequency above one that passes."""
+def _heavy_at(atoms, rels, var_list, least):
+    """Per-variable heavy value sets: a value is heavy for v when its
+    frequency in v's column of some atom a reaches least[a.relation]."""
     heavy = {v: set() for v in var_list}
     for a in atoms:
-        mj = len(rels[a.relation])
-        if mj == 0:
-            continue
-        least = _least(lambda f: test(f, mj), mj)
         for pos, v in enumerate(a.vars):
-            freqs = _column_freqs(rels[a.relation], pos)
-            heavy[v].update(compress(freqs, map(least.__le__, freqs.values())))
+            heavy[v].update(_heavy(_column_freqs(rels[a.relation], pos),
+                                   least[a.relation]))
     return heavy
 
 
@@ -333,12 +321,13 @@ def _distribute(ctx, rnd, name, tuples, groups, tag):
 
 def _intersect_ship(ctx, rnd, atoms, rels, P, fresh, tag):
     """Co-locate the atoms' relations, which share one variable tuple, by
-    full-tuple hash; returns their intersection."""
-    block = [fresh() for _ in range(P)]
-    h = hash_family(ctx.seed, tag, "ix")
+    full-tuple hash through one `_Hashed` map over a block of P servers, so
+    a tuple shipped by several atoms is hashed once; returns their
+    intersection."""
+    servers = _Hashed(hash_family(ctx.seed, tag, "ix"),
+                      [fresh() for _ in range(P)]).__getitem__
     for a in atoms:
-        ctx.eng.ship(rnd, a.relation, rels[a.relation],
-                     lambda t: block[h(t, P) - 1])
+        ctx.eng.ship(rnd, a.relation, rels[a.relation], servers)
     return _out_join(ctx, atoms, rels, atoms[0].vars)
 
 
@@ -361,7 +350,7 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     m = max(len(a_tuples), len(b_tuples), 1)
     akey, bkey = _key(a_keypos), _key(b_keypos)
     block = [fresh() for _ in range(P)]
-    heavy = sorted(kv for kv, f in freq.items() if f * P > m)
+    heavy = _heavy(freq, _least(m, P, 1, 1, strict=True))
     hblocks = {kv: [fresh() for _ in range(-(-P * freq[kv] // m))]  # ceil
                for kv in heavy}
     servers = _Hashed(h, block, {kv: tuple(s for g in gs for s in g)
@@ -415,7 +404,8 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
     sizes = {a.relation: max(1, ctx.eng.widths[a.relation] * len(rels[a.relation]))
              for a in q.atoms}
     heavy = _heavy_at(q.atoms, rels, q.variables,
-                      lambda f, mj: f * P >= mj)
+                      {a.relation: _least(max(1, len(rels[a.relation])), P, 1, 1)
+                       for a in q.atoms})
     # group each relation's tuples by their heavy profile once
     groups = {a.relation: _heavy_profiles(a, rels[a.relation], heavy)
               for a in q.atoms}
@@ -486,8 +476,7 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     x1 = s1.vars[1]
     m = max(max(len(rels[a.relation]) for a in atoms), 1)
     deg = _column_freqs(rels[s1.relation], 1)
-    least = _least(lambda d: _ge_root(d, m, P, 1, n), m)
-    heavy = sorted(compress(deg, map(least.__le__, deg.values())))
+    heavy = _heavy(deg, _least(m, P, 1, n))
     hset = set(heavy)
 
     # light x1: cartesian grid of the tail line with the head join
@@ -553,7 +542,7 @@ def _light_hypercube(ctx, rnd, q, rels, P, fresh, tag):
     k = q.k
     m = max(max(len(rels[a.relation]) for a in q.atoms), 1)
     heavy = _heavy_at(q.atoms, rels, q.variables,
-                      lambda f, mj: _gt_root(f, m, P, 1, k))
+                      dict.fromkeys(rels, _least(m, P, 1, k, strict=True)))
     shares = _round_shares(q, {v: Fraction(1, k) for v in q.variables}, P)
     light = {a.relation: _heavy_profiles(a, rels[a.relation], heavy).get(frozenset(), [])
              for a in q.atoms}
@@ -654,8 +643,10 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
                      tag + "g")
 
     # Case 1: exclusive blocks for qualifying heavy pairs at odd distance.
-    least = _least(lambda d: _ge_root(d, m, P, 2, k), m)
-    cand = [sorted(compress(dg, map(least.__le__, dg.values()))) for dg in deg]
+    # a value is a candidate at degree m/P^(2/k), a pair qualifies at
+    # deg_i * deg_j >= m^2/P^(2/k)
+    least, pair = _least(m, P, 2, k), _least(m * m, P, 2, k)
+    cand = [_heavy(dg, least) for dg in deg]
     P1 = max(1, pow_floor(P, Fraction(k - 2, k)))
     for i in range(k):
         for j in range(i + 1, k):
@@ -663,9 +654,7 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
                 continue
             for h in cand[i]:
                 for h2 in cand[j]:
-                    lhs = m ** (2 * k)
-                    rhs = P ** 2 * (deg[i][h] * deg[j][h2]) ** k
-                    if lhs > rhs:
+                    if deg[i][h] * deg[j][h2] < pair:
                         continue
                     out |= _rows([_cycle_pair(ctx, rnd, q, rels, P, P1, fresh,
                                               i, h, j, h2, tag),

@@ -1,19 +1,24 @@
 import hashlib
 import re
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpcjoin import algorithms
-from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _ge_root, _Grid,
-                                _gt_root, _heavy_profiles, _least, pick_algorithm,
+from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _Grid,
+                                _heavy_profiles, _least, pick_algorithm,
                                 run_algorithm)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.query import Atom, Query, QueryError, canonical_query, parse_query
-from mpcjoin.rng import Stream
 from mpcjoin.sim import oracle_join
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from ledger_matrix import two_heavy  # noqa: E402
 
 
 def all_ones(q):
@@ -80,6 +85,23 @@ def test_semi_join_empty_key_set():
     assert res.output == set()
 
 
+def _hash_calls(monkeypatch):
+    """A Counter of (hash path, value) over every call of every h that
+    `algorithms` draws from `hash_family` from now on."""
+    calls = Counter()
+    real = algorithms.hash_family
+
+    def counting(seed, *path):
+        h = real(seed, *path)
+
+        def counted(value, buckets):
+            calls[path, value] += 1
+            return h(value, buckets)
+        return counted
+    monkeypatch.setattr(algorithms, "hash_family", counting)
+    return calls
+
+
 @pytest.mark.parametrize("alg,text,heavy_var", [
     ("semi_join", "Q(z,y) :- R(z), S(z,y)", None),
     ("join_one_sided_skew", "Q(x,z,y) :- S1(x,z), S2(z,y)", None),
@@ -93,24 +115,39 @@ def test_join_hashes_each_light_key_once(monkeypatch, alg, text, heavy_var):
     db = gen_matching(q, 300, 4) if heavy_var is None \
         else gen_single_heavy(q, 300, heavy_var, 4)
     plain = run_algorithm(alg, db, 8, 5)
-    calls = Counter()
-    real = algorithms.hash_family
-
-    def counting(seed, *path):
-        h = real(seed, *path)
-
-        def counted(value, buckets):
-            calls[path] += 1
-            return h(value, buckets)
-        return counted
-    monkeypatch.setattr(algorithms, "hash_family", counting)
+    calls = _hash_calls(monkeypatch)
     res = run_algorithm(alg, db, 8, 5)
     assert res.report.by_relation == plain.report.by_relation
     assert res.output == plain.output
     keys = set().union(*({t[a.vars.index("z")] for t in db.relations[a.relation].tuples}
                          for a in q.atoms))
     assert (heavy_var is None) == (res.extras["heavy_keys"] == 0)
-    assert calls[("j1s", "h")] == len(keys) - res.extras["heavy_keys"]
+    assert sum(n for (path, _), n in calls.items() if path == ("j1s", "h")) \
+        == len(keys) - res.extras["heavy_keys"]
+
+
+def test_intersection_hashes_each_tuple_once(monkeypatch):
+    # covering's semi-join results share one server map when they are
+    # intersected, so its h runs once per distinct tuple over all of them.
+    q = canonical_query("W", 3)
+    db = gen_matching(q, 300, 4)
+    plain = run_algorithm("covering", db, 8, 5)
+    calls = _hash_calls(monkeypatch)
+    res = run_algorithm("covering", db, 8, 5)
+    assert res.report.by_relation == plain.report.by_relation
+    assert res.output == plain.output
+    cover = q.atom("R")
+    results = []
+    for a in q.atoms:
+        if a is not cover:
+            keys = set(db.relations[a.relation].tuples)
+            pos = cover.vars.index(a.vars[0])
+            results.append({t for t in db.relations[cover.relation].tuples
+                            if (t[pos],) in keys})
+    shipped = set().union(*results)
+    assert sum(map(len, results)) > len(shipped)    # some tuple ships twice
+    assert {v: n for (path, v), n in calls.items() if path == ("Vi", "ix")} \
+        == dict.fromkeys(shipped, 1)
 
 
 def test_semi_join_rejects_non_nested_atoms():
@@ -257,22 +294,6 @@ def test_shapes_decide_dispatch(p, db):
     assert res.output == want
 
 
-def two_heavy(q, m, seed):
-    """Values 1 and 2 fill about 40% of every column, the rest is nearly a
-    matching: each relation splits into several heavy profiles, so
-    one_round_skew ships some tuple groups under more than one profile."""
-    rels = {}
-    for a in q.atoms:
-        st = Stream(seed, "two_heavy", a.relation)
-        ts = set()
-        while len(ts) < m:
-            ts.add(tuple(1 + st.below(2) if st.below(5) < 2 else 3 + st.below(m)
-                         for _ in a.vars))
-        rels[a.relation] = RelationInstance(a.relation, a.arity,
-                                            tuple(sorted(ts)), m + 2)
-    return DatabaseInstance(q, rels, seed, {"generator": "two_heavy"})
-
-
 def test_grid_column_block_runs_out():
     ids = iter(range(100))
     grid = _Grid(lambda: (next(ids),), 2)
@@ -399,20 +420,23 @@ def test_every_registered_algorithm_has_contract():
         assert ALGORITHMS[name].rounds(canonical_query("C", 3)) >= 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 10 ** 4), st.integers(1, 10 ** 4),
-       st.sampled_from([(_gt_root, 1), (_ge_root, 1), (_ge_root, 2), (None, 1)]),
-       st.integers(1, 10))
-def test_least_heavy_frequency_matches_brute_force(m, P, kind, den):
-    # the thresholds of _light_hypercube (_gt_root, 1/k), _line (_ge_root,
-    # 1/n), _cycle_even (_ge_root, 2/k) and _one_round_skew (f * P >= m)
-    root, num = kind
-    if root is None:
-        test = lambda f: f * P >= m     # noqa: E731
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 4), st.integers(1, 10 ** 4), st.data())
+def test_least_heavy_frequency_matches_brute_force(m, P, data):
+    # every heavy threshold m/P^(num/den): _one_round_skew (1/1),
+    # _skew_join_ship (strict, 1/1), _light_hypercube (strict, 1/k), _line
+    # (1/n), _cycle_even's candidates (2/k) and its pairs (m^2 at 2/k)
+    if data.draw(st.booleans(), label="pair"):
+        m = data.draw(st.integers(1, 100), label="pair m") ** 2
+        num, den, strict = 2, data.draw(st.integers(2, 10), label="k"), False
     else:
-        test = lambda f: root(f, m, P, num, den)    # noqa: E731
-    want = next((f for f in range(1, m + 1) if test(f)), m + 1)
-    assert _least(test, m) == want
+        den = data.draw(st.integers(1, 10), label="den")
+        num = data.draw(st.integers(1, den), label="num")
+        strict = data.draw(st.booleans(), label="strict")
+    rhs, Pn = m ** den, P ** num
+    want = next(f for f in range(1, m + 2)
+                if (f ** den * Pn > rhs if strict else f ** den * Pn >= rhs))
+    assert _least(m, P, num, den, strict) == want
 
 
 @settings(max_examples=200, deadline=None)

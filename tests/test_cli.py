@@ -328,6 +328,9 @@ def test_sweep_w_no_server_count_fits_exit_2(capsys):
      "error: --C must be positive, got 0"),
     (["sweep", "--family", "C", "--k", "3", "--m", "50", "--C", "-1"],
      "error: --C must be positive, got -1"),
+    (["run", "--family", "C", "--k", "3", "--gen", "single_heavy",
+      "--heavy-var", "nope"], "error: unknown variable 'nope'"),
+    (["analyze", "--query", "Q(x,x) :- R(x)"], "error: repeated variable in head"),
 ])
 def test_bad_arguments_exit_2(argv, msg, capsys):
     assert main(argv) == 2
@@ -349,3 +352,18 @@ def test_run_indir_without_seed_exit_2(tmp_path, capsys):
                  "--alg", "triangle", "--p", "8"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: %s: not a JSON object" % mpath)
+
+
+def test_run_indir_arity_mismatch_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "inst")
+    assert main(["generate", "--family", "C", "--k", "3", "--m", "20",
+                 "--out", out]) == 0
+    path = os.path.join(out, "S1.tsv")
+    with open(path, "a") as f:
+        f.write("1\t2\t3\n")
+    capsys.readouterr()
+    assert main(["run", "--family", "C", "--k", "3", "--indir", out,
+                 "--alg", "triangle", "--p", "8"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: %s: tuple arity mismatch in S1 (a line has other than 2 fields)"
+        % path]

@@ -5,7 +5,7 @@ L2-L7, C3-C7, LW3-LW4, K3-K5, W3, T3, the two-atom semi-join
 `Q(z,y) :- R(z), S(z,y)`, the one-atom `Q(x,y) :- R(x,y)` and a triangle
 clique whose atoms list their pairs out of head order, each under six
 seeded generators (matching, single_heavy, agm_worst, coin_flip,
-lb_matching and the tests' two_heavy) at p in {1, 8, 27, 64, 1024}.  It
+lb_matching and two_heavy, defined here) at p in {1, 8, 27, 64, 1024}.  It
 prints the number of runs, the number that completed (the rest are shape
 rejections) and one sha256 over every completed run's output, rounds,
 extras, per-round `by_relation` ledger and relation widths.  A refactor
@@ -35,14 +35,32 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path.insert(0, str(ROOT / "src"))
 
 from mpcjoin.algorithms import ALGORITHMS, run_algorithm  # noqa: E402
-from mpcjoin.datagen import (gen_agm_worst, gen_coin_flip,  # noqa: E402
+from mpcjoin.datagen import (DatabaseInstance, RelationInstance,  # noqa: E402
+                             gen_agm_worst, gen_coin_flip,
                              gen_lowerbound_matching, gen_matching,
                              gen_single_heavy)
 from mpcjoin.query import QueryError, canonical_query, parse_query  # noqa: E402
-from test_algorithms import two_heavy  # noqa: E402
+from mpcjoin.rng import Stream  # noqa: E402
+
+
+def two_heavy(q, m, seed):
+    """Values 1 and 2 fill about 40% of every column, the rest is nearly a
+    matching: each relation splits into several heavy profiles, so
+    one_round_skew ships some tuple groups under more than one profile."""
+    rels = {}
+    for a in q.atoms:
+        st = Stream(seed, "two_heavy", a.relation)
+        ts = set()
+        while len(ts) < m:
+            ts.add(tuple(1 + st.below(2) if st.below(5) < 2 else 3 + st.below(m)
+                         for _ in a.vars))
+        rels[a.relation] = RelationInstance(a.relation, a.arity,
+                                            tuple(sorted(ts)), m + 2)
+    return DatabaseInstance(q, rels, seed, {"generator": "two_heavy"})
+
 
 # m = 12 keeps the AGM-worst outputs of L7 (m^4 rows) small enough to run
 # the whole matrix in well under a minute.
