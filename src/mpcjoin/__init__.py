@@ -11,12 +11,11 @@ from .datagen import (DatabaseInstance, RelationInstance, agm_domain_sizes,
                       gen_agm_worst, gen_coin_flip, gen_lowerbound_matching,
                       gen_matching, gen_single_heavy, read_instance,
                       write_instance)
-from .sim import (Engine, LoadReport, RoutingError, hash_family,
-                  local_join, oracle_join)
+from .sim import Engine, LoadReport, RoutingError, local_join, oracle_join
 from .algorithms import (ALGORITHMS, AlgorithmResult, InsufficientServers,
                          pick_algorithm, run_algorithm)
 from .em import IOReport, MemoryOverflow, choose_po, simulate_em
-from .rng import Stream, derive_key
+from .rng import Stream, derive_key, hash_family
 
 __version__ = "0.1.0"
 

@@ -39,12 +39,8 @@ from typing import Callable, NamedTuple
 from .analyzer import (_round_shares, _subsets, iroot, log_base_p, pow_floor,
                        share_lp)
 from .query import Atom, Query, QueryError
-from .rng import MIX1, MIX2, derive_key, mix64
-from .sim import (Engine, LoadReport, Route, _key, hash_family,
-                  hc_grid, join_atoms)
-
-
-_MASK64 = (1 << 64) - 1
+from .rng import hash_family
+from .sim import Engine, LoadReport, Route, _key, hc_grid, join_atoms
 
 
 class InsufficientServers(RuntimeError):
@@ -207,10 +203,10 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
 
     Routing may depend on data statistics, so instead of hashing blindly we
     order each variable's observed values in rels by a seeded permutation
-    and deal them round-robin over buckets 1..s, s its share: bucket counts
-    differ by at most one, which keeps hypercube cells balanced even when
-    the active domain is barely larger than the share.  Returns
-    {v: {value: (bucket - 1) * stride}} for the variables whose share
+    and deal them round-robin over buckets 0..s-1, s its share: bucket
+    counts differ by at most one, which keeps hypercube cells balanced even
+    when the active domain is barely larger than the share.  Returns
+    {v: {value: bucket * stride}} for the variables whose share
     exceeds 1, the only ones a hypercube route reads, with the strides of
     `hc_grid` over q.variables; a value missing from rels has no offset
     (looking it up raises KeyError).
@@ -219,20 +215,12 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
     maps = {}
     for _, v, stride in bound:
         s = shares[v]
-        key = derive_key(ctx.seed, tag, "bal", v)
         vals = set()
         for a in q.atoms:
             if v in a.vars:
                 vals.update(map(itemgetter(a.vars.index(v)), rels[a.relation]))
-
-        def rank(x):
-            # mix64((x & _MASK64) ^ key), inlined
-            z = (x & _MASK64) ^ key
-            z = ((z ^ (z >> 30)) * MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * MIX2) & _MASK64
-            return z ^ (z >> 31)
-        # by rank, ties by value: the sort is stable
-        ordered = sorted(sorted(vals), key=rank)
+        # by hash, ties by value: the sort is stable
+        ordered = sorted(sorted(vals), key=hash_family(ctx.seed, tag, "bal", v))
         maps[v] = dict(zip(ordered, cycle(range(0, s * stride, stride))))
     return maps
 
@@ -300,7 +288,7 @@ def _union(routes):
 
 
 class _Hashed(dict):
-    """key -> groups[h(key, len(groups)) - 1], hashed on a key's first
+    """key -> groups[h(key) % len(groups)], hashed on a key's first
     lookup, or the preset servers.  Its `__getitem__` is a route's dests,
     so h runs once per distinct key over the shipments sharing the map."""
 
@@ -309,7 +297,7 @@ class _Hashed(dict):
         self.h, self.groups = h, groups
 
     def __missing__(self, key):
-        d = self[key] = self.groups[self.h(key, len(self.groups)) - 1]
+        d = self[key] = self.groups[self.h(key) % len(self.groups)]
         return d
 
 
@@ -336,7 +324,7 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     """One round of the skew-resilient binary join of A and B on a key.
 
     A key is a tuple's projection on its key positions by `sim._key`: a
-    scalar for a one-column key, which h hashes as it does the 1-tuple.
+    scalar for a one-column key.
     A plays the skew-free side: key values with frequency above m/P in B
     (freq counts B's keys) each get an exclusive block of ceil(P*f/m)
     logical servers, where A's tuples with that key are broadcast and B's
@@ -358,7 +346,7 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
 
     def heavy_b(t):
         g = hblocks[bkey(t)]
-        return g[hpart(t, len(g)) - 1]
+        return g[hpart(t) % len(g)]
 
     ctx.eng.ship(rnd, a_name, a_tuples, _keyed(akey, servers.__getitem__))
     if hblocks:
@@ -423,11 +411,10 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
                     for a, pr in zip(q.atoms, profs)}
         alloc = share_lp(q, sizes, P, X)
         xkey = "|".join(sorted(X))
-        mkey = derive_key(ctx.seed, tag, "map", xkey)
         # collision-free placement of the share grid (at most P cells, as
         # _round_shares keeps the product of shares <= P) on the base block
         ncells = alloc.grid_size()
-        cellmap = sorted(range(P), key=lambda c: mix64(mkey ^ c))[:ncells]
+        cellmap = sorted(range(P), key=hash_family(ctx.seed, tag, "map", xkey))[:ncells]
         offsets = _balanced_hashes(ctx, q, filtered, alloc.shares, tag + "v" + xkey)
         cells = [base[c] for c in cellmap]
         for a, pr in zip(q.atoms, profs):

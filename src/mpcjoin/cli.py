@@ -166,7 +166,7 @@ def cmd_sweep(args) -> int:
     if args.W:
         if args.B is None:
             raise QueryError("--W sweep needs --B")
-        m = max(db.sizes_tuples().values())
+        m = max(1, max(db.sizes_tuples().values()))
         header = ["W", "B", "p_o", "rounds", "io_blocks", "ref_blocks", "ratio"]
         for W, io in zip(args.W, simulate_em(db, args.W, args.B, args.alg,
                                              args.seed)):

@@ -125,10 +125,10 @@ def simulate_em(db, Ws, B: int, alg: str = "auto", seed: int = 0) -> list:
     ValueError is raised before any dry run unless 1 <= B <= W for every
     W.  Each W's server count is chosen by `choose_po` from counting-mode dry
     runs, which the whole sweep shares, among the powers of two up to the
-    number of input tuples (MemoryOverflow when none fits a W); the chosen
-    run's ledger is then replayed for its block transfers.  The result set
-    is never materialized: ``run_algorithm(alg, db, io.p_o, seed)``
-    rebuilds it.
+    number of input tuples, and p = 1 always (MemoryOverflow when none fits
+    a W); the chosen run's ledger is then replayed for its block transfers.
+    The result set is never materialized:
+    ``run_algorithm(alg, db, io.p_o, seed)`` rebuilds it.
     """
     for W in Ws:
         if not 1 <= B <= W:
@@ -142,6 +142,6 @@ def simulate_em(db, Ws, B: int, alg: str = "auto", seed: int = 0) -> list:
 
     reports = []
     for W in Ws:
-        p_o = choose_po(measure, W, db.total_tuples())
+        p_o = choose_po(measure, W, max(1, db.total_tuples()))
         reports.append(replay_io(runs[p_o].report, db.total_tuples(), W, B, p_o))
     return reports

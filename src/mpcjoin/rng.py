@@ -1,10 +1,14 @@
-"""Counter-based deterministic PRNG (SplitMix64).
+"""Counter-based deterministic PRNG (SplitMix64) and keyed hashing.
 
 All randomness in this project flows through this module so that generated
 instances and hash placements are byte-identical across runs and platforms.
-The generator is the standard SplitMix64 mixer; streams are split by hashing
-an arbitrary key path (strings / ints) into the seed, so each relation,
-attribute, or hash coordinate gets an independent stream.
+Everything is mixed by one function, the SplitMix64 finalizer `mix64`, keyed
+by `derive_key(seed, *path)`, which hashes an arbitrary key path (strings /
+ints) into the seed, so each relation, attribute, or hash coordinate gets an
+independent key.  A `Stream` draws a sequence from its key; `hash_family`
+places values by it: an int v hashes to mix64(v ^ key), and a tuple folds
+its values, z = mix64(z ^ v) from z = key, so a 1-tuple hashes as its one
+value does.
 
 SplitMix64 is counter-based: the k-th draw (k = 1, 2, ...) of a stream in
 state s is mix64(s + k*GAMMA), independent of the draws before it.
@@ -37,8 +41,7 @@ from operator import mod
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-# The finalizer's multipliers.  Loops that mix once per element inline
-# `mix64` with these, as the call itself costs more than the mixing.
+# The finalizer's multipliers
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
@@ -83,6 +86,26 @@ def derive_key(seed: int, *path) -> int:
             h = mix64(h ^ _fnv64(part))
         else:
             h = mix64(h ^ (part & _MASK))
+    return h
+
+
+def hash_family(seed: int, *path):
+    """An independent hash function h: value -> int in [0, 2^64).
+
+    The family member is selected by the key path, so distinct (plan
+    variant, variable) pairs hash independently.  Values may be ints or
+    tuples of ints, whose values are folded in order.
+    """
+    key = derive_key(seed, *path)
+
+    def h(value) -> int:
+        if isinstance(value, tuple):
+            z = key
+            for v in value:
+                z = mix64(z ^ v)
+            return z
+        return mix64(value ^ key)
+
     return h
 
 

@@ -20,6 +20,9 @@ rounds, reported both in tuples and in bits.
 Rounds are addressed by index rather than opened/closed sequentially, so
 that concurrently running sub-plans of different depths can deposit their
 shipments into the same global round.
+
+This module does no hashing: a route's servers come from the strategy
+that builds it, which places tuples by `rng.hash_family`.
 """
 
 from __future__ import annotations
@@ -32,45 +35,12 @@ from operator import add, itemgetter
 from typing import Callable, NamedTuple
 
 from .query import Query
-from .rng import MIX1, MIX2, derive_key
-
-_MASK = (1 << 64) - 1
 
 
 class RoutingError(RuntimeError):
     """A shipment broke the routing contract: its route is not a pure
     function of the tuple, or it delivers a tuple twice to one server in
     one round."""
-
-
-def hash_family(seed: int, *path):
-    """An independent hash function h: value(s) -> bucket in [1, buckets].
-
-    The family member is selected by the key path, so distinct (plan
-    variant, variable) pairs hash independently.  Values may be ints or
-    tuples of ints (multi-variable keys are folded together); a 1-tuple
-    hashes as its one value does.
-    """
-    key = derive_key(seed, *path)
-
-    def h(value, buckets: int) -> int:
-        # mix64 inlined: h runs once per shipped key
-        if buckets <= 1:
-            return 1
-        if isinstance(value, tuple):
-            z = key
-            for v in value:
-                z ^= v & _MASK
-                z = ((z ^ (z >> 30)) * MIX1) & _MASK
-                z = ((z ^ (z >> 27)) * MIX2) & _MASK
-                z ^= z >> 31
-            return z % buckets + 1
-        z = (value & _MASK) ^ key
-        z = ((z ^ (z >> 30)) * MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * MIX2) & _MASK
-        return (z ^ (z >> 31)) % buckets + 1
-
-    return h
 
 
 def hc_grid(avars, order, shares: dict):
@@ -81,7 +51,7 @@ def hc_grid(avars, order, shares: dict):
     fastest.  Returns (bound, free): `bound` lists (position in avars,
     variable, stride) for every such variable the atom binds, and a tuple t
     over avars goes to cells c0 + f for f in `free`, in that order, where
-    c0 = sum((b - 1) * stride) over `bound`, b the bucket in [1, share] of
+    c0 = sum(b * stride) over `bound`, b the bucket in [0, share) of
     t[position].
     """
     split = [v for v in order if shares[v] > 1]

@@ -94,9 +94,9 @@ def _hash_calls(monkeypatch):
     def counting(seed, *path):
         h = real(seed, *path)
 
-        def counted(value, buckets):
+        def counted(value):
             calls[path, value] += 1
-            return h(value, buckets)
+            return h(value)
         return counted
     monkeypatch.setattr(algorithms, "hash_family", counting)
     return calls

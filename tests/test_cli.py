@@ -354,6 +354,20 @@ def test_run_indir_without_seed_exit_2(tmp_path, capsys):
     assert err.startswith("error: %s: not a JSON object" % mpath)
 
 
+def test_sweep_w_on_empty_instance(tmp_path, capsys):
+    out = str(tmp_path / "inst")
+    assert main(["generate", "--family", "C", "--k", "3", "--m", "5",
+                 "--out", out]) == 0
+    for name in ("S1", "S2", "S3"):
+        open(os.path.join(out, name + ".tsv"), "w").close()
+    path = str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--family", "C", "--k", "3", "--indir", out,
+                 "--alg", "triangle", "--W", "100", "--B", "10",
+                 "--out", path]) == 0
+    assert open(path).read().splitlines() == [
+        "W,B,p_o,rounds,io_blocks,ref_blocks,ratio", "100,10,1,1,0,0.0,0.0000"]
+
+
 def test_run_indir_arity_mismatch_exit_2(tmp_path, capsys):
     out = str(tmp_path / "inst")
     assert main(["generate", "--family", "C", "--k", "3", "--m", "20",

@@ -2,7 +2,8 @@ import pytest
 
 from mpcjoin.algorithms import run_algorithm
 from mpcjoin.em import MemoryOverflow, choose_po, replay_io, simulate_em
-from mpcjoin.datagen import gen_matching, gen_single_heavy
+from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_matching,
+                             gen_single_heavy)
 from mpcjoin.query import canonical_query
 from mpcjoin.sim import LoadReport, oracle_join
 
@@ -28,6 +29,16 @@ def test_everything_fits_single_scan():
     # 300 input tuples in blocks of 10: one scan
     assert io.io_blocks == 30
     assert io.phases["partition"] == 0 and io.phases["write"] == 0
+
+
+def test_empty_instance_runs_on_one_server():
+    # no input tuples: p = 1 is still probed, and nothing moves
+    q = triangle()
+    db = DatabaseInstance(q, {a.relation: RelationInstance(a.relation, 2, (), 5)
+                              for a in q.atoms}, 0)
+    io, = simulate_em(db, [100], 10, alg="triangle")
+    assert io.p_o == 1
+    assert io.io_blocks == 0
 
 
 def test_phases_sum_to_total():

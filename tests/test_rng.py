@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from mpcjoin.rng import _CHUNK, Stream, derive_key, mix64
+from mpcjoin.rng import _CHUNK, Stream, derive_key, hash_family, mix64
 
 
 def test_mix64_deterministic_and_in_range():
@@ -15,6 +15,82 @@ def test_derive_key_path_sensitivity():
     assert derive_key(1, "a", 2) != derive_key(1, "a", 3)
     assert derive_key(1, "a") != derive_key(2, "a")
     assert derive_key(1, "a", "b") != derive_key(1, "ab")
+
+
+def test_hash_family_range_and_determinism():
+    h = hash_family(1, "a")
+    for v in range(1000):
+        z = h(v)
+        assert 0 <= z < 2 ** 64
+        assert z == h(v)
+
+
+def test_hash_family_independent_members():
+    h1, h2 = hash_family(1, "a"), hash_family(1, "b")
+    vals = [h1(v) % 64 == h2(v) % 64 for v in range(512)]
+    assert 0 < sum(vals) < 128     # agree rarely, not never
+
+
+def test_hash_family_roughly_uniform():
+    h = hash_family(3, "u")
+    counts = [0] * 16
+    for v in range(16000):
+        counts[h(v) % 16] += 1
+    assert max(counts) < 1500 and min(counts) > 600
+
+
+def test_hash_family_tuple_keys():
+    h = hash_family(2, "t")
+    assert h((1, 2)) == h((1, 2))
+    assert 0 <= h((1, 2, 3)) < 2 ** 64
+    assert h((1, 2)) != h((2, 1))
+    assert [h((v,)) for v in range(50)] == [h(v) for v in range(50)]
+
+
+_M64 = (1 << 64) - 1
+
+
+def _bucket_hash(seed, *path):
+    """The bucket hash placements drew from before `hash_family` took one
+    argument: h(value, buckets) -> bucket in [1, buckets], with the
+    SplitMix64 finalizer written out."""
+    key = derive_key(seed, *path)
+
+    def h(value, buckets):
+        if buckets <= 1:
+            return 1
+        if isinstance(value, tuple):
+            z = key
+            for v in value:
+                z ^= v & _M64
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+                z ^= z >> 31
+            return z % buckets + 1
+        z = (value & _M64) ^ key
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        return (z ^ (z >> 31)) % buckets + 1
+
+    return h
+
+
+_VALUES = st.integers(-2 ** 70, 2 ** 70)
+_PATHS = st.lists(st.one_of(st.text(max_size=3), st.integers(0, 2 ** 64)), max_size=3)
+
+
+@given(st.integers(0, 2 ** 64 - 1), _PATHS,
+       st.one_of(_VALUES, st.tuples(_VALUES), st.lists(_VALUES, min_size=2,
+                                                       max_size=4).map(tuple)),
+       st.integers(1, 2 ** 16))
+@example(0, ["v"], 0, 1)
+@example(0, ["v"], 2 ** 64 - 1, 7)
+@example(5, [], (0, 2 ** 64 - 1), 2 ** 16)
+def test_hash_family_matches_the_bucket_hash(seed, path, value, n):
+    new = hash_family(seed, *path)
+    assert _bucket_hash(seed, *path)(value, n) - 1 == new(value) % n
+    if not isinstance(value, tuple):
+        assert new(value) == mix64(value ^ derive_key(seed, *path))
 
 
 def test_stream_below_range():

@@ -11,38 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mpcjoin.datagen import gen_coin_flip, gen_matching, gen_single_heavy
 from mpcjoin.query import Atom, canonical_query, parse_query
-from mpcjoin.sim import (Engine, Route, RoutingError, hash_family, hc_grid,
-                         join_atoms, local_join, oracle_join)
-
-
-def test_hash_family_range_and_determinism():
-    h = hash_family(1, "a")
-    for v in range(1000):
-        b = h(v, 7)
-        assert 1 <= b <= 7
-        assert b == h(v, 7)
-    assert h(5, 1) == 1
-
-
-def test_hash_family_independent_members():
-    h1, h2 = hash_family(1, "a"), hash_family(1, "b")
-    vals = [h1(v, 64) == h2(v, 64) for v in range(512)]
-    assert 0 < sum(vals) < 128     # agree rarely, not never
-
-
-def test_hash_family_roughly_uniform():
-    h = hash_family(3, "u")
-    counts = [0] * 16
-    for v in range(16000):
-        counts[h(v, 16) - 1] += 1
-    assert max(counts) < 1500 and min(counts) > 600
-
-
-def test_hash_family_tuple_keys():
-    h = hash_family(2, "t")
-    assert h((1, 2), 9) == h((1, 2), 9)
-    assert 1 <= h((1, 2, 3), 9) <= 9
-    assert [h((v,), 9) for v in range(50)] == [h(v, 9) for v in range(50)]
+from mpcjoin.sim import (Engine, Route, RoutingError, hc_grid, join_atoms,
+                         local_join, oracle_join)
 
 
 def test_hc_grid_bound_and_unbound():
@@ -166,6 +136,28 @@ def test_counting_mode_has_no_holdings():
     assert eng.report.by_relation == [{(0, "R"): 2}]
     with pytest.raises(RuntimeError):
         eng.holdings(0, "R")
+
+
+@pytest.mark.parametrize("store", [True, False])
+@pytest.mark.parametrize("make", [lambda ts: (t for t in ts),
+                                  lambda ts: map(tuple, ts)],
+                         ids=["generator", "map"])
+def test_ship_takes_any_iterable(store, make):
+    # a shipment that is not a list, tuple or set is read once into a list
+    tuples = [(i, i % 5) for i in range(100)]
+
+    def route(t):
+        return {t[1], (t[0] * 7) % 13}
+    engines = []
+    for shipped in (list(tuples), make(tuples)):
+        eng = Engine({"R": 8}, store_tuples=store)
+        eng.ship(0, "R", shipped, route)
+        engines.append(eng)
+    listed, other = engines
+    assert other.report == listed.report
+    if store:
+        for s in range(13):
+            assert other.holdings(s, "R") == listed.holdings(s, "R")
 
 
 def test_load_report_csv(tmp_path):
