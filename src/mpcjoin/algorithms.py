@@ -52,9 +52,34 @@ class _Ctx:
     eng: Engine
     seed: int
     vbits: int                 # bits per value for intermediate relations
+    counts: dict | None = None  # (relation, position) -> Counter, shared by runs
+    inputs: dict = field(default_factory=dict)      # relation -> input list
     servers: int = field(default=0, init=False)     # physical ids handed out
     extras: dict = field(default_factory=dict, init=False)
     _names: Counter = field(default_factory=Counter, init=False)
+
+    def _shared(self, rels, name) -> bool:
+        """Whether rels[name] is the run's input list for name while the
+        run shares its column counts."""
+        return self.counts is not None and self.inputs.get(name) is rels[name]
+
+    def freqs(self, rels, name: str, pos: int) -> Counter:
+        """The value counts of column pos of rels[name]: the shared count
+        when rels[name] is the run's input list (counted on first use),
+        else a fresh count.  Callers do not mutate the result."""
+        if not self._shared(rels, name):
+            return Counter(map(itemgetter(pos), rels[name]))
+        c = self.counts.get((name, pos))
+        if c is None:
+            c = self.counts[name, pos] = Counter(map(itemgetter(pos), rels[name]))
+        return c
+
+    def values(self, rels, name: str, pos: int):
+        """The values in column pos of rels[name], with repeats unless they
+        come from the shared count."""
+        if self._shared(rels, name):
+            return self.freqs(rels, name, pos)
+        return map(itemgetter(pos), rels[name])
 
     def root(self):
         """A fresh logical server of one new physical id."""
@@ -148,23 +173,19 @@ def _rows(parts, out_vars):
 
 # -- heavy-hitter bookkeeping ---------------------------------------------
 
-def _column_freqs(tuples, pos: int) -> Counter:
-    return Counter(map(itemgetter(pos), tuples))
-
-
 def _slice(tuples, pos: int, h):
     """The tuples whose value at pos is h, without that column, as a list:
     for duplicate-free tuples its rows are distinct."""
     return [t[:pos] + t[pos + 1:] for t in tuples if t[pos] == h]
 
 
-def _heavy_at(atoms, rels, var_list, least):
+def _heavy_at(ctx, atoms, rels, var_list, least):
     """Per-variable heavy value sets: a value is heavy for v when its
     frequency in v's column of some atom a reaches least[a.relation]."""
     heavy = {v: set() for v in var_list}
     for a in atoms:
         for pos, v in enumerate(a.vars):
-            heavy[v].update(_heavy(_column_freqs(rels[a.relation], pos),
+            heavy[v].update(_heavy(ctx.freqs(rels, a.relation, pos),
                                    least[a.relation]))
     return heavy
 
@@ -218,7 +239,7 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
         vals = set()
         for a in q.atoms:
             if v in a.vars:
-                vals.update(map(itemgetter(a.vars.index(v)), rels[a.relation]))
+                vals.update(ctx.values(rels, a.relation, a.vars.index(v)))
         # by hash, ties by value: the sort is stable
         ordered = sorted(sorted(vals), key=hash_family(ctx.seed, tag, "bal", v))
         maps[v] = dict(zip(ordered, cycle(range(0, s * stride, stride))))
@@ -391,7 +412,7 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
     """
     sizes = {a.relation: max(1, ctx.eng.widths[a.relation] * len(rels[a.relation]))
              for a in q.atoms}
-    heavy = _heavy_at(q.atoms, rels, q.variables,
+    heavy = _heavy_at(ctx, q.atoms, rels, q.variables,
                       {a.relation: _least(max(1, len(rels[a.relation])), P, 1, 1)
                        for a in q.atoms})
     # group each relation's tuples by their heavy profile once
@@ -462,7 +483,7 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     s1, s2 = atoms[0], atoms[1]
     x1 = s1.vars[1]
     m = max(max(len(rels[a.relation]) for a in atoms), 1)
-    deg = _column_freqs(rels[s1.relation], 1)
+    deg = ctx.freqs(rels, s1.relation, 1)
     heavy = _heavy(deg, _least(m, P, 1, n))
     hset = set(heavy)
 
@@ -528,7 +549,7 @@ def _light_hypercube(ctx, rnd, q, rels, P, fresh, tag):
     """
     k = q.k
     m = max(max(len(rels[a.relation]) for a in q.atoms), 1)
-    heavy = _heavy_at(q.atoms, rels, q.variables,
+    heavy = _heavy_at(ctx, q.atoms, rels, q.variables,
                       dict.fromkeys(rels, _least(m, P, 1, k, strict=True)))
     shares = _round_shares(q, {v: Fraction(1, k) for v in q.variables}, P)
     light = {a.relation: _heavy_profiles(a, rels[a.relation], heavy).get(frozenset(), [])
@@ -598,9 +619,9 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
     # per-position maximum degree of each value
     deg = [Counter() for _ in range(k)]
     for i in range(k):
-        for val, f in _column_freqs(rels[atoms[i].relation], 0).items():
+        for val, f in ctx.freqs(rels, atoms[i].relation, 0).items():
             deg[i][val] = max(deg[i][val], f)
-        for val, f in _column_freqs(rels[atoms[(i - 1) % k].relation], 1).items():
+        for val, f in ctx.freqs(rels, atoms[(i - 1) % k].relation, 1).items():
             deg[i][val] = max(deg[i][val], f)
 
     # Case 2: a single skew-aware hypercube round covering the whole output.
@@ -979,7 +1000,7 @@ def pick_algorithm(q: Query) -> str:
 
 
 def run_algorithm(name: str, db, p: int, seed: int,
-                  counting: bool = False) -> AlgorithmResult:
+                  counting: bool = False, *, _counts=None) -> AlgorithmResult:
     """Run strategy `name` ("auto" picks one by shape) on `db` with nominal
     server count p >= 1 and the given seed.
 
@@ -991,6 +1012,12 @@ def run_algorithm(name: str, db, p: int, seed: int,
     and a one-atom query under line or covering returns its relation.
     Loads, rounds and extras are the same as in a storing run.  Used for
     cheap dry runs on large instances.
+
+    `_counts` is internal to `em.DryRuns`: one dict that the runs of one
+    strategy on one instance share, (relation, position) -> the value
+    counts of that column of the shaped input.  A run given it reads its
+    input columns' counts from it and adds those it lacks; a run without it
+    counts every column it needs afresh and keeps nothing.
     """
     if p < 1:
         raise ValueError("server count p must be at least 1, got %d" % p)
@@ -1005,13 +1032,14 @@ def run_algorithm(name: str, db, p: int, seed: int,
     if q is None:
         raise QueryError("%s does not accept %s" % (name, db.query.render()))
     ctx = _Ctx(Engine(db.widths_bits(), store_tuples=not counting), seed,
-               max(ri.value_bits for ri in db.relations.values()))
+               max(ri.value_bits for ri in db.relations.values()), _counts)
     rels = {}
     for a in q.atoms:
         src = db.query.atom(a.relation).vars
         ts = db.relations[a.relation].tuples
         rels[a.relation] = list(ts) if a.vars == src else \
             list(map(itemgetter(*map(src.index, a.vars)), ts))
+    ctx.inputs.update(rels)
     rows = strategy.plan(ctx, q, rels, p)
     if q.variables != db.query.variables:
         rows = _rows([(q.variables, rows)], db.query.variables)

@@ -20,7 +20,7 @@ from . import datagen
 from .algorithms import ALGORITHMS, run_algorithm
 from .analyzer import (load_bound_worstcase, psi_star, rho_star, share_lp,
                        tau_star)
-from .em import MemoryOverflow, simulate_em
+from .em import DryRuns, MemoryOverflow, simulate_em
 from .query import FAMILIES, QueryError, canonical_query, parse_query
 from .sim import oracle_join
 
@@ -181,10 +181,10 @@ def cmd_sweep(args) -> int:
         header = ["p", "algorithm", "rounds", "max_load_tuples",
                   "max_load_bits", "bound_tuples", "ratio"]
         sizes = {r: max(1, m) for r, m in db.sizes_tuples().items()}
+        runs = DryRuns(args.alg, db, args.seed)
         for p in args.p_list:
-            res = run_algorithm(args.alg, db, p, args.seed, counting=True)
+            res, got = runs[p]
             lb = load_bound_worstcase(q, sizes, p)
-            got = res.report.max_tuples()
             ratio = got / lb.value
             rows.append([p, res.name, res.rounds, got, res.report.max_bits(),
                          "%.1f" % lb.value, "%.4f" % ratio])

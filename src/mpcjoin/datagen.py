@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, product, repeat
 
 from .analyzer import pow_floor
 from .lp import OPTIMAL, lp_solve_exact
@@ -168,10 +168,7 @@ def agm_domain_sizes(q: Query, m: int) -> dict:
 
 def _product_tuples(doms):
     """Cartesian product of [1..d] ranges, lexicographic."""
-    out = [()]
-    for d in doms:
-        out = [t + (v,) for t in out for v in range(1, d + 1)]
-    return out
+    return list(product(*(range(1, d + 1) for d in doms)))
 
 
 def gen_agm_worst(q: Query, m: int, seed: int) -> DatabaseInstance:

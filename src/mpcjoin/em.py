@@ -12,8 +12,14 @@ The server count p_o is the smallest power of two whose measured per-round
 load fits the memory budget: r * L(p_o) <= W, with r and L taken from cheap
 counting-mode dry runs of the same strategy on the same instance.  Powers
 of two are probed in increasing order up to the number of input tuples, so
-no dry run uses more than p_o servers, and one sweep over several W shares
-its dry runs.
+no dry run uses more than p_o servers.
+
+One sweep over several W shares its dry runs through one `DryRuns`: each p
+is run once, with its rounds and maximum load computed once, and the runs
+share what does not depend on p, the value counts of the input columns.
+Those are counted once per sweep, at most one `Counter` per input column,
+and dropped with the sweep; only the heavy thresholds, the shares and the
+routing are redone for each p.
 """
 
 from __future__ import annotations
@@ -40,6 +46,36 @@ class IOReport:
 
 def _blocks(words: int, B: int) -> int:
     return -(-words // B)
+
+
+class DryRuns(dict):
+    """p -> (result, load): the counting-mode `AlgorithmResult` of strategy
+    `alg` on `db` with `seed` at p servers, made on first lookup, and its
+    maximum per-round per-server tuple load.
+
+    The runs share one map (relation, position) -> value counts of the
+    strategy's shaped input columns, filled on first use, so each input
+    column is counted once however many p are probed.  A run reads a count
+    from it only for the very list it built from `db`; a column of any
+    derived relation is counted afresh.  One `DryRuns` serves one strategy
+    on one instance: another strategy may shape the columns differently.
+    """
+
+    def __init__(self, alg: str, db, seed: int):
+        super().__init__()
+        self.alg, self.db, self.seed = alg, db, seed
+        self.counts = {}
+
+    def __missing__(self, p):
+        res = run_algorithm(self.alg, self.db, p, self.seed, counting=True,
+                            _counts=self.counts)
+        run = self[p] = res, res.report.max_tuples()
+        return run
+
+    def measure(self, p):
+        """(rounds, maximum load) of the run at p, as `choose_po` takes it."""
+        res, load = self[p]
+        return res.rounds, load
 
 
 def choose_po(measure, W: int, p_max: int) -> int:
@@ -123,25 +159,22 @@ def simulate_em(db, Ws, B: int, alg: str = "auto", seed: int = 0) -> list:
     one IOReport per W, in order.
 
     ValueError is raised before any dry run unless 1 <= B <= W for every
-    W.  Each W's server count is chosen by `choose_po` from counting-mode dry
-    runs, which the whole sweep shares, among the powers of two up to the
-    number of input tuples, and p = 1 always (MemoryOverflow when none fits
-    a W); the chosen run's ledger is then replayed for its block transfers.
+    W.  Each W's server count is chosen by `choose_po` among the powers of
+    two up to the number of input tuples, and p = 1 always (MemoryOverflow
+    when none fits a W); the chosen run's ledger is then replayed for its
+    block transfers.  The dry runs come from one `DryRuns` for the whole
+    sweep: a p probed for several W runs once, and every run shares the
+    counts of the input columns, which are kept until the sweep returns.
     The result set is never materialized:
     ``run_algorithm(alg, db, io.p_o, seed)`` rebuilds it.
     """
     for W in Ws:
         if not 1 <= B <= W:
             raise ValueError("need 1 <= B <= W, got B=%d W=%d" % (B, W))
-    runs = {}                # p -> counting-mode dry run
-
-    def measure(p):
-        if p not in runs:
-            runs[p] = run_algorithm(alg, db, p, seed, counting=True)
-        return runs[p].rounds, runs[p].report.max_tuples()
-
+    runs = DryRuns(alg, db, seed)
     reports = []
     for W in Ws:
-        p_o = choose_po(measure, W, max(1, db.total_tuples()))
-        reports.append(replay_io(runs[p_o].report, db.total_tuples(), W, B, p_o))
+        p_o = choose_po(runs.measure, W, max(1, db.total_tuples()))
+        reports.append(replay_io(runs[p_o][0].report, db.total_tuples(), W, B,
+                                 p_o))
     return reports

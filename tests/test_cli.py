@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from mpcjoin import cli, sim
+from mpcjoin import cli, em, sim
 from mpcjoin.algorithms import run_algorithm
 from mpcjoin.cli import main
 
@@ -205,15 +205,31 @@ def test_sweep_p_runs_count_loads_only(monkeypatch, capsys):
     # (T3 single_heavy on x1 at m = 400 would hold 400**3 rows).
     modes = []
 
-    def spy(alg, db, p, seed, counting=False):
+    def spy(alg, db, p, seed, counting=False, **shared):
         modes.append(counting)
-        return run_algorithm(alg, db, p, seed, counting=True)   # never OOM
+        return run_algorithm(alg, db, p, seed, counting=True, **shared)   # never OOM
 
-    monkeypatch.setattr(cli, "run_algorithm", spy)
+    monkeypatch.setattr(em, "run_algorithm", spy)
     rc = main(["sweep", "--family", "T", "--k", "3", "--gen", "single_heavy",
                "--m", "400", "--p-list", "1,64"])
     assert rc == 0
     assert modes == [True, True]
+
+
+def test_sweep_p_list_unsorted_and_repeated(tmp_path, capsys):
+    # One sweep shares its dry runs across p; its rows are those of one
+    # sweep per p, in the order given, a repeated p included.
+    def rows(p_list):
+        path = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--family", "C", "--k", "4", "--gen", "single_heavy",
+                     "--m", "200", "--p-list", p_list, "--out", path]) == 0
+        return open(path).read().splitlines()
+
+    swept = rows("64,8,64")
+    alone = [rows(p) for p in ("64", "8", "64")]
+    assert swept[0] == alone[0][0]
+    assert swept[1:] == [r[1] for r in alone]
+    assert swept[1] == swept[3] != swept[2]
 
 
 def test_sweep_p_flags_ratio_over_budget_exit_1(capsys):

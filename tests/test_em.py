@@ -1,7 +1,9 @@
 import pytest
 
+from mpcjoin import em
 from mpcjoin.algorithms import run_algorithm
-from mpcjoin.em import MemoryOverflow, choose_po, replay_io, simulate_em
+from mpcjoin.em import (DryRuns, MemoryOverflow, choose_po, replay_io,
+                        simulate_em)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_matching,
                              gen_single_heavy)
 from mpcjoin.query import canonical_query
@@ -116,6 +118,26 @@ def test_choose_po_never_probes_past_answer():
     assert p_o == 32
     assert max(seen) == p_o
     assert seen == [1, 2, 4, 8, 16, 32]
+
+
+def test_dry_runs_run_each_p_once_and_count_each_column_once(monkeypatch):
+    # A p probed twice runs once; the runs share one count per input column
+    # (triangle: 3 binary atoms), and each equals its plain counting run.
+    db = gen_single_heavy(triangle(), 300, "x1", 2)
+    ps = []
+
+    def spy(alg, db, p, seed, counting=False, **shared):
+        ps.append(p)
+        return run_algorithm(alg, db, p, seed, counting, **shared)
+
+    monkeypatch.setattr(em, "run_algorithm", spy)
+    runs = DryRuns("triangle", db, 1)
+    for p in (64, 8, 64, 1):
+        plain = run_algorithm("triangle", db, p, 1, counting=True)
+        assert runs[p][0].report.by_relation == plain.report.by_relation
+        assert runs.measure(p) == (plain.rounds, plain.report.max_tuples())
+    assert ps == [64, 8, 1]
+    assert len(runs.counts) == 6
 
 
 def test_one_sweep_equals_one_call_per_w():

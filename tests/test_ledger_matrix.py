@@ -21,4 +21,5 @@ DIGEST = "d59601e2175845db920a047e039849a5cf981da8557ffb9e7a321dc91875b4c1"
 def test_ledger_matrix_digest_pinned():
     res = ledger_matrix.matrix(ledger_matrix.GRIDS["tier1"])
     assert (res.runs, res.completed, res.auto_rejected) == (1680, 624, 0)
+    assert res.shared_mismatched == 0
     assert res.sha256 == DIGEST

@@ -13,7 +13,12 @@ that must keep every simulated value prints the same digest before and
 after; `--expect SHA` compares it and exits 1, printing both digests, when
 they differ.  It also runs `auto` once (storing mode) on every query,
 instance and p, outside the digest, prints `auto rejected N` and exits 1
-when auto's pick rejects any query (N > 0).  The current digest is
+when auto's pick rejects any query (N > 0).  Also outside the digest,
+each (query, generator, strategy)'s counting runs are made a second time
+through one `em.DryRuns` shared across the grid's p, as a sweep makes them;
+it prints `sharing mismatched N` and exits 1 when any shared run's output,
+rounds, extras, ledger or widths differ from the plain counting run's.  The
+current digest is
 
     python3 tools/ledger_matrix.py --expect ee83b3fc3141be627e88faca008e5700668661ef27029e250b831772669bc3fe
 
@@ -42,6 +47,7 @@ from mpcjoin.datagen import (DatabaseInstance, RelationInstance,  # noqa: E402
                              gen_agm_worst, gen_coin_flip,
                              gen_lowerbound_matching, gen_matching,
                              gen_single_heavy)
+from mpcjoin.em import DryRuns  # noqa: E402
 from mpcjoin.query import QueryError, canonical_query, parse_query  # noqa: E402
 from mpcjoin.rng import Stream  # noqa: E402
 
@@ -101,6 +107,7 @@ class Matrix(NamedTuple):
     completed: int
     sha256: str
     auto_rejected: int
+    shared_mismatched: int     # shared dry runs unlike their plain run
 
 
 def run_digest(res) -> bytes:
@@ -113,10 +120,11 @@ def run_digest(res) -> bytes:
 def matrix(grid: Grid) -> Matrix:
     """Run every query, instance, p, strategy and mode of the grid."""
     h = hashlib.sha256()
-    runs = done = auto_rejected = 0
+    runs = done = auto_rejected = mismatched = 0
     for q in QUERIES:
         for gen in grid.generators:
             db = GENERATORS[gen](q)
+            shared = {name: DryRuns(name, db, SEED) for name in ALGORITHMS}
             for p in grid.ps:
                 try:
                     run_algorithm("auto", db, p, SEED)
@@ -133,8 +141,12 @@ def matrix(grid: Grid) -> Matrix:
                             h.update(b"rejected")
                             continue
                         done += 1
-                        h.update(run_digest(res))
-    return Matrix(runs, done, h.hexdigest(), auto_rejected)
+                        digest = run_digest(res)
+                        h.update(digest)
+                        if counting and \
+                                run_digest(shared[name][p][0]) != digest:
+                            mismatched += 1
+    return Matrix(runs, done, h.hexdigest(), auto_rejected, mismatched)
 
 
 def main(argv=None) -> int:
@@ -148,11 +160,12 @@ def main(argv=None) -> int:
     print("completed %d" % res.completed)
     print("sha256 %s" % res.sha256)
     print("auto rejected %d" % res.auto_rejected)
+    print("sharing mismatched %d" % res.shared_mismatched)
     print("seconds %.1f" % (time.perf_counter() - t0), file=sys.stderr)
     if args.expect is not None and args.expect != res.sha256:
         print("digest mismatch: expected %s, got %s" % (args.expect, res.sha256))
         return 1
-    return 1 if res.auto_rejected else 0
+    return 1 if res.auto_rejected or res.shared_mismatched else 0
 
 
 if __name__ == "__main__":
