@@ -15,7 +15,7 @@ from .sim import Engine, LoadReport, RoutingError, local_join, oracle_join
 from .algorithms import (ALGORITHMS, AlgorithmResult, InsufficientServers,
                          pick_algorithm, run_algorithm)
 from .em import DryRuns, IOReport, MemoryOverflow, choose_po, simulate_em
-from .rng import Stream, derive_key, hash_family
+from .rng import Stream, derive_key, hash_column, hash_family
 
 __version__ = "0.1.0"
 

@@ -32,15 +32,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import compress, cycle, repeat
-from operator import add, itemgetter, not_
+from itertools import chain, compress, cycle, filterfalse, islice, repeat
+from operator import add, getitem, itemgetter, mod, not_
 from typing import Callable, NamedTuple
 
 from .analyzer import (_round_shares, _subsets, iroot, log_base_p, pow_floor,
                        share_lp)
 from .query import Atom, Query, QueryError
-from .rng import hash_family
-from .sim import Engine, LoadReport, Route, _key, hc_grid, join_atoms
+from .rng import _CHUNK, _MASK, hash_column
+from .sim import Engine, LoadReport, Route, _columns, _key, hc_grid, join_atoms
 
 
 class InsufficientServers(RuntimeError):
@@ -176,7 +176,10 @@ def _rows(parts, out_vars):
 def _slice(tuples, pos: int, h):
     """The tuples whose value at pos is h, without that column, as a list:
     for duplicate-free tuples its rows are distinct."""
-    return [t[:pos] + t[pos + 1:] for t in tuples if t[pos] == h]
+    rows = list(compress(tuples, map(h.__eq__, map(itemgetter(pos), tuples))))
+    if not rows:
+        return rows
+    return list(map(_columns([i for i in range(len(rows[0])) if i != pos]), rows))
 
 
 def _heavy_at(ctx, atoms, rels, var_list, least):
@@ -231,6 +234,18 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
     exceeds 1, the only ones a hypercube route reads, with the strides of
     `hc_grid` over q.variables; a value missing from rels has no offset
     (looking it up raises KeyError).
+
+    The permutation orders the values by their ranks h(value), from one
+    `hash_column` call and one sort per variable, by rank alone.  No two
+    values tie.  h(v) = mix64(v ^ key) is a bijection on [0, 2^64): the XOR
+    with a fixed key is its own inverse, x -> x ^ (x >> r) is undone by
+    repeating the shift-XOR until the shift passes 64 bits, and a product
+    with an odd multiplier modulo 2^64 is undone by the multiplier's
+    inverse modulo 2^64.  So distinct values in that range have distinct
+    ranks, and the order of the values before the sort, which used to
+    break ties, cannot matter.  A value outside the range is masked to 64
+    bits and could share a rank with one inside, so it raises ValueError
+    instead of taking an order of its own.
     """
     bound, _ = hc_grid(q.variables, q.variables, shares)
     maps = {}
@@ -240,8 +255,11 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
         for a in q.atoms:
             if v in a.vars:
                 vals.update(ctx.values(rels, a.relation, a.vars.index(v)))
-        # by hash, ties by value: the sort is stable
-        ordered = sorted(sorted(vals), key=hash_family(ctx.seed, tag, "bal", v))
+        vals = list(vals)
+        if vals and (min(vals) < 0 or max(vals) > _MASK):
+            raise ValueError("cannot rank values of %s outside [0, 2^64)" % v)
+        ranks = hash_column(ctx.seed, tag, "bal", v)(vals)
+        ordered = map(vals.__getitem__, sorted(range(len(vals)), key=ranks.__getitem__))
         maps[v] = dict(zip(ordered, cycle(range(0, s * stride, stride))))
     return maps
 
@@ -308,33 +326,38 @@ def _union(routes):
     return Route(keys, dests)
 
 
-class _Hashed(dict):
-    """key -> groups[h(key) % len(groups)], hashed on a key's first
-    lookup, or the preset servers.  Its `__getitem__` is a route's dests,
-    so h runs once per distinct key over the shipments sharing the map."""
+def _hashed(h, groups, keys, preset=()):
+    """The dests key -> groups[h(key) % len(groups)] over the given keys,
+    and key -> its preset servers over the preset keys, which are not
+    hashed: the `__getitem__` of one map, shared by the shipments it routes.
 
-    def __init__(self, h, groups, preset=()):
-        super().__init__(preset)
-        self.h, self.groups = h, groups
-
-    def __missing__(self, key):
-        d = self[key] = self.groups[self.h(key) % len(self.groups)]
-        return d
+    The map is filled before they ship, from all of their keys: keys is any
+    iterable and may repeat a key.  h is a `hash_column` function, called
+    on the keys not yet in the map a chunk at a time, so each distinct key
+    is hashed once and no temporary list outgrows a chunk.  A key outside
+    the map raises KeyError when a shipment looks it up.
+    """
+    servers = dict(preset)
+    new = filterfalse(servers.__contains__, keys)
+    n = len(groups)
+    while part := list(dict.fromkeys(islice(new, _CHUNK))):
+        servers.update(zip(part, map(groups.__getitem__, map(mod, h(part), repeat(n)))))
+    return servers.__getitem__
 
 
 def _distribute(ctx, rnd, name, tuples, groups, tag):
     """Partition a relation over the given logical groups by tuple hash."""
     ctx.eng.ship(rnd, name, tuples,
-                 _Hashed(hash_family(ctx.seed, tag, "dist"), groups).__getitem__)
+                 _hashed(hash_column(ctx.seed, tag, "dist"), groups, tuples))
 
 
 def _intersect_ship(ctx, rnd, atoms, rels, P, fresh, tag):
     """Co-locate the atoms' relations, which share one variable tuple, by
-    full-tuple hash through one `_Hashed` map over a block of P servers, so
-    a tuple shipped by several atoms is hashed once; returns their
-    intersection."""
-    servers = _Hashed(hash_family(ctx.seed, tag, "ix"),
-                      [fresh() for _ in range(P)]).__getitem__
+    full-tuple hash through one `_hashed` map over a block of P servers,
+    filled from all of their tuples, so a tuple in several of them is hashed
+    once; returns their intersection."""
+    servers = _hashed(hash_column(ctx.seed, tag, "ix"), [fresh() for _ in range(P)],
+                      chain.from_iterable(rels[a.relation] for a in atoms))
     for a in atoms:
         ctx.eng.ship(rnd, a.relation, rels[a.relation], servers)
     return _out_join(ctx, atoms, rels, atoms[0].vars)
@@ -350,11 +373,13 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     (freq counts B's keys) each get an exclusive block of ceil(P*f/m)
     logical servers, where A's tuples with that key are broadcast and B's
     are partitioned by hpart; everything else goes through a hash join on h
-    over a block of P servers.  A's tuples and B's light tuples are routed
-    by key through one `_Hashed` map with the heavy keys preset to their
-    broadcast blocks, so h runs once per distinct light key over both
-    sides; B's heavy tuples are placed by their whole tuple.  Returns the
-    heavy key -> block map.
+    over a block of P servers.  h and hpart are `hash_column` functions.
+    A's tuples and B's light tuples are routed by key through one `_hashed`
+    map with the heavy keys preset to their broadcast blocks.  It is filled
+    before either side ships, from A's keys and B's distinct keys (freq),
+    so h runs once per distinct light key over both sides and never on a
+    heavy key.  B's heavy tuples are placed by one hpart column over their
+    whole tuples.  Returns the heavy key -> block map.
     """
     m = max(len(a_tuples), len(b_tuples), 1)
     akey, bkey = _key(a_keypos), _key(b_keypos)
@@ -362,20 +387,19 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     heavy = _heavy(freq, _least(m, P, 1, 1, strict=True))
     hblocks = {kv: [fresh() for _ in range(-(-P * freq[kv] // m))]  # ceil
                for kv in heavy}
-    servers = _Hashed(h, block, {kv: tuple(s for g in gs for s in g)
-                                 for kv, gs in hblocks.items()})
-
-    def heavy_b(t):
-        g = hblocks[bkey(t)]
-        return g[hpart(t) % len(g)]
-
-    ctx.eng.ship(rnd, a_name, a_tuples, _keyed(akey, servers.__getitem__))
+    servers = _hashed(h, block, chain(map(akey, a_tuples), freq),
+                      {kv: tuple(s for g in gs for s in g)
+                       for kv, gs in hblocks.items()})
+    ctx.eng.ship(rnd, a_name, a_tuples, _keyed(akey, servers))
     if hblocks:
         # B's tuples with a heavy key are placed by their whole tuple
         hot = list(map(hblocks.__contains__, map(bkey, b_tuples)))
-        ctx.eng.ship(rnd, b_name, list(compress(b_tuples, hot)), heavy_b)
+        ts = list(compress(b_tuples, hot))
+        gs = list(map(hblocks.__getitem__, map(bkey, ts)))
+        place = dict(zip(ts, map(getitem, gs, map(mod, hpart(ts), map(len, gs)))))
+        ctx.eng.ship(rnd, b_name, ts, place.__getitem__)
         b_tuples = list(compress(b_tuples, map(not_, hot)))
-    ctx.eng.ship(rnd, b_name, b_tuples, _keyed(bkey, servers.__getitem__))
+    ctx.eng.ship(rnd, b_name, b_tuples, _keyed(bkey, servers))
     return hblocks
 
 
@@ -396,8 +420,8 @@ def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
     tkeys = list(map(_key(keypos), tuples))
     _skew_join_ship(ctx, rnd, kname, keys, range(len(keypos)), target.relation,
                     tuples, keypos, Counter(tkeys), P, fresh,
-                    hash_family(ctx.seed, tag, "sjh"),
-                    hash_family(ctx.seed, tag, "sjp"))
+                    hash_column(ctx.seed, tag, "sjh"),
+                    hash_column(ctx.seed, tag, "sjp"))
     kset = set(map(_key(range(len(keypos))), keys))
     return Atom(name, target.vars), list(compress(tuples, map(kset.__contains__, tkeys)))
 
@@ -435,7 +459,8 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
         # collision-free placement of the share grid (at most P cells, as
         # _round_shares keeps the product of shares <= P) on the base block
         ncells = alloc.grid_size()
-        cellmap = sorted(range(P), key=hash_family(ctx.seed, tag, "map", xkey))[:ncells]
+        ranks = hash_column(ctx.seed, tag, "map", xkey)(range(P))
+        cellmap = sorted(range(P), key=ranks.__getitem__)[:ncells]
         offsets = _balanced_hashes(ctx, q, filtered, alloc.shares, tag + "v" + xkey)
         cells = [base[c] for c in cellmap]
         for a, pr in zip(q.atoms, profs):
@@ -492,11 +517,12 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     p0 = max(1, P // p1)
     grid = _Grid(fresh, p1)
     v0, out0 = _line(ctx, rnd, atoms[2:], rels, p0, grid.fresh_row, tag + "t")
-    hcol = _Hashed(hash_family(ctx.seed, tag, "lx1"), grid.cols())
     light1 = [t for t in rels[s1.relation] if t[1] not in hset]
     light2 = [t for t in rels[s2.relation] if t[0] not in hset]
+    hcol = _hashed(hash_column(ctx.seed, tag, "lx1"), grid.cols(),
+                   chain(map(itemgetter(1), light1), map(itemgetter(0), light2)))
     for name, ts, pos in ((s1.relation, light1, 1), (s2.relation, light2, 0)):
-        ctx.eng.ship(rnd, name, ts, _keyed(itemgetter(pos), hcol.__getitem__))
+        ctx.eng.ship(rnd, name, ts, _keyed(itemgetter(pos), hcol))
     head = _out_join(ctx, [s1, s2], {s1.relation: light1, s2.relation: light2},
                      (s1.vars[0], x1, s2.vars[1]))
     out = _rows([((s1.vars[0], x1, s2.vars[1]), head), (v0, out0)], vs)
@@ -513,10 +539,10 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
         head3, res = _semijoin_into(ctx, rnd, tag + "s", tag + "k", keys, s3,
                                     (0,), rels, p1h, grid2.fresh_row,
                                     tag + "j" + str(h))
-        chain = [head3] + list(atoms[3:])
+        tail = [head3] + list(atoms[3:])
         crels = dict(rels)
         crels[head3.relation] = res
-        cv, crows = _line(ctx, rnd + 1, chain, crels, p1h,
+        cv, crows = _line(ctx, rnd + 1, tail, crels, p1h,
                           grid2.fresh_row, tag + "h" + str(h))
         lname = ctx.relation(tag + "u", 1)
         _distribute(ctx, rnd, lname, left, grid2.cols(), tag + "d" + str(h))
@@ -617,12 +643,8 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
     m = max(max(len(rels[a.relation]) for a in atoms), 1)
     var_at = [a.vars[0] for a in atoms]      # position i -> variable
     # per-position maximum degree of each value
-    deg = [Counter() for _ in range(k)]
-    for i in range(k):
-        for val, f in ctx.freqs(rels, atoms[i].relation, 0).items():
-            deg[i][val] = max(deg[i][val], f)
-        for val, f in ctx.freqs(rels, atoms[(i - 1) % k].relation, 1).items():
-            deg[i][val] = max(deg[i][val], f)
+    deg = [ctx.freqs(rels, atoms[i].relation, 0)
+           | ctx.freqs(rels, atoms[(i - 1) % k].relation, 1) for i in range(k)]
 
     # Case 2: a single skew-aware hypercube round covering the whole output.
     if P == 1:
@@ -918,8 +940,8 @@ def _one_sided_skew(ctx, q, rels, p):
         a, b, ta, tb, ka, kb, fb = b, a, tb, ta, kb, ka, fa
     del fa      # only B's key counts are read from here on
     hblocks = _skew_join_ship(ctx, 0, a.relation, ta, ka, b.relation, tb, kb,
-                              fb, p, ctx.root, hash_family(ctx.seed, "j1s", "h"),
-                              hash_family(ctx.seed, "j1s", "p"))
+                              fb, p, ctx.root, hash_column(ctx.seed, "j1s", "h"),
+                              hash_column(ctx.seed, "j1s", "p"))
     ctx.extras.update(heavy_keys=len(hblocks),
                       heavy_servers=sum(len(g) for g in hblocks.values()))
     return _out_join(ctx, q.atoms, rels, q.variables)

@@ -8,33 +8,47 @@ ints) into the seed, so each relation, attribute, or hash coordinate gets an
 independent key.  A `Stream` draws a sequence from its key; `hash_family`
 places values by it: an int v hashes to mix64(v ^ key), and a tuple folds
 its values, z = mix64(z ^ v) from z = key, so a 1-tuple hashes as its one
-value does.
+value does.  `hash_column` is the same h over a whole list of values.
 
-SplitMix64 is counter-based: the k-th draw (k = 1, 2, ...) of a stream in
-state s is mix64(s + k*GAMMA), independent of the draws before it.
-`Stream.draws` therefore mixes a whole column at once.  It packs up to
-`_CHUNK` draws into one int of 128-bit lanes, draw j of the chunk
-(j = 0, 1, ...) in bits [128j, 128j + 64), and runs each finalizer step
-once on the whole int:
+One lane kernel serves both `Stream.draws` and `hash_column`.  Up to
+`_CHUNK` 64-bit words sit in one int of 128-bit lanes, word j of the chunk
+(j = 0, 1, ...) in bits [128j, 128j + 64), and `_mix` runs each finalizer
+step once on the whole int:
 
-- The lanes start as b*ONES + STEP, masked to 64 bits per lane, where b
-  is s + k*GAMMA for the chunk's first draw k, ONES has a 1 in every lane
-  and STEP holds j*GAMMA in lane j; ONES and STEP are built once, at the
-  first draw.  No lane reaches 2^76 before the mask, so none carries
-  into the next.
 - Before each multiply, every lane is masked to 64 bits: the right shift
   brings the next lane's low bits down into this lane's high half, and a
   multiply would carry them on.  A lane below 2^64 times a 64-bit
   multiplier stays below 2^128, so the product stays in its lane.
 - After each multiply, the lanes are masked to 64 bits again, as `mix64`
   masks its product.
-- The draws come out as the low 64-bit word of every lane: the int is
+- The mixed words are the low 64-bit word of every lane: the int is
   written in the host's byte order and read back as native words through
-  `memoryview.cast('Q')`, so every platform reads the same values.
+  `memoryview.cast('Q')`, whose `_DRAWN` slice picks each lane's low word
+  in lane order, so every platform reads the same values.  A column of
+  values goes in the same way: `struct.pack` writes them as native words,
+  they are copied into the `_DRAWN` slots of zeroed lanes, and the bytes
+  are read as an int in the host's byte order, so no byte order is
+  assumed.
+
+SplitMix64 is counter-based: the k-th draw (k = 1, 2, ...) of a stream in
+state s is mix64(s + k*GAMMA), independent of the draws before it.
+`Stream.draws` therefore mixes a whole chunk at once: its lanes start as
+b in every lane plus STEP, where b is s + k*GAMMA for the chunk's first
+draw k and STEP holds j*GAMMA in lane j; STEP is built once, at the first
+column.  No lane reaches 2^76 before the kernel masks it, so none carries
+into the next.  `hash_column` XORs the key, spread into every lane, into a
+packed column and mixes once for ints, or once per position for tuples,
+z = mix(z ^ column) from z = the spread key.
+
+Every finalizer step, and the XOR with the key, is invertible on 64-bit
+words, so h(v) = mix64(v ^ key) is a bijection on [0, 2^64) (the proof is
+in `algorithms._balanced_hashes`).  What it buys: values in that range
+never tie on h, so ordering them by h alone needs no tie-break.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 from functools import cache
 from operator import mod
@@ -45,22 +59,61 @@ _GAMMA = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
-_CHUNK = 2048                 # draws mixed at once by `Stream.draws`
+_CHUNK = 2048                 # words mixed at once by `_mix`
 # The native 64-bit words of an int written in the host's byte order run
 # from its low end on a little-endian host and from its high end on a
 # big-endian one; this slice picks each lane's low word, in lane order.
 _DRAWN = slice(None, None, -2) if sys.byteorder == "big" else slice(0, None, 2)
 
 
+def _spread(w: int, c: int) -> int:
+    """The word w in the low word of each of c lanes."""
+    return int.from_bytes(w.to_bytes(16, "little") * c, "little")
+
+
 @cache
 def _lanes() -> tuple:
-    """ONES, LOW (the 64-bit mask in every lane) and STEP for a full
-    chunk, built at the first `Stream.draws` call; a shorter chunk of c
-    draws keeps their low 128*c bits."""
-    ones = int.from_bytes((b"\x01" + bytes(15)) * _CHUNK, "little")
+    """LOW (the 64-bit mask in every lane) and STEP for a full chunk, built
+    at the first column."""
     step = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(_CHUNK)),
                           "little") * _GAMMA
-    return ones, ones * _MASK, step
+    return _spread(_MASK, _CHUNK), step
+
+
+def _cut(c: int) -> tuple:
+    """LOW and STEP for a chunk of c <= `_CHUNK` words: their low 128*c
+    bits."""
+    lanes = _lanes()
+    if c == _CHUNK:
+        return lanes
+    cut = (1 << 128 * c) - 1
+    return tuple(x & cut for x in lanes)
+
+
+def _mix(z: int, low: int) -> int:
+    """`mix64` on every 128-bit lane of z at once: the low words of the
+    result's lanes are mix64 of the low words of z's lanes."""
+    z &= low
+    z = (((z ^ (z >> 30)) & low) * MIX1) & low
+    z = (((z ^ (z >> 27)) & low) * MIX2) & low
+    return z ^ (z >> 31)
+
+
+def _words(z: int, c: int) -> list:
+    """The low words of the first c lanes of z, in lane order."""
+    return memoryview(z.to_bytes(16 * c, sys.byteorder)).cast("Q")[_DRAWN].tolist()
+
+
+def _packed(values, c: int) -> int:
+    """The c ints of values, each masked to 64 bits, in the low words of c
+    lanes; a value that is not an int raises TypeError."""
+    try:
+        b = struct.pack("=%dQ" % c, *values)
+    except struct.error:                # an int outside [0, 2^64)
+        b = struct.pack("=%dQ" % c, *[v & _MASK for v in values])
+    lanes = bytearray(16 * c)
+    memoryview(lanes).cast("Q")[_DRAWN] = memoryview(b).cast("Q")
+    return int.from_bytes(lanes, sys.byteorder)
 
 
 def mix64(z: int) -> int:
@@ -109,6 +162,39 @@ def hash_family(seed: int, *path):
     return h
 
 
+def hash_column(seed: int, *path):
+    """The h of `hash_family(seed, *path)` over a column: a function that
+    maps a sequence of values to [h(v) for v in values].
+
+    Values go through the lane kernel a chunk at a time.  A chunk of ints is
+    mixed once, each int masked to 64 bits as `mix64` masks it; a chunk of
+    tuples, which must have one length, is mixed once per position,
+    z = mix(z ^ column) from z = key.  A chunk mixing ints and tuples, or
+    tuples of different lengths, raises; a value that is neither raises
+    TypeError.
+    """
+    key = derive_key(seed, *path)
+
+    def column(values) -> list:
+        out = []
+        for k0 in range(0, len(values), _CHUNK):
+            chunk = values[k0:k0 + _CHUNK]
+            c = len(chunk)
+            low, _ = _cut(c)
+            z = _spread(key, c)
+            if isinstance(chunk[0], tuple):
+                if len(set(map(len, chunk))) > 1:
+                    raise ValueError("cannot hash tuples of different lengths")
+                for col in zip(*chunk):
+                    z = _mix(z ^ _packed(col, c), low)
+            else:
+                z = _mix(z ^ _packed(chunk, c), low)
+            out += _words(z, c)
+        return out
+
+    return column
+
+
 class Stream:
     """A SplitMix64 sequence identified by (seed, *path)."""
 
@@ -133,17 +219,10 @@ class Stream:
             raise ValueError("cannot draw %d values" % n)
         s = self._state
         out = []
-        ones, low, step = _lanes()
         for k0 in range(0, n, _CHUNK):
             c = min(_CHUNK, n - k0)
-            if c < _CHUNK:                  # the last chunk
-                cut = (1 << 128 * c) - 1
-                ones, low, step = ones & cut, low & cut, step & cut
-            z = (((s + (k0 + 1) * _GAMMA) & _MASK) * ones + step) & low
-            z = (((z ^ (z >> 30)) & low) * MIX1) & low
-            z = (((z ^ (z >> 27)) & low) * MIX2) & low
-            words = memoryview((z ^ (z >> 31)).to_bytes(16 * c, sys.byteorder))
-            out += words.cast("Q")[_DRAWN].tolist()
+            low, step = _cut(c)
+            out += _words(_mix(_spread((s + (k0 + 1) * _GAMMA) & _MASK, c) + step, low), c)
         self._state = (s + n * _GAMMA) & _MASK
         return out
 

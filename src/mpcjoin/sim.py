@@ -22,7 +22,9 @@ that concurrently running sub-plans of different depths can deposit their
 shipments into the same global round.
 
 This module does no hashing: a route's servers come from the strategy
-that builds it, which places tuples by `rng.hash_family`.
+that builds it.  A strategy fills its placement maps before it ships, a
+column of distinct keys at a time through `rng.hash_column`, so dests(key)
+is a lookup.
 """
 
 from __future__ import annotations

@@ -1,21 +1,24 @@
 import hashlib
+import random
 import re
 import sys
 from collections import Counter
+from itertools import cycle
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpcjoin import algorithms
-from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _Grid,
-                                _heavy_profiles, _least, pick_algorithm,
-                                run_algorithm)
+from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _balanced_hashes,
+                                _Ctx, _Grid, _heavy_profiles, _least,
+                                pick_algorithm, run_algorithm)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.em import DryRuns
 from mpcjoin.query import Atom, Query, QueryError, canonical_query, parse_query
-from mpcjoin.sim import oracle_join
+from mpcjoin.rng import _CHUNK, hash_family
+from mpcjoin.sim import Engine, hc_grid, oracle_join
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
@@ -87,19 +90,19 @@ def test_semi_join_empty_key_set():
 
 
 def _hash_calls(monkeypatch):
-    """A Counter of (hash path, value) over every call of every h that
-    `algorithms` draws from `hash_family` from now on."""
+    """A Counter of (hash path, value) over every value passed to every
+    column hash that `algorithms` draws from `hash_column` from now on."""
     calls = Counter()
-    real = algorithms.hash_family
+    real = algorithms.hash_column
 
     def counting(seed, *path):
-        h = real(seed, *path)
+        column = real(seed, *path)
 
-        def counted(value):
-            calls[path, value] += 1
-            return h(value)
+        def counted(values):
+            calls.update((path, v) for v in values)
+            return column(values)
         return counted
-    monkeypatch.setattr(algorithms, "hash_family", counting)
+    monkeypatch.setattr(algorithms, "hash_column", counting)
     return calls
 
 
@@ -149,6 +152,57 @@ def test_intersection_hashes_each_tuple_once(monkeypatch):
     assert sum(map(len, results)) > len(shipped)    # some tuple ships twice
     assert {v: n for (path, v), n in calls.items() if path == ("Vi", "ix")} \
         == dict.fromkeys(shipped, 1)
+
+
+def _reference_offsets(seed, q, rels, shares, tag):
+    """`_balanced_hashes` as it was: each variable's values sorted, then
+    sorted by h (the sort is stable), dealt round-robin over the buckets."""
+    bound, _ = hc_grid(q.variables, q.variables, shares)
+    maps = {}
+    for _, v, stride in bound:
+        vals = {t[a.vars.index(v)] for a in q.atoms if v in a.vars
+                for t in rels[a.relation]}
+        ordered = sorted(sorted(vals), key=hash_family(seed, tag, "bal", v))
+        maps[v] = dict(zip(ordered, cycle(range(0, shares[v] * stride, stride))))
+    return maps
+
+
+_BAL_Q = parse_query("Q(x,y) :- R(x,y), S(y)")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 32),
+       st.sampled_from((1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)),
+       st.sampled_from((4, 2 ** 64)), st.integers(2, 8), st.integers(2, 8))
+def test_balanced_hashes_match_the_sorted_reference(seed, data_seed, n, top, sx, sy):
+    # value sets on both sides of a chunk edge, dense or spread over the
+    # whole 64-bit range
+    r = random.Random(data_seed)
+    hi = min(top * n, 2 ** 64)
+
+    def distinct(count):
+        vals = set()
+        while len(vals) < count:
+            vals.add(r.randrange(hi))
+        return list(vals)
+    xs, ys = distinct(n), distinct(n)
+    rels = {"R": list(zip(xs, ys)),
+            "S": [(y,) for y in r.sample(ys, n // 2) + distinct(1)]}
+    shares = {"x": sx, "y": sy}
+    got = _balanced_hashes(_Ctx(Engine({}), seed, 8), _BAL_Q, rels, shares, "t")
+    assert got == _reference_offsets(seed, _BAL_Q, rels, shares, "t")
+    for v, offsets in got.items():
+        sizes = Counter(offsets.values())
+        assert max(sizes.values()) - min(sizes.values()) <= 1
+        assert len(sizes) == min(shares[v], len(offsets))
+
+
+@pytest.mark.parametrize("bad", [2 ** 64, 2 ** 70, -1])
+def test_balanced_hashes_reject_values_outside_the_word(bad):
+    # such a value could tie with one inside [0, 2^64) on rank
+    rels = {"R": [(1, 2), (bad, 3)], "S": [(2,)]}
+    with pytest.raises(ValueError, match="outside"):
+        _balanced_hashes(_Ctx(Engine({}), 0, 8), _BAL_Q, rels, {"x": 2, "y": 2}, "t")
 
 
 def test_semi_join_rejects_non_nested_atoms():

@@ -1,7 +1,9 @@
+from itertools import cycle, islice
+
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mpcjoin.rng import _CHUNK, Stream, derive_key, hash_family, mix64
+from mpcjoin.rng import _CHUNK, Stream, derive_key, hash_column, hash_family, mix64
 
 
 def test_mix64_deterministic_and_in_range():
@@ -91,6 +93,37 @@ def test_hash_family_matches_the_bucket_hash(seed, path, value, n):
     assert _bucket_hash(seed, *path)(value, n) - 1 == new(value) % n
     if not isinstance(value, tuple):
         assert new(value) == mix64(value ^ derive_key(seed, *path))
+
+
+# Column lengths on both sides of the lane kernel's chunk edges.
+_COLUMN_LENGTHS = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
+
+
+@given(st.integers(0, 2 ** 64 - 1), _PATHS,
+       st.one_of(st.lists(_VALUES, min_size=1, max_size=8),
+                 st.integers(1, 4).flatmap(
+                     lambda k: st.lists(st.tuples(*[_VALUES] * k), min_size=1,
+                                        max_size=8))),
+       st.sampled_from(_COLUMN_LENGTHS))
+@example(0, ["v"], [0, 2 ** 64 - 1], _CHUNK + 1)
+@example(7, [], [(0, 2 ** 64 - 1), (2 ** 64 - 1, 0)], 2 * _CHUNK + 1)
+def test_hash_column_equals_hash_family(seed, path, values, n):
+    # the drawn values repeated to n, so every lane of every chunk holds one
+    column = list(islice(cycle(values), n))
+    h = hash_family(seed, *path)
+    assert hash_column(seed, *path)(column) == [h(v) for v in column]
+
+
+def test_hash_column_takes_any_sequence_and_rejects_mixed_chunks():
+    h, col = hash_family(3, "r"), hash_column(3, "r")
+    assert col(range(5)) == [h(v) for v in range(5)]
+    assert col([(), ()]) == [h(()), h(())]
+    with pytest.raises(ValueError, match="different lengths"):
+        col([(1, 2), (3,)])
+    with pytest.raises(TypeError):
+        col([1, (2,)])
+    with pytest.raises(TypeError):
+        col([1.5])
 
 
 def test_stream_below_range():
