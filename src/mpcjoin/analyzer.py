@@ -34,7 +34,7 @@ for which one of two upper bounds on tau*(q_X) falls below psi*:
 - Smallest edge.  With s the size of the smallest residual edge,
   s * sum_e w_e <= sum_e w_e |e| <= |V| as above, so tau*(q_X) <=
   |V| / s, and an X with |V| < psi* * s cannot reach psi*.
-- Closure (`_closed`).  While some remaining vertex owns no singleton
+- Closure (`_closure`).  While some remaining vertex owns no singleton
   edge, move the lowest such vertex into X.  Each move falls under (a)
   and does not lower tau*, and the walk ends at an X' under (b), so
   tau*(q_X) <= tau*(q_X') = |vars - X'|.
@@ -42,6 +42,22 @@ for which one of two upper bounds on tau*(q_X) falls below psi*:
 Every X that reaches psi* passes both, so the first one is never
 skipped.  SP6's 8,191 residuals cost `psi_star` 1 LP, and
 `psi_star_recursive` none.
+
+The worst-case one-round load bound carries the lemma over.  Let
+mu_j = log_p M_j and L_X = max over packings u of q_X of
+(sum_j u_j mu_j - 1) / sum_j u_j, the exponent of q_X's packing bound;
+`load_bound_worstcase` is the maximum of L_X over X strictly inside vars.
+
+(a') If some v in V owns no singleton edge of q_X, then q_{X+v} has the
+     same atoms as q_X (removing v empties none), every packing of q_X is
+     one of q_{X+v} as in (a), and the objective reads the atoms, not the
+     vertices: L_X <= L_{X+v}.  So L_X is at most L of X's closure, which
+     falls under (b), and the maximum is reached on an X under (b).
+(b') With equal sizes, every mu_j = mu and the objective is
+     mu - 1/sum_j u_j, largest at sum_j u_j = tau*(q_X): L_X =
+     mu - 1/tau*(q_X).  The maximum is mu - 1/psi*, its first maximizer
+     in bitmask order is the first maximizer of tau*(q_X), which is
+     `psi_star`'s X, and `psi_star`'s packing is a maximizing u.
 """
 
 from __future__ import annotations
@@ -57,13 +73,52 @@ from .query import Query, residual_query
 LOG_APPROX_DENOM = 10 ** 6
 
 
+def _common_log(M: int, p: int) -> Optional[Fraction]:
+    """log_p(M) when M > 1 and p > 1 are powers of one integer base, else None.
+
+    Euclid's step on the pair: the larger number must be divisible by the
+    smaller and is replaced by the quotient, until the two are equal.  If
+    M = r^t and p = r^s, the exponents of r run through Euclid's algorithm
+    on (t, s) and end equal; if the walk ends at x == y, undoing its
+    divisions writes M and p as powers of x.  Each number is carried with
+    its exponents over (M, p); at the end x and y name one number by two
+    exponent vectors, and their difference (a, b) != 0 (every step is
+    unimodular) has M^a p^b = 1, so log_p(M) = -b/a.
+    """
+    x, y = (M, 1, 0), (p, 0, 1)
+    while x[0] != y[0]:
+        if x[0] > y[0]:
+            x, y = y, x
+        if y[0] % x[0]:
+            return None
+        y = (y[0] // x[0], y[1] - x[1], y[2] - x[2])
+    return Fraction(y[2] - x[2], x[1] - y[1])
+
+
 def log_base_p(M: int, p: int) -> Fraction:
-    """log_p(M) as a Fraction; exact when M is a rational power of p."""
+    """log_p(M) as a Fraction; exact when M is a rational power of p.
+
+    The exact answer is a/b for the first b <= 64 with a = round(b *
+    log(M)/log(p)) and p^a == M^b.  Such a and b exist only when M and p
+    are powers of one base, which :func:`_common_log` decides by Euclid's
+    step; it then gives log_p(M) = t/s in lowest terms, and p^a == M^b
+    holds exactly when b is a multiple of s.  So t/s is returned at once
+    when s <= 64 and the float estimate rounds to t at b = s.  Pairs that
+    are not powers of one base get the controlled rational approximation
+    (denominator <= 10^6) at once; the other pairs of one base run the
+    64-step search, which ends in the same approximation when it finds
+    nothing.
+    """
     if M < 1 or p < 2:
         raise ValueError("need M >= 1 and p >= 2")
     if M == 1:
         return Fraction(0)
     approx = math.log(M) / math.log(p)
+    exact = _common_log(M, p)
+    if exact is None:
+        return Fraction(approx).limit_denominator(LOG_APPROX_DENOM)
+    if exact.denominator <= 64 and round(approx * exact.denominator) == exact.numerator:
+        return exact
     for b in range(1, 65):
         a = round(approx * b)
         if a >= 0 and p ** a == M ** b:
@@ -203,17 +258,18 @@ def _singleton_count(masks, k: int) -> int:
     return best
 
 
-def _closed(masks, keep: int) -> int:
-    """An upper bound on tau*(q_X), keep = vars - X, by the lemma.
+def _closure(masks, keep: int) -> int:
+    """The closure of X, keep = vars - X, as the mask of vars it keeps.
 
     The lowest remaining vertex that owns no singleton edge joins X, one
-    at a time, until every remaining vertex owns one; the count left is
-    tau* of that larger X by (b), and no smaller than tau*(q_X) by (a).
+    at a time, until every remaining vertex owns one.  The count left is
+    tau* of the closure by (b), an upper bound on tau*(q_X) by (a), and
+    L of the closure bounds L_X by (a').
     """
     while True:
         lone = keep & ~_owned(masks, keep)
         if not lone:
-            return keep.bit_count()
+            return keep
         keep ^= lone & -lone
 
 
@@ -224,7 +280,7 @@ def psi_star(q: Query):
     X strictly inside vars(q) are then walked in bitmask order over the
     canonical variable order.  An X is skipped when either upper bound
     of the module docstring, the smallest-edge bound or
-    :func:`_closed`, falls below psi*; the first other X whose
+    :func:`_closure`, falls below psi*; the first other X whose
     tau*(q_X), by :func:`tau_star` on the residual query, equals psi*
     is the first maximizer, so the result is deterministic.  Its witness
     is that LP's packing, with weight 0 on the atoms inside X.  A walk
@@ -237,7 +293,7 @@ def psi_star(q: Query):
         keep = full ^ xmask
         size = keep.bit_count()
         smallest = min((m & keep).bit_count() for m in masks if m & keep)
-        if size < psi * smallest or _closed(masks, keep) < psi:
+        if size < psi * smallest or _closure(masks, keep).bit_count() < psi:
             continue
         x = frozenset(v for i, v in enumerate(q.variables) if xmask >> i & 1)
         value, w = tau_star(residual_query(q, x))
@@ -396,19 +452,50 @@ def load_bound_packing(q: Query, M: dict, p: int) -> LoadBound:
     return LoadBound(exp, float(p) ** float(exp), w)
 
 
+def _residual_bound(q: Query, M: dict, p: int, x: frozenset) -> LoadBound:
+    """L^(q_X)(M, p) with X as its heavy set and quasi-packing witness."""
+    lb = load_bound_packing(residual_query(q, x) if x else q, M, p)
+    lb.heavy_set = x
+    lb.witness.kind = "quasi-packing"
+    lb.witness.residual_witness = x
+    for a in q.atoms:
+        lb.witness.weights.setdefault(a.relation, Fraction(0))
+    return lb
+
+
 def load_bound_worstcase(q: Query, M: dict, p: int) -> LoadBound:
-    """Worst-case one-round bound: max over heavy sets X of L^(q_X)(M, p)."""
-    best = None
-    for x in _subsets(q.variables):
-        qx = residual_query(q, x) if x else q
-        if qx is None:
+    """Worst-case one-round bound: max over heavy sets X of L^(q_X)(M, p),
+    with the first maximizing X in bitmask order as `heavy_set`.
+
+    On one server every X gives exponent 0, and X = {} is returned.  With
+    equal sizes the bound is M / p^(1/psi*) at `psi_star`'s X and
+    witness, by (b') of the module docstring: no LP beyond `psi_star`'s.
+    Otherwise the maximum is taken over the X under (b), one packing LP
+    each, by (a').  The X are then walked in bitmask order, and an X
+    whose closure's exponent, an upper bound by (a'), falls below the
+    maximum is skipped; the first other X that reaches it is returned.
+    """
+    if p == 1:
+        return _residual_bound(q, M, p, frozenset())
+    sizes = {M[a.relation] for a in q.atoms}
+    if len(sizes) == 1:
+        psi, w = psi_star(q)
+        exp = log_base_p(sizes.pop(), p) - 1 / psi
+        return LoadBound(exp, float(p) ** float(exp), w, w.residual_witness)
+
+    def heavy(keep):
+        return frozenset(v for i, v in enumerate(q.variables) if not keep >> i & 1)
+
+    masks = _edge_masks(q)
+    full = (1 << q.k) - 1
+    closed = {keep: _residual_bound(q, M, p, heavy(keep))
+              for keep in range(1, full + 1) if _owned(masks, keep) == keep}
+    top = max(lb.exponent for lb in closed.values())
+    for xmask in range(full):
+        keep = full ^ xmask
+        c = _closure(masks, keep)
+        if closed[c].exponent < top:
             continue
-        lb = load_bound_packing(qx, M, p)
-        if best is None or lb.exponent > best.exponent:
-            lb.heavy_set = x
-            lb.witness.kind = "quasi-packing"
-            lb.witness.residual_witness = x
-            for a in q.atoms:
-                lb.witness.weights.setdefault(a.relation, Fraction(0))
-            best = lb
-    return best
+        lb = closed[c] if c == keep else _residual_bound(q, M, p, heavy(keep))
+        if lb.exponent == top:
+            return lb

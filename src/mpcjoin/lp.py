@@ -9,6 +9,12 @@ integers: the numerators of its columns and its right-hand side, then one
 positive denominator they share.  Every update divides the row by the gcd
 of its entries, so each entry is the reduced rational a Fraction tableau
 would hold, while the pivot loop does integer arithmetic only.
+
+A pivot lists the pivot row's non-zero columns once.  When the pivot
+row's denominator divides a row's entry in the pivot column, the row's
+multiplier is 1 and only those columns change; every other row is
+rewritten in full.  Either way the row is then divided by the gcd of
+its entries, so both updates give the same integer rows.
 """
 
 from __future__ import annotations
@@ -51,10 +57,28 @@ def _int_row(values):
     return [v.numerator * (d // v.denominator) for v in values] + [d]
 
 
-def _eliminate(trow, prow, col):
-    """trow - trow[col] * prow, where prow's entry at col is 1."""
-    g = gcd(trow[col], prow[-1])
-    f, q = trow[col] // g, prow[-1] // g
+def _support(row):
+    """The columns, right-hand side included, where a row is non-zero."""
+    return [j for j, v in enumerate(row[:-1]) if v]
+
+
+def _eliminate(trow, prow, col, support):
+    """trow - trow[col] * prow, where prow's entry at col is 1 and
+    `support` lists prow's non-zero columns.
+
+    When prow's denominator divides trow[col], trow keeps its denominator
+    and only the columns of `support` change.
+    """
+    d = prow[-1]
+    f = trow[col]
+    if f % d == 0:
+        f //= d
+        new = trow[:]
+        for j in support:
+            new[j] -= f * prow[j]
+        return _reduced(new)
+    g = gcd(f, d)
+    f, q = f // g, d // g
     new = [a * q - f * b for a, b in zip(trow, prow)]
     new[-1] = trow[-1] * q
     return _reduced(new)
@@ -70,9 +94,10 @@ def _pivot(T, basis, row, col):
     if prow[-1] < 0:
         prow = [-v for v in prow]
     T[row] = prow = _reduced(prow)
+    support = _support(prow)
     for r, trow in enumerate(T):
         if r != row and trow[col]:
-            T[r] = _eliminate(trow, prow, col)
+            T[r] = _eliminate(trow, prow, col, support)
     basis[row] = col
 
 
@@ -171,7 +196,7 @@ def lp_solve_exact(c: Sequence, A: Sequence[Sequence], rel: Sequence[str],
             obj[j] = -1
         for r in range(m):
             if basis[r] in art_cols:
-                obj = _eliminate(obj, T[r], basis[r])
+                obj = _eliminate(obj, T[r], basis[r], _support(T[r]))
         T.append(obj)
         status = _simplex(T, basis, ncols)
         if status != OPTIMAL or T[m][-2] != 0:
@@ -190,7 +215,7 @@ def lp_solve_exact(c: Sequence, A: Sequence[Sequence], rel: Sequence[str],
     obj[n:n] = [0] * (nslack + nart + 1)
     for r in range(m):
         if obj[basis[r]]:
-            obj = _eliminate(obj, T[r], basis[r])
+            obj = _eliminate(obj, T[r], basis[r], _support(T[r]))
     T.append(obj)
     # Artificials never re-enter: the scan stops before their columns.
     status = _simplex(T, basis, n + nslack)

@@ -153,7 +153,7 @@ def test_singleton_lemma_by_lp(q):
         t = tau[x] = tau_star(residual_query(q, x))[0]
         smallest = min(len(set(a.vars) - x) for a in q.atoms if set(a.vars) - x)
         assert t * smallest <= q.k - len(x)
-        assert t <= analyzer._closed(masks, full ^ mask)
+        assert t <= analyzer._closure(masks, full ^ mask).bit_count()
     for x, t in tau.items():
         rest = set(q.variables) - x
         owners = {v for v in rest if any(set(a.vars) - x == {v} for a in q.atoms)}
@@ -292,6 +292,59 @@ def test_log_base_p_exact_powers():
     assert log_base_p(4096, 64) == 2
 
 
+def _log_base_p_search(M, p):
+    """The reference log_p(M): search b <= 64 for p^a == M^b, else the
+    controlled rational approximation."""
+    if M < 1 or p < 2:
+        raise ValueError("need M >= 1 and p >= 2")
+    if M == 1:
+        return F(0)
+    approx = math.log(M) / math.log(p)
+    for b in range(1, 65):
+        a = round(approx * b)
+        if a >= 0 and p ** a == M ** b:
+            return F(a, b)
+    return F(approx).limit_denominator(analyzer.LOG_APPROX_DENOM)
+
+
+@pytest.mark.parametrize("M, p, expect", [
+    (2 ** 63, 2 ** 64, F(63, 64)),      # exact, reduced denominator 64
+    (2 ** 10, 2 ** 4, F(5, 2)),
+    (2, 2 ** 65, None),                 # exact 1/65: above 64, approximated
+    (4, 8, F(2, 3)),                    # common base 2, neither primitive
+    (8, 4, F(3, 2)),
+    (6 ** 5, 6 ** 3, F(5, 3)),
+    (1, 64, F(0)),
+    (10 ** 6, 1024, None),              # not powers of one base
+    (900000, 64, None),
+    (10 ** 400, 10, F(400)),
+])
+def test_log_base_p_matches_the_search(M, p, expect):
+    got = log_base_p(M, p)
+    assert got == _log_base_p_search(M, p)
+    if expect is not None:
+        assert got == expect
+    else:
+        assert got.denominator > 64 and abs(float(got) - math.log(M) / math.log(p)) < 1e-6
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 12), st.integers(0, 70), st.integers(1, 70),
+       st.integers(-3, 3))
+def test_log_base_p_matches_the_search_on_powers(r, t, s, nudge):
+    # M = r^t and p = r^s share a base; a nudge of M makes most pairs
+    # powers of no common base
+    M, p = max(1, r ** t + nudge), r ** s
+    if p >= 2:
+        assert log_base_p(M, p) == _log_base_p_search(M, p)
+
+
+@pytest.mark.parametrize("M, p", [(0, 8), (-1, 8), (8, 1), (8, 0)])
+def test_log_base_p_rejects_bad_arguments(M, p):
+    with pytest.raises(ValueError, match="need M >= 1 and p >= 2"):
+        log_base_p(M, p)
+
+
 def test_iroot():
     assert iroot(27, 3) == 3
     assert iroot(26, 3) == 2
@@ -336,3 +389,72 @@ def test_worstcase_at_least_packing():
         M = {a.relation: 4096 for a in q.atoms}
         assert load_bound_worstcase(q, M, 64).exponent >= \
             load_bound_packing(q, M, 64).exponent
+
+
+def _worstcase_by_enumeration(q, M, p):
+    """The reference bound: one packing LP per heavy set X, in bitmask
+    order, keeping the first maximizer."""
+    best = None
+    for mask in range(1 << q.k):
+        x = frozenset(v for i, v in enumerate(q.variables) if mask >> i & 1)
+        qx = residual_query(q, x) if x else q
+        if qx is None:
+            continue
+        lb = load_bound_packing(qx, M, p)
+        if best is None or lb.exponent > best.exponent:
+            lb.heavy_set = x
+            best = lb
+    return best
+
+
+@settings(deadline=None, max_examples=150)
+@given(hypergraphs(), st.data())
+def test_worstcase_matches_full_enumeration(q, data):
+    # equal sizes take psi*'s closed form, unequal ones the maximum over
+    # the X under (b); both agree with one LP per X
+    p = data.draw(st.sampled_from([1, 2, 64]))
+    size = st.sampled_from([1, 7, 64, 4096, 10 ** 6]) | st.integers(1, 10 ** 6)
+    rels = [a.relation for a in q.atoms]
+    if data.draw(st.booleans()):
+        M = dict.fromkeys(rels, data.draw(size))
+    else:
+        M = dict(zip(rels, data.draw(st.lists(size, min_size=len(rels),
+                                              max_size=len(rels), unique=True))))
+    got = load_bound_worstcase(q, M, p)
+    ref = _worstcase_by_enumeration(q, M, p)
+    assert (got.exponent, got.value, got.heavy_set) == \
+        (ref.exponent, ref.value, ref.heavy_set)
+    assert got.witness.residual_witness == got.heavy_set
+    got.witness.check(q)
+
+
+@pytest.mark.parametrize("family, k", [("C", 3), ("C", 4), ("L", 4), ("LW", 4),
+                                       ("K", 4), ("SP", 3), ("Ldagger", 4)])
+def test_worstcase_matches_full_enumeration_at_unequal_sizes(family, k):
+    # on C4, L4 and SP3 the first maximizer in bitmask order is not its
+    # own closure, so the walk after the class-(b) maximum must find it
+    q = canonical_query(family, k)
+    M = {a.relation: 1000 + 37 * i for i, a in enumerate(q.atoms)}
+    got = load_bound_worstcase(q, M, 64)
+    ref = _worstcase_by_enumeration(q, M, 64)
+    assert (got.exponent, got.value, got.heavy_set) == \
+        (ref.exponent, ref.value, ref.heavy_set)
+
+
+@pytest.mark.parametrize("family, k, exponent, heavy", [
+    ("SP", 6, F(2178150, 685153), {"x1"}),
+    ("L", 10, F(2178150, 685153), {"x1", "x4", "x7"}),
+    ("C", 10, F(1853003, 587274), {"x1", "x4"}),
+    ("K", 8, F(2178150, 685153), {"x1"}),
+])
+def test_worstcase_lp_counts_at_equal_sizes(monkeypatch, family, k, exponent, heavy):
+    # equal sizes need no LP beyond psi_star's: SP6's 8,191 residuals
+    # once cost one packing LP each
+    solves = counting(monkeypatch, "lp_solve_exact")
+    q = canonical_query(family, k)
+    psi_star(q)
+    psi_solves = len(solves)
+    solves.clear()
+    lb = load_bound_worstcase(q, {a.relation: 10 ** 6 for a in q.atoms}, 64)
+    assert len(solves) == psi_solves
+    assert (lb.exponent, lb.heavy_set) == (exponent, heavy)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import time
@@ -230,6 +231,29 @@ def test_sweep_p_list_unsorted_and_repeated(tmp_path, capsys):
     assert swept[0] == alone[0][0]
     assert swept[1:] == [r[1] for r in alone]
     assert swept[1] == swept[3] != swept[2]
+
+
+@pytest.mark.parametrize("argv, out_sha, csv_sha", [
+    # equal sizes: the bound is M/p^(1/psi*) at psi*'s heavy set
+    (["--family", "C", "--k", "4", "--gen", "single_heavy", "--heavy-var", "x1",
+      "--m", "2000", "--alg", "cycle", "--p-list", "8,64,512"],
+     "3c7c6d421275a13c64dd77f0843db9a0c229bd92a8dd6a7a5b918f6e42d7e229",
+     "47f9eef86f24cb08c9b5c7ed29557fa3ae11425bf7ad81c0009ab4de1e5dd718"),
+    # unequal sizes 123/137/135/140: one packing LP per X not skipped
+    (["--family", "LW", "--k", "4", "--gen", "coin_flip", "--m", "300",
+      "--alg", "lw", "--p-list", "8,64"],
+     "e8184115a33b7b5761697f6cd9a8e260cd698ea56678c2fd50a2ab5dcc1ceb8d",
+     "0224e3b5ffbf576e048cedf1b6d323cb41c1ba464050a40e48fc2ecde9798676"),
+])
+def test_sweep_p_output_is_pinned(tmp_path, capsys, argv, out_sha, csv_sha):
+    # stdout without the command echo and the csv path, and the csv bytes
+    path = str(tmp_path / "sweep.csv")
+    assert main(["sweep"] + argv + ["--out", path]) == 0
+    out = "".join(line for line in capsys.readouterr().out.splitlines(True)
+                  if not line.startswith(("# mpcjoin", "csv: ")))
+    assert hashlib.sha256(out.encode()).hexdigest() == out_sha
+    with open(path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == csv_sha
 
 
 def test_sweep_p_flags_ratio_over_budget_exit_1(capsys):

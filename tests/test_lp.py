@@ -1,9 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpcjoin.analyzer as analyzer
+import mpcjoin.lp as lp
 from mpcjoin.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, lp_solve_exact
+from mpcjoin.query import canonical_query
 
 F = Fraction
 
@@ -170,3 +174,85 @@ def test_optimality_certificate_by_duality(data):
         assert dual.status == INFEASIBLE
     else:
         assert dual.status in (INFEASIBLE, UNBOUNDED)
+
+
+# -- sparse pivots against the dense kernel --------------------------------
+
+def _dense_eliminate(trow, prow, col, support=None):
+    """The dense reference update: every entry of trow is rewritten."""
+    g = gcd(trow[col], prow[-1])
+    f, q = trow[col] // g, prow[-1] // g
+    new = [a * q - f * b for a, b in zip(trow, prow)]
+    new[-1] = trow[-1] * q
+    return lp._reduced(new)
+
+
+def _dense_pivot(T, basis, row, col):
+    prow = T[row][:-1] + [T[row][col]]
+    if prow[-1] < 0:
+        prow = [-v for v in prow]
+    T[row] = prow = lp._reduced(prow)
+    for r, trow in enumerate(T):
+        if r != row and trow[col]:
+            T[r] = _dense_eliminate(trow, prow, col)
+    basis[row] = col
+
+
+def _dense_solve(*args, **kw):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_eliminate", _dense_eliminate)
+        mp.setattr(lp, "_pivot", _dense_pivot)
+        return lp_solve_exact(*args, **kw)
+
+
+def _same_as_dense(c, A, rel, b, maximize=True):
+    got = lp_solve_exact(c, A, rel, b, maximize=maximize)
+    ref = _dense_solve(c, A, rel, b, maximize=maximize)
+    assert (got.status, got.x, got.value) == (ref.status, ref.x, ref.value)
+    return got
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_sparse_pivots_match_the_dense_kernel(data):
+    """Mixed relations, negative right-hand sides, zero rows, repeated
+    rows and scaled copies (ties in the ratio test), small and large
+    denominators: the sparse kernel returns what the dense one does."""
+    n = data.draw(st.integers(1, 4))
+    coef = st.one_of(st.integers(-3, 3), st.just(0), _coef())
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["new", "zero", "copy"]))
+        if kind == "zero":
+            row = [0] * n
+        elif kind == "copy" and rows:
+            row, rhs = data.draw(st.sampled_from(rows))
+            k = data.draw(st.sampled_from([1, 2, F(1, 3)]))
+            rows.append(([k * v for v in row], k * rhs))
+            continue
+        else:
+            row = [data.draw(coef) for _ in range(n)]
+        rows.append((row, data.draw(coef)))
+    A = [r for r, _ in rows]
+    b = [rhs for _, rhs in rows]
+    rel = [data.draw(st.sampled_from(["<=", ">=", "=="])) for _ in A]
+    c = [data.draw(coef) for _ in range(n)]
+    _same_as_dense(c, A, rel, b, maximize=data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("family, k", [("SP", 5), ("SP", 6), ("L", 10),
+                                       ("C", 10), ("K", 8), ("Ldagger", 8)])
+def test_share_lps_match_the_dense_kernel(monkeypatch, family, k):
+    # the share LPs of the exact-analysis benchmark, at p = 1024, M = 10^6
+    calls = []
+    real = analyzer.lp_solve_exact
+
+    def recorded(*args, **kw):
+        calls.append((args, kw))
+        return real(*args, **kw)
+    monkeypatch.setattr(analyzer, "lp_solve_exact", recorded)
+    q = canonical_query(family, k)
+    analyzer.share_lp(q, {a.relation: 10 ** 6 for a in q.atoms}, 1024)
+    assert len(calls) == 1
+    args, kw = calls[0]
+    assert _same_as_dense(*args, **kw).status == OPTIMAL
