@@ -98,32 +98,20 @@ def _common_log(M: int, p: int) -> Optional[Fraction]:
 def log_base_p(M: int, p: int) -> Fraction:
     """log_p(M) as a Fraction; exact when M is a rational power of p.
 
-    The exact answer is a/b for the first b <= 64 with a = round(b *
-    log(M)/log(p)) and p^a == M^b.  Such a and b exist only when M and p
-    are powers of one base, which :func:`_common_log` decides by Euclid's
-    step; it then gives log_p(M) = t/s in lowest terms, and p^a == M^b
-    holds exactly when b is a multiple of s.  So t/s is returned at once
-    when s <= 64 and the float estimate rounds to t at b = s.  Pairs that
-    are not powers of one base get the controlled rational approximation
-    (denominator <= 10^6) at once; the other pairs of one base run the
-    64-step search, which ends in the same approximation when it finds
-    nothing.
+    M is a rational power of p exactly when M and p are powers of one
+    base, which :func:`_common_log` decides by Euclid's step; it then
+    gives log_p(M) = t/s in lowest terms, returned when s <= 64.  Every
+    other pair gets the controlled rational approximation (denominator
+    <= 10^6) of the float estimate.
     """
     if M < 1 or p < 2:
         raise ValueError("need M >= 1 and p >= 2")
     if M == 1:
         return Fraction(0)
-    approx = math.log(M) / math.log(p)
     exact = _common_log(M, p)
-    if exact is None:
-        return Fraction(approx).limit_denominator(LOG_APPROX_DENOM)
-    if exact.denominator <= 64 and round(approx * exact.denominator) == exact.numerator:
+    if exact is not None and exact.denominator <= 64:
         return exact
-    for b in range(1, 65):
-        a = round(approx * b)
-        if a >= 0 and p ** a == M ** b:
-            return Fraction(a, b)
-    return Fraction(approx).limit_denominator(LOG_APPROX_DENOM)
+    return Fraction(math.log(M) / math.log(p)).limit_denominator(LOG_APPROX_DENOM)
 
 
 def iroot(n: int, k: int) -> int:

@@ -10,11 +10,12 @@ positive denominator they share.  Every update divides the row by the gcd
 of its entries, so each entry is the reduced rational a Fraction tableau
 would hold, while the pivot loop does integer arithmetic only.
 
-A pivot lists the pivot row's non-zero columns once.  When the pivot
-row's denominator divides a row's entry in the pivot column, the row's
-multiplier is 1 and only those columns change; every other row is
-rewritten in full.  Either way the row is then divided by the gcd of
-its entries, so both updates give the same integer rows.
+A pivot lists the pivot row's non-zero columns once, and a row's update
+subtracts only at those columns.  The row is first scaled by the pivot
+row's denominator over its gcd with the row's pivot-column entry, which
+is no scaling when the denominator divides that entry.  The row is then
+divided by the gcd of its entries, so the integer rows are those of the
+dense update.
 """
 
 from __future__ import annotations
@@ -66,20 +67,16 @@ def _eliminate(trow, prow, col, support):
     """trow - trow[col] * prow, where prow's entry at col is 1 and
     `support` lists prow's non-zero columns.
 
-    When prow's denominator divides trow[col], trow keeps its denominator
-    and only the columns of `support` change.
+    trow is scaled by prow's denominator over its gcd with trow[col]
+    (no scaling when that is 1), and then only the columns of `support`
+    are subtracted.
     """
     d = prow[-1]
-    f = trow[col]
-    if f % d == 0:
-        f //= d
-        new = trow[:]
-        for j in support:
-            new[j] -= f * prow[j]
-        return _reduced(new)
-    g = gcd(f, d)
-    f, q = f // g, d // g
-    new = [a * q - f * b for a, b in zip(trow, prow)]
+    g = gcd(trow[col], d)
+    f, q = trow[col] // g, d // g
+    new = [a * q for a in trow] if q != 1 else trow[:]
+    for j in support:
+        new[j] -= f * prow[j]
     new[-1] = trow[-1] * q
     return _reduced(new)
 
