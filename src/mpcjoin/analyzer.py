@@ -23,7 +23,18 @@ singleton edge: case (a) needs |V| >= 2, and X+v stays strictly inside
 vars.  An inclusion-maximal X among the maximizers is not under (a),
 since X+v would be a larger maximizer; so it is under (b), and psi* =
 max |vars - X| over the X whose every remaining vertex owns a singleton
-edge: an integer that bitmask tests find (`_singleton_count`).
+edge.  `_singleton_count` finds that integer by extending K = vars - X
+one variable at a time, which two facts make exact:
+
+(c) Heredity.  If e ∩ K = {v}, then e ∩ K' = {v} for every K' ⊆ K that
+    contains v.  So every non-empty subset of a qualifying K qualifies,
+    and adding K's variables in increasing order reaches K through
+    qualifying prefixes only.
+(d) The candidate bound.  u can join K only if some edge e ∋ u misses
+    K, because e ∩ (K + u) must be {u}.  The edges that miss K only
+    shrink as K grows, so every variable that a qualifying extension of
+    K adds lies in an edge that misses K, and |K| plus the number of
+    such variables bounds the extension's size.
 
 `psi_star` also names the first maximizing X in bitmask order with its
 witness, and that X need not fall under (b) (C4's is X = {}, tau* = 2).
@@ -230,19 +241,37 @@ def _owned(masks, keep: int) -> int:
 
 
 def _singleton_count(masks, k: int) -> int:
-    """max |vars - X| over the X whose every remaining vertex v is a
+    """max |K| over the non-empty K = vars - X whose every vertex v is a
     residual edge {v} of its own: psi* by the module's lemma.
 
-    One scan of the masks skips every X that cannot beat the count so
-    far.
+    A depth-first branch and bound over such K, as in Carraghan and
+    Pardalos's maximum-clique search.  A branch holds K and its
+    candidates, the variables that may still join it: at first K is
+    empty and every variable is a candidate.  The lowest candidate u
+    leaves the branch's candidates; K + u is entered when it qualifies,
+    with the remaining candidates that lie in some edge that misses
+    K + u, and the branch then goes on without u.  A branch is cut when
+    |K| plus its candidates cannot beat the count so far.  By (c) and
+    (d), every qualifying K is reached through its increasing prefixes
+    unless a cut shows it is no larger than the count.  The branches
+    wait on an explicit stack, and nothing outlives the call.
     """
-    full = (1 << k) - 1
     best = 0
-    for xmask in range(full):
-        keep = full ^ xmask
-        size = keep.bit_count()
-        if size > best and _owned(masks, keep) == keep:
-            best = size
+    stack = [(0, (1 << k) - 1)]
+    while stack:
+        keep, cands = stack.pop()
+        while (keep | cands).bit_count() > best:
+            u = cands & -cands
+            cands ^= u
+            grown = keep | u
+            if _owned(masks, grown) == grown:
+                stack.append((keep, cands))
+                missed = 0
+                for m in masks:
+                    if not m & grown:
+                        missed |= m
+                keep, cands = grown, cands & missed
+                best = max(best, keep.bit_count())
     return best
 
 

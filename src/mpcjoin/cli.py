@@ -158,14 +158,16 @@ def _int_list(text):
 def cmd_sweep(args) -> int:
     if not args.C > 0:
         raise ValueError("--C must be positive, got %g" % args.C)
+    if args.W and args.B is None:
+        raise QueryError("--W sweep needs --B")
+    if args.B is not None and not args.W:
+        raise QueryError("--B needs a --W sweep")
     q = _load_query(args)
     _echo(args)
     db = _get_db(q, args)
     rows = []
     status = 0
     if args.W:
-        if args.B is None:
-            raise QueryError("--W sweep needs --B")
         m = max(1, max(db.sizes_tuples().values()))
         header = ["W", "B", "p_o", "rounds", "io_blocks", "ref_blocks", "ratio"]
         for W, io in zip(args.W, simulate_em(db, args.W, args.B, args.alg,

@@ -11,7 +11,8 @@ from mpcjoin.analyzer import (FractionalWeighting, iroot, load_bound_packing,
                               psi_star, psi_star_recursive, rho_star, share_lp,
                               tau_star)
 from mpcjoin.lp import LPError
-from mpcjoin.query import Atom, Query, canonical_query, parse_query, residual_query
+from mpcjoin.query import (FAMILIES, Atom, Query, QueryError, canonical_query,
+                           parse_query, residual_query)
 
 F = Fraction
 
@@ -226,6 +227,68 @@ def test_psi_star_leaves_no_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _singleton_count_by_scan(masks, k):
+    # the reference: one _owned pass per non-empty K = vars - X, all 2^k - 1
+    full = (1 << k) - 1
+    best = 0
+    for xmask in range(full):
+        keep = full ^ xmask
+        size = keep.bit_count()
+        if size > best and analyzer._owned(masks, keep) == keep:
+            best = size
+    return best
+
+
+@settings(deadline=None, max_examples=300)
+@given(hypergraphs(12))
+def test_singleton_count_matches_the_scan(q):
+    masks = analyzer._edge_masks(q)
+    assert analyzer._singleton_count(masks, q.k) == _singleton_count_by_scan(masks, q.k)
+
+
+def test_singleton_count_matches_the_scan_on_families():
+    members = 0
+    for family in FAMILIES:
+        for k in range(1, 14):
+            try:
+                q = canonical_query(family, k)
+            except QueryError:
+                continue
+            if q.k <= 13:
+                masks = analyzer._edge_masks(q)
+                assert (analyzer._singleton_count(masks, q.k)
+                        == _singleton_count_by_scan(masks, q.k)), q.name
+                members += 1
+    assert members == 101
+
+
+def _ceil(a, b):
+    return -(-a // b)
+
+
+@pytest.mark.parametrize("family, ks, closed_form", [
+    ("SP", range(1, 10), lambda k: k + 1),
+    ("K", range(2, 13), lambda k: k - 1),
+    ("L", range(1, 17), lambda k: _ceil(2 * k, 3)),
+    ("Ldagger", range(1, 13), lambda k: _ceil(2 * k + 2, 3)),
+    ("C", range(3, 17), lambda k: _ceil(2 * (k - 1), 3)),
+], ids=["SP", "K", "L", "Ldagger", "C"])
+def test_psi_star_recursive_meets_the_closed_forms(family, ks, closed_form):
+    for k in ks:
+        assert psi_star_recursive(canonical_query(family, k)) == closed_form(k), k
+
+
+def test_psi_star_recursive_owned_calls_on_sp(monkeypatch):
+    # the branch and bound makes 96 _owned calls on SP6 and 768 on SP9;
+    # a scan of every K = vars - X makes 2,387 and 169,776
+    owned = counting(monkeypatch, "_owned")
+    assert psi_star_recursive(canonical_query("SP", 6)) == 7
+    assert len(owned) <= 100
+    owned.clear()
+    assert psi_star_recursive(canonical_query("SP", 9)) == 10
+    assert len(owned) <= 800
 
 
 # -- share allocation ------------------------------------------------------

@@ -371,6 +371,8 @@ def test_sweep_w_no_server_count_fits_exit_2(capsys):
     (["run", "--family", "C", "--k", "3", "--gen", "single_heavy",
       "--heavy-var", "nope"], "error: unknown variable 'nope'"),
     (["analyze", "--query", "Q(x,x) :- R(x)"], "error: repeated variable in head"),
+    (["sweep", "--family", "C", "--k", "3", "--m", "50", "--B", "10"],
+     "error: --B needs a --W sweep"),
 ])
 def test_bad_arguments_exit_2(argv, msg, capsys):
     assert main(argv) == 2
