@@ -36,8 +36,7 @@ from itertools import chain, compress, cycle, filterfalse, islice, repeat
 from operator import add, getitem, itemgetter, mod, not_
 from typing import Callable, NamedTuple
 
-from .analyzer import (_round_shares, _subsets, iroot, log_base_p, pow_floor,
-                       share_lp)
+from .analyzer import _round_shares, iroot, log_base_p, pow_floor, share_lp
 from .query import Atom, Query, QueryError
 from .rng import _CHUNK, _MASK, hash_column
 from .sim import Engine, LoadReport, Route, _columns, _key, hc_grid, join_atoms
@@ -217,6 +216,33 @@ def _heavy_profiles(a, tuples, heavy):
                     split[Y] = part
         groups = split
     return groups
+
+
+def _active_profiles(q, groups):
+    """The heavy profiles X over q.variables under which every atom has
+    tuples, each with its atoms' profiles [X & vars(a)], as [(X, profs)]
+    in bitmask order over q.variables.
+
+    groups maps each relation to its non-empty profile groups, as
+    `_heavy_profiles` returns them.  Every variable lies in an atom, so an
+    active X is the union of one group profile per atom, where the profiles
+    agree on the variables they share: a join of the atoms' profile sets,
+    extended atom by atom like the generic join of Ngo, Porat, Re and Rudra
+    (PODS 2012).  A profile pr of atom a extends a partial union X over the
+    variables seen so far when X & vars(a) == pr & seen.  The partial
+    unions after an atom are distinct subsets of the variables seen, so
+    they number at most 2^|seen| <= 2^k, and each is tested against the
+    atom's groups, of which there are at most one per tuple: the join never
+    holds more sets than a walk over all 2^k subsets would test.
+    """
+    bit = {v: 1 << i for i, v in enumerate(q.variables)}
+    partial, seen = [(frozenset(), [])], frozenset()
+    for a in q.atoms:
+        vs = frozenset(a.vars)
+        partial = [(X | pr, profs + [pr]) for X, profs in partial
+                   for pr in groups[a.relation] if X & vs == pr & seen]
+        seen |= vs
+    return sorted(partial, key=lambda xp: sum(map(bit.__getitem__, xp[0])))
 
 
 # -- shipment primitives ---------------------------------------------------
@@ -432,7 +458,10 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
     """Skew-resilient one-round hypercube: one share allocation per heavy
     profile, all shipped in the same round onto a shared block of P cells.
 
-    Returns the output rows over q.variables.
+    The heavy profiles are those that occur in the data: `_active_profiles`
+    joins the atoms' profile groups, holding at most 2^(variables seen)
+    <= 2^k partial unions after each atom.  Returns the output rows over
+    q.variables.
     """
     sizes = {a.relation: max(1, ctx.eng.widths[a.relation] * len(rels[a.relation]))
              for a in q.atoms}
@@ -442,12 +471,8 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
     # group each relation's tuples by their heavy profile once
     groups = {a.relation: _heavy_profiles(a, rels[a.relation], heavy)
               for a in q.atoms}
-    # heavy profiles X for which every atom has tuples
-    active = []
-    for X in _subsets(q.variables):
-        profs = [frozenset(X & set(a.vars)) for a in q.atoms]
-        if all(groups[a.relation].get(pr) for a, pr in zip(q.atoms, profs)):
-            active.append((X, profs))
+    # heavy profiles X for which every atom has tuples, in bitmask order
+    active = _active_profiles(q, groups)
     base = [fresh() for _ in range(P)] if active else None
     routes = {}    # (atom, profile) -> [hypercube route per X]
     out = set()

@@ -216,12 +216,6 @@ def rho_star(q: Query):
     return res.value, w
 
 
-def _subsets(vs):
-    n = len(vs)
-    for mask in range(1 << n):
-        yield frozenset(vs[i] for i in range(n) if mask >> i & 1)
-
-
 def _edge_masks(q: Query):
     """Each atom's variables as a bitmask over `q.variables`, in atom order."""
     bit = {v: 1 << i for i, v in enumerate(q.variables)}

@@ -4,7 +4,7 @@ single PASS/FAIL verdict line (echoed again in the terminal summary)."""
 import math
 from fractions import Fraction
 
-from conftest import record
+from conftest import ONE_ROUND, rebuilt, record, recorded_engines
 
 from mpcjoin.algorithms import run_algorithm
 from mpcjoin.analyzer import (psi_star, psi_star_recursive, rho_star,
@@ -217,20 +217,28 @@ def test_criterion_3_oracle_equality():
     algs = ("hc", "one_round_skew", "join_one_sided_skew", "semi_join",
             "triangle", "line", "cycle", "lw", "clique", "covering")
     bad = []
-    total = 0
+    total = held = 0
     for alg in algs:
         instances = _criterion3_instances(alg)
         assert len(instances) == 20, alg
         for i, db in enumerate(instances):
             p = p_grid[i % 3]
             total += 1
-            res = run_algorithm(alg, db, p, seed=3)
-            if res.output != oracle_join(db):
+            with recorded_engines() as engines:
+                res = run_algorithm(alg, db, p, seed=3)
+            want = oracle_join(db)
+            if res.output != want:
                 bad.append((alg, i, p))
+            if alg in ONE_ROUND:
+                # the output rebuilt from what the servers hold
+                held += 1
+                if rebuilt(res, engines[-1]) != want:
+                    bad.append((alg, i, p, "held"))
     ok = record(3, not bad,
                 "exact oracle equality for 10 strategies x 20 instances "
-                "(%d runs over p in {8,27,64})%s"
-                % (total, "" if not bad else "; failures %s" % bad[:3]))
+                "(%d runs over p in {8,27,64}; %d one-round outputs also "
+                "rebuilt from server holdings)%s"
+                % (total, held, "" if not bad else "; failures %s" % bad[:3]))
     assert ok, bad
 
 

@@ -7,12 +7,13 @@ from itertools import cycle
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mpcjoin import algorithms
-from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _balanced_hashes,
-                                _Ctx, _Grid, _heavy_profiles, _least,
-                                pick_algorithm, run_algorithm)
+from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _active_profiles,
+                                _balanced_hashes, _Ctx, _Grid, _heavy_at,
+                                _heavy_profiles, _least, pick_algorithm,
+                                run_algorithm)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.em import DryRuns
@@ -22,6 +23,7 @@ from mpcjoin.sim import Engine, hc_grid, oracle_join
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+from conftest import ONE_ROUND, rebuilt, recorded_engines  # noqa: E402
 from ledger_matrix import two_heavy  # noqa: E402
 
 
@@ -333,17 +335,23 @@ def small_databases(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((1, 4, 8, 27)), small_databases())
 def test_shapes_decide_dispatch(p, db):
+    # A one-round strategy's output is also rebuilt from what its servers
+    # hold, so a route that misplaces tuples fails even when the central
+    # output is right.
     q = db.query
     want = oracle_join(db)
-    for name, strategy in ALGORITHMS.items():
-        try:
-            res = run_algorithm(name, db, p, 3)
-        except QueryError:
-            assert strategy.shape(q) is None, (name, q.render())
-            continue
-        assert strategy.shape(q) is not None, (name, q.render())
-        assert res.rounds <= ALGORITHMS[name].rounds(q), (name, q.render())
-        assert res.output == want, (name, q.render())
+    with recorded_engines() as engines:
+        for name, strategy in ALGORITHMS.items():
+            try:
+                res = run_algorithm(name, db, p, 3)
+            except QueryError:
+                assert strategy.shape(q) is None, (name, q.render())
+                continue
+            assert strategy.shape(q) is not None, (name, q.render())
+            assert res.rounds <= ALGORITHMS[name].rounds(q), (name, q.render())
+            assert res.output == want, (name, q.render())
+            if name in ONE_ROUND:
+                assert rebuilt(res, engines[-1]) == want, (name, q.render())
     res = run_algorithm("auto", db, p, 3)
     assert res.name == pick_algorithm(q)
     assert res.output == want
@@ -524,3 +532,87 @@ def test_heavy_profiles_match_per_tuple_definition(data):
     assert got.get(frozenset(), []) == [
         t for t in ts if all(val not in heavy[v] for v, val in zip(vs, t))]
     assert _heavy_profiles(a, [], heavy) == {}
+
+
+def _active_by_scan(q, groups):
+    """The reference for `_active_profiles`: every one of the 2^k subsets X
+    of q.variables in bitmask order, kept when every atom has a group under
+    its profile X & vars(a)."""
+    out = []
+    for mask in range(1 << len(q.variables)):
+        X = frozenset(v for i, v in enumerate(q.variables) if mask >> i & 1)
+        profs = [X & frozenset(a.vars) for a in q.atoms]
+        if all(groups[a.relation].get(pr) for a, pr in zip(q.atoms, profs)):
+            out.append((X, profs))
+    return out
+
+
+# At p = 4 the x-heavy and the y-heavy tuples form two active profiles,
+# which the join finds as {y} before {x}: the opposite of bitmask order.
+_CROSSED = DatabaseInstance(
+    parse_query("Q(x,y) :- R(x,y)"),
+    {"R": RelationInstance("R", 2, ((1, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 4)), 4)},
+    0, {"generator": "crossed"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 4, 8, 27)), small_databases())
+@example(4, _CROSSED)
+def test_active_profiles_match_the_subset_scan(p, db):
+    # The groups are built as `_one_round_skew` builds them at P = p.
+    q = db.query
+    rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
+    ctx = _Ctx(Engine(db.widths_bits()), 3, 1)
+    heavy = _heavy_at(ctx, q.atoms, rels, q.variables,
+                      {a.relation: _least(max(1, len(rels[a.relation])), p, 1, 1)
+                       for a in q.atoms})
+    groups = {a.relation: _heavy_profiles(a, rels[a.relation], heavy)
+              for a in q.atoms}
+    assert _active_profiles(q, groups) == _active_by_scan(q, groups)
+
+
+class _CountingGroups(dict):
+    """Profile groups that count their lookups and the keys they yield."""
+    uses = 0
+
+    def __getitem__(self, key):
+        _CountingGroups.uses += 1
+        return super().__getitem__(key)
+
+    def get(self, *args):
+        _CountingGroups.uses += 1
+        return super().get(*args)
+
+    def __contains__(self, key):
+        _CountingGroups.uses += 1
+        return super().__contains__(key)
+
+    def __iter__(self):
+        for key in super().__iter__():
+            _CountingGroups.uses += 1
+            yield key
+
+    def keys(self):
+        return list(self)
+
+    def values(self):
+        return [self[key] for key in self]
+
+    def items(self):
+        return [(key, self[key]) for key in self]
+
+
+def test_one_round_skew_profile_work_on_sp9(monkeypatch):
+    # SP9 has 19 variables and 18 atoms.  Under matching at m = 200 and
+    # p = 64 no value is heavy, so every atom has one group and X = {} is
+    # the only active profile.  The join yields each atom's one group once
+    # and looks each group up twice (its filtered relation and its
+    # shipment): 3 uses per atom, 54 in all, which is the bound.  A walk
+    # over the 2^19 subsets makes at least one lookup per subset.
+    q = canonical_query("SP", 9)
+    heavy_profiles = algorithms._heavy_profiles
+    monkeypatch.setattr(algorithms, "_heavy_profiles",
+                        lambda *args: _CountingGroups(heavy_profiles(*args)))
+    monkeypatch.setattr(_CountingGroups, "uses", 0)
+    run_algorithm("one_round_skew", gen_matching(q, 200, 1), 64, 3, counting=True)
+    assert _CountingGroups.uses <= 3 * len(q.atoms) == 54
