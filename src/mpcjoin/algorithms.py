@@ -4,17 +4,18 @@
 shape(q), the query the plan runs on (line and cycle atoms oriented by one
 walk) or None when the strategy does not accept q; plan(ctx, q, rels, p),
 which simulates its shipment schedule round by round on the engine and
-returns the output rows; and rounds(q), the declared round bound.
+returns its output parts; and rounds(q), the declared round bound.
 `run_algorithm` is the one run path: it checks p, applies the shape, builds
-the engine and the oriented relations, runs the plan and returns the output
-with the per-round load report.  `pick_algorithm` ("auto") takes the most
-specific strategy whose shape accepts the query.
+the engine and the oriented relations, runs the plan, evaluates its parts
+and returns the output with the per-round load report.  `pick_algorithm`
+("auto") takes the most specific strategy whose shape accepts the query.
 
-The plan protocol: a plan or sub-plan returns rows (a sub-plan whose
-variables are not fixed by its caller returns (vars, rows)), a plan writes
-any extras into ``ctx.extras``, and nothing counts rounds: the engine's
-ledger is the only round count (`AlgorithmResult.rounds`), checked against
-the declared bound `Strategy.rounds`.
+The plan protocol: a plan or sub-plan returns a list of output parts
+(`_Part`), each the join of some atoms with constants plugged in, computed
+on the servers that hold what those atoms shipped; a plan writes any
+extras into ``ctx.extras``, and nothing counts rounds: the engine's ledger
+is the only round count (`AlgorithmResult.rounds`), checked against the
+declared bound `Strategy.rounds`.  Only `run_algorithm` evaluates parts.
 
 Internally, plans hand out *logical* servers through allocator closures: a
 logical server is a tuple of physical ids, so a sub-plan running inside a
@@ -145,29 +146,48 @@ def _heavy(freqs: Counter, least: int) -> list:
     return sorted(compress(freqs, map(least.__le__, freqs.values())))
 
 
-# -- central rows ----------------------------------------------------------
-#
-# Plans also assemble their output centrally, in two functions.
-# `_out_join` joins the relations a step shipped; it is the only reader of
-# `store_tuples` and returns the empty set in counting mode, so dry runs
-# materialize no output.  `_rows` reorders, plugs constants into and joins
-# row sets.  No route reads output rows, but two central results do, so
-# both modes compute them: the key sets that `_lw` and `_covering` reorder
-# with `_rows` before a semi-join ships them, and `_semijoin_into`'s
-# filter, whose result the next round ships.
+# -- output parts ----------------------------------------------------------
 
-def _out_join(ctx, atoms, rel_tuples, out_vars):
-    if not ctx.eng.store_tuples:
-        return set()
-    return join_atoms(atoms, rel_tuples, out_vars)
+class _Part(NamedTuple):
+    """One part of a plan's output: the join of `atoms` over `rels` with
+    the constants `consts` (variable -> value) plugged in, computed on the
+    physical ids `servers` (none when the part ships nothing)."""
+    servers: frozenset
+    atoms: tuple
+    rels: dict
+    consts: dict
 
 
-def _rows(parts, out_vars):
-    """The natural join of (vars, rows) parts, projected onto out_vars; a
-    part of one row plugs constants."""
-    atoms = [Atom(str(i), tuple(vs)) for i, (vs, _) in enumerate(parts)]
-    return join_atoms(atoms, {a.relation: rows for a, (_, rows) in zip(atoms, parts)},
-                      out_vars)
+def _part(groups, atoms, rels):
+    """A list of one part: atoms over rels, on the logical servers groups."""
+    return [_Part(frozenset(chain.from_iterable(groups)), tuple(atoms),
+                  {a.relation: rels[a.relation] for a in atoms}, {})]
+
+
+def _product(left, right):
+    """Every pair of a left and a right part: their atoms, rels and
+    constants merged, on the servers they share."""
+    return [_Part(a.servers & b.servers, a.atoms + b.atoms, {**a.rels, **b.rels},
+                  {**a.consts, **b.consts}) for a in left for b in right]
+
+
+def _plug(parts, consts):
+    """The parts with the constants consts (variable -> value) added."""
+    return [pt._replace(consts={**pt.consts, **consts}) for pt in parts]
+
+
+def _join_part(part, out_vars):
+    """The rows of part over out_vars; constants join as one row "="."""
+    atoms, rels = part.atoms, part.rels
+    if part.consts:
+        atoms += (Atom("=", tuple(part.consts)),)
+        rels = {**rels, "=": [tuple(part.consts.values())]}
+    return join_atoms(atoms, rels, out_vars)
+
+
+def _rows(vs, rows, out_vars):
+    """The key rows over vs reordered onto out_vars, as a set."""
+    return join_atoms([Atom("0", tuple(vs))], {"0": rows}, out_vars)
 
 
 # -- heavy-hitter bookkeeping ---------------------------------------------
@@ -294,14 +314,14 @@ def _hypercube(ctx, rnd, q, rels, shares, fresh, tag, stats=None):
     """One hypercube round (Beame, Koutris and Suciu, PODS 2014): every
     atom's tuples in rels go to prod(shares) fresh logical cells, placed by
     the `_balanced_hashes` maps of the values in stats (rels by default),
-    hashed under tag.  Returns the output rows over q.variables."""
+    hashed under tag.  Returns its output part."""
     cells = [fresh() for _ in range(math.prod(shares.values()))]
     offsets = _balanced_hashes(ctx, q, rels if stats is None else stats,
                                shares, tag)
     for a in q.atoms:
         ctx.eng.ship(rnd, a.relation, rels[a.relation],
                      _hc_route(a, q.variables, shares, offsets, cells))
-    return _out_join(ctx, q.atoms, rels, q.variables)
+    return _part(cells, q.atoms, rels)
 
 
 def _hc_route(a, order, shares, offsets, cells):
@@ -381,12 +401,13 @@ def _intersect_ship(ctx, rnd, atoms, rels, P, fresh, tag):
     """Co-locate the atoms' relations, which share one variable tuple, by
     full-tuple hash through one `_hashed` map over a block of P servers,
     filled from all of their tuples, so a tuple in several of them is hashed
-    once; returns their intersection."""
-    servers = _hashed(hash_column(ctx.seed, tag, "ix"), [fresh() for _ in range(P)],
+    once; returns their intersection's part."""
+    block = [fresh() for _ in range(P)]
+    servers = _hashed(hash_column(ctx.seed, tag, "ix"), block,
                       chain.from_iterable(rels[a.relation] for a in atoms))
     for a in atoms:
         ctx.eng.ship(rnd, a.relation, rels[a.relation], servers)
-    return _out_join(ctx, atoms, rels, atoms[0].vars)
+    return _part(block, atoms, rels)
 
 
 def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
@@ -405,7 +426,8 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     before either side ships, from A's keys and B's distinct keys (freq),
     so h runs once per distinct light key over both sides and never on a
     heavy key.  B's heavy tuples are placed by one hpart column over their
-    whole tuples.  Returns the heavy key -> block map.
+    whole tuples.  Returns the logical servers of the join and the heavy
+    key -> block map.
     """
     m = max(len(a_tuples), len(b_tuples), 1)
     akey, bkey = _key(a_keypos), _key(b_keypos)
@@ -426,16 +448,17 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
         ctx.eng.ship(rnd, b_name, ts, place.__getitem__)
         b_tuples = list(compress(b_tuples, map(not_, hot)))
     ctx.eng.ship(rnd, b_name, b_tuples, _keyed(bkey, servers))
-    return hblocks
+    return block + [g for gs in hblocks.values() for g in gs], hblocks
 
 
 def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
                    P, fresh, tag):
     """One round of the semi-join of `target` against key set `keys`
     (shipped as a relation named after kprefix) into a fresh relation named
-    after prefix; returns (Atom(name, target.vars), rows), the rows being
-    the target tuples whose key projection is in `keys`, as a list: a
-    filter of duplicate-free tuples has distinct rows.
+    after prefix; returns (Atom(name, target.vars), rows, part): the rows
+    are the target tuples whose key projection is in `keys`, as a list (a
+    filter of duplicate-free tuples has distinct rows), and part computes
+    them on the servers of the keys and the target.
 
     The keys are unique, so only the target can be skewed on the key: this
     is the one-sided skew join with the keys as the skew-free side.
@@ -444,12 +467,15 @@ def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
     kname = ctx.relation(kprefix, len(keypos))
     tuples = rels[target.relation]
     tkeys = list(map(_key(keypos), tuples))
-    _skew_join_ship(ctx, rnd, kname, keys, range(len(keypos)), target.relation,
-                    tuples, keypos, Counter(tkeys), P, fresh,
-                    hash_column(ctx.seed, tag, "sjh"),
-                    hash_column(ctx.seed, tag, "sjp"))
+    groups, _ = _skew_join_ship(ctx, rnd, kname, keys, range(len(keypos)),
+                                target.relation, tuples, keypos, Counter(tkeys),
+                                P, fresh, hash_column(ctx.seed, tag, "sjh"),
+                                hash_column(ctx.seed, tag, "sjp"))
     kset = set(map(_key(range(len(keypos))), keys))
-    return Atom(name, target.vars), list(compress(tuples, map(kset.__contains__, tkeys)))
+    katom = Atom(kname, tuple(target.vars[i] for i in keypos))
+    return (Atom(name, target.vars),
+            list(compress(tuples, map(kset.__contains__, tkeys))),
+            _part(groups, (katom, target), {kname: keys, target.relation: tuples}))
 
 
 # -- one-round algorithms --------------------------------------------------
@@ -460,8 +486,8 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
 
     The heavy profiles are those that occur in the data: `_active_profiles`
     joins the atoms' profile groups, holding at most 2^(variables seen)
-    <= 2^k partial unions after each atom.  Returns the output rows over
-    q.variables.
+    <= 2^k partial unions after each atom.  Returns one output part per
+    active profile.
     """
     sizes = {a.relation: max(1, ctx.eng.widths[a.relation] * len(rels[a.relation]))
              for a in q.atoms}
@@ -475,7 +501,7 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
     active = _active_profiles(q, groups)
     base = [fresh() for _ in range(P)] if active else None
     routes = {}    # (atom, profile) -> [hypercube route per X]
-    out = set()
+    parts = []
     for X, profs in active:
         filtered = {a.relation: groups[a.relation][pr]
                     for a, pr in zip(q.atoms, profs)}
@@ -491,42 +517,35 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
         for a, pr in zip(q.atoms, profs):
             routes.setdefault((a, pr), []).append(
                 _hc_route(a, q.variables, alloc.shares, offsets, cells))
-        out |= _out_join(ctx, q.atoms, filtered, q.variables)
+        parts += _part(cells, q.atoms, filtered)
     # A group shipped under several profiles shares one base block, so it
     # goes once to the union of its cells under all of them.
     for (a, pr), rs in routes.items():
         ctx.eng.ship(rnd, a.relation, groups[a.relation][pr],
                      rs[0] if len(rs) == 1 else _union(rs))
-    return out
+    return parts
 
 
 # -- line queries ----------------------------------------------------------
 
-def _line_vars(atoms):
-    vs = [atoms[0].vars[0]]
-    for a in atoms:
-        vs.append(a.vars[1])
-    return tuple(vs)
-
-
 def _line(ctx, rnd, atoms, rels, P, fresh, tag):
-    """Path join over the chained atoms; returns (vars, rows)."""
-    vs = _line_vars(atoms)
+    """Path join over the chained atoms; returns its output parts."""
     k = len(atoms)
     if k == 1:
-        return atoms[0].vars, set(rels[atoms[0].relation])
+        return _part((), atoms, rels)
     if k <= 4:
+        vs = atoms[0].vars[:1] + tuple(a.vars[1] for a in atoms)
         q = Query("sub", vs, tuple(atoms))
-        return vs, _one_round_skew(ctx, rnd, q, rels, P, fresh, tag + "b")
+        return _one_round_skew(ctx, rnd, q, rels, P, fresh, tag + "b")
     if k % 2 == 0:
         n = k // 2
         p1 = max(1, pow_floor(P, Fraction(1, n + 1)))
         p0 = max(1, P // p1)
         grid = _Grid(fresh, p1)
-        v0, out0 = _line(ctx, rnd, atoms[:-1], rels, p0, grid.fresh_row, tag + "e")
-        last = atoms[-1]
-        _distribute(ctx, rnd, last.relation, rels[last.relation], grid.cols(), tag + "ed")
-        return vs, _rows([(v0, out0), (last.vars, rels[last.relation])], vs)
+        head = _line(ctx, rnd, atoms[:-1], rels, p0, grid.fresh_row, tag + "e")
+        last, cols = atoms[-1], grid.cols()
+        _distribute(ctx, rnd, last.relation, rels[last.relation], cols, tag + "ed")
+        return _product(head, _part(cols, [last], rels))
 
     # odd k >= 5
     n = (k + 1) // 2
@@ -541,16 +560,16 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     p1 = max(1, pow_floor(P, Fraction(1, n)))
     p0 = max(1, P // p1)
     grid = _Grid(fresh, p1)
-    v0, out0 = _line(ctx, rnd, atoms[2:], rels, p0, grid.fresh_row, tag + "t")
+    tail = _line(ctx, rnd, atoms[2:], rels, p0, grid.fresh_row, tag + "t")
     light1 = [t for t in rels[s1.relation] if t[1] not in hset]
     light2 = [t for t in rels[s2.relation] if t[0] not in hset]
-    hcol = _hashed(hash_column(ctx.seed, tag, "lx1"), grid.cols(),
+    cols = grid.cols()
+    hcol = _hashed(hash_column(ctx.seed, tag, "lx1"), cols,
                    chain(map(itemgetter(1), light1), map(itemgetter(0), light2)))
     for name, ts, pos in ((s1.relation, light1, 1), (s2.relation, light2, 0)):
         ctx.eng.ship(rnd, name, ts, _keyed(itemgetter(pos), hcol))
-    head = _out_join(ctx, [s1, s2], {s1.relation: light1, s2.relation: light2},
-                     (s1.vars[0], x1, s2.vars[1]))
-    out = _rows([((s1.vars[0], x1, s2.vars[1]), head), (v0, out0)], vs)
+    parts = _product(_part(cols, [s1, s2], {s1.relation: light1, s2.relation: light2}),
+                     tail)
 
     # heavy x1: one exclusive grid per heavy value
     p1k = pow_floor(P, Fraction(1, n))
@@ -561,18 +580,18 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
         left = _slice(rels[s1.relation], 1, h)
         keys = _slice(rels[s2.relation], 0, h)
         grid2 = _Grid(fresh, p0h)
-        head3, res = _semijoin_into(ctx, rnd, tag + "s", tag + "k", keys, s3,
-                                    (0,), rels, p1h, grid2.fresh_row,
-                                    tag + "j" + str(h))
-        tail = [head3] + list(atoms[3:])
+        head3, res, _ = _semijoin_into(ctx, rnd, tag + "s", tag + "k", keys, s3,
+                                       (0,), rels, p1h, grid2.fresh_row,
+                                       tag + "j" + str(h))
         crels = dict(rels)
         crels[head3.relation] = res
-        cv, crows = _line(ctx, rnd + 1, tail, crels, p1h,
-                          grid2.fresh_row, tag + "h" + str(h))
-        lname = ctx.relation(tag + "u", 1)
-        _distribute(ctx, rnd, lname, left, grid2.cols(), tag + "d" + str(h))
-        out |= _rows([(cv, crows), ((x1,), [(h,)]), ((s1.vars[0],), left)], vs)
-    return vs, out
+        rest = _line(ctx, rnd + 1, [head3] + list(atoms[3:]), crels, p1h,
+                     grid2.fresh_row, tag + "h" + str(h))
+        lname, cols = ctx.relation(tag + "u", 1), grid2.cols()
+        _distribute(ctx, rnd, lname, left, cols, tag + "d" + str(h))
+        parts += _plug(_product(rest, _part(cols, [Atom(lname, s1.vars[:1])],
+                                            {lname: left})), {x1: h})
+    return parts
 
 
 def _chain_eval(ctx, rnd, chain, rels, P, fresh, tag):
@@ -580,11 +599,10 @@ def _chain_eval(ctx, rnd, chain, rels, P, fresh, tag):
     on one edge.
 
     Two atoms with the same variable tuple: co-locate and intersect
-    (1 round).  Otherwise a line join.  Returns (vars, rows).
+    (1 round).  Otherwise a line join.  Returns its output parts.
     """
     if len(chain) == 2 and chain[0].vars == chain[1].vars:
-        return chain[0].vars, _intersect_ship(ctx, rnd, chain, rels, P, fresh,
-                                              tag + "c2")
+        return _intersect_ship(ctx, rnd, chain, rels, P, fresh, tag + "c2")
     return _line(ctx, rnd, chain, rels, P, fresh, tag)
 
 
@@ -596,7 +614,7 @@ def _light_hypercube(ctx, rnd, q, rels, P, fresh, tag):
     A value is heavy for variable v when its degree in some atom exceeds
     m/P^(1/k).  Tuples whose values are all light go through one hypercube
     on shares P^(1/k) per variable.  Returns (per-variable heavy value
-    sets, output rows over q.variables of the all-light tuples).
+    sets, the output parts of the all-light tuples).
     """
     k = q.k
     m = max(max(len(rels[a.relation]) for a in q.atoms), 1)
@@ -616,15 +634,15 @@ def _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual):
     for the i-th variable x of q and each heavy value h of x in sorted
     order, residual(i, x, h, P1) runs a semi-join round on
     P1 = P^((k-1)/k) servers and evaluates the residual q_x from round
-    rnd + 1, returning (vars, rows); x = h is plugged back in.  Returns the
-    output rows over q.variables.
+    rnd + 1, returning output parts into which x = h is plugged.  Returns
+    the output parts.
     """
-    heavy, out = _light_hypercube(ctx, rnd, q, rels, P, fresh, tag)
+    heavy, parts = _light_hypercube(ctx, rnd, q, rels, P, fresh, tag)
     P1 = max(1, pow_floor(P, Fraction(q.k - 1, q.k)))
     for i, x in enumerate(q.variables):
         for h in sorted(heavy[x]):
-            out |= _rows([residual(i, x, h, P1), ((x,), [(h,)])], q.variables)
-    return out
+            parts += _plug(residual(i, x, h, P1), {x: h})
+    return parts
 
 
 def _arc(ctx, rnd, path, keys_a, keys_b, rels, P, fresh, tag, sfx, names):
@@ -633,12 +651,12 @@ def _arc(ctx, rnd, path, keys_a, keys_b, rels, P, fresh, tag, sfx, names):
     keys_a filters the first atom's first variable and keys_b the last
     atom's second, into relations named after tag + names[0] and
     tag + names[1]; the path is then evaluated with `_chain_eval` from
-    round rnd + 1.  Returns (vars, rows).
+    round rnd + 1.  Returns its output parts.
     """
-    a, rows_a = _semijoin_into(ctx, rnd, tag + names[0], tag + "ka", keys_a,
-                               path[0], (0,), rels, P, fresh, tag + "sa" + sfx)
-    b, rows_b = _semijoin_into(ctx, rnd, tag + names[1], tag + "kb", keys_b,
-                               path[-1], (1,), rels, P, fresh, tag + "sb" + sfx)
+    a, rows_a, _ = _semijoin_into(ctx, rnd, tag + names[0], tag + "ka", keys_a,
+                                  path[0], (0,), rels, P, fresh, tag + "sa" + sfx)
+    b, rows_b, _ = _semijoin_into(ctx, rnd, tag + names[1], tag + "kb", keys_b,
+                                  path[-1], (1,), rels, P, fresh, tag + "sb" + sfx)
     crels = dict(rels)
     crels[a.relation] = rows_a
     crels[b.relation] = rows_b
@@ -694,8 +712,8 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
         exps = {}
         for i in range(k):
             exps[var_at[i]] = e_odd if i % 2 == first_odd else e_even
-    out = _hypercube(ctx, rnd, q, rels, _round_shares(q, exps, P), fresh,
-                     tag + "g")
+    parts = _hypercube(ctx, rnd, q, rels, _round_shares(q, exps, P), fresh,
+                       tag + "g")
 
     # Case 1: exclusive blocks for qualifying heavy pairs at odd distance.
     # a value is a candidate at degree m/P^(2/k), a pair qualifies at
@@ -711,16 +729,15 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
                 for h2 in cand[j]:
                     if deg[i][h] * deg[j][h2] < pair:
                         continue
-                    out |= _rows([_cycle_pair(ctx, rnd, q, rels, P, P1, fresh,
-                                              i, h, j, h2, tag),
-                                  ((var_at[i], var_at[j]), [(h, h2)])],
-                                 q.variables)
-    return out
+                    parts += _plug(_cycle_pair(ctx, rnd, q, rels, P, P1, fresh,
+                                               i, h, j, h2, tag),
+                                   {var_at[i]: h, var_at[j]: h2})
+    return parts
 
 
 def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
     """Residual of an even cycle after fixing a qualifying heavy pair at
-    positions i and j; returns (vars, rows) over the other variables."""
+    positions i and j; returns its output parts over the other variables."""
     atoms, k = q.atoms, q.k
     var_at = q.variables
     if (i - j) % k == 1:                    # normalize to j == i+1 (mod k)
@@ -743,7 +760,7 @@ def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
         arc = path(i + 2, i + k - 2)
         # adjacent: the pair must be an actual tuple of the shared atom
         if (h, h2) not in rels[atoms[i].relation]:
-            return _line_vars(arc), set()
+            return []
         ua = unary_right((i + 1) % k, h2)        # constrains var_at[i+2]
         ub = unary_left((i - 1) % k, h)          # constrains var_at[i-1]
         return _arc(ctx, rnd, arc, ua, ub, rels, P1, fresh, ptag, "", ("A", "B"))
@@ -755,14 +772,14 @@ def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
     grid = _Grid(fresh, 8 * g2 + 16)
     u1a = unary_right(i, h)                  # var_at[i+1]
     u1b = unary_left((j - 1) % k, h2)        # var_at[j-1]
-    v1, rows1 = _arc(ctx, rnd, path(i + 1, j - 2), u1a, u1b, rels,
-                     g1, grid.fresh_row, ptag + "x", "", ("A", "B"))
+    first = _arc(ctx, rnd, path(i + 1, j - 2), u1a, u1b, rels,
+                 g1, grid.fresh_row, ptag + "x", "", ("A", "B"))
     u2a = unary_right(j, h2)                 # var_at[j+1]
     u2b = unary_left((i - 1) % k, h)         # var_at[i-1]
-    v2, rows2 = _arc(ctx, rnd, path(j + 1, i + k - 2), u2a, u2b, rels,
-                     g2, grid.fresh_col, ptag + "y", "", ("A", "B"))
+    second = _arc(ctx, rnd, path(j + 1, i + k - 2), u2a, u2b, rels,
+                  g2, grid.fresh_col, ptag + "y", "", ("A", "B"))
     # disjoint arcs: a product
-    return v1 + v2, _rows([(v1, rows1), (v2, rows2)], v1 + v2)
+    return _product(first, second)
 
 
 # -- Loomis-Whitney joins --------------------------------------------------
@@ -784,13 +801,13 @@ def _lw(ctx, rnd, q, rels, P, fresh, tag):
             keys = _slice(rels[a.relation], pos, h)
             keypos = tuple(sorted(base.vars.index(v) for v in keyvars))
             # align projected keys to base's variable order
-            keys = _rows([(keyvars, keys)], tuple(base.vars[kp] for kp in keypos))
-            b, srels[b.relation] = _semijoin_into(
+            keys = _rows(keyvars, keys, tuple(base.vars[kp] for kp in keypos))
+            b, srels[b.relation], _ = _semijoin_into(
                 ctx, rnd, tag + "w", tag + "kw", keys, base, keypos, rels, P1,
                 fresh, tag + "s%s_%s_%s" % (x, a.relation, h))
             semis.append(b)
-        return base.vars, _intersect_ship(ctx, rnd + 1, semis, srels, P1, fresh,
-                                          tag + "i%s_%s" % (x, h))
+        return _intersect_ship(ctx, rnd + 1, semis, srels, P1, fresh,
+                               tag + "i%s_%s" % (x, h))
 
     return _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual)
 
@@ -799,12 +816,10 @@ def _lw(ctx, rnd, q, rels, P, fresh, tag):
 
 def _clique(ctx, rnd, q, rels, P, fresh, tag):
     """Clique join; atoms are binary, one per variable pair (two parallel
-    atoms with the same `vars` allowed only at k == 2).  Returns the
-    output rows over q.variables."""
+    atoms with the same `vars` allowed only at k == 2).  Returns its
+    output parts."""
     if q.k == 2:
-        inter = _intersect_ship(ctx, rnd, q.atoms, rels, P, fresh, tag + "i")
-        # a parsed clique may list the pair in the other order
-        return _rows([(q.atoms[0].vars, inter)], q.variables)
+        return _intersect_ship(ctx, rnd, q.atoms, rels, P, fresh, tag + "i")
 
     atom_for = {frozenset(a.vars): a for a in q.atoms}   # one per pair
 
@@ -826,14 +841,14 @@ def _clique(ctx, rnd, q, rels, P, fresh, tag):
             if x in a.vars:
                 continue
             if a.relation in replaced:
-                for b, res in replaced[a.relation]:
+                for b, res, _ in replaced[a.relation]:
                     sub_atoms.append(b)
                     sub_rels[b.relation] = res
             else:
                 sub_atoms.append(a)
         sub = Query("sub", tuple(others), tuple(sub_atoms))
-        return sub.variables, _clique(ctx, rnd + 1, sub, sub_rels, P1, fresh,
-                                      tag + "h%s_%s" % (x, h))
+        return _clique(ctx, rnd + 1, sub, sub_rels, P1, fresh,
+                       tag + "h%s_%s" % (x, h))
 
     return _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual)
 
@@ -844,19 +859,18 @@ def _covering(ctx, rnd, q, rels, P, fresh, tag):
     cover = covering_atom(q)
     others = [a for a in q.atoms if a is not cover]
     if not others:
-        return _rows([(cover.vars, rels[cover.relation])], q.variables)
+        return _part((), [cover], rels)
     semis, srels = [], {}
     for a in others:
         keypos = tuple(sorted(cover.vars.index(v) for v in a.vars))
-        keys = _rows([(a.vars, rels[a.relation])],
-                     tuple(cover.vars[i] for i in keypos))
-        b, srels[b.relation] = _semijoin_into(
+        keys = _rows(a.vars, rels[a.relation], tuple(cover.vars[i] for i in keypos))
+        b, srels[b.relation], joined = _semijoin_into(
             ctx, rnd, tag + "c", tag + "kc", keys, cover, keypos, rels, P,
             fresh, tag + "s" + a.relation)
         semis.append(b)
-    inter = srels[semis[0].relation] if len(semis) == 1 else \
-        _intersect_ship(ctx, rnd + 1, semis, srels, P, fresh, tag + "i")
-    return _rows([(cover.vars, inter)], q.variables)
+    if len(semis) == 1:
+        return joined       # a lone result is never shipped: no part of its own
+    return _intersect_ship(ctx, rnd + 1, semis, srels, P, fresh, tag + "i")
 
 
 # -- shapes ----------------------------------------------------------------
@@ -933,9 +947,9 @@ def _two_atoms(test):
 
 # -- plans -----------------------------------------------------------------
 #
-# A plan runs from round 0 on root servers (`ctx.root`) and returns the
-# output rows over its query's variables; it writes its extras into
-# `ctx.extras`.  No plan counts rounds: the ledger is the only round count.
+# A plan runs from round 0 on root servers (`ctx.root`) and returns its
+# output parts; it writes its extras into `ctx.extras`.  No plan counts
+# rounds: the ledger is the only round count.
 
 def _hc(ctx, q, rels, p):
     """Plain one-round hypercube with size-optimized shares (no skew
@@ -964,16 +978,16 @@ def _one_sided_skew(ctx, q, rels, p):
     if max(fb.values(), default=0) < max(fa.values(), default=0):
         a, b, ta, tb, ka, kb, fb = b, a, tb, ta, kb, ka, fa
     del fa      # only B's key counts are read from here on
-    hblocks = _skew_join_ship(ctx, 0, a.relation, ta, ka, b.relation, tb, kb,
-                              fb, p, ctx.root, hash_column(ctx.seed, "j1s", "h"),
-                              hash_column(ctx.seed, "j1s", "p"))
+    groups, hblocks = _skew_join_ship(
+        ctx, 0, a.relation, ta, ka, b.relation, tb, kb, fb, p, ctx.root,
+        hash_column(ctx.seed, "j1s", "h"), hash_column(ctx.seed, "j1s", "p"))
     ctx.extras.update(heavy_keys=len(hblocks),
                       heavy_servers=sum(len(g) for g in hblocks.values()))
-    return _out_join(ctx, q.atoms, rels, q.variables)
+    return _part(groups, q.atoms, rels)
 
 
 def _line_plan(ctx, q, rels, p):
-    return _line(ctx, 0, q.atoms, rels, p, ctx.root, "L")[1]
+    return _line(ctx, 0, q.atoms, rels, p, ctx.root, "L")
 
 
 def _cycle(ctx, rnd, q, rels, P, fresh, tag):
@@ -982,7 +996,7 @@ def _cycle(ctx, rnd, q, rels, P, fresh, tag):
 
 
 def _from_round0(body, tag):
-    """The plan of body(ctx, rnd, q, rels, P, fresh, tag) -> rows."""
+    """The plan of body(ctx, rnd, q, rels, P, fresh, tag) -> parts."""
     return lambda ctx, q, rels, p: body(ctx, 0, q, rels, p, ctx.root, tag)
 
 
@@ -990,7 +1004,7 @@ def _from_round0(body, tag):
 
 class Strategy(NamedTuple):
     shape: Callable     # q -> the query the plan runs on, or None
-    plan: Callable      # (ctx, shaped q, rels, p) -> rows; extras in ctx.extras
+    plan: Callable      # (ctx, shaped q, rels, p) -> parts; extras in ctx.extras
     rounds: Callable    # q -> declared upper bound on the rounds used
 
 
@@ -1052,13 +1066,13 @@ def run_algorithm(name: str, db, p: int, seed: int,
     server count p >= 1 and the given seed.
 
     Raises `QueryError` when the strategy's shape does not accept the
-    query.  With ``counting=True`` the run is a dry run for its loads: the
-    engine keeps only the load ledger (no per-server tuple storage) and
-    results are not assembled, so the returned output is an empty set,
-    except that covering on two atoms returns the semi-join result it ships
-    and a one-atom query under line or covering returns its relation.
-    Loads, rounds and extras are the same as in a storing run.  Used for
-    cheap dry runs on large instances.
+    query.  A storing run's output is the union of its plan's parts, each
+    joined over the relations it names, in db.query.variables order.  With
+    ``counting=True`` the run is a dry run for its loads: the engine keeps
+    only the load ledger (no per-server tuple storage) and no part is
+    evaluated, so the returned output is an empty set.  Loads, rounds and
+    extras are the same as in a storing run.  Used for cheap dry runs on
+    large instances.
 
     `_counts` is internal to `em.DryRuns`: one dict that the runs of one
     strategy on one instance share, (relation, position) -> the value
@@ -1087,9 +1101,11 @@ def run_algorithm(name: str, db, p: int, seed: int,
         rels[a.relation] = list(ts) if a.vars == src else \
             list(map(itemgetter(*map(src.index, a.vars)), ts))
     ctx.inputs.update(rels)
-    rows = strategy.plan(ctx, q, rels, p)
-    if q.variables != db.query.variables:
-        rows = _rows([(q.variables, rows)], db.query.variables)
+    parts = strategy.plan(ctx, q, rels, p)
+    rows = set()
+    if not counting:
+        for part in parts:
+            rows |= _join_part(part, db.query.variables)
     return AlgorithmResult(name, db.query, p, rows, ctx.eng.report,
                            ctx.eng.report.rounds,
                            {"nominal_p": p, "physical_servers": ctx.servers,

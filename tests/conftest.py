@@ -7,13 +7,9 @@ from contextlib import contextmanager
 import pytest
 
 from mpcjoin import algorithms
-from mpcjoin.sim import Engine, local_join
+from mpcjoin.algorithms import _join_part
 
 ACCEPTANCE_LINES = []
-
-# The one-round strategies, whose outputs are joins of what one round
-# delivered, so that each server's holdings join to its part of the output.
-ONE_ROUND = ("hc", "one_round_skew", "join_one_sided_skew", "semi_join")
 
 
 def record(criterion: int, ok: bool, detail: str) -> bool:
@@ -24,28 +20,46 @@ def record(criterion: int, ok: bool, detail: str) -> bool:
 
 
 @contextmanager
-def recorded_engines():
-    """A list that collects, in order, every engine that `run_algorithm`
-    makes while the context is open."""
-    engines = []
+def recorded_runs():
+    """A list that collects, in order, (engine, output parts) for every
+    plan that `run_algorithm` runs while the context is open."""
+    runs = []
 
-    class Recording(Engine):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            engines.append(self)
+    def recording(plan):
+        def run(ctx, q, rels, p):
+            parts = plan(ctx, q, rels, p)
+            runs.append((ctx.eng, parts))
+            return parts
+        return run
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(algorithms, "Engine", Recording)
-        yield engines
+        for name, s in list(algorithms.ALGORITHMS.items()):
+            mp.setitem(algorithms.ALGORITHMS, name, s._replace(plan=recording(s.plan)))
+        yield runs
 
 
-def rebuilt(res, eng):
-    """The union over res's physical servers of the local join of what
-    each one holds in eng, a storing-mode engine of a one-round run."""
-    q = res.query
+def rebuilt(res, run):
+    """res's output rebuilt from what its servers hold: the union, over
+    the output parts of run, a storing-mode (engine, parts) pair, of each
+    part's join computed on each of its servers from that server's
+    holdings.  A part with no servers ships nothing, which only a run of 0
+    rounds may do; it is joined over its own relations."""
+    eng, parts = run
+    held = {}
+
+    def holdings(s, rel):
+        if (s, rel) not in held:
+            held[s, rel] = eng.holdings(s, rel)
+        return held[s, rel]
+
     out = set()
-    for s in range(res.extras["physical_servers"]):
-        out |= local_join(q, {a.relation: eng.holdings(s, a.relation) for a in q.atoms})
+    for part in parts:
+        if not part.servers:
+            assert res.rounds == 0, (res.name, part.atoms)
+            out |= _join_part(part, res.query.variables)
+        for s in part.servers:
+            local = {a.relation: holdings(s, a.relation) for a in part.atoms}
+            out |= _join_part(part._replace(rels=local), res.query.variables)
     return out
 
 

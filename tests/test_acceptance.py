@@ -4,7 +4,7 @@ single PASS/FAIL verdict line (echoed again in the terminal summary)."""
 import math
 from fractions import Fraction
 
-from conftest import ONE_ROUND, rebuilt, record, recorded_engines
+from conftest import rebuilt, record, recorded_runs
 
 from mpcjoin.algorithms import run_algorithm
 from mpcjoin.analyzer import (psi_star, psi_star_recursive, rho_star,
@@ -217,28 +217,26 @@ def test_criterion_3_oracle_equality():
     algs = ("hc", "one_round_skew", "join_one_sided_skew", "semi_join",
             "triangle", "line", "cycle", "lw", "clique", "covering")
     bad = []
-    total = held = 0
+    total = 0
     for alg in algs:
         instances = _criterion3_instances(alg)
         assert len(instances) == 20, alg
         for i, db in enumerate(instances):
             p = p_grid[i % 3]
             total += 1
-            with recorded_engines() as engines:
+            with recorded_runs() as runs:
                 res = run_algorithm(alg, db, p, seed=3)
             want = oracle_join(db)
             if res.output != want:
                 bad.append((alg, i, p))
-            if alg in ONE_ROUND:
-                # the output rebuilt from what the servers hold
-                held += 1
-                if rebuilt(res, engines[-1]) != want:
-                    bad.append((alg, i, p, "held"))
+            # the output rebuilt from what the servers hold
+            if rebuilt(res, runs[-1]) != want:
+                bad.append((alg, i, p, "held"))
     ok = record(3, not bad,
                 "exact oracle equality for 10 strategies x 20 instances "
-                "(%d runs over p in {8,27,64}; %d one-round outputs also "
-                "rebuilt from server holdings)%s"
-                % (total, held, "" if not bad else "; failures %s" % bad[:3]))
+                "(%d runs over p in {8,27,64}, each output also rebuilt "
+                "from server holdings)%s"
+                % (total, "" if not bad else "; failures %s" % bad[:3]))
     assert ok, bad
 
 

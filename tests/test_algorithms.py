@@ -18,12 +18,12 @@ from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.em import DryRuns
 from mpcjoin.query import Atom, Query, QueryError, canonical_query, parse_query
-from mpcjoin.rng import _CHUNK, hash_family
+from mpcjoin.rng import _CHUNK, hash_column, hash_family
 from mpcjoin.sim import Engine, hc_grid, oracle_join
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from conftest import ONE_ROUND, rebuilt, recorded_engines  # noqa: E402
+from conftest import rebuilt, recorded_runs  # noqa: E402
 from ledger_matrix import two_heavy  # noqa: E402
 
 
@@ -313,7 +313,10 @@ def small_databases(draw):
     """A query on at most 6 variables and 6 atoms of arity at most 3,
     possibly disconnected, with at most 10 tuples per relation over a
     domain of at most 4 values (so outputs stay below 4^6 rows).  Half of
-    the bodies are shaped ones with each atom's variables in random order."""
+    the bodies are shaped ones with each atom's variables in random order.
+    Every relation holds at least min(fill, its domain) tuples, for one
+    fill in [0, 10] per database, so that most outputs are not empty while
+    a fill of 0 still allows empty relations."""
     names = ["x%d" % i for i in range(draw(st.integers(1, 6)))]
     random_body = st.lists(st.lists(st.sampled_from(names), min_size=1,
                                     max_size=3, unique=True),
@@ -325,9 +328,11 @@ def small_databases(draw):
     q = Query("Q", tuple(head),
               tuple(Atom("R%d" % i, tuple(b)) for i, b in enumerate(bodies)))
     n = draw(st.integers(1, 4))
+    fill = draw(st.integers(0, 10))
     rels = {}
     for a in q.atoms:
-        ts = draw(st.sets(st.tuples(*[st.integers(1, n)] * a.arity), max_size=10))
+        ts = draw(st.sets(st.tuples(*[st.integers(1, n)] * a.arity),
+                          min_size=min(fill, n ** a.arity), max_size=10))
         rels[a.relation] = RelationInstance(a.relation, a.arity, tuple(sorted(ts)), n)
     return DatabaseInstance(q, rels, 0, {"generator": "hypothesis"})
 
@@ -335,12 +340,11 @@ def small_databases(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((1, 4, 8, 27)), small_databases())
 def test_shapes_decide_dispatch(p, db):
-    # A one-round strategy's output is also rebuilt from what its servers
-    # hold, so a route that misplaces tuples fails even when the central
-    # output is right.
+    # Every output is also rebuilt from what the servers hold, so a route
+    # that misplaces tuples fails even when the central output is right.
     q = db.query
     want = oracle_join(db)
-    with recorded_engines() as engines:
+    with recorded_runs() as runs:
         for name, strategy in ALGORITHMS.items():
             try:
                 res = run_algorithm(name, db, p, 3)
@@ -350,11 +354,58 @@ def test_shapes_decide_dispatch(p, db):
             assert strategy.shape(q) is not None, (name, q.render())
             assert res.rounds <= ALGORITHMS[name].rounds(q), (name, q.render())
             assert res.output == want, (name, q.render())
-            if name in ONE_ROUND:
-                assert rebuilt(res, engines[-1]) == want, (name, q.render())
+            assert rebuilt(res, runs[-1]) == want, (name, q.render())
     res = run_algorithm("auto", db, p, 3)
     assert res.name == pick_algorithm(q)
     assert res.output == want
+
+
+def _wrong_key_hc(monkeypatch, db):
+    """hc's first atom places its first hashed variable by a rotated
+    offset map: each value takes the next value's cell offset."""
+    real, first = algorithms._hc_route, db.query.atoms[0]
+
+    def route(a, order, shares, offsets, cells):
+        if a == first:
+            _, v, _ = hc_grid(a.vars, order, shares)[0][0]
+            vals = list(offsets[v])
+            offsets = {**offsets, v: dict(zip(vals, map(offsets[v].get,
+                                                        vals[1:] + vals[:1])))}
+        return real(a, order, shares, offsets, cells)
+    monkeypatch.setattr(algorithms, "_hc_route", route)
+
+
+def _misplaced_intersection(monkeypatch, db):
+    """An intersection that places its last semi-join result by a map
+    hashed under another tag, so co-located tuples no longer meet."""
+    def intersect(ctx, rnd, atoms, rels, P, fresh, tag):
+        block = [fresh() for _ in range(P)]
+        for i, a in enumerate(atoms):
+            col = hash_column(ctx.seed, tag + ("" if i < len(atoms) - 1 else "x"), "ix")
+            ctx.eng.ship(rnd, a.relation, rels[a.relation],
+                         algorithms._hashed(col, block, rels[a.relation]))
+        return algorithms._part(block, atoms, rels)
+    monkeypatch.setattr(algorithms, "_intersect_ship", intersect)
+
+
+@pytest.mark.parametrize("mutant,alg,db", [
+    (_wrong_key_hc, "hc", gen_agm_worst(canonical_query("C", 3), 300, 1)),
+    (_misplaced_intersection, "lw", gen_single_heavy(canonical_query("LW", 3), 300, "x1", 1)),
+])
+def test_rebuild_kills_misplacing_mutants(monkeypatch, mutant, alg, db):
+    # Each mutant ships tuples to the wrong servers and leaves the central
+    # join alone: the central output still equals the oracle, and only the
+    # output rebuilt from server holdings tells.
+    want = oracle_join(db)
+    with recorded_runs() as runs:
+        res = run_algorithm(alg, db, 27, 3)
+    assert rebuilt(res, runs[-1]) == want
+    mutant(monkeypatch, db)
+    with recorded_runs() as runs:
+        res = run_algorithm(alg, db, 27, 3)
+    assert res.rounds == ALGORITHMS[alg].rounds(db.query)
+    assert res.output == want
+    assert rebuilt(res, runs[-1]) != want
 
 
 def test_grid_column_block_runs_out():
@@ -369,11 +420,11 @@ def test_grid_column_block_runs_out():
 
 def test_counting_mode_same_loads_no_output():
     # Counting mode ships through the same routes without keeping what
-    # servers hold; storing mode raises on a repeated delivery.
-    # L5, C5 and C6 reach line's odd k >= 5 branch, odd cycles' chains and
-    # even cycles' heavy pairs, whose row joins rely on seeing only empty
-    # row sets in counting mode.  The one-atom query reaches line at k == 1
-    # and covering without semi-joins; p = 1 reaches even cycles' P == 1.
+    # servers hold, and evaluates no output part; storing mode raises on a
+    # repeated delivery.  L5, C5 and C6 reach line's odd k >= 5 branch, odd
+    # cycles' chains and even cycles' heavy pairs.  The one-atom query
+    # reaches line at k == 1 and covering without semi-joins; p = 1 reaches
+    # even cycles' P == 1.
     queries = [canonical_query("C", 3), canonical_query("C", 4),
                canonical_query("L", 4), canonical_query("LW", 4),
                canonical_query("K", 4), canonical_query("W", 3),
@@ -406,12 +457,7 @@ def test_counting_mode_same_loads_no_output():
                     assert run.rounds == full.rounds, where
                     assert load == full.report.max_tuples(), where
                     assert run.extras == full.extras, where
-                    # no output is assembled; only covering's lone
-                    # semi-join result, which routing needs, and a one-atom
-                    # query's relation come through
-                    assert dry.output <= want, where
-                    assert name == "covering" or q.num_atoms == 1 \
-                        or dry.output == set(), where
+                    assert dry.output == set(), where
                     assert full.output == want, where
                     compared.add(name)
     assert compared == set(ALGORITHMS)

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import ledger_matrix  # noqa: E402
 
-DIGEST = "d59601e2175845db920a047e039849a5cf981da8557ffb9e7a321dc91875b4c1"
+DIGEST = "12276036a08658c93b397522e97f62c446a9097bf056e783cbc64826360939f7"
 
 
 def test_ledger_matrix_digest_pinned():

@@ -20,7 +20,7 @@ it prints `sharing mismatched N` and exits 1 when any shared run's output,
 rounds, extras, ledger or widths differ from the plain counting run's.  The
 current digest is
 
-    python3 tools/ledger_matrix.py --expect ee83b3fc3141be627e88faca008e5700668661ef27029e250b831772669bc3fe
+    python3 tools/ledger_matrix.py --expect 1c023967566864e7d4b3037af1030c385b1d9ae59743a75bc6d42030b0651274
 
 `tests/test_ledger_matrix.py` pins the digest of the reduced grid
 `GRIDS["tier1"]`: every query, strategy and mode, with the single_heavy and
