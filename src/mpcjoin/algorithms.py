@@ -48,38 +48,77 @@ class InsufficientServers(RuntimeError):
 
 
 @dataclass
+class SweepInputs:
+    """What the runs of one strategy on one instance with one seed share,
+    none of it depending on p, each made on first use: the shaped query
+    and its input lists, and the value counts and value lists of the input
+    columns and the rank orders of hashed variables that the runs read.
+    A plan reads the counts, lists and orders only through `_Ctx`, and
+    only for the very input lists; no plan mutates those lists."""
+    query: Query | None = None                    # the shaped query
+    rels: dict = field(default_factory=dict)      # relation -> input list
+    counts: dict = field(default_factory=dict)    # (relation, position) -> Counter
+    columns: dict = field(default_factory=dict)   # (relation, position) -> value list
+    orders: dict = field(default_factory=dict)    # (tag, variable, columns) -> ranked values
+
+
+@dataclass
 class _Ctx:
     eng: Engine
     seed: int
     vbits: int                 # bits per value for intermediate relations
-    counts: dict | None = None  # (relation, position) -> Counter, shared by runs
-    inputs: dict = field(default_factory=dict)      # relation -> input list
+    shared: SweepInputs | None = None   # what the runs of one sweep share
     servers: int = field(default=0, init=False)     # physical ids handed out
     extras: dict = field(default_factory=dict, init=False)
     _names: Counter = field(default_factory=Counter, init=False)
 
-    def _shared(self, rels, name) -> bool:
-        """Whether rels[name] is the run's input list for name while the
-        run shares its column counts."""
-        return self.counts is not None and self.inputs.get(name) is rels[name]
+    def _shared(self, name, ts) -> bool:
+        """Whether ts is the run's input list for relation name while the
+        run shares its inputs."""
+        return self.shared is not None and self.shared.rels.get(name) is ts
+
+    @staticmethod
+    def _memo(table, key, make):
+        """table[key], made by make() on first use."""
+        got = table.get(key)
+        if got is None:
+            got = table[key] = make()
+        return got
 
     def freqs(self, rels, name: str, pos: int) -> Counter:
         """The value counts of column pos of rels[name]: the shared count
         when rels[name] is the run's input list (counted on first use),
         else a fresh count.  Callers do not mutate the result."""
-        if not self._shared(rels, name):
-            return Counter(map(itemgetter(pos), rels[name]))
-        c = self.counts.get((name, pos))
-        if c is None:
-            c = self.counts[name, pos] = Counter(map(itemgetter(pos), rels[name]))
-        return c
+        ts = rels[name]
+        if not self._shared(name, ts):
+            return Counter(map(itemgetter(pos), ts))
+        return self._memo(self.shared.counts, (name, pos),
+                          lambda: Counter(map(itemgetter(pos), ts)))
 
     def values(self, rels, name: str, pos: int):
         """The values in column pos of rels[name], with repeats unless they
         come from the shared count."""
-        if self._shared(rels, name):
+        if self._shared(name, rels[name]):
             return self.freqs(rels, name, pos)
         return map(itemgetter(pos), rels[name])
+
+    def column(self, name: str, ts, pos: int):
+        """The values at pos of the tuples ts, in order: the shared list
+        when ts is the run's input list for name (listed on first use),
+        else a fresh iterator.  Callers do not mutate the result."""
+        if not self._shared(name, ts):
+            return map(itemgetter(pos), ts)
+        return self._memo(self.shared.columns, (name, pos),
+                          lambda: list(map(itemgetter(pos), ts)))
+
+    def ranked(self, rels, cols, tag: str, v: str) -> list:
+        """`_ranked(self, rels, cols, tag, v)`: the shared order when every
+        column in cols is of the run's input list (ranked on first use),
+        else a fresh one.  Callers do not mutate the result."""
+        if not all(self._shared(name, rels[name]) for name, _ in cols):
+            return _ranked(self, rels, cols, tag, v)
+        return self._memo(self.shared.orders, (tag, v, cols),
+                          lambda: _ranked(self, rels, cols, tag, v))
 
     def root(self):
         """A fresh logical server of one new physical id."""
@@ -219,10 +258,10 @@ def _heavy_profiles(a, tuples, heavy):
     Groups are non-empty and keep the input order.  Only the positions whose
     variable has heavy values are tested: each such position splits every
     group in two by one membership pass over its column.  An atom with no
-    such position is one group under the empty profile, with no per-tuple
-    test.
+    such position is one group under the empty profile, the list tuples
+    itself, with no per-tuple test.
     """
-    groups = {frozenset(): list(tuples)} if tuples else {}
+    groups = {frozenset(): tuples} if tuples else {}
     for i, v in enumerate(a.vars):
         if not heavy[v]:
             continue
@@ -282,7 +321,9 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
     (looking it up raises KeyError).
 
     The permutation orders the values by their ranks h(value), from one
-    `hash_column` call and one sort per variable, by rank alone.  No two
+    `hash_column` call and one sort per variable, by rank alone
+    (`_ranked`); a run that shares its inputs ranks each variable's values
+    in its input columns once per sweep (`_Ctx.ranked`).  No two
     values tie.  h(v) = mix64(v ^ key) is a bijection on [0, 2^64): the XOR
     with a fixed key is its own inverse, x -> x ^ (x >> r) is undone by
     repeating the shift-XOR until the shift passes 64 bits, and a product
@@ -296,18 +337,24 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
     bound, _ = hc_grid(q.variables, q.variables, shares)
     maps = {}
     for _, v, stride in bound:
-        s = shares[v]
-        vals = set()
-        for a in q.atoms:
-            if v in a.vars:
-                vals.update(ctx.values(rels, a.relation, a.vars.index(v)))
-        vals = list(vals)
-        if vals and (min(vals) < 0 or max(vals) > _MASK):
-            raise ValueError("cannot rank values of %s outside [0, 2^64)" % v)
-        ranks = hash_column(ctx.seed, tag, "bal", v)(vals)
-        ordered = map(vals.__getitem__, sorted(range(len(vals)), key=ranks.__getitem__))
-        maps[v] = dict(zip(ordered, cycle(range(0, s * stride, stride))))
+        cols = tuple((a.relation, a.vars.index(v)) for a in q.atoms if v in a.vars)
+        maps[v] = dict(zip(ctx.ranked(rels, cols, tag, v),
+                           cycle(range(0, shares[v] * stride, stride))))
     return maps
+
+
+def _ranked(ctx, rels, cols, tag, v) -> list:
+    """The distinct values of the columns cols, (relation, position) pairs
+    of rels, sorted by their ranks under hash_column(ctx.seed, tag, "bal",
+    v); ValueError for a value outside [0, 2^64)."""
+    vals = set()
+    for name, pos in cols:
+        vals.update(ctx.values(rels, name, pos))
+    vals = list(vals)
+    if vals and (min(vals) < 0 or max(vals) > _MASK):
+        raise ValueError("cannot rank values of %s outside [0, 2^64)" % v)
+    ranks = hash_column(ctx.seed, tag, "bal", v)(vals)
+    return list(map(vals.__getitem__, sorted(range(len(vals)), key=ranks.__getitem__)))
 
 
 def _hypercube(ctx, rnd, q, rels, shares, fresh, tag, stats=None):
@@ -320,25 +367,28 @@ def _hypercube(ctx, rnd, q, rels, shares, fresh, tag, stats=None):
                                shares, tag)
     for a in q.atoms:
         ctx.eng.ship(rnd, a.relation, rels[a.relation],
-                     _hc_route(a, q.variables, shares, offsets, cells))
+                     _hc_route(a, q.variables, shares, offsets, cells,
+                               partial(ctx.column, a.relation)))
     return _part(cells, q.atoms, rels)
 
 
-def _hc_route(a, order, shares, offsets, cells):
+def _hc_route(a, order, shares, offsets, cells, column):
     """Route of a's tuples: every server of every cell they expand to.
 
     A tuple's key is its base cell c0, the sum of the offsets of the split
     variables a binds, computed a column at a time from the offset maps of
-    `_balanced_hashes`; the servers of c0 are built once per c0.
+    `_balanced_hashes` over column(ts, i), the values at position i of the
+    shipped tuples ts (`_Ctx.column`); the servers of c0 are built once
+    per c0.
     """
     bound, free = hc_grid(a.vars, order, shares)
-    cols = [(itemgetter(i), offsets[v].__getitem__) for i, v, _ in bound]
+    cols = [(i, offsets[v].__getitem__) for i, v, _ in bound]
     servers = {}
 
     def keys(ts):
         c0 = None
-        for get, off in cols:
-            col = map(off, map(get, ts))
+        for i, off in cols:
+            col = map(off, column(ts, i))
             c0 = col if c0 is None else map(add, c0, col)
         return repeat(0, len(ts)) if c0 is None else c0
 
@@ -516,7 +566,8 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
         cells = [base[c] for c in cellmap]
         for a, pr in zip(q.atoms, profs):
             routes.setdefault((a, pr), []).append(
-                _hc_route(a, q.variables, alloc.shares, offsets, cells))
+                _hc_route(a, q.variables, alloc.shares, offsets, cells,
+                          partial(ctx.column, a.relation)))
         parts += _part(cells, q.atoms, filtered)
     # A group shipped under several profiles shares one base block, so it
     # goes once to the union of its cells under all of them.
@@ -1060,8 +1111,23 @@ def pick_algorithm(q: Query) -> str:
                 "one_round_skew")
 
 
+def _shaped(name: str, strategy: Strategy, db):
+    """(the query that strategy name runs db.query as, {relation: its
+    input list}); QueryError when the shape does not accept the query."""
+    q = strategy.shape(db.query)
+    if q is None:
+        raise QueryError("%s does not accept %s" % (name, db.query.render()))
+    rels = {}
+    for a in q.atoms:
+        src = db.query.atom(a.relation).vars
+        ts = db.relations[a.relation].tuples
+        rels[a.relation] = list(ts) if a.vars == src else \
+            list(map(itemgetter(*map(src.index, a.vars)), ts))
+    return q, rels
+
+
 def run_algorithm(name: str, db, p: int, seed: int,
-                  counting: bool = False, *, _counts=None) -> AlgorithmResult:
+                  counting: bool = False, *, _shared=None) -> AlgorithmResult:
     """Run strategy `name` ("auto" picks one by shape) on `db` with nominal
     server count p >= 1 and the given seed.
 
@@ -1074,11 +1140,14 @@ def run_algorithm(name: str, db, p: int, seed: int,
     extras are the same as in a storing run.  Used for cheap dry runs on
     large instances.
 
-    `_counts` is internal to `em.DryRuns`: one dict that the runs of one
-    strategy on one instance share, (relation, position) -> the value
-    counts of that column of the shaped input.  A run given it reads its
-    input columns' counts from it and adds those it lacks; a run without it
-    counts every column it needs afresh and keeps nothing.
+    `_shared` is internal to `em.DryRuns`: one `SweepInputs` that the
+    runs of one strategy on one instance with one seed share.  A run given
+    it takes its shaped query and input lists from it, and reads from it
+    the value counts and value lists of the input columns and the rank
+    orders of hashed variables, adding those it lacks; it redoes only what
+    depends on p: thresholds, shares, bucket maps, route keys and the
+    ledger.  A run without it shapes its input and computes all of these
+    afresh, and keeps nothing.
     """
     if p < 1:
         raise ValueError("server count p must be at least 1, got %d" % p)
@@ -1089,18 +1158,14 @@ def run_algorithm(name: str, db, p: int, seed: int,
     except KeyError:
         raise KeyError("unknown algorithm %r (one of %s)"
                        % (name, "/".join(sorted(ALGORITHMS)))) from None
-    q = strategy.shape(db.query)
-    if q is None:
-        raise QueryError("%s does not accept %s" % (name, db.query.render()))
+    if _shared is None:
+        q, rels = _shaped(name, strategy, db)
+    else:
+        if _shared.query is None:
+            _shared.query, _shared.rels = _shaped(name, strategy, db)
+        q, rels = _shared.query, _shared.rels
     ctx = _Ctx(Engine(db.widths_bits(), store_tuples=not counting), seed,
-               max(ri.value_bits for ri in db.relations.values()), _counts)
-    rels = {}
-    for a in q.atoms:
-        src = db.query.atom(a.relation).vars
-        ts = db.relations[a.relation].tuples
-        rels[a.relation] = list(ts) if a.vars == src else \
-            list(map(itemgetter(*map(src.index, a.vars)), ts))
-    ctx.inputs.update(rels)
+               max(ri.value_bits for ri in db.relations.values()), _shared)
     parts = strategy.plan(ctx, q, rels, p)
     rows = set()
     if not counting:

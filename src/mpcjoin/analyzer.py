@@ -125,6 +125,11 @@ def log_base_p(M: int, p: int) -> Fraction:
     return Fraction(math.log(M) / math.log(p)).limit_denominator(LOG_APPROX_DENOM)
 
 
+def _logs(sizes, p: int) -> dict:
+    """size -> log_base_p(size, p) for each distinct size in sizes."""
+    return {M: log_base_p(M, p) for M in set(sizes)}
+
+
 def iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for non-negative integer n."""
     if n < 0:
@@ -386,7 +391,8 @@ def share_lp(q: Query, M: dict, p: int, heavy: frozenset = frozenset()) -> Share
         return ShareAllocation(zero, {v: 1 for v in q.variables}, Fraction(0), p, heavy)
 
     free = [v for v in q.variables if v not in heavy]
-    mu = {a.relation: log_base_p(M[a.relation], p) for a in qx.atoms}
+    logs = _logs((M[a.relation] for a in qx.atoms), p)
+    mu = {a.relation: logs[M[a.relation]] for a in qx.atoms}
     # columns: e_i for free vars, then lambda; minimize lambda
     n = len(free) + 1
     c = [0] * len(free) + [1]
@@ -425,7 +431,8 @@ def _packing_exponent(q: Query, sizes: dict, p: int):
     the Charnes-Cooper substitution y = u/sum(u), t = 1/sum(u).
     """
     rels = [a.relation for a in q.atoms]
-    mu = [log_base_p(sizes[r], p) for r in rels]
+    logs = _logs((sizes[r] for r in rels), p)
+    mu = [logs[sizes[r]] for r in rels]
     n = len(rels)
     # columns: y_1..y_n, t
     c = mu + [Fraction(-1)]

@@ -156,12 +156,16 @@ def _int_list(text):
 
 
 def cmd_sweep(args) -> int:
-    if not args.C > 0:
+    if args.C is not None and not args.C > 0:
         raise ValueError("--C must be positive, got %g" % args.C)
     if args.W and args.B is None:
         raise QueryError("--W sweep needs --B")
     if args.B is not None and not args.W:
         raise QueryError("--B needs a --W sweep")
+    if args.W and args.p_list is not None:
+        raise QueryError("--p-list does not apply to a --W sweep")
+    if args.W and args.C is not None:
+        raise QueryError("--C does not apply to a --W sweep")
     q = _load_query(args)
     _echo(args)
     db = _get_db(q, args)
@@ -183,14 +187,15 @@ def cmd_sweep(args) -> int:
         header = ["p", "algorithm", "rounds", "max_load_tuples",
                   "max_load_bits", "bound_tuples", "ratio"]
         sizes = {r: max(1, m) for r, m in db.sizes_tuples().items()}
+        C = 16.0 if args.C is None else args.C
         runs = DryRuns(args.alg, db, args.seed)
-        for p in args.p_list:
+        for p in [8, 27, 64] if args.p_list is None else args.p_list:
             res, got = runs[p]
             lb = load_bound_worstcase(q, sizes, p)
             ratio = got / lb.value
             rows.append([p, res.name, res.rounds, got, res.report.max_bits(),
                          "%.1f" % lb.value, "%.4f" % ratio])
-            budget = args.C * (1 + math.log(p))
+            budget = C * (1 + math.log(p))
             flag = ""
             if ratio > budget:
                 status = 1
@@ -258,10 +263,12 @@ def build_parser():
     _add_instance_flags(s)
     s.add_argument("--alg", default="auto",
                    choices=["auto"] + sorted(ALGORITHMS))
-    s.add_argument("--p-list", type=_int_list, default=[8, 27, 64],
-                   help="comma-separated server counts")
-    s.add_argument("--C", type=float, default=16.0,
-                   help="constant for the load-ratio budget C*(1+ln p)")
+    s.add_argument("--p-list", type=_int_list,
+                   help="comma-separated server counts for a load sweep "
+                        "(default 8,27,64)")
+    s.add_argument("--C", type=float,
+                   help="constant for a load sweep's ratio budget "
+                        "C*(1+ln p) (default 16)")
     s.add_argument("--W", type=_int_list,
                    help="memory sizes for an I/O sweep; its ref_blocks is the "
                         "triangle's m^1.5/(B*sqrt(W)) for every query and "

@@ -16,17 +16,21 @@ no dry run uses more than p_o servers.
 
 One sweep over several W shares its dry runs through one `DryRuns`: each p
 is run once, with its rounds and maximum load computed once, and the runs
-share what does not depend on p, the value counts of the input columns.
-Those are counted once per sweep, at most one `Counter` per input column,
-and dropped with the sweep; only the heavy thresholds, the shares and the
-routing are redone for each p.
+share everything that does not depend on p, each made once per sweep on
+first use and dropped with the sweep:
+- the shaped query and its input lists;
+- per input column, its value counts (one `Counter`) and its value list;
+- per hashed variable, its values in rank order.
+For each p a dry run redoes only what depends on p: the heavy thresholds,
+the shares, the bucket maps, the route keys and their counts, and the
+ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algorithms import run_algorithm
+from .algorithms import SweepInputs, run_algorithm
 from .sim import LoadReport
 
 
@@ -53,22 +57,26 @@ class DryRuns(dict):
     `alg` on `db` with `seed` at p servers, made on first lookup, and its
     maximum per-round per-server tuple load.
 
-    The runs share one map (relation, position) -> value counts of the
-    strategy's shaped input columns, filled on first use, so each input
-    column is counted once however many p are probed.  A run reads a count
-    from it only for the very list it built from `db`; a column of any
-    derived relation is counted afresh.  One `DryRuns` serves one strategy
-    on one instance: another strategy may shape the columns differently.
+    The runs share one `SweepInputs`, `shared`, filled on first use: the
+    strategy's shaped query and input lists, which are made once, and per
+    input column its value counts and its value list, and per hashed
+    variable its rank order, each made once however many p are probed.  A
+    run reads these only for the input lists themselves; a column of any
+    derived relation is counted, listed and ranked afresh.  Each p redoes
+    its thresholds, shares, bucket maps, route keys and ledger.  One
+    `DryRuns` serves one strategy on one instance with one seed: another
+    strategy may shape the columns differently, and the ranks depend on
+    the seed.
     """
 
     def __init__(self, alg: str, db, seed: int):
         super().__init__()
         self.alg, self.db, self.seed = alg, db, seed
-        self.counts = {}
+        self.shared = SweepInputs()
 
     def __missing__(self, p):
         res = run_algorithm(self.alg, self.db, p, self.seed, counting=True,
-                            _counts=self.counts)
+                            _shared=self.shared)
         run = self[p] = res, res.report.max_tuples()
         return run
 
@@ -164,7 +172,8 @@ def simulate_em(db, Ws, B: int, alg: str = "auto", seed: int = 0) -> list:
     when none fits a W); the chosen run's ledger is then replayed for its
     block transfers.  The dry runs come from one `DryRuns` for the whole
     sweep: a p probed for several W runs once, and every run shares the
-    counts of the input columns, which are kept until the sweep returns.
+    shaped input and its column counts, column lists and rank orders,
+    which are kept until the sweep returns.
     The result set is never materialized:
     ``run_algorithm(alg, db, io.p_o, seed)`` rebuilds it.
     """

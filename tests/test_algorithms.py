@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from mpcjoin import algorithms
 from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _active_profiles,
                                 _balanced_hashes, _Ctx, _Grid, _heavy_at,
-                                _heavy_profiles, _least, pick_algorithm,
-                                run_algorithm)
+                                _heavy_profiles, _least, _ranked, _shaped,
+                                pick_algorithm, run_algorithm)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.em import DryRuns
@@ -24,7 +24,7 @@ from mpcjoin.sim import Engine, hc_grid, oracle_join
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from conftest import rebuilt, recorded_runs  # noqa: E402
-from ledger_matrix import two_heavy  # noqa: E402
+from ledger_matrix import GRIDS, two_heavy  # noqa: E402
 
 
 def all_ones(q):
@@ -365,13 +365,13 @@ def _wrong_key_hc(monkeypatch, db):
     offset map: each value takes the next value's cell offset."""
     real, first = algorithms._hc_route, db.query.atoms[0]
 
-    def route(a, order, shares, offsets, cells):
+    def route(a, order, shares, offsets, cells, column):
         if a == first:
             _, v, _ = hc_grid(a.vars, order, shares)[0][0]
             vals = list(offsets[v])
             offsets = {**offsets, v: dict(zip(vals, map(offsets[v].get,
                                                         vals[1:] + vals[:1])))}
-        return real(a, order, shares, offsets, cells)
+        return real(a, order, shares, offsets, cells, column)
     monkeypatch.setattr(algorithms, "_hc_route", route)
 
 
@@ -461,6 +461,65 @@ def test_counting_mode_same_loads_no_output():
                     assert full.output == want, where
                     compared.add(name)
     assert compared == set(ALGORITHMS)
+
+
+def test_dry_runs_rank_and_list_each_input_column_once(monkeypatch):
+    # On the AGM-worst triangle at m = 900 every value has degree 30, below
+    # the light threshold 900/p^(1/3) for every p up to 2048, so each run
+    # is the light hypercube alone, tagged "Cl".  Pinned from the design
+    # before the test ran: the sweep ranks each of the 3 light-round
+    # variables once (a run that shares nothing ranks every split variable
+    # again, 30 rankings over these p), and its route keys read one value
+    # list per input column, at most 6 for 3 binary atoms.
+    rankings = Counter()
+    real = algorithms.hash_column
+
+    def counting(seed, *path):
+        column = real(seed, *path)
+
+        def counted(values):
+            if path[1] == "bal":
+                rankings[path] += 1
+            return column(values)
+        return counted
+    monkeypatch.setattr(algorithms, "hash_column", counting)
+    runs = DryRuns("triangle", gen_agm_worst(canonical_query("C", 3), 900, 1), 1)
+    for i in range(12):
+        runs[1 << i]
+    assert rankings == {("Cl", "bal", v): 1 for v in ("x1", "x2", "x3")}
+    assert len(runs.shared.columns) <= 6
+
+
+def test_dry_runs_leave_shared_inputs_as_they_were():
+    # A plan that mutated a shared input list, count, value list or rank
+    # order would silently change every later p of a sweep.  After a sweep
+    # over the p of tools/ledger_matrix.py, db's relations must be as
+    # before, the shared input lists as shaped afresh from db, and every
+    # shared product as computed afresh from those lists.
+    checked = Counter()
+    for q in (canonical_query("C", 3), canonical_query("L", 4),
+              canonical_query("LW", 4)):
+        db = two_heavy(q, 40, 1)
+        before = {r: ri.tuples for r, ri in db.relations.items()}
+        for name, strategy in ALGORITHMS.items():
+            if strategy.shape(q) is None:
+                continue
+            runs = DryRuns(name, db, 1)
+            for p in GRIDS["full"].ps:
+                runs[p]
+            shared, where = runs.shared, (name, q.name)
+            assert {r: ri.tuples for r, ri in db.relations.items()} == before, where
+            inputs = shared.rels
+            assert (shared.query, inputs) == _shaped(name, strategy, db), where
+            checked.update(counts=len(shared.counts), columns=len(shared.columns),
+                           orders=len(shared.orders))
+            for (r, i), count in shared.counts.items():
+                assert count == Counter(t[i] for t in inputs[r]), where
+            for (r, i), column in shared.columns.items():
+                assert column == [t[i] for t in inputs[r]], where
+            for (tag, v, cols), order in shared.orders.items():
+                assert order == _ranked(_Ctx(Engine({}), 1, 8), inputs, cols, tag, v), where
+    assert min(checked.values()) > 0 and len(checked) == 3
 
 
 def _ledger_digest(res):

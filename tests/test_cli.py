@@ -373,6 +373,12 @@ def test_sweep_w_no_server_count_fits_exit_2(capsys):
     (["analyze", "--query", "Q(x,x) :- R(x)"], "error: repeated variable in head"),
     (["sweep", "--family", "C", "--k", "3", "--m", "50", "--B", "10"],
      "error: --B needs a --W sweep"),
+    (["sweep", "--family", "C", "--k", "3", "--gen", "matching", "--m", "50",
+      "--alg", "triangle", "--p-list", "8", "--W", "100", "--B", "10"],
+     "error: --p-list does not apply to a --W sweep"),
+    (["sweep", "--family", "C", "--k", "3", "--gen", "matching", "--m", "50",
+      "--alg", "triangle", "--C", "16", "--W", "100", "--B", "10"],
+     "error: --C does not apply to a --W sweep"),
 ])
 def test_bad_arguments_exit_2(argv, msg, capsys):
     assert main(argv) == 2

@@ -137,7 +137,7 @@ def test_dry_runs_run_each_p_once_and_count_each_column_once(monkeypatch):
         assert runs[p][0].report.by_relation == plain.report.by_relation
         assert runs.measure(p) == (plain.rounds, plain.report.max_tuples())
     assert ps == [64, 8, 1]
-    assert len(runs.counts) == 6
+    assert len(runs.shared.counts) == 6
 
 
 def test_one_sweep_equals_one_call_per_w():

@@ -17,7 +17,8 @@ when auto's pick rejects any query (N > 0).  Also outside the digest,
 each (query, generator, strategy)'s counting runs are made a second time
 through one `em.DryRuns` shared across the grid's p, as a sweep makes them;
 it prints `sharing mismatched N` and exits 1 when any shared run's output,
-rounds, extras, ledger or widths differ from the plain counting run's.  The
+rounds, extras, ledger or widths, or the maximum load `DryRuns` keeps with
+it, differ from the plain counting run's.  The
 current digest is
 
     python3 tools/ledger_matrix.py --expect 1c023967566864e7d4b3037af1030c385b1d9ae59743a75bc6d42030b0651274
@@ -143,9 +144,10 @@ def matrix(grid: Grid) -> Matrix:
                         done += 1
                         digest = run_digest(res)
                         h.update(digest)
-                        if counting and \
-                                run_digest(shared[name][p][0]) != digest:
-                            mismatched += 1
+                        if counting:
+                            run, load = shared[name][p]
+                            mismatched += (run_digest(run) != digest
+                                           or load != res.report.max_tuples())
     return Matrix(runs, done, h.hexdigest(), auto_rejected, mismatched)
 
 
