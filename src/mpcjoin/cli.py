@@ -85,7 +85,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _check_heavy_var(args):
+    """`--heavy-var` only shapes a generated `single_heavy` instance."""
+    if args.heavy_var is None:
+        return
+    if getattr(args, "indir", None):
+        raise QueryError("--heavy-var does not apply to --indir")
+    if args.gen != "single_heavy":
+        raise QueryError("--heavy-var needs --gen single_heavy")
+
+
 def cmd_generate(args) -> int:
+    _check_heavy_var(args)
     q = _load_query(args)
     _echo(args)
     db = GENERATORS[args.gen](q, args)
@@ -104,6 +115,7 @@ def _get_db(q, args):
 
 
 def cmd_run(args) -> int:
+    _check_heavy_var(args)
     q = _load_query(args)
     _echo(args)
     db = _get_db(q, args)
@@ -166,6 +178,7 @@ def cmd_sweep(args) -> int:
         raise QueryError("--p-list does not apply to a --W sweep")
     if args.W and args.C is not None:
         raise QueryError("--C does not apply to a --W sweep")
+    _check_heavy_var(args)
     q = _load_query(args)
     _echo(args)
     db = _get_db(q, args)
@@ -217,11 +230,12 @@ def _add_query_flags(sp):
     sp.add_argument("--k", type=int, help="family parameter k")
 
 
-def _add_instance_flags(sp):
+def _add_instance_flags(sp, indir=True):
     sp.add_argument("--gen", choices=GENERATORS, default="matching")
     sp.add_argument("--m", type=int, default=1000, help="tuples per relation")
     sp.add_argument("--heavy-var", help="skewed variable for single_heavy")
-    sp.add_argument("--indir", help="read a generated instance instead")
+    if indir:
+        sp.add_argument("--indir", help="read a generated instance instead")
 
 
 @functools.cache
@@ -243,7 +257,7 @@ def build_parser():
 
     g = sub.add_parser("generate", help="write a seeded instance as TSV")
     _add_query_flags(g)
-    _add_instance_flags(g)
+    _add_instance_flags(g, indir=False)
     g.add_argument("--out", required=True, help="output directory")
     g.set_defaults(fn=cmd_generate)
 

@@ -5,6 +5,13 @@ contents come from SplitMix64 streams split per relation and attribute, and
 tuples are kept lexicographically sorted, so TSV output is byte-identical
 across runs and platforms.
 
+`gen_matching` and `gen_single_heavy` shuffle 1..m by
+`Stream(seed, generator, relation, pos)` into each free column of an atom
+(every column of a matching, every column but heavy_var's in single_heavy)
+that has two or more free columns.  Sorted, the first free column reads
+1..m whatever its shuffle, so an atom with one free column, a unary
+matching atom among them, draws no shuffle and keeps its bytes.
+
 Bit accounting follows the M_j = a_j * m_j * ceil(log2 n) convention.
 """
 
@@ -13,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import compress, product, repeat
+from itertools import chain, compress, product, repeat
 
 from .analyzer import pow_floor
 from .lp import OPTIMAL, lp_solve_exact
@@ -85,9 +92,33 @@ def _sorted(tuples) -> tuple:
 def _sorted_by_permutation(cols, key: int) -> tuple:
     """`_sorted(zip(*cols))` when cols[key] is a permutation of 1..m and
     every column before it is constant: the rows are distinct, and the row
-    whose key column holds v comes v-th, so no sort is needed."""
-    rows = dict(zip(cols[key], zip(*cols)))
-    return tuple(map(rows.__getitem__, range(1, len(rows) + 1)))
+    whose key column holds v comes v-th, so no sort is needed.  The key
+    column's inverse, a list from value to row, takes every other column
+    into that order, and the key column itself reads 1..m."""
+    m = len(cols[key])
+    row = [0] * (m + 1)
+    for i, v in enumerate(cols[key]):
+        row[v] = i
+    del row[0]
+    out = [map(c.__getitem__, row) for c in cols]
+    out[key] = range(1, m + 1)
+    return tuple(zip(*out))
+
+
+def _free_rows(m: int, arity: int, free, *path) -> tuple:
+    """The sorted rows of a relation whose columns at positions `free` are
+    1..m shuffled by `Stream(*path, pos)` and whose other columns hold 1.
+    Sorted, the first free column reads 1..m, so with one free column
+    nothing is shuffled."""
+    if len(free) > 1:
+        return _sorted_by_permutation(
+            [Stream(*path, pos).shuffle(list(range(1, m + 1))) if pos in free
+             else [1] * m for pos in range(arity)], free[0])
+    if not free:
+        return ((1,) * arity,)
+    cols = [repeat(1, m)] * arity
+    cols[free[0]] = range(1, m + 1)
+    return tuple(zip(*cols))
 
 
 def gen_matching(q: Query, m: int, seed: int) -> DatabaseInstance:
@@ -96,13 +127,9 @@ def gen_matching(q: Query, m: int, seed: int) -> DatabaseInstance:
         raise ValueError("m must be >= 1")
     rels = {}
     for a in q.atoms:
-        cols = []
-        for pos in range(a.arity):
-            perm = list(range(1, m + 1))
-            Stream(seed, "matching", a.relation, pos).shuffle(perm)
-            cols.append(perm)
         rels[a.relation] = RelationInstance(
-            a.relation, a.arity, _sorted_by_permutation(cols, 0), m)
+            a.relation, a.arity,
+            _free_rows(m, a.arity, range(a.arity), seed, "matching", a.relation), m)
     return DatabaseInstance(q, rels, seed, {"generator": "matching", "m": m, "n": m})
 
 
@@ -113,27 +140,15 @@ def gen_single_heavy(q: Query, m: int, heavy_var: str, seed: int) -> DatabaseIns
         raise ValueError("m must be >= 1")
     if heavy_var not in q.variables:
         raise ValueError("unknown variable %r" % heavy_var)
-    touched = [a for a in q.atoms if heavy_var in a.vars]
-    warning = None
-    if len(touched) < 2:
-        warning = "heavy_var %s appears in fewer than 2 atoms" % heavy_var
     rels = {}
     for a in q.atoms:
-        cols = []
-        for pos, v in enumerate(a.vars):
-            if v == heavy_var:
-                cols.append([1] * m)
-            else:
-                perm = list(range(1, m + 1))
-                Stream(seed, "single_heavy", a.relation, pos).shuffle(perm)
-                cols.append(perm)
         free = [pos for pos, v in enumerate(a.vars) if v != heavy_var]
-        tuples = (_sorted_by_permutation(cols, free[0]) if free
-                  else _sorted(zip(*cols)))
-        rels[a.relation] = RelationInstance(a.relation, a.arity, tuples, m)
+        rels[a.relation] = RelationInstance(
+            a.relation, a.arity,
+            _free_rows(m, a.arity, free, seed, "single_heavy", a.relation), m)
     meta = {"generator": "single_heavy", "m": m, "n": m, "heavy_var": heavy_var}
-    if warning:
-        meta["warning"] = warning
+    if sum(heavy_var in a.vars for a in q.atoms) < 2:
+        meta["warning"] = "heavy_var %s appears in fewer than 2 atoms" % heavy_var
     return DatabaseInstance(q, rels, seed, meta)
 
 
@@ -232,14 +247,10 @@ def gen_lowerbound_matching(q: Query, sizes: dict, heavy: frozenset, seed: int) 
                 tuples.append(tuple(t))
             rels[a.relation] = RelationInstance(a.relation, a.arity, _sorted(tuples), n)
             continue
-        cols = {}
-        for pos in free_pos:
-            cols[pos] = Stream(seed, "lb_matching", a.relation, pos).sample_distinct(mj, n)
-        tuples = []
-        for row in range(mj):
-            tuples.append(tuple(cols[pos][row] if pos in cols else 1
-                                for pos in range(a.arity)))
-        rels[a.relation] = RelationInstance(a.relation, a.arity, _sorted(tuples), n)
+        cols = [Stream(seed, "lb_matching", a.relation, pos).sample_distinct(mj, n)
+                if pos in free_pos else repeat(1, mj) for pos in range(a.arity)]
+        rels[a.relation] = RelationInstance(a.relation, a.arity,
+                                            _sorted(zip(*cols)), n)
     return DatabaseInstance(q, rels, seed,
                             {"generator": "lb_matching", "n": n,
                              "heavy": sorted(heavy),
@@ -248,13 +259,19 @@ def gen_lowerbound_matching(q: Query, sizes: dict, heavy: frozenset, seed: int) 
 
 # --- TSV + manifest I/O ---------------------------------------------------
 
+_WRITE_ROWS = 1 << 14      # rows written by one `%`
+
+
 def write_instance(db: DatabaseInstance, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     for name, ri in sorted(db.relations.items()):
         path = os.path.join(outdir, "%s.tsv" % name)
         row = "\t".join(["%d"] * ri.arity) + "\n"
+        rows = sorted(ri.tuples)
         with open(path, "w", encoding="ascii", newline="\n") as f:
-            f.writelines(map(row.__mod__, sorted(ri.tuples)))
+            for k in range(0, len(rows), _WRITE_ROWS):
+                part = rows[k:k + _WRITE_ROWS]
+                f.write(row * len(part) % tuple(chain.from_iterable(part)))
     manifest = {
         "query": db.query.render(),
         "seed": db.seed,

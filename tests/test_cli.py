@@ -379,6 +379,13 @@ def test_sweep_w_no_server_count_fits_exit_2(capsys):
     (["sweep", "--family", "C", "--k", "3", "--gen", "matching", "--m", "50",
       "--alg", "triangle", "--C", "16", "--W", "100", "--B", "10"],
      "error: --C does not apply to a --W sweep"),
+    (["generate", "--family", "C", "--k", "3", "--m", "5", "--indir",
+      "/nonexistent", "--out", "D"], "unrecognized arguments: --indir"),
+    (["run", "--family", "C", "--k", "3", "--gen", "matching", "--heavy-var",
+      "x1", "--m", "50", "--alg", "hc", "--p", "8"],
+     "error: --heavy-var needs --gen single_heavy"),
+    (["run", "--family", "C", "--k", "3", "--indir", "D", "--heavy-var", "x1"],
+     "error: --heavy-var does not apply to --indir"),
 ])
 def test_bad_arguments_exit_2(argv, msg, capsys):
     assert main(argv) == 2

@@ -11,6 +11,7 @@ from mpcjoin.datagen import (DatabaseInstance, RelationInstance,
                              gen_lowerbound_matching, gen_matching,
                              gen_single_heavy, read_instance, write_instance)
 from mpcjoin.query import canonical_query, parse_query
+from mpcjoin.rng import Stream
 
 
 def triangle():
@@ -199,7 +200,10 @@ def test_written_files_byte_identical(tmp_path):
 # A change to the draws that moved every run's output the same way would
 # still pass `test_written_files_byte_identical`; it fails here.  On the
 # unary query each generator makes columns of m values, and 2,047 and
-# 4,097 sit on both sides of `Stream.draws`' 2,048-value chunk.
+# 4,097 sit on both sides of `Stream.draws`' 2,048-value chunk.  W3 and
+# LW4 pin three-column rows: W3's R(x1,x2,x3) beside three unary atoms,
+# and LW4's atoms with two free columns beside the heavy x1 and one with
+# three.
 _UNARY = "Q(z,y) :- R(z), S(z,y)"
 _PINNED_TSV = {
     ("matching", _UNARY, 2047):
@@ -212,8 +216,12 @@ _PINNED_TSV = {
         "83e4407543d7185b32c4e82494c16639370a492d45e9bb532d4302b9207ffd5c",
     ("single_heavy", _UNARY, 4097):
         "e889dbe4eb310cb05a0001d01c3b53a3054332fe8435c54e63b5b7c485aa9958",
+    ("matching", "W3", 2049):
+        "9079ef739871bc28f6bab443203c6c3227a2f8d2f4f4e5d627880e06dfcd992b",
     ("single_heavy", "C3", 2049):
         "5ce2f9dfc479bcc03f83968a400f536d41f50f22e7e792e182a6714d8c72e4a9",
+    ("single_heavy", "LW4", 2049):
+        "c11bb777040ee0a238f05fcfadddf05eeba7fb32aa77341a2ce8ea7b355cb6a4",
     ("agm_worst", _UNARY, 2047):
         "574ade2a01b781c39c585ba3c67099f70b8af4af5b738012ea800544c3dcc109",
     ("agm_worst", "C3", 4097):
@@ -233,8 +241,12 @@ _PINNED_TSV = {
 }
 
 
+_CANONICAL = {"C3": ("C", 3), "W3": ("W", 3), "LW4": ("LW", 4)}
+
+
 def _pinned_instance(gen, query, m):
-    q = canonical_query("C", 3) if query == "C3" else parse_query(query)
+    q = (canonical_query(*_CANONICAL[query]) if query in _CANONICAL
+         else parse_query(query))
     first = q.variables[0]
     if gen == "matching":
         return gen_matching(q, m, 12)
@@ -259,3 +271,22 @@ def test_written_files_pinned(gen, query, m, tmp_path):
                 lines.append("%s %s\n" % (name, hashlib.sha256(f.read()).hexdigest()))
     got = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert got == _PINNED_TSV[gen, query, m], "".join(lines)
+
+
+@pytest.mark.parametrize("gen,query,expect", [
+    ("matching", "W3", 300),
+    ("single_heavy", "C3", 200),
+    ("matching", _UNARY, 200),
+    ("single_heavy", "LW4", 900),
+])
+def test_generators_shuffle_only_columns_the_sort_keeps(monkeypatch, gen,
+                                                        query, expect):
+    # A unary matching atom, and a single_heavy atom with one free column,
+    # are 1..m in sorted order whatever the shuffle, so they draw no shuffle;
+    # an atom with two or more free columns shuffles each of them.
+    shuffled = []
+    shuffle = Stream.shuffle
+    monkeypatch.setattr(Stream, "shuffle",
+                        lambda self, xs: shuffled.append(len(xs)) or shuffle(self, xs))
+    _pinned_instance(gen, query, 100)
+    assert sum(shuffled) == expect
