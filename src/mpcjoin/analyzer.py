@@ -131,23 +131,24 @@ def _logs(sizes, p: int) -> dict:
 
 
 def iroot(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for non-negative integer n."""
+    """floor(n ** (1/k)) for non-negative integer n, by integer Newton
+    iteration, which stops exactly there.  Let s = floor(n ** (1/k)) and
+    f(r) = ((k-1) r + n / r^(k-1)) / k.  One step gives nxt = floor(f(r)),
+    since floor((a + floor(b)) / k) = floor((a + b) / k) for integers a, k.
+    By AM-GM over k-1 copies of r and one n / r^(k-1), f(r) >= n^(1/k), so
+    nxt >= s.  If r > s, then r^k > n, so f(r) < r and nxt < r.  The start
+    2^ceil(bits/k) exceeds n^(1/k), so r falls strictly to s and no lower,
+    and at r = s the step gives nxt >= r, which ends the loop."""
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0 or k == 1:
         return n
-    # integer Newton iteration, safe for arbitrarily large n
     r = 1 << -(-n.bit_length() // k)
     while True:
         nxt = ((k - 1) * r + n // r ** (k - 1)) // k
         if nxt >= r:
-            break
+            return r
         r = nxt
-    while r > 0 and r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
 
 
 def pow_floor(p: int, e: Fraction) -> int:

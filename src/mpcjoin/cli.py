@@ -1,7 +1,8 @@
 """Command-line front end: analyze, generate, run, sweep.
 
 Every command prints a `# mpcjoin <args>` header so any report can be
-reproduced from its own first line.  Exit codes: 0 success, 1 a measured
+reproduced from its own first line; a flag that the command would ignore
+exits 2 before it (`FLAG_RULES`).  Exit codes: 0 success, 1 a measured
 bound or oracle check failed, 2 bad input (including a W sweep whose memory
 budget no server count fits).
 """
@@ -33,36 +34,62 @@ def _frac(x: Fraction) -> str:
 
 
 def _load_query(args):
+    """Parse the query, then print the `# mpcjoin` header; returns the query."""
     if args.query:
-        return parse_query(args.query)
-    if args.family:
-        if args.k is None:
-            raise QueryError("--family requires --k")
-        return canonical_query(args.family, args.k)
-    raise QueryError("need --query or --family/--k")
-
-
-# generator name -> builder(q, args), in `--gen`'s order of choices
-GENERATORS = {
-    "matching": lambda q, args: datagen.gen_matching(q, args.m, args.seed),
-    "single_heavy": lambda q, args: datagen.gen_single_heavy(
-        q, args.m, args.heavy_var or q.variables[0], args.seed),
-    "agm_worst": lambda q, args: datagen.gen_agm_worst(q, args.m, args.seed),
-    "coin_flip": lambda q, args: datagen.gen_coin_flip(q, args.m, args.seed),
-}
-
-
-def _echo(args):
+        q = parse_query(args.query)
+    elif args.family:
+        q = canonical_query(args.family, args.k)
+    else:
+        raise QueryError("need --query or --family/--k")
     print("# mpcjoin " + " ".join(sys.argv[1:]))
+    return q
+
+
+# Which flags go together, per command: flag -> (the flags it needs, the
+# flags it does not apply to).  A need "--flag value" asks for that value.
+_QUERY = {"--family": (["--k"], ["--query"]), "--k": (["--family"], [])}
+_RUN = {**_QUERY, "--gen": ([], ["--indir"]), "--m": ([], ["--indir"]),
+        "--heavy-var": (["--gen single_heavy"], ["--indir"])}
+FLAG_RULES = {"analyze": {**_QUERY, "--m": (["--p"], [])},
+              "generate": {**_QUERY, "--heavy-var": (["--gen single_heavy"], [])},
+              "run": _RUN,
+              "sweep": {**_RUN, "--W": (["--B"], []), "--B": (["--W"], []),
+                        "--p-list": ([], ["--W"]), "--C": ([], ["--W"])}}
+
+
+def check_flags(args):
+    """Raise on the first flag of `FLAG_RULES[args.cmd]` that is given
+    with a flag it does not apply to, or without a flag it needs."""
+    def given(flag):
+        name, _, value = flag.partition(" ")
+        got = getattr(args, name[2:].replace("-", "_"), None)
+        return got == value if value else got is not None
+    for flag, (needs, excludes) in FLAG_RULES[args.cmd].items():
+        if given(flag):
+            for other in excludes:
+                if given(other):
+                    raise QueryError("%s does not apply to %s" % (flag, other))
+            for other in needs:
+                if not given(other):
+                    raise QueryError("%s needs %s" % (flag, other))
+
+
+# generator name -> builder(q, m, args), in `--gen`'s order of choices
+GENERATORS = {
+    "matching": lambda q, m, args: datagen.gen_matching(q, m, args.seed),
+    "single_heavy": lambda q, m, args: datagen.gen_single_heavy(
+        q, m, args.heavy_var or q.variables[0], args.seed),
+    "agm_worst": lambda q, m, args: datagen.gen_agm_worst(q, m, args.seed),
+    "coin_flip": lambda q, m, args: datagen.gen_coin_flip(q, m, args.seed),
+}
 
 
 def cmd_analyze(args) -> int:
     if args.p is not None and args.p < 1:
         raise ValueError("--p must be at least 1, got %d" % args.p)
-    if args.m < 1:
+    if args.m is not None and args.m < 1:
         raise ValueError("--m must be at least 1, got %d" % args.m)
     q = _load_query(args)
-    _echo(args)
     t, tw = tau_star(q)
     r, rw = rho_star(q)
     p, pw = psi_star(q)
@@ -75,9 +102,9 @@ def cmd_analyze(args) -> int:
     print("psi_star: %s" % _frac(p))
     print("  residual heavy set: %s" % sorted(pw.residual_witness or ()))
     if args.p is not None:
-        sizes = {a.relation: args.m for a in q.atoms}
-        alloc = share_lp(q, sizes, args.p)
-        print("shares (p=%d, equal sizes m=%d):" % (args.p, args.m))
+        m = 10 ** 6 if args.m is None else args.m
+        alloc = share_lp(q, {a.relation: m for a in q.atoms}, args.p)
+        print("shares (p=%d, equal sizes m=%d):" % (args.p, m))
         for v in q.variables:
             print("  %s: exponent %s share %d"
                   % (v, _frac(alloc.exponents[v]), alloc.shares[v]))
@@ -85,21 +112,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _check_heavy_var(args):
-    """`--heavy-var` only shapes a generated `single_heavy` instance."""
-    if args.heavy_var is None:
-        return
-    if getattr(args, "indir", None):
-        raise QueryError("--heavy-var does not apply to --indir")
-    if args.gen != "single_heavy":
-        raise QueryError("--heavy-var needs --gen single_heavy")
-
-
 def cmd_generate(args) -> int:
-    _check_heavy_var(args)
     q = _load_query(args)
-    _echo(args)
-    db = GENERATORS[args.gen](q, args)
+    db = _get_db(q, args)
     datagen.write_instance(db, args.out)
     for name, ri in sorted(db.relations.items()):
         print("%s: %d tuples, domain [1,%d] -> %s.tsv"
@@ -109,15 +124,16 @@ def cmd_generate(args) -> int:
 
 
 def _get_db(q, args):
-    if args.indir:
+    """The instance `--indir` names, else the one `--gen` (default
+    matching) builds with `--m` (default 1000) tuples per relation."""
+    if getattr(args, "indir", None):
         return datagen.read_instance(q, args.indir)
-    return GENERATORS[args.gen](q, args)
+    return GENERATORS[args.gen or "matching"](
+        q, 1000 if args.m is None else args.m, args)
 
 
 def cmd_run(args) -> int:
-    _check_heavy_var(args)
     q = _load_query(args)
-    _echo(args)
     db = _get_db(q, args)
     res = run_algorithm(args.alg, db, args.p, args.seed)
     print("algorithm=%s p=%d rounds=%d (declared <= %d) output=%d "
@@ -147,11 +163,9 @@ def _oracle_check(db, res) -> int:
         print("oracle check: skipped (%s)" % e)
         return 0
     if res.output != want:
-        missing = sorted(want - res.output)[:5]
-        extra = sorted(res.output - want)[:5]
         print("ORACLE MISMATCH: expected %d rows, got %d" % (len(want), res.count))
-        print("  sample missing: %s" % missing)
-        print("  sample extra:   %s" % extra)
+        print("  sample missing: %s" % sorted(want - res.output)[:5])
+        print("  sample extra:   %s" % sorted(res.output - want)[:5])
         return 1
     print("oracle check: OK (%d rows)" % len(want))
     return 0
@@ -170,17 +184,7 @@ def _int_list(text):
 def cmd_sweep(args) -> int:
     if args.C is not None and not args.C > 0:
         raise ValueError("--C must be positive, got %g" % args.C)
-    if args.W and args.B is None:
-        raise QueryError("--W sweep needs --B")
-    if args.B is not None and not args.W:
-        raise QueryError("--B needs a --W sweep")
-    if args.W and args.p_list is not None:
-        raise QueryError("--p-list does not apply to a --W sweep")
-    if args.W and args.C is not None:
-        raise QueryError("--C does not apply to a --W sweep")
-    _check_heavy_var(args)
     q = _load_query(args)
-    _echo(args)
     db = _get_db(q, args)
     rows = []
     status = 0
@@ -217,9 +221,7 @@ def cmd_sweep(args) -> int:
                   % (p, res.name, got, lb.value, ratio, flag))
     if args.out:
         with open(args.out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
+            csv.writer(f).writerows([header] + rows)
         print("csv: %s" % args.out)
     return status
 
@@ -230,12 +232,17 @@ def _add_query_flags(sp):
     sp.add_argument("--k", type=int, help="family parameter k")
 
 
-def _add_instance_flags(sp, indir=True):
-    sp.add_argument("--gen", choices=GENERATORS, default="matching")
-    sp.add_argument("--m", type=int, default=1000, help="tuples per relation")
+def _add_instance_flags(sp, runs=True):
+    """The query flags, then a generated instance's; a command that `runs`
+    a strategy also takes an `--indir` instance and `--alg`."""
+    _add_query_flags(sp)
+    sp.add_argument("--gen", choices=GENERATORS)
+    sp.add_argument("--m", type=int, help="tuples per relation")
     sp.add_argument("--heavy-var", help="skewed variable for single_heavy")
-    if indir:
+    if runs:
         sp.add_argument("--indir", help="read a generated instance instead")
+        sp.add_argument("--alg", default="auto",
+                        choices=["auto"] + sorted(ALGORITHMS))
 
 
 @functools.cache
@@ -251,21 +258,16 @@ def build_parser():
     a = sub.add_parser("analyze", help="exact LP quantities and shares")
     _add_query_flags(a)
     a.add_argument("--p", type=int, help="server count for the share LP")
-    a.add_argument("--m", type=int, default=10 ** 6,
-                   help="equal relation size for the share LP")
+    a.add_argument("--m", type=int, help="equal relation size for the share LP")
     a.set_defaults(fn=cmd_analyze)
 
     g = sub.add_parser("generate", help="write a seeded instance as TSV")
-    _add_query_flags(g)
-    _add_instance_flags(g, indir=False)
+    _add_instance_flags(g, runs=False)
     g.add_argument("--out", required=True, help="output directory")
     g.set_defaults(fn=cmd_generate)
 
     r = sub.add_parser("run", help="run one strategy, report loads")
-    _add_query_flags(r)
     _add_instance_flags(r)
-    r.add_argument("--alg", default="auto",
-                   choices=["auto"] + sorted(ALGORITHMS))
     r.add_argument("--p", type=int, default=64)
     r.add_argument("--out", help="load report CSV path")
     r.add_argument("--check", action=argparse.BooleanOptionalAction,
@@ -273,10 +275,7 @@ def build_parser():
     r.set_defaults(fn=cmd_run)
 
     s = sub.add_parser("sweep", help="sweep p (loads) or W (block I/O)")
-    _add_query_flags(s)
     _add_instance_flags(s)
-    s.add_argument("--alg", default="auto",
-                   choices=["auto"] + sorted(ALGORITHMS))
     s.add_argument("--p-list", type=_int_list,
                    help="comma-separated server counts for a load sweep "
                         "(default 8,27,64)")
@@ -299,6 +298,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        check_flags(args)
         if args.seed is None:
             args.seed = int(os.environ.get("MPCJOIN_SEED", "0"))
         return args.fn(args)

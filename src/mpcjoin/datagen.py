@@ -21,6 +21,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from itertools import chain, compress, product, repeat
+from operator import eq, lt
 
 from .analyzer import pow_floor
 from .lp import OPTIMAL, lp_solve_exact
@@ -40,10 +41,13 @@ class RelationInstance:
     n: int                   # domain size
 
     def __post_init__(self):
-        if self.tuples and set(map(len, self.tuples)) != {self.arity}:
+        ts = self.tuples
+        if ts and set(map(len, ts)) != {self.arity}:
             raise ValueError("tuple arity mismatch in %s" % self.relation)
-        if len(set(self.tuples)) != len(self.tuples):
-            raise ValueError("duplicate tuples in %s" % self.relation)
+        if not all(map(lt, ts, ts[1:])):
+            if any(map(eq, ts, ts[1:])):
+                raise ValueError("duplicate tuples in %s" % self.relation)
+            raise ValueError("tuples of %s are not sorted" % self.relation)
 
     @property
     def m(self) -> int:
@@ -267,10 +271,9 @@ def write_instance(db: DatabaseInstance, outdir: str) -> None:
     for name, ri in sorted(db.relations.items()):
         path = os.path.join(outdir, "%s.tsv" % name)
         row = "\t".join(["%d"] * ri.arity) + "\n"
-        rows = sorted(ri.tuples)
         with open(path, "w", encoding="ascii", newline="\n") as f:
-            for k in range(0, len(rows), _WRITE_ROWS):
-                part = rows[k:k + _WRITE_ROWS]
+            for k in range(0, ri.m, _WRITE_ROWS):
+                part = ri.tuples[k:k + _WRITE_ROWS]
                 f.write(row * len(part) % tuple(chain.from_iterable(part)))
     manifest = {
         "query": db.query.render(),
@@ -297,7 +300,7 @@ def read_instance(q: Query, indir: str) -> DatabaseInstance:
 
     Each file is read whole: its non-blank lines are split into fields
     once, every field is read with int, and the tuples are cut from the
-    flat value list."""
+    flat value list and sorted, so the lines may come in any order."""
     mpath = os.path.join(indir, "manifest.json")
     with open(mpath) as f:
         manifest = json.load(f)
@@ -327,6 +330,6 @@ def read_instance(q: Query, indir: str) -> DatabaseInstance:
         if vals and (min(vals) < 1 or max(vals) > n):
             raise ValueError("%s: a value lies outside the domain [1, %d]"
                              % (path, n))
-        rels[a.relation] = RelationInstance(a.relation, a.arity,
-                                            tuple(zip(*[iter(vals)] * a.arity)), n)
+        rels[a.relation] = RelationInstance(
+            a.relation, a.arity, tuple(sorted(zip(*[iter(vals)] * a.arity))), n)
     return DatabaseInstance(q, rels, manifest["seed"], manifest.get("meta", {}))

@@ -422,6 +422,18 @@ def test_iroot_bounds(n, k):
     assert r ** k <= n < (r + 1) ** k
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.integers(1, 12))
+def test_iroot_exact_up_to_400_bits(data, k):
+    # Newton's iteration alone stops at the root, next to perfect powers too
+    b = data.draw(st.integers(1, 1 << 400 // k))
+    n = data.draw(st.one_of(st.integers(0, 1 << 400),
+                            st.sampled_from([b ** k - 1, b ** k, b ** k + 1])))
+    r = iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+    assert iroot(n, 2) == math.isqrt(n)
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(2, 10 ** 6), st.fractions(min_value=0, max_value=3))
 def test_pow_floor_close(p, e):

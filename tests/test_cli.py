@@ -2,13 +2,21 @@ import gc
 import hashlib
 import json
 import os
+import random
+import re
+import shlex
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from mpcjoin import cli, em, sim
+from mpcjoin import cli, datagen, em, sim
 from mpcjoin.algorithms import run_algorithm
 from mpcjoin.cli import main
+from mpcjoin.query import QueryError, canonical_query
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_analyze_family(capsys):
@@ -166,6 +174,32 @@ def test_run_from_generated_instance(tmp_path, capsys):
                "--alg", "line", "--p", "8"])
     assert rc == 0
     assert "oracle check: OK" in capsys.readouterr().out
+
+
+def test_run_reads_tsv_lines_in_any_order(tmp_path, capsys):
+    # a hand-edited instance file need not keep the written line order
+    d = str(tmp_path / "inst")
+    assert main(["generate", "--family", "C", "--k", "3", "--gen", "single_heavy",
+                 "--m", "40", "--out", d]) == 0
+    q = canonical_query("C", 3)
+    written = datagen.read_instance(q, d)
+    run = ["run", "--family", "C", "--k", "3", "--indir", d, "--alg", "triangle",
+           "--p", "8", "--out", str(tmp_path / "load.csv")]
+    capsys.readouterr()
+    assert main(run) == 0
+    report = capsys.readouterr().out, (tmp_path / "load.csv").read_bytes()
+    for name in ("S1", "S2", "S3"):
+        path = os.path.join(d, name + ".tsv")
+        with open(path) as f:
+            lines = f.readlines()
+        shuffled = lines[:]
+        random.Random(name).shuffle(shuffled)
+        assert shuffled != lines
+        with open(path, "w") as f:
+            f.writelines(shuffled)
+    assert datagen.read_instance(q, d) == written
+    assert main(run) == 0
+    assert (capsys.readouterr().out, (tmp_path / "load.csv").read_bytes()) == report
 
 
 def test_sweep_p_writes_csv(tmp_path, capsys):
@@ -353,9 +387,9 @@ def test_sweep_w_no_server_count_fits_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv, msg", [
-    (["analyze", "--family", "C"], "error: --family requires --k"),
+    (["analyze", "--family", "C"], "error: --family needs --k"),
     (["sweep", "--family", "C", "--k", "3", "--m", "50", "--W", "100"],
-     "error: --W sweep needs --B"),
+     "error: --W needs --B"),
     (["sweep", "--family", "C", "--k", "3", "--p-list", "8,x"],
      "expected comma-separated integers"),
     (["generate", "--family", "C", "--k", "3", "--m", "50"],
@@ -372,13 +406,13 @@ def test_sweep_w_no_server_count_fits_exit_2(capsys):
       "--heavy-var", "nope"], "error: unknown variable 'nope'"),
     (["analyze", "--query", "Q(x,x) :- R(x)"], "error: repeated variable in head"),
     (["sweep", "--family", "C", "--k", "3", "--m", "50", "--B", "10"],
-     "error: --B needs a --W sweep"),
+     "error: --B needs --W"),
     (["sweep", "--family", "C", "--k", "3", "--gen", "matching", "--m", "50",
       "--alg", "triangle", "--p-list", "8", "--W", "100", "--B", "10"],
-     "error: --p-list does not apply to a --W sweep"),
+     "error: --p-list does not apply to --W"),
     (["sweep", "--family", "C", "--k", "3", "--gen", "matching", "--m", "50",
       "--alg", "triangle", "--C", "16", "--W", "100", "--B", "10"],
-     "error: --C does not apply to a --W sweep"),
+     "error: --C does not apply to --W"),
     (["generate", "--family", "C", "--k", "3", "--m", "5", "--indir",
       "/nonexistent", "--out", "D"], "unrecognized arguments: --indir"),
     (["run", "--family", "C", "--k", "3", "--gen", "matching", "--heavy-var",
@@ -386,10 +420,72 @@ def test_sweep_w_no_server_count_fits_exit_2(capsys):
      "error: --heavy-var needs --gen single_heavy"),
     (["run", "--family", "C", "--k", "3", "--indir", "D", "--heavy-var", "x1"],
      "error: --heavy-var does not apply to --indir"),
+    (["run", "--family", "C", "--k", "3", "--indir", "D", "--gen", "agm_worst",
+      "--m", "5", "--alg", "hc", "--p", "8"],
+     "error: --gen does not apply to --indir"),
+    (["sweep", "--family", "C", "--k", "3", "--indir", "D", "--m", "5",
+      "--alg", "hc"], "error: --m does not apply to --indir"),
+    (["run", "--query", "Q(x1,x2,x3) :- S1(x1,x2), S2(x2,x3), S3(x3,x1)",
+      "--family", "L", "--k", "4", "--m", "20", "--alg", "hc", "--p", "8"],
+     "error: --family does not apply to --query"),
+    (["analyze", "--query", "Q(x,y) :- S(x,y)", "--k", "5"],
+     "error: --k needs --family"),
+    (["generate", "--query", "Q(x,y) :- S(x,y)", "--k", "4", "--m", "5",
+      "--out", "D2"], "error: --k needs --family"),
+    (["analyze", "--family", "C", "--k", "3", "--m", "5"],
+     "error: --m needs --p"),
+    (["generate", "--family", "C", "--k", "3", "--heavy-var", "x1",
+      "--out", "D2"], "error: --heavy-var needs --gen single_heavy"),
 ])
 def test_bad_arguments_exit_2(argv, msg, capsys):
     assert main(argv) == 2
-    assert msg in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert msg in captured.err
+    assert captured.err.count("error:") == 1
+    if " needs " in msg or " does not apply to " in msg:
+        # a flag combination is rejected before the `# mpcjoin` header
+        assert captured.out == ""
+
+
+def _readme_argvs():
+    """Every `mpcjoin ...` line of the README's `sh` blocks."""
+    text = (REPO / "README.md").read_text()
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("mpcjoin "):
+                yield shlex.split(line)[1:]
+
+
+def _perfbench_argvs(monkeypatch):
+    """Every command line the benchmark runs, full size and tiny, at each
+    seed variant; its library-call jobs run no command line."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+    for w in workloads.WORKLOADS:
+        for tiny in (False, True):
+            for seed in range(workloads.VARIANTS):
+                for argv in workloads.setup_argvs(w, seed, tiny):
+                    yield [a.format(inst="I", work="W") for a in argv]
+                for job in workloads.jobs(w, seed, tiny):
+                    if job.kind != "psi_rec":
+                        yield job.bind("I", "W")
+
+
+def test_shipped_command_lines_pass_the_flag_table(monkeypatch):
+    # parsed and checked, not run
+    readme = list(_readme_argvs())
+    bench = list(_perfbench_argvs(monkeypatch))
+    assert len(readme) == 5
+    assert {next(a for a in argv if a in cli.FLAG_RULES)
+            for argv in bench} == set(cli.FLAG_RULES)
+    bad = []
+    for argv in readme + bench:
+        try:
+            cli.check_flags(cli.build_parser().parse_args(argv))
+        except QueryError as e:
+            bad.append((argv, str(e)))
+    assert bad == []
 
 
 def test_run_indir_without_seed_exit_2(tmp_path, capsys):

@@ -126,6 +126,12 @@ def test_duplicate_tuples_rejected():
         RelationInstance("S", 1, ((1,), (1,)), 2)
 
 
+def test_unsorted_tuples_rejected():
+    for ts in (((1, 2), (1, 1)), ((1, 1), (2, 1), (1, 1))):
+        with pytest.raises(ValueError, match="tuples of S are not sorted"):
+            RelationInstance("S", 2, ts, 2)
+
+
 def test_relations_must_match_query():
     q = triangle()
     with pytest.raises(ValueError, match="match"):
