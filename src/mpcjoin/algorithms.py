@@ -1133,7 +1133,8 @@ def run_algorithm(name: str, db, p: int, seed: int,
 
     Raises `QueryError` when the strategy's shape does not accept the
     query.  A storing run's output is the union of its plan's parts, each
-    joined over the relations it names, in db.query.variables order.  With
+    joined over the relations it names, in db.query.variables order; each
+    part's rows go into the larger of the two sets, so none is copied.  With
     ``counting=True`` the run is a dry run for its loads: the engine keeps
     only the load ledger (no per-server tuple storage) and no part is
     evaluated, so the returned output is an empty set.  Loads, rounds and
@@ -1170,7 +1171,10 @@ def run_algorithm(name: str, db, p: int, seed: int,
     rows = set()
     if not counting:
         for part in parts:
-            rows |= _join_part(part, db.query.variables)
+            got = _join_part(part, db.query.variables)
+            if len(got) > len(rows):
+                rows, got = got, rows
+            rows |= got
     return AlgorithmResult(name, db.query, p, rows, ctx.eng.report,
                            ctx.eng.report.rounds,
                            {"nominal_p": p, "physical_servers": ctx.servers,

@@ -9,8 +9,11 @@ across runs and platforms.
 `Stream(seed, generator, relation, pos)` into each free column of an atom
 (every column of a matching, every column but heavy_var's in single_heavy)
 that has two or more free columns.  Sorted, the first free column reads
-1..m whatever its shuffle, so an atom with one free column, a unary
-matching atom among them, draws no shuffle and keeps its bytes.
+1..m whatever its shuffle, so it draws only the shuffle's inverse, which
+orders the other columns, and an atom with one free column, a unary
+matching atom among them, draws nothing and keeps its bytes.  Every free
+column takes its values from one list of 1..m, so an instance holds one
+int object per value.
 
 Bit accounting follows the M_j = a_j * m_j * ceil(log2 n) convention.
 """
@@ -93,35 +96,24 @@ def _sorted(tuples) -> tuple:
     return tuple(sorted(set(tuples)))
 
 
-def _sorted_by_permutation(cols, key: int) -> tuple:
-    """`_sorted(zip(*cols))` when cols[key] is a permutation of 1..m and
-    every column before it is constant: the rows are distinct, and the row
-    whose key column holds v comes v-th, so no sort is needed.  The key
-    column's inverse, a list from value to row, takes every other column
-    into that order, and the key column itself reads 1..m."""
-    m = len(cols[key])
-    row = [0] * (m + 1)
-    for i, v in enumerate(cols[key]):
-        row[v] = i
-    del row[0]
-    out = [map(c.__getitem__, row) for c in cols]
-    out[key] = range(1, m + 1)
-    return tuple(zip(*out))
-
-
-def _free_rows(m: int, arity: int, free, *path) -> tuple:
+def _free_rows(vals: list, arity: int, free, *path) -> tuple:
     """The sorted rows of a relation whose columns at positions `free` are
-    1..m shuffled by `Stream(*path, pos)` and whose other columns hold 1.
-    Sorted, the first free column reads 1..m, so with one free column
-    nothing is shuffled."""
-    if len(free) > 1:
-        return _sorted_by_permutation(
-            [Stream(*path, pos).shuffle(list(range(1, m + 1))) if pos in free
-             else [1] * m for pos in range(arity)], free[0])
+    the list vals = [1..m] shuffled by `Stream(*path, pos)` and whose other
+    columns hold 1.  Sorted, the first free column reads vals whatever its
+    shuffle, and the row whose first free value is v comes v-th: the
+    stream's `positions`, the inverse of that shuffle, takes every other
+    free column into that order.  So the first free column draws no
+    shuffle, and with one free column nothing is shuffled.  Every column
+    holds the objects of vals."""
+    m = len(vals)
     if not free:
         return ((1,) * arity,)
     cols = [repeat(1, m)] * arity
-    cols[free[0]] = range(1, m + 1)
+    cols[free[0]] = vals
+    if len(free) > 1:
+        row = Stream(*path, free[0]).positions(m)
+        for pos in free[1:]:
+            cols[pos] = map(Stream(*path, pos).shuffle(vals.copy()).__getitem__, row)
     return tuple(zip(*cols))
 
 
@@ -129,11 +121,12 @@ def gen_matching(q: Query, m: int, seed: int) -> DatabaseInstance:
     """Matching database: every value appears exactly once per attribute."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    vals = list(range(1, m + 1))
     rels = {}
     for a in q.atoms:
         rels[a.relation] = RelationInstance(
             a.relation, a.arity,
-            _free_rows(m, a.arity, range(a.arity), seed, "matching", a.relation), m)
+            _free_rows(vals, a.arity, range(a.arity), seed, "matching", a.relation), m)
     return DatabaseInstance(q, rels, seed, {"generator": "matching", "m": m, "n": m})
 
 
@@ -144,12 +137,13 @@ def gen_single_heavy(q: Query, m: int, heavy_var: str, seed: int) -> DatabaseIns
         raise ValueError("m must be >= 1")
     if heavy_var not in q.variables:
         raise ValueError("unknown variable %r" % heavy_var)
+    vals = list(range(1, m + 1))
     rels = {}
     for a in q.atoms:
         free = [pos for pos, v in enumerate(a.vars) if v != heavy_var]
         rels[a.relation] = RelationInstance(
             a.relation, a.arity,
-            _free_rows(m, a.arity, free, seed, "single_heavy", a.relation), m)
+            _free_rows(vals, a.arity, free, seed, "single_heavy", a.relation), m)
     meta = {"generator": "single_heavy", "m": m, "n": m, "heavy_var": heavy_var}
     if sum(heavy_var in a.vars for a in q.atoms) < 2:
         meta["warning"] = "heavy_var %s appears in fewer than 2 atoms" % heavy_var
@@ -290,6 +284,18 @@ def write_instance(db: DatabaseInstance, outdir: str) -> None:
         f.write("\n")
 
 
+def _fields(path: str, relation: str, arity: int) -> list:
+    """The fields of the non-blank lines of one relation's file, in order;
+    raises ValueError when a line has other than arity fields.  The lines
+    die on return, before the fields are read as ints."""
+    with open(path) as f:
+        lines = list(filter(None, map(str.strip, f.read().split("\n"))))
+    if lines and set(map(str.count, lines, repeat("\t"))) != {arity - 1}:
+        raise ValueError("%s: tuple arity mismatch in %s (a line has other "
+                         "than %d fields)" % (path, relation, arity))
+    return "\t".join(lines).split("\t") if lines else []
+
+
 def read_instance(q: Query, indir: str) -> DatabaseInstance:
     """Read an instance written by `write_instance`; raises ValueError when
     the manifest is not a JSON object with an integer seed and an object
@@ -300,7 +306,9 @@ def read_instance(q: Query, indir: str) -> DatabaseInstance:
 
     Each file is read whole: its non-blank lines are split into fields
     once, every field is read with int, and the tuples are cut from the
-    flat value list and sorted, so the lines may come in any order."""
+    flat value list and sorted, so the lines may come in any order.  Values
+    are shared: one dict over all of the instance's relations keeps the
+    first int object read for each value, and every tuple holds that one."""
     mpath = os.path.join(indir, "manifest.json")
     with open(mpath) as f:
         manifest = json.load(f)
@@ -314,6 +322,7 @@ def read_instance(q: Query, indir: str) -> DatabaseInstance:
         raise ValueError("%s: instance was written for %s, not for %s"
                          % (indir, written.render(), q.render()))
     rels = {}
+    canon = {}                          # value -> its one int object
     for a in q.atoms:
         entry = manifest.get("relations", {}).get(a.relation)
         if not isinstance(entry, dict) or not isinstance(entry.get("n"), int):
@@ -321,15 +330,11 @@ def read_instance(q: Query, indir: str) -> DatabaseInstance:
                              % (indir, a.relation))
         n = entry["n"]
         path = os.path.join(indir, "%s.tsv" % a.relation)
-        with open(path) as f:
-            lines = list(filter(None, map(str.strip, f.read().split("\n"))))
-        if lines and set(map(str.count, lines, repeat("\t"))) != {a.arity - 1}:
-            raise ValueError("%s: tuple arity mismatch in %s (a line has other "
-                             "than %d fields)" % (path, a.relation, a.arity))
-        vals = list(map(int, "\t".join(lines).split("\t"))) if lines else []
+        vals = list(map(int, _fields(path, a.relation, a.arity)))
         if vals and (min(vals) < 1 or max(vals) > n):
             raise ValueError("%s: a value lies outside the domain [1, %d]"
                              % (path, n))
+        vals = list(map(canon.setdefault, vals, vals))
         rels[a.relation] = RelationInstance(
             a.relation, a.arity, tuple(sorted(zip(*[iter(vals)] * a.arity))), n)
     return DatabaseInstance(q, rels, manifest["seed"], manifest.get("meta", {}))

@@ -235,6 +235,17 @@ class Stream:
             xs[i], xs[j] = xs[j], xs[i]
         return xs
 
+    def positions(self, n: int) -> list:
+        """The inverse of `shuffle(list(range(1, n + 1)))` drawn from the
+        same state: entry v - 1 is the index that the shuffle gives v.  A
+        shuffle is the product of its swaps in order, so its inverse is the
+        same swaps in reverse order applied to the identity."""
+        js = list(map(mod, self.draws(max(n - 1, 0)), range(n, 1, -1)))
+        xs = list(range(n))
+        for i, j in zip(range(1, n), reversed(js)):
+            xs[i], xs[j] = xs[j], xs[i]
+        return xs
+
     def sample_distinct(self, count: int, n: int) -> list:
         """count distinct values from [1, n], by rejection (count << n)."""
         if count > n:

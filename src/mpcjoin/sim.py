@@ -316,55 +316,141 @@ def _key(idx):
 def join_atoms(atoms, rel_tuples, out_vars, guard: int = 0):
     """Join the given atoms; returns assignments projected onto out_vars.
 
-    Plain index-based pipeline on tuple rows: atoms are sorted smallest
-    first, and the next atom joined is always the one sharing the most
-    variables with the prefix (ties keep the smallest-first order).  Each
-    step indexes the next atom on those shared variables and extends every
-    row by the values of its new variables.  There are two kinds of step.
-    When the atom holds each key at most once, the index maps a key to its
-    one tail, and the rows that hit are extended by C-level maps; otherwise
-    a key's tails are listed and each row is extended by all of them.  An
-    atom with no new variables is a filter that keeps the rows whose shared
-    values it holds.  Atoms must not repeat a variable.  `guard`, if
-    positive, bounds every intermediate result size.
+    A pipeline on tuple rows, which start as the smallest atom's tuples;
+    the next atom is the pending one sharing the most variables with the
+    rows (ties keep the smallest-first order).  Atoms must not repeat a
+    variable.  A step is one of three kinds:
+    - a filter, for an atom with no new variable, keeps the rows it holds;
+    - a key-unique step, for an atom that holds each key (its values at the
+      shared variables) once, maps a key to the atom's own tuple and builds
+      a tail of new values only for a row that hits;
+    - otherwise a binding step binds the atom's new variable v that the
+      most other pending atoms bind.  Each atom c binding v gives a row r
+      the set cand_c(r) of c's values at v in the tuples that agree with r;
+      r iterates the smallest set and probes the others, as a Generic Join
+      step does.  Only keys that rows probe are indexed, and the atom stays
+      pending until all of its variables are bound.
+    A step is one `_step` call that returns only its rows, so none of its
+    indexes outlives it.  It takes the rows before it a chunk at a time
+    off the end of their list, freeing each row once extended.
+
+    Bound: a filter or key-unique step makes at most the rows it reads, and
+    a binding step on rows R at most min over c of |R join pi(c)|, pi(c)
+    being c projected onto v and its variables shared with the rows.
+    Proof: r yields one row per value in all the sets cand_c(r), at most
+    |cand_c(r)| for each c, and summed over r, |cand_c(r)| counts the pairs
+    of r and a tuple of pi(c) that agree, which is |R join pi(c)|.  So when
+    some c holds one v per key, the step makes at most |R| rows; if every
+    binding step has such a c, no intermediate result is larger than the
+    first atom.  The pairwise step this replaces made at least
+    |R join pi(a)| rows for the stepped atom a alone.
+
+    `guard`, if positive, bounds every step's rows, the returned set
+    counting as the last step's; it is checked after every chunk, and after
+    every row of a binding step.
     """
     atoms = sorted(atoms, key=lambda a: (len(rel_tuples.get(a.relation, ())), a.relation))
-    first, rest = atoms[0], atoms[1:]
-    cols = list(first.vars)             # the variables of a row, in order
-    rows = list(rel_tuples.get(first.relation, ()))
-    while rest and rows:
-        a = max(rest, key=lambda a: sum(v in cols for v in a.vars))
-        rest.remove(a)
-        shared = [i for i, v in enumerate(a.vars) if v in cols]
-        new = [i for i, v in enumerate(a.vars) if v not in cols]
-        ts = rel_tuples.get(a.relation, ())
-        key = _key(shared)
-        probe = _key([cols.index(a.vars[i]) for i in shared])
-        if not new:
-            held = set(map(key, ts))
-            rows = list(compress(rows, map(held.__contains__, map(probe, rows))))
-        elif len(index := dict(zip(map(key, ts), map(_columns(new), ts)))) == len(ts):
-            # key-unique: a row's tail, if any, is a non-empty tuple
-            tails = list(map(index.get, map(probe, rows)))
-            rows = list(map(add, compress(rows, tails), filter(None, tails)))
-        else:
-            index = defaultdict(list)
-            deque(map(list.append, map(index.__getitem__, map(key, ts)),
-                      map(_columns(new), ts)), 0)
-            nxt = []
-            for row, tails in filter(itemgetter(1), zip(rows, map(index.get, map(probe, rows)))):
-                nxt += map(row.__add__, tails)
-                if guard and len(nxt) > guard:
-                    raise MemoryError("instance too large for oracle join")
-            rows = nxt
-        if guard and len(rows) > guard:
-            raise MemoryError("instance too large for oracle join")
-        cols += [a.vars[i] for i in new]
-    if not rows:
+    pending = atoms[1:]
+    cols = list(atoms[0].vars)          # the variables of a row, in order
+    rows, owned = rel_tuples.get(atoms[0].relation, ()), False
+    while pending and rows:
+        a = max(pending, key=lambda a: sum(v in cols for v in a.vars))
+        rows, owned = _step(a, rel_tuples, cols, rows, owned, pending, guard), True
+    if pending:                         # a step left no rows
         return set()
     if cols == list(out_vars):
-        return set(rows)
-    return set(map(_columns([cols.index(v) for v in out_vars]), rows))
+        final = _itself
+    else:
+        proj = _columns([cols.index(v) for v in out_vars])
+        final = lambda rows: map(proj, rows)
+    return _pour(rows, owned, final, set(), guard)
+
+
+_ROWS = 1 << 12                         # rows a step takes at a time
+
+
+def _pour(rows, owned, extend, out, guard):
+    """Adds extend(chunk) to out, a list or a set, for the rows a chunk at
+    a time, and returns out.  A list of rows that an earlier step made is
+    emptied from its end as it goes, so each chunk is freed once extended;
+    `guard` is checked after every chunk."""
+    put = out.extend if type(out) is list else out.update
+    while rows:
+        if owned:
+            chunk = rows[-_ROWS:]
+            del rows[-_ROWS:]
+        else:
+            chunk, rows = rows, ()
+        put(extend(chunk))
+        if guard and len(out) > guard:
+            raise MemoryError("instance too large for oracle join")
+    return out
+
+
+def _step(a, rel_tuples, cols, rows, owned, pending, guard) -> list:
+    """One step of `join_atoms` on atom a: returns the new rows, adds the
+    variables it binds to cols, and removes a from pending once all of a's
+    variables are bound."""
+    ts = rel_tuples.get(a.relation, ())
+    shared = [i for i, v in enumerate(a.vars) if v in cols]
+    new = [i for i, v in enumerate(a.vars) if v not in cols]
+    if not new:                         # a key is the atom's tuple or value
+        pending.remove(a)
+        held = dict.fromkeys(ts if len(a.vars) > 1 else map(itemgetter(0), ts))
+        probe = _key([cols.index(v) for v in a.vars])
+        return _pour(rows, owned, lambda rows: compress(
+            rows, map(held.__contains__, map(probe, rows))), [], guard)
+    probe = _key([cols.index(a.vars[i]) for i in shared])
+    index = dict(zip(map(_key(shared), ts), ts))
+    if len(index) == len(ts):
+        pending.remove(a)
+        cols += [a.vars[i] for i in new]
+        tail = _columns(new)
+
+        def extend(rows):
+            hits = list(map(index.get, map(probe, rows)))
+            return map(add, compress(rows, hits), map(tail, filter(None, hits)))
+        return _pour(rows, owned, extend, [], guard)
+    del index                           # not key-unique
+    v = max((a.vars[i] for i in new),
+            key=lambda v: sum(v in b.vars for b in pending))
+    if len(new) == 1:
+        pending.remove(a)
+    cands = [_candidates(rel_tuples.get(c.relation, ()), c.vars, cols, v, rows)
+             for c in [a] + [b for b in pending if b is not a and v in b.vars]]
+    cols.append(v)
+    return _pour(rows, owned, lambda rows: _bind(rows, cands, guard), [], guard)
+
+
+def _candidates(ts, avars, cols, v, rows):
+    """(index, probe) of one atom that binds v: index maps each key that a
+    row probes (the row's values at the atom's variables in cols) to the
+    values at v of the atom's tuples with that key, as the keys of a dict."""
+    shared = [i for i, w in enumerate(avars) if w in cols]
+    key = _key(shared)
+    probe = _key([cols.index(avars[i]) for i in shared])
+    need = dict.fromkeys(map(probe, rows))
+    hit = list(compress(ts, map(need.__contains__, map(key, ts))))
+    index = defaultdict(dict)
+    deque(map(dict.setdefault, map(index.__getitem__, map(key, hit)),
+              map(itemgetter(avars.index(v)), hit)), 0)
+    return index, probe
+
+
+def _bind(rows, cands, guard):
+    """Each row extended by every value in all of its candidate sets: the
+    smallest set is iterated and the others are probed."""
+    made = 0
+    for row in rows:
+        sets = sorted((index.get(probe(row), ()) for index, probe in cands), key=len)
+        xs = sets[0]
+        for other in sets[1:]:
+            xs = filter(other.__contains__, xs)
+        xs = list(xs)
+        made += len(xs)
+        if guard and made > guard:
+            raise MemoryError("instance too large for oracle join")
+        yield from map(row.__add__, zip(xs))
 
 
 def local_join(q: Query, rel_tuples: dict):

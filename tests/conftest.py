@@ -1,6 +1,6 @@
 """Shared test helpers: a recorder that echoes one verdict line per
-acceptance criterion into the terminal summary, and the rebuild of a run's
-output from what its servers hold."""
+acceptance criterion into the terminal summary, the rebuild of a run's
+output from what its servers hold, and a skewed triangle instance."""
 
 from contextlib import contextmanager
 
@@ -8,6 +8,8 @@ import pytest
 
 from mpcjoin import algorithms
 from mpcjoin.algorithms import _join_part
+from mpcjoin.datagen import DatabaseInstance, RelationInstance
+from mpcjoin.query import canonical_query
 
 ACCEPTANCE_LINES = []
 
@@ -68,3 +70,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def star_triangle(n):
+    """C3 with every relation {(1, i)} | {(i, 1)}, i <= n: 3n - 2 output
+    rows, while a pairwise join of two of its relations has about n^2."""
+    q = canonical_query("C", 3)
+    ts = tuple(sorted({(1, i) for i in range(1, n + 1)} | {(i, 1) for i in range(1, n + 1)}))
+    return DatabaseInstance(q, {a.relation: RelationInstance(a.relation, 2, ts, n)
+                                for a in q.atoms}, 0)

@@ -16,6 +16,8 @@ from mpcjoin.algorithms import run_algorithm
 from mpcjoin.cli import main
 from mpcjoin.query import QueryError, canonical_query
 
+from conftest import star_triangle
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -353,6 +355,28 @@ def test_run_check_skips_past_the_input_guard(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "oracle check: skipped (150 input tuples exceed 100)" in out
+
+
+# Budget for each command, fixed before the test first ran; both took
+# 0.2 s on a 2-core VM, and the pairwise join skipped both checks.
+_SKEWED_CHECK_S = 10
+
+
+def test_run_check_passes_on_skewed_small_outputs(tmp_path, capsys):
+    # the star triangle at i <= 6,000 and K4 single_heavy at m = 5,000:
+    # pairwise joins of their first atoms list about m^2 rows for outputs
+    # of 17,998 and 2 rows
+    datagen.write_instance(star_triangle(6000), str(tmp_path))
+    for argv, rows in (
+            (["run", "--family", "C", "--k", "3", "--indir", str(tmp_path),
+              "--alg", "hc", "--p", "64", "--check"], 17998),
+            (["run", "--family", "K", "--k", "4", "--gen", "single_heavy",
+              "--m", "5000", "--alg", "clique", "--p", "64", "--check"], 2)):
+        start = time.perf_counter()
+        assert main(argv) == 0
+        took = time.perf_counter() - start
+        assert "oracle check: OK (%d rows)" % rows in capsys.readouterr().out
+        assert took < _SKEWED_CHECK_S, argv
 
 
 def test_run_check_skips_when_the_oracle_runs_out_of_room(monkeypatch, capsys):

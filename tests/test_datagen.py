@@ -162,6 +162,18 @@ def test_write_read_round_trip(tmp_path):
     assert manifest["relations"]["S1"]["m"] == db.relations["S1"].m
 
 
+@pytest.mark.parametrize("read", [False, True])
+@pytest.mark.parametrize("gen", ["matching", "single_heavy"])
+@pytest.mark.parametrize("query", ["C3", "LW4"])
+def test_instances_hold_one_object_per_value(tmp_path, query, gen, read):
+    db = _pinned_instance(gen, query, 1000)
+    if read:
+        write_instance(db, str(tmp_path))
+        db = read_instance(db.query, str(tmp_path))
+    values = [v for ri in db.relations.values() for t in ri.tuples for v in t]
+    assert len(set(map(id, values))) == len(set(values))
+
+
 def test_read_rejects_bad_manifest_and_values(tmp_path):
     q = triangle()
     out = str(tmp_path / "inst")
@@ -279,20 +291,31 @@ def test_written_files_pinned(gen, query, m, tmp_path):
     assert got == _PINNED_TSV[gen, query, m], "".join(lines)
 
 
-@pytest.mark.parametrize("gen,query,expect", [
-    ("matching", "W3", 300),
-    ("single_heavy", "C3", 200),
-    ("matching", _UNARY, 200),
-    ("single_heavy", "LW4", 900),
+# (values shuffled, values positioned) at m = 100; each id ends with their sum
+@pytest.mark.parametrize("gen,query,shuffled,positioned", [
+    pytest.param("matching", "W3", 200, 100, id="matching-W3-300"),
+    pytest.param("single_heavy", "C3", 100, 100, id="single_heavy-C3-200"),
+    pytest.param("matching", _UNARY, 100, 100, id="matching-%s-200" % _UNARY),
+    pytest.param("single_heavy", "LW4", 500, 400, id="single_heavy-LW4-900"),
 ])
-def test_generators_shuffle_only_columns_the_sort_keeps(monkeypatch, gen,
-                                                        query, expect):
+def test_generators_shuffle_only_columns_the_sort_keeps(monkeypatch, gen, query,
+                                                        shuffled, positioned):
     # A unary matching atom, and a single_heavy atom with one free column,
-    # are 1..m in sorted order whatever the shuffle, so they draw no shuffle;
-    # an atom with two or more free columns shuffles each of them.
-    shuffled = []
-    shuffle = Stream.shuffle
-    monkeypatch.setattr(Stream, "shuffle",
-                        lambda self, xs: shuffled.append(len(xs)) or shuffle(self, xs))
+    # are 1..m in sorted order whatever the shuffle, so they draw nothing;
+    # an atom with two or more free columns takes the positions of its
+    # first free column and shuffles each of the others.
+    drawn = {"shuffle": [], "positions": []}
+    for name, count in (("shuffle", len), ("positions", int)):
+        method = getattr(Stream, name)
+        monkeypatch.setattr(Stream, name,
+                            lambda self, x, method=method, got=drawn[name], count=count:
+                            got.append(count(x)) or method(self, x))
     _pinned_instance(gen, query, 100)
-    assert sum(shuffled) == expect
+    assert (sum(drawn["shuffle"]), sum(drawn["positions"])) == (shuffled, positioned)
+
+
+@pytest.mark.parametrize("n,seed", [(0, 1), (1, 1), (2, 3), (7, 5), (1000, 12)])
+def test_positions_invert_the_shuffle(n, seed):
+    shuffled = Stream(seed, "p").shuffle(list(range(1, n + 1)))
+    positions = Stream(seed, "p").positions(n)
+    assert [shuffled[i] for i in positions] == list(range(1, n + 1))

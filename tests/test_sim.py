@@ -9,10 +9,13 @@ from operator import itemgetter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mpcjoin.datagen import gen_coin_flip, gen_matching, gen_single_heavy
+from mpcjoin.datagen import (gen_coin_flip, gen_matching, gen_single_heavy,
+                             read_instance, write_instance)
 from mpcjoin.query import Atom, canonical_query, parse_query
 from mpcjoin.sim import (Engine, Route, RoutingError, hc_grid, join_atoms,
                          local_join, oracle_join)
+
+from conftest import star_triangle
 
 
 def test_hc_grid_bound_and_unbound():
@@ -409,6 +412,37 @@ def test_oracle_join_joins_most_connected_atom_next():
     # would build more than 2,000,000 rows for an empty result
     db = gen_single_heavy(canonical_query("K", 5), 40, "x1", 1)
     assert oracle_join(db, guard=2 * 10 ** 6) == set()
+
+
+def test_binding_steps_stay_within_the_bound():
+    # K4 single_heavy: some atom binding each new variable is a matching,
+    # so no step makes more rows than the first atom's m tuples
+    db = gen_single_heavy(canonical_query("K", 4), 2000, "x1", 3)
+    assert len(oracle_join(db, guard=2000)) <= 2000
+    # the star triangle: no step makes more rows than the output has
+    assert len(oracle_join(star_triangle(500), guard=3 * 500 - 2)) == 3 * 500 - 2
+
+
+# (family, k, generator, c): the bound on oracle_join's traced peak above
+# its start, as a multiple of the traced size of the set it returns
+@pytest.mark.parametrize("fam,k,gen,c", [("C", 3, "single_heavy", 1.8),
+                                         ("L", 4, "matching", 1.4)])
+def test_oracle_join_transient_memory(tmp_path, fam, k, gen, c):
+    q = canonical_query(fam, k)
+    db = (gen_single_heavy(q, 20000, "x1", 12) if gen == "single_heavy"
+          else gen_matching(q, 20000, 12))
+    write_instance(db, str(tmp_path))
+    db = read_instance(q, str(tmp_path))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = oracle_join(db)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 20000
+    assert peak - start <= c * (held - start)
 
 
 def test_oracle_join_matching_is_diagonalish():
