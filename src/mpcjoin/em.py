@@ -55,7 +55,9 @@ def _blocks(words: int, B: int) -> int:
 class DryRuns(dict):
     """p -> (result, load): the counting-mode `AlgorithmResult` of strategy
     `alg` on `db` with `seed` at p servers, made on first lookup, and its
-    maximum per-round per-server tuple load.
+    maximum per-round per-server tuple load.  `server_tuples[p]` keeps the
+    run's per-round server totals, summed once for both the load and the
+    replay.
 
     The runs share one `SweepInputs`, `shared`, filled on first use: the
     strategy's shaped query and input lists, which are made once, and per
@@ -73,11 +75,14 @@ class DryRuns(dict):
         super().__init__()
         self.alg, self.db, self.seed = alg, db, seed
         self.shared = SweepInputs()
+        self.server_tuples = {}  # p -> per round, {server: tuples received}
 
     def __missing__(self, p):
         res = run_algorithm(self.alg, self.db, p, self.seed, counting=True,
                             _shared=self.shared)
-        run = self[p] = res, res.report.max_tuples()
+        rep = res.report
+        totals = self.server_tuples[p] = [rep.server_tuples(r) for r in range(rep.rounds)]
+        run = self[p] = res, max((max(t.values(), default=0) for t in totals), default=0)
         return run
 
     def measure(self, p):
@@ -105,8 +110,12 @@ def choose_po(measure, W: int, p_max: int) -> int:
 
 
 def replay_io(report: LoadReport, input_tuples: int, W: int, B: int,
-              p_o: int) -> IOReport:
-    """Count the block I/Os of executing the reported run on one machine."""
+              p_o: int, server_tuples: list) -> IOReport:
+    """Count the block I/Os of executing the reported run on one machine.
+
+    `server_tuples` holds the report's per-round server totals, as
+    `DryRuns.server_tuples` keeps them.
+    """
     warnings = []
     if p_o > W:
         warnings.append("p_o=%d exceeds W=%d; bucket bookkeeping alone "
@@ -136,7 +145,7 @@ def replay_io(report: LoadReport, input_tuples: int, W: int, B: int,
     state = {}               # server -> words accumulated so far
     max_resident = 0
     for r in range(rounds):
-        incoming = report.server_tuples(r)
+        incoming = server_tuples[r]
         # (1) partition: scan the pending message stream (round 1 reuses
         # the init scan), appending to one open block per destination
         # bucket.
@@ -185,5 +194,5 @@ def simulate_em(db, Ws, B: int, alg: str = "auto", seed: int = 0) -> list:
     for W in Ws:
         p_o = choose_po(runs.measure, W, max(1, db.total_tuples()))
         reports.append(replay_io(runs[p_o][0].report, db.total_tuples(), W, B,
-                                 p_o))
+                                 p_o, runs.server_tuples[p_o]))
     return reports

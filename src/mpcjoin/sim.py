@@ -301,16 +301,19 @@ def _repeated(group, held):
 
 # -- joins -----------------------------------------------------------------
 
+_EMPTY = itemgetter(slice(0, 0))  # a tuple t -> (), without a Python call
+
+
 def _columns(idx):
     """t -> tuple(t[i] for i in idx)."""
     if len(idx) == 1:
         return itemgetter(slice(idx[0], idx[0] + 1))
-    return itemgetter(*idx) if idx else (lambda t: ())
+    return itemgetter(*idx) if idx else _EMPTY
 
 
 def _key(idx):
     """t -> the values of t at idx, as a join key: a scalar for one index."""
-    return itemgetter(*idx) if idx else (lambda t: ())
+    return itemgetter(*idx) if idx else _EMPTY
 
 
 def join_atoms(atoms, rel_tuples, out_vars, guard: int = 0):

@@ -149,19 +149,45 @@ def test_one_sweep_equals_one_call_per_w():
         assert swept == alone
 
 
+def test_sweep_sums_each_dry_run_once(monkeypatch):
+    # A dry run's per-round server totals give its load and every replay
+    # of it: one `server_tuples` call per round of each dry run, however
+    # many W replay the same p.
+    rounds, calls = [], []
+
+    def spy(*args, **kw):
+        res = run_algorithm(*args, **kw)
+        rounds.append(res.report.rounds)
+        return res
+    real = LoadReport.server_tuples
+
+    def counted(self, r):
+        calls.append(r)
+        return real(self, r)
+    monkeypatch.setattr(em, "run_algorithm", spy)
+    monkeypatch.setattr(LoadReport, "server_tuples", counted)
+    db = gen_single_heavy(triangle(), 800, "x1", 2)
+    simulate_em(db, [3200, 200, 800, 200], 20, alg="triangle", seed=1)
+    assert len(rounds) > 1 and len(calls) == sum(rounds)
+
+
+def _totals(rep):
+    return [rep.server_tuples(r) for r in range(rep.rounds)]
+
+
 def test_replay_flags_overflow():
     rep = LoadReport({"R": 8}, [{(0, "R"): 50}, {(0, "R"): 60}])
     with pytest.raises(MemoryOverflow):
-        replay_io(rep, 100, 100, 10, p_o=2)
+        replay_io(rep, 100, 100, 10, 2, _totals(rep))
 
 
 def test_replay_flags_overflow_on_one_server():
     rep = LoadReport({"R": 8}, [{(0, "R"): 100}])
     with pytest.raises(MemoryOverflow, match="p_o=1 run holds 100 words > W=50"):
-        replay_io(rep, 100, 50, 10, p_o=1)
+        replay_io(rep, 100, 50, 10, 1, _totals(rep))
 
 
 def test_warnings_when_fanout_exceeds_memory():
     rep = LoadReport({"R": 8}, [{(s, "R"): 1 for s in range(64)}])
-    io = replay_io(rep, 64, 32, 8, p_o=64)
+    io = replay_io(rep, 64, 32, 8, 64, _totals(rep))
     assert any("p_o" in w for w in io.warnings)

@@ -9,6 +9,8 @@ import mpcjoin.lp as lp
 from mpcjoin.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPError, lp_solve_exact
 from mpcjoin.query import canonical_query
 
+import lp_reference as ref
+
 F = Fraction
 
 
@@ -176,7 +178,11 @@ def test_optimality_certificate_by_duality(data):
         assert dual.status in (INFEASIBLE, UNBOUNDED)
 
 
-# -- sparse pivots against the dense kernel --------------------------------
+# -- the solver against its frozen reference -------------------------------
+#
+# tests/lp_reference.py holds the solver as it stood while every
+# artificial had a stored column.  The package must make the same pivots
+# on the same integer rows, less the columns of ">=" rows' artificials.
 
 def _dense_eliminate(trow, prow, col, support=None):
     """The dense reference update: every entry of trow is rewritten."""
@@ -184,14 +190,14 @@ def _dense_eliminate(trow, prow, col, support=None):
     f, q = trow[col] // g, prow[-1] // g
     new = [a * q - f * b for a, b in zip(trow, prow)]
     new[-1] = trow[-1] * q
-    return lp._reduced(new)
+    return ref._reduced(new)
 
 
 def _dense_pivot(T, basis, row, col):
     prow = T[row][:-1] + [T[row][col]]
     if prow[-1] < 0:
         prow = [-v for v in prow]
-    T[row] = prow = lp._reduced(prow)
+    T[row] = prow = ref._reduced(prow)
     for r, trow in enumerate(T):
         if r != row and trow[col]:
             T[r] = _dense_eliminate(trow, prow, col)
@@ -199,60 +205,181 @@ def _dense_pivot(T, basis, row, col):
 
 
 def _dense_solve(*args, **kw):
+    """The reference solver on the dense kernel."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_eliminate", _dense_eliminate)
-        mp.setattr(lp, "_pivot", _dense_pivot)
-        return lp_solve_exact(*args, **kw)
+        mp.setattr(ref, "_eliminate", _dense_eliminate)
+        mp.setattr(ref, "_pivot", _dense_pivot)
+        return ref.lp_solve_exact(*args, **kw)
 
 
 def _same_as_dense(c, A, rel, b, maximize=True):
     got = lp_solve_exact(c, A, rel, b, maximize=maximize)
-    ref = _dense_solve(c, A, rel, b, maximize=maximize)
-    assert (got.status, got.x, got.value) == (ref.status, ref.x, ref.value)
+    want = _dense_solve(c, A, rel, b, maximize=maximize)
+    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
     return got
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.data())
-def test_sparse_pivots_match_the_dense_kernel(data):
+def _traced(mod, c, A, rel, b, maximize=True):
+    """mod.lp_solve_exact's result and trace: the tableau as each simplex
+    phase starts, and per pivot (row, entering id, leaving id, tableau)."""
+    trace = []
+    pivot, simplex = mod._pivot, mod._simplex
+
+    def traced_pivot(T, basis, row, *args):
+        leaving = basis[row]
+        pivot(T, basis, row, *args)
+        trace.append((row, basis[row], leaving, [r[:] for r in T]))
+
+    def traced_simplex(T, *args):
+        trace.append([r[:] for r in T])
+        return simplex(T, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mod, "_pivot", traced_pivot)
+        mp.setattr(mod, "_simplex", traced_simplex)
+        res = mod.lp_solve_exact(c, A, rel, b, maximize=maximize)
+    return (res.status, res.x, res.value), trace
+
+
+def _twin_ids(n, rel, b):
+    """The reference's column ids of the artificials of ">=" rows."""
+    rels = [ref._FLIP[r] if ref._exact(v) < 0 else r for r, v in zip(rel, b)]
+    first = n + sum(r != "==" for r in rels)
+    arts = [r for r in rels if r != "<="]
+    return {first + k for k, r in enumerate(arts) if r == ">="}
+
+
+def _same_as_reference(c, A, rel, b, maximize=True):
+    """Assert that the package returns the reference's result with the
+    same pivots and rows; returns the entering ids."""
+    got, trace = _traced(lp, c, A, rel, b, maximize)
+    want, want_trace = _traced(ref, c, A, rel, b, maximize)
+    twins = _twin_ids(len(c), rel, b)
+
+    def stored(T):
+        return [[v for j, v in enumerate(row) if j not in twins] for row in T]
+    want_trace = [(*e[:3], stored(e[3])) if isinstance(e, tuple) else stored(e)
+                  for e in want_trace]
+    assert got == want
+    assert trace == want_trace
+    return [e[1] for e in trace if isinstance(e, tuple)], twins
+
+
+@st.composite
+def _lps(draw):
     """Mixed relations, negative right-hand sides, zero rows, repeated
     rows and scaled copies (ties in the ratio test), small and large
-    denominators: the sparse kernel returns what the dense one does."""
-    n = data.draw(st.integers(1, 4))
+    denominators."""
+    n = draw(st.integers(1, 4))
     coef = st.one_of(st.integers(-3, 3), st.just(0), _coef())
     rows = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        kind = data.draw(st.sampled_from(["new", "zero", "copy"]))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["new", "zero", "copy"]))
         if kind == "zero":
             row = [0] * n
         elif kind == "copy" and rows:
-            row, rhs = data.draw(st.sampled_from(rows))
-            k = data.draw(st.sampled_from([1, 2, F(1, 3)]))
+            row, rhs = draw(st.sampled_from(rows))
+            k = draw(st.sampled_from([1, 2, F(1, 3)]))
             rows.append(([k * v for v in row], k * rhs))
             continue
         else:
-            row = [data.draw(coef) for _ in range(n)]
-        rows.append((row, data.draw(coef)))
+            row = [draw(coef) for _ in range(n)]
+        rows.append((row, draw(coef)))
     A = [r for r, _ in rows]
     b = [rhs for _, rhs in rows]
-    rel = [data.draw(st.sampled_from(["<=", ">=", "=="])) for _ in A]
-    c = [data.draw(coef) for _ in range(n)]
-    _same_as_dense(c, A, rel, b, maximize=data.draw(st.booleans()))
+    rel = [draw(st.sampled_from(["<=", ">=", "=="])) for _ in A]
+    c = [draw(coef) for _ in range(n)]
+    return c, A, rel, b, draw(st.booleans())
 
 
-@pytest.mark.parametrize("family, k", [("SP", 5), ("SP", 6), ("L", 10),
-                                       ("C", 10), ("K", 8), ("Ldagger", 8)])
-def test_share_lps_match_the_dense_kernel(monkeypatch, family, k):
-    # the share LPs of the exact-analysis benchmark, at p = 1024, M = 10^6
+@settings(deadline=None, max_examples=300)
+@given(_lps())
+def test_random_lps_match_the_frozen_reference(lp_args):
+    c, A, rel, b, maximize = lp_args
+    _same_as_reference(c, A, rel, b, maximize)
+
+
+@pytest.mark.parametrize("c, A, rel, b, status, twin_enters", [
+    # infeasible, unbounded, and artificials left basic at zero
+    ([1], [[1], [1]], ["<=", ">="], [1, 2], INFEASIBLE, False),
+    ([1, 0], [[1, -1]], [">="], [1], UNBOUNDED, False),
+    ([1], [[-1]], ["=="], [0], OPTIMAL, False),
+    ([1, 1], [[1, 1], [2, 2]], ["==", "=="], [1, 2], OPTIMAL, False),
+    ([1, 1], [[1, 1], [-2, -2]], ["==", "<="], [1, -2], OPTIMAL, False),
+    # a ">=" row's artificial enters in phase 1
+    ([-2, -3], [[-2, -2], [-1, -3], [-2, 2]], ["<=", "==", "=="], [-1, -1, 0],
+     OPTIMAL, True),
+    ([-3, 1, 1], [[1, 0, 0], [1, -3, 3], [1, 3, -3]], [">=", "==", "<="],
+     [0, 3, -3], UNBOUNDED, True),
+    ([-3, 3], [[2, 0], [2, 2], [-3, 0]], [">=", "==", ">="], [2, 2, 0],
+     INFEASIBLE, True),
+])
+def test_edge_lps_match_the_frozen_reference(c, A, rel, b, status, twin_enters):
+    entered, twins = _same_as_reference(c, A, rel, b)
+    assert lp_solve_exact(c, A, rel, b).status == status
+    assert bool(twins & set(entered)) == twin_enters
+
+
+@settings(deadline=None, max_examples=300)
+@given(_lps())
+def test_sparse_pivots_match_the_dense_kernel(lp_args):
+    """The package returns what the reference does on a dense kernel."""
+    c, A, rel, b, maximize = lp_args
+    _same_as_dense(c, A, rel, b, maximize=maximize)
+
+
+_EXACT_ANALYSIS = [("SP", 5), ("SP", 6), ("L", 10), ("C", 10), ("K", 8), ("Ldagger", 8)]
+
+
+def _analysis_lps(family, k):
+    """(args, kw) of every LP that `analyze` solves for a query at p = 1024,
+    M = 10^6: tau*, rho*, psi*'s witness and the share LP."""
     calls = []
     real = analyzer.lp_solve_exact
 
     def recorded(*args, **kw):
         calls.append((args, kw))
         return real(*args, **kw)
-    monkeypatch.setattr(analyzer, "lp_solve_exact", recorded)
-    q = canonical_query(family, k)
-    analyzer.share_lp(q, {a.relation: 10 ** 6 for a in q.atoms}, 1024)
-    assert len(calls) == 1
-    args, kw = calls[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analyzer, "lp_solve_exact", recorded)
+        q = canonical_query(family, k)
+        analyzer.tau_star(q)
+        analyzer.rho_star(q)
+        analyzer.psi_star(q)
+        analyzer.share_lp(q, {a.relation: 10 ** 6 for a in q.atoms}, 1024)
+    return calls
+
+
+@pytest.mark.parametrize("family, k", _EXACT_ANALYSIS)
+def test_share_lps_match_the_dense_kernel(family, k):
+    args, kw = _analysis_lps(family, k)[-1]
     assert _same_as_dense(*args, **kw).status == OPTIMAL
+
+
+@pytest.mark.parametrize("family, k", _EXACT_ANALYSIS)
+def test_analysis_lps_match_the_frozen_reference(family, k):
+    for args, kw in _analysis_lps(family, k):
+        _same_as_reference(*args, **kw)
+
+
+# Per LP of each query's analysis (tau*, rho*, psi*'s witness, then the
+# share LP): the pivots, which are the reference solver's, and the width
+# of a stored row, n + m + 2, with no column for a ">=" row's artificial.
+_WORK = {
+    ("SP", 5): ([10, 16, 6, 12], [23, 23, 22, 25]),
+    ("SP", 6): ([12, 19, 7, 14], [27, 27, 26, 29]),
+    ("L", 10): ([10, 15, 7, 20], [23, 23, 20, 25]),
+    ("C", 10): ([9, 11, 8, 8, 11], [22, 22, 21, 20, 24]),
+    ("K", 8): ([20, 20, 7, 59], [38, 38, 37, 40]),
+    ("Ldagger", 8): ([9, 17, 8, 15], [21, 21, 20, 23]),
+}
+
+
+@pytest.mark.parametrize("family, k", _EXACT_ANALYSIS)
+def test_analysis_lp_work_is_pinned(family, k):
+    pivots, widths = [], []
+    for args, kw in _analysis_lps(family, k):
+        (status, _, _), trace = _traced(lp, *args, **kw)
+        assert status == OPTIMAL
+        pivots.append(sum(isinstance(e, tuple) for e in trace))
+        widths.append(len(trace[0][0]))
+    assert (pivots, widths) == _WORK[family, k]
