@@ -11,7 +11,7 @@ from .datagen import (DatabaseInstance, RelationInstance, agm_domain_sizes,
                       gen_agm_worst, gen_coin_flip, gen_lowerbound_matching,
                       gen_matching, gen_single_heavy, read_instance,
                       write_instance)
-from .sim import Engine, LoadReport, RoutingError, local_join, oracle_join
+from .sim import Engine, LoadReport, RoutingError, oracle_join
 from .algorithms import (ALGORITHMS, AlgorithmResult, InsufficientServers,
                          pick_algorithm, run_algorithm)
 from .em import DryRuns, IOReport, MemoryOverflow, choose_po, simulate_em

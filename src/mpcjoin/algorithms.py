@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 from .analyzer import _round_shares, iroot, log_base_p, pow_floor, share_lp
 from .query import Atom, Query, QueryError
 from .rng import _CHUNK, _MASK, hash_column
-from .sim import Engine, LoadReport, Route, _columns, _key, hc_grid, join_atoms
+from .sim import Engine, LoadReport, Route, _columns, _key, join_atoms
 
 
 class InsufficientServers(RuntimeError):
@@ -51,12 +51,12 @@ class InsufficientServers(RuntimeError):
 class SweepInputs:
     """What the runs of one strategy on one instance with one seed share,
     none of it depending on p, each made on first use: the shaped query
-    and its input lists, and the value counts and value lists of the input
+    and its inputs, and the value counts and value lists of the input
     columns and the rank orders of hashed variables that the runs read.
     A plan reads the counts, lists and orders only through `_Ctx`, and
-    only for the very input lists; no plan mutates those lists."""
+    only for the very inputs, tuples that no plan can mutate."""
     query: Query | None = None                    # the shaped query
-    rels: dict = field(default_factory=dict)      # relation -> input list
+    rels: dict = field(default_factory=dict)      # relation -> input tuples
     counts: dict = field(default_factory=dict)    # (relation, position) -> Counter
     columns: dict = field(default_factory=dict)   # (relation, position) -> value list
     orders: dict = field(default_factory=dict)    # (tag, variable, columns) -> ranked values
@@ -73,8 +73,8 @@ class _Ctx:
     _names: Counter = field(default_factory=Counter, init=False)
 
     def _shared(self, name, ts) -> bool:
-        """Whether ts is the run's input list for relation name while the
-        run shares its inputs."""
+        """Whether ts is the run's input for relation name while the run
+        shares its inputs."""
         return self.shared is not None and self.shared.rels.get(name) is ts
 
     @staticmethod
@@ -87,7 +87,7 @@ class _Ctx:
 
     def freqs(self, rels, name: str, pos: int) -> Counter:
         """The value counts of column pos of rels[name]: the shared count
-        when rels[name] is the run's input list (counted on first use),
+        when rels[name] is the run's input (counted on first use),
         else a fresh count.  Callers do not mutate the result."""
         ts = rels[name]
         if not self._shared(name, ts):
@@ -104,7 +104,7 @@ class _Ctx:
 
     def column(self, name: str, ts, pos: int):
         """The values at pos of the tuples ts, in order: the shared list
-        when ts is the run's input list for name (listed on first use),
+        when ts is the run's input for name (listed on first use),
         else a fresh iterator.  Callers do not mutate the result."""
         if not self._shared(name, ts):
             return map(itemgetter(pos), ts)
@@ -113,7 +113,7 @@ class _Ctx:
 
     def ranked(self, rels, cols, tag: str, v: str) -> list:
         """`_ranked(self, rels, cols, tag, v)`: the shared order when every
-        column in cols is of the run's input list (ranked on first use),
+        column in cols is of the run's input (ranked on first use),
         else a fresh one.  Callers do not mutate the result."""
         if not all(self._shared(name, rels[name]) for name, _ in cols):
             return _ranked(self, rels, cols, tag, v)
@@ -224,11 +224,6 @@ def _join_part(part, out_vars):
     return join_atoms(atoms, rels, out_vars)
 
 
-def _rows(vs, rows, out_vars):
-    """The key rows over vs reordered onto out_vars, as a set."""
-    return join_atoms([Atom("0", tuple(vs))], {"0": rows}, out_vars)
-
-
 # -- heavy-hitter bookkeeping ---------------------------------------------
 
 def _slice(tuples, pos: int, h):
@@ -258,7 +253,7 @@ def _heavy_profiles(a, tuples, heavy):
     Groups are non-empty and keep the input order.  Only the positions whose
     variable has heavy values are tested: each such position splits every
     group in two by one membership pass over its column.  An atom with no
-    such position is one group under the empty profile, the list tuples
+    such position is one group under the empty profile, `tuples`
     itself, with no per-tuple test.
     """
     groups = {frozenset(): tuples} if tuples else {}
@@ -306,6 +301,29 @@ def _active_profiles(q, groups):
 
 # -- shipment primitives ---------------------------------------------------
 
+def hc_grid(avars, order, shares: dict):
+    """The mixed-radix cell arithmetic of one atom's hypercube shipment.
+
+    Cells are linear indices of the mixed-radix coordinate over the
+    variables of `order` whose share exceeds 1, the last one varying
+    fastest.  Returns (bound, free): `bound` lists (position in avars,
+    variable, stride) for every such variable the atom binds, and a tuple t
+    over avars goes to cells c0 + f for f in `free`, in that order, where
+    c0 = sum(b * stride) over `bound`, b the bucket in [0, share) of
+    t[position].
+    """
+    split = [v for v in order if shares[v] > 1]
+    stride, step = {}, 1
+    for v in reversed(split):
+        stride[v], step = step, step * shares[v]
+    bound = [(avars.index(v), v, stride[v]) for v in split if v in avars]
+    free = [0]
+    for v in split:
+        if v not in avars:
+            free = [f + d * stride[v] for f in free for d in range(shares[v])]
+    return bound, free
+
+
 def _balanced_hashes(ctx, q, rels, shares, tag):
     """Per-variable cell offsets from bucket maps with near-equal bucket
     sizes.
@@ -329,9 +347,9 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
     repeating the shift-XOR until the shift passes 64 bits, and a product
     with an odd multiplier modulo 2^64 is undone by the multiplier's
     inverse modulo 2^64.  So distinct values in that range have distinct
-    ranks, and the order of the values before the sort, which used to
-    break ties, cannot matter.  A value outside the range is masked to 64
-    bits and could share a rank with one inside, so it raises ValueError
+    ranks, and the order of the values before the sort cannot matter: it
+    could only break ties.  A value outside the range is masked to 64 bits
+    and could share a rank with one inside, so it raises ValueError
     instead of taking an order of its own.
     """
     bound, _ = hc_grid(q.variables, q.variables, shares)
@@ -407,18 +425,12 @@ def _keyed(getter, dests):
 
 def _union(routes):
     """The route to the union of the servers the given routes name; its key
-    is the tuple of their keys, and each key's union is built once."""
-    union = {}
-
+    is the tuple of their keys."""
     def keys(ts):
         return zip(*[r.keys(ts) for r in routes])
 
     def dests(key):
-        d = union.get(key)
-        if d is None:
-            d = union[key] = frozenset(s for r, k in zip(routes, key)
-                                       for s in r.dests(k))
-        return d
+        return frozenset(s for r, k in zip(routes, key) for s in r.dests(k))
     return Route(keys, dests)
 
 
@@ -849,10 +861,10 @@ def _lw(ctx, rnd, q, rels, P, fresh, tag):
                 continue
             pos = a.vars.index(x)
             keyvars = [v for v in a.vars if v != x]
-            keys = _slice(rels[a.relation], pos, h)
             keypos = tuple(sorted(base.vars.index(v) for v in keyvars))
-            # align projected keys to base's variable order
-            keys = _rows(keyvars, keys, tuple(base.vars[kp] for kp in keypos))
+            # the key rows over keyvars, reordered to base's variable order
+            keys = set(map(_columns([keyvars.index(base.vars[kp]) for kp in keypos]),
+                           _slice(rels[a.relation], pos, h)))
             b, srels[b.relation], _ = _semijoin_into(
                 ctx, rnd, tag + "w", tag + "kw", keys, base, keypos, rels, P1,
                 fresh, tag + "s%s_%s_%s" % (x, a.relation, h))
@@ -914,7 +926,8 @@ def _covering(ctx, rnd, q, rels, P, fresh, tag):
     semis, srels = [], {}
     for a in others:
         keypos = tuple(sorted(cover.vars.index(v) for v in a.vars))
-        keys = _rows(a.vars, rels[a.relation], tuple(cover.vars[i] for i in keypos))
+        keys = set(map(_columns([a.vars.index(cover.vars[i]) for i in keypos]),
+                       rels[a.relation]))
         b, srels[b.relation], joined = _semijoin_into(
             ctx, rnd, tag + "c", tag + "kc", keys, cover, keypos, rels, P,
             fresh, tag + "s" + a.relation)
@@ -1093,8 +1106,11 @@ class AlgorithmResult:
     p: int
     output: set               # rows in query.variables order
     report: LoadReport
-    rounds: int               # the ledger's round count, report.rounds
     extras: dict = field(default_factory=dict)
+
+    @property
+    def rounds(self) -> int:
+        return self.report.rounds
 
     @property
     def count(self) -> int:
@@ -1113,7 +1129,7 @@ def pick_algorithm(q: Query) -> str:
 
 def _shaped(name: str, strategy: Strategy, db):
     """(the query that strategy name runs db.query as, {relation: its
-    input list}); QueryError when the shape does not accept the query."""
+    input}); QueryError when the shape does not accept the query."""
     q = strategy.shape(db.query)
     if q is None:
         raise QueryError("%s does not accept %s" % (name, db.query.render()))
@@ -1121,8 +1137,8 @@ def _shaped(name: str, strategy: Strategy, db):
     for a in q.atoms:
         src = db.query.atom(a.relation).vars
         ts = db.relations[a.relation].tuples
-        rels[a.relation] = list(ts) if a.vars == src else \
-            list(map(itemgetter(*map(src.index, a.vars)), ts))
+        rels[a.relation] = ts if a.vars == src else \
+            tuple(map(itemgetter(*map(src.index, a.vars)), ts))
     return q, rels
 
 
@@ -1143,7 +1159,7 @@ def run_algorithm(name: str, db, p: int, seed: int,
 
     `_shared` is internal to `em.DryRuns`: one `SweepInputs` that the
     runs of one strategy on one instance with one seed share.  A run given
-    it takes its shaped query and input lists from it, and reads from it
+    it takes its shaped query and inputs from it, and reads from it
     the value counts and value lists of the input columns and the rank
     orders of hashed variables, adding those it lacks; it redoes only what
     depends on p: thresholds, shares, bucket maps, route keys and the
@@ -1176,6 +1192,5 @@ def run_algorithm(name: str, db, p: int, seed: int,
                 rows, got = got, rows
             rows |= got
     return AlgorithmResult(name, db.query, p, rows, ctx.eng.report,
-                           ctx.eng.report.rounds,
                            {"nominal_p": p, "physical_servers": ctx.servers,
                             **ctx.extras})

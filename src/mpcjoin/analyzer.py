@@ -322,10 +322,10 @@ def psi_star(q: Query):
 
 
 def psi_star_recursive(q: Query) -> Fraction:
-    """psi* of the residual recursion psi*(q) = max(tau*(q), max_x
-    psi*(q_x)), which is the max of tau*(q_X) over X strictly inside
-    vars(q): the LP-free count of :func:`_singleton_count`, as a
-    Fraction.  No residual is evaluated and no LP is solved."""
+    """`_singleton_count`'s count for q, as a Fraction: psi*(q), the max
+    of tau*(q_X) over X strictly inside vars(q), which is what the residual
+    recursion psi*(q) = max(tau*(q), max_x psi*(q_x)) defines.  Nothing
+    recurses, no residual is evaluated and no LP is solved."""
     return Fraction(_singleton_count(_edge_masks(q), q.k))
 
 

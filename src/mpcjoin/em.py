@@ -18,7 +18,7 @@ One sweep over several W shares its dry runs through one `DryRuns`: each p
 is run once, with its rounds and maximum load computed once, and the runs
 share everything that does not depend on p, each made once per sweep on
 first use and dropped with the sweep:
-- the shaped query and its input lists;
+- the shaped query and its inputs;
 - per input column, its value counts (one `Counter`) and its value list;
 - per hashed variable, its values in rank order.
 For each p a dry run redoes only what depends on p: the heavy thresholds,
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algorithms import SweepInputs, run_algorithm
-from .sim import LoadReport
 
 
 class MemoryOverflow(RuntimeError):
@@ -60,10 +59,10 @@ class DryRuns(dict):
     replay.
 
     The runs share one `SweepInputs`, `shared`, filled on first use: the
-    strategy's shaped query and input lists, which are made once, and per
+    strategy's shaped query and inputs, which are made once, and per
     input column its value counts and its value list, and per hashed
     variable its rank order, each made once however many p are probed.  A
-    run reads these only for the input lists themselves; a column of any
+    run reads these only for the inputs themselves; a column of any
     derived relation is counted, listed and ranked afresh.  Each p redoes
     its thresholds, shares, bucket maps, route keys and ledger.  One
     `DryRuns` serves one strategy on one instance with one seed: another
@@ -109,12 +108,12 @@ def choose_po(measure, W: int, p_max: int) -> int:
                          % (p_max, W))
 
 
-def replay_io(report: LoadReport, input_tuples: int, W: int, B: int,
-              p_o: int, server_tuples: list) -> IOReport:
-    """Count the block I/Os of executing the reported run on one machine.
+def replay_io(server_tuples: list, input_tuples: int, W: int, B: int,
+              p_o: int) -> IOReport:
+    """Count the block I/Os of executing a run on one machine.
 
-    `server_tuples` holds the report's per-round server totals, as
-    `DryRuns.server_tuples` keeps them.
+    `server_tuples` holds the run's per-round server totals, as
+    `DryRuns.server_tuples` keeps them; the rounds and volumes follow.
     """
     warnings = []
     if p_o > W:
@@ -125,27 +124,25 @@ def replay_io(report: LoadReport, input_tuples: int, W: int, B: int,
                         "as if one partial block per bucket still fits"
                         % (p_o * B, W))
 
-    rounds = report.rounds
+    rounds = len(server_tuples)
     phases = {"init": 0, "partition": 0, "load": 0, "write": 0}
     if p_o == 1 or rounds == 0:
         # Everything fits on the lone server: a single input scan.
         phases["init"] = _blocks(input_tuples, B)
-        resident = input_tuples
-        if resident > W:
+        if input_tuples > W:
             raise MemoryOverflow("p_o=1 run holds %d words > W=%d"
-                                 % (resident, W))
-        total = sum(phases.values())
-        return IOReport(total, phases, p_o, max(rounds, 1), resident, warnings)
+                                 % (input_tuples, W))
+        return IOReport(phases["init"], phases, p_o, max(rounds, 1),
+                        input_tuples, warnings)
 
     # Input scan; round-1 routing happens inline during this single pass,
     # so the tagged stream is never written out and re-read.
-    vol = [report.round_total_tuples(r) for r in range(rounds)]
+    vol = [sum(t.values()) for t in server_tuples]
     phases["init"] = _blocks(input_tuples, B)
 
     state = {}               # server -> words accumulated so far
     max_resident = 0
-    for r in range(rounds):
-        incoming = server_tuples[r]
+    for r, incoming in enumerate(server_tuples):
         # (1) partition: scan the pending message stream (round 1 reuses
         # the init scan), appending to one open block per destination
         # bucket.
@@ -167,8 +164,8 @@ def replay_io(report: LoadReport, input_tuples: int, W: int, B: int,
         if r + 1 < rounds:
             phases["write"] += sum(_blocks(v, B) for v in state.values())
             phases["write"] += _blocks(vol[r + 1], B)
-    total = sum(phases.values())
-    return IOReport(total, phases, p_o, rounds, max_resident, warnings)
+    return IOReport(sum(phases.values()), phases, p_o, rounds, max_resident,
+                    warnings)
 
 
 def simulate_em(db, Ws, B: int, alg: str = "auto", seed: int = 0) -> list:
@@ -178,13 +175,13 @@ def simulate_em(db, Ws, B: int, alg: str = "auto", seed: int = 0) -> list:
     ValueError is raised before any dry run unless 1 <= B <= W for every
     W.  Each W's server count is chosen by `choose_po` among the powers of
     two up to the number of input tuples, and p = 1 always (MemoryOverflow
-    when none fits a W); the chosen run's ledger is then replayed for its
-    block transfers.  The dry runs come from one `DryRuns` for the whole
-    sweep: a p probed for several W runs once, and every run shares the
-    shaped input and its column counts, column lists and rank orders,
-    which are kept until the sweep returns.
-    The result set is never materialized:
-    ``run_algorithm(alg, db, io.p_o, seed)`` rebuilds it.
+    when none fits a W); the chosen run's per-round server totals are then
+    replayed for its block transfers.  The dry runs come from one
+    `DryRuns` for the whole sweep: a p probed for several W runs once, and
+    every run shares the shaped input and its column counts, column lists
+    and rank orders, which are kept until the sweep returns.  The result
+    set is never materialized: ``run_algorithm(alg, db, io.p_o, seed)``
+    rebuilds it.
     """
     for W in Ws:
         if not 1 <= B <= W:
@@ -193,6 +190,6 @@ def simulate_em(db, Ws, B: int, alg: str = "auto", seed: int = 0) -> list:
     reports = []
     for W in Ws:
         p_o = choose_po(runs.measure, W, max(1, db.total_tuples()))
-        reports.append(replay_io(runs[p_o][0].report, db.total_tuples(), W, B,
-                                 p_o, runs.server_tuples[p_o]))
+        reports.append(replay_io(runs.server_tuples[p_o], db.total_tuples(),
+                                 W, B, p_o))
     return reports

@@ -21,10 +21,10 @@ Rounds are addressed by index rather than opened/closed sequentially, so
 that concurrently running sub-plans of different depths can deposit their
 shipments into the same global round.
 
-This module does no hashing: a route's servers come from the strategy
-that builds it.  A strategy fills its placement maps before it ships, a
-column of distinct keys at a time through `rng.hash_column`, so dests(key)
-is a lookup.
+This module holds the engine, its ledger and the join, and no placement
+arithmetic: a route's servers come from the strategy that builds it, which
+fills its placement maps before it ships, a column of distinct keys at a
+time through `rng.hash_column`, so dests(key) is a lookup.
 """
 
 from __future__ import annotations
@@ -36,38 +36,11 @@ from itertools import compress, islice
 from operator import add, itemgetter
 from typing import Callable, NamedTuple
 
-from .query import Query
-
 
 class RoutingError(RuntimeError):
     """A shipment broke the routing contract: its route is not a pure
     function of the tuple, or it delivers a tuple twice to one server in
     one round."""
-
-
-def hc_grid(avars, order, shares: dict):
-    """The mixed-radix cell arithmetic of one atom's hypercube shipment.
-
-    Cells are linear indices of the mixed-radix coordinate over the
-    variables of `order` whose share exceeds 1, the last one varying
-    fastest.  Returns (bound, free): `bound` lists (position in avars,
-    variable, stride) for every such variable the atom binds, and a tuple t
-    over avars goes to cells c0 + f for f in `free`, in that order, where
-    c0 = sum(b * stride) over `bound`, b the bucket in [0, share) of
-    t[position].
-    """
-    split = [v for v in order if shares[v] > 1]
-    stride = {}
-    step = 1
-    for v in reversed(split):
-        stride[v] = step
-        step *= shares[v]
-    bound = [(avars.index(v), v, stride[v]) for v in split if v in avars]
-    free = [0]
-    for v in split:
-        if v not in avars:
-            free = [f + d * stride[v] for f in free for d in range(shares[v])]
-    return bound, free
 
 
 @dataclass
@@ -322,7 +295,8 @@ def join_atoms(atoms, rel_tuples, out_vars, guard: int = 0):
     A pipeline on tuple rows, which start as the smallest atom's tuples;
     the next atom is the pending one sharing the most variables with the
     rows (ties keep the smallest-first order).  Atoms must not repeat a
-    variable.  A step is one of three kinds:
+    variable, and a relation missing from rel_tuples raises KeyError.  A
+    step is one of three kinds:
     - a filter, for an atom with no new variable, keeps the rows it holds;
     - a key-unique step, for an atom that holds each key (its values at the
       shared variables) once, maps a key to the atom's own tuple and builds
@@ -345,17 +319,16 @@ def join_atoms(atoms, rel_tuples, out_vars, guard: int = 0):
     of r and a tuple of pi(c) that agree, which is |R join pi(c)|.  So when
     some c holds one v per key, the step makes at most |R| rows; if every
     binding step has such a c, no intermediate result is larger than the
-    first atom.  The pairwise step this replaces made at least
-    |R join pi(a)| rows for the stepped atom a alone.
+    first atom.
 
     `guard`, if positive, bounds every step's rows, the returned set
     counting as the last step's; it is checked after every chunk, and after
     every row of a binding step.
     """
-    atoms = sorted(atoms, key=lambda a: (len(rel_tuples.get(a.relation, ())), a.relation))
+    atoms = sorted(atoms, key=lambda a: (len(rel_tuples[a.relation]), a.relation))
     pending = atoms[1:]
     cols = list(atoms[0].vars)          # the variables of a row, in order
-    rows, owned = rel_tuples.get(atoms[0].relation, ()), False
+    rows, owned = rel_tuples[atoms[0].relation], False
     while pending and rows:
         a = max(pending, key=lambda a: sum(v in cols for v in a.vars))
         rows, owned = _step(a, rel_tuples, cols, rows, owned, pending, guard), True
@@ -394,7 +367,7 @@ def _step(a, rel_tuples, cols, rows, owned, pending, guard) -> list:
     """One step of `join_atoms` on atom a: returns the new rows, adds the
     variables it binds to cols, and removes a from pending once all of a's
     variables are bound."""
-    ts = rel_tuples.get(a.relation, ())
+    ts = rel_tuples[a.relation]
     shared = [i for i, v in enumerate(a.vars) if v in cols]
     new = [i for i, v in enumerate(a.vars) if v not in cols]
     if not new:                         # a key is the atom's tuple or value
@@ -419,7 +392,7 @@ def _step(a, rel_tuples, cols, rows, owned, pending, guard) -> list:
             key=lambda v: sum(v in b.vars for b in pending))
     if len(new) == 1:
         pending.remove(a)
-    cands = [_candidates(rel_tuples.get(c.relation, ()), c.vars, cols, v, rows)
+    cands = [_candidates(rel_tuples[c.relation], c.vars, cols, v, rows)
              for c in [a] + [b for b in pending if b is not a and v in b.vars]]
     cols.append(v)
     return _pour(rows, owned, lambda rows: _bind(rows, cands, guard), [], guard)
@@ -454,11 +427,6 @@ def _bind(rows, cands, guard):
         if guard and made > guard:
             raise MemoryError("instance too large for oracle join")
         yield from map(row.__add__, zip(xs))
-
-
-def local_join(q: Query, rel_tuples: dict):
-    """Evaluate the full join of q over the given relation contents."""
-    return join_atoms(q.atoms, rel_tuples, q.variables)
 
 
 def oracle_join(db, guard: int = 10 ** 7):

@@ -13,13 +13,13 @@ from mpcjoin import algorithms
 from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _active_profiles,
                                 _balanced_hashes, _Ctx, _Grid, _heavy_at,
                                 _heavy_profiles, _least, _ranked, _shaped,
-                                pick_algorithm, run_algorithm)
+                                hc_grid, pick_algorithm, run_algorithm)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.em import DryRuns
 from mpcjoin.query import Atom, Query, QueryError, canonical_query, parse_query
 from mpcjoin.rng import _CHUNK, hash_column, hash_family
-from mpcjoin.sim import Engine, hc_grid, oracle_join
+from mpcjoin.sim import Engine, oracle_join
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
@@ -154,6 +154,25 @@ def test_intersection_hashes_each_tuple_once(monkeypatch):
     assert sum(map(len, results)) > len(shipped)    # some tuple ships twice
     assert {v: n for (path, v), n in calls.items() if path == ("Vi", "ix")} \
         == dict.fromkeys(shipped, 1)
+
+
+def test_hc_grid_bound_and_unbound():
+    shares = {"x": 2, "y": 3, "z": 1}
+    order = ["x", "y", "z"]
+    # fully bound: one cell; z (share 1) is not split, y varies fastest
+    assert hc_grid(("x", "y", "z"), order, shares) == \
+        ([(0, "x", 3), (1, "y", 1)], [0])
+    # one unbound variable of share 3: three consecutive cells
+    assert hc_grid(("x",), order, shares) == ([(0, "x", 3)], [0, 1, 2])
+
+
+def test_hc_grid_cell_order():
+    shares = {"x": 2, "y": 3, "z": 2}
+    bound, free = hc_grid(("y",), ("x", "y", "z"), shares)
+    assert (bound, free) == ([(0, "y", 2)], [0, 1, 6, 7])
+    # y in bucket 2 (coordinate 1, stride 2); x and z range over their shares
+    c0 = sum((2 - 1) * st for _, _, st in bound)
+    assert [c0 + f for f in free] == [2, 3, 8, 9]
 
 
 def _reference_offsets(seed, q, rels, shares, tag):
@@ -406,6 +425,68 @@ def test_rebuild_kills_misplacing_mutants(monkeypatch, mutant, alg, db):
     assert res.rounds == ALGORITHMS[alg].rounds(db.query)
     assert res.output == want
     assert rebuilt(res, runs[-1]) != want
+
+
+def test_runs_read_the_instance_tuples_uncopied(monkeypatch):
+    # A plan's input for an atom whose column order the shape keeps is the
+    # instance's own tuple of tuples; a reoriented atom gets a new tuple.
+    # C3 and L4 are already oriented along the walk: the six strategies
+    # that accept C3 (hc, one_round_skew, cycle, triangle, lw, clique) and
+    # the three that accept L4 (hc, one_round_skew, line) keep all 18 + 12
+    # atoms.  Q(x,y,z) :- R(y,x), S(y,z) is accepted by hc, one_round_skew
+    # and join_one_sided_skew as it is, and line enters R by x, reversed.
+    inputs = []
+
+    def capturing(plan):
+        def run(ctx, q, rels, p):
+            inputs.append((q, rels))
+            return plan(ctx, q, rels, p)
+        return run
+    for name, s in list(ALGORITHMS.items()):
+        monkeypatch.setitem(ALGORITHMS, name, s._replace(plan=capturing(s.plan)))
+    kept, reoriented = Counter(), Counter()
+    for q in (canonical_query("C", 3), canonical_query("L", 4),
+              parse_query("Q(x,y,z) :- R(y,x), S(y,z)")):
+        db = gen_matching(q, 30, 1)
+        for name in ALGORITHMS:
+            if ALGORITHMS[name].shape(q) is None:
+                continue
+            inputs.clear()
+            run_algorithm(name, db, 8, 1)
+            (shaped, rels), = inputs
+            for a in shaped.atoms:
+                ts = db.relations[a.relation].tuples
+                if a.vars == q.atom(a.relation).vars:
+                    assert rels[a.relation] is ts, (name, q.name, a)
+                    kept[q.name] += 1
+                else:
+                    assert type(rels[a.relation]) is tuple, (name, q.name, a)
+                    assert rels[a.relation] == tuple(t[::-1] for t in ts)
+                    reoriented[q.name, name] += 1
+    assert kept == {"C3": 18, "L4": 12, "Q": 7}
+    assert reoriented == {("Q", "line"): 1}
+
+
+def test_lw_and_covering_join_once_per_part(monkeypatch):
+    # The only local join of a storing run is run_algorithm's, one per
+    # output part: lw's semi-join keys (on LW4 single_heavy, whose heavy
+    # x1 values make residuals) and covering's (on W3) are reordered
+    # without a join.
+    calls = []
+    join_atoms = algorithms.join_atoms
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return join_atoms(*args, **kw)
+    monkeypatch.setattr(algorithms, "join_atoms", counted)
+    for alg, db in [("lw", gen_single_heavy(canonical_query("LW", 4), 200, "x1", 1)),
+                    ("covering", gen_matching(canonical_query("W", 3), 200, 1))]:
+        calls.clear()
+        with recorded_runs() as runs:
+            res = run_algorithm(alg, db, 64, 1)
+        (_, parts), = runs
+        assert res.output == oracle_join(db), alg
+        assert len(calls) == len(parts) >= 1, (alg, len(calls), len(parts))
 
 
 def test_grid_column_block_runs_out():

@@ -178,16 +178,16 @@ def _totals(rep):
 def test_replay_flags_overflow():
     rep = LoadReport({"R": 8}, [{(0, "R"): 50}, {(0, "R"): 60}])
     with pytest.raises(MemoryOverflow):
-        replay_io(rep, 100, 100, 10, 2, _totals(rep))
+        replay_io(_totals(rep), 100, 100, 10, 2)
 
 
 def test_replay_flags_overflow_on_one_server():
     rep = LoadReport({"R": 8}, [{(0, "R"): 100}])
     with pytest.raises(MemoryOverflow, match="p_o=1 run holds 100 words > W=50"):
-        replay_io(rep, 100, 50, 10, 1, _totals(rep))
+        replay_io(_totals(rep), 100, 50, 10, 1)
 
 
 def test_warnings_when_fanout_exceeds_memory():
     rep = LoadReport({"R": 8}, [{(s, "R"): 1 for s in range(64)}])
-    io = replay_io(rep, 64, 32, 8, 64, _totals(rep))
+    io = replay_io(_totals(rep), 64, 32, 8, 64)
     assert any("p_o" in w for w in io.warnings)

@@ -9,23 +9,12 @@ from operator import itemgetter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mpcjoin.datagen import (gen_coin_flip, gen_matching, gen_single_heavy,
-                             read_instance, write_instance)
+from mpcjoin.datagen import (gen_matching, gen_single_heavy, read_instance,
+                             write_instance)
 from mpcjoin.query import Atom, canonical_query, parse_query
-from mpcjoin.sim import (Engine, Route, RoutingError, hc_grid, join_atoms,
-                         local_join, oracle_join)
+from mpcjoin.sim import Engine, Route, RoutingError, join_atoms, oracle_join
 
 from conftest import star_triangle
-
-
-def test_hc_grid_bound_and_unbound():
-    shares = {"x": 2, "y": 3, "z": 1}
-    order = ["x", "y", "z"]
-    # fully bound: one cell; z (share 1) is not split, y varies fastest
-    assert hc_grid(("x", "y", "z"), order, shares) == \
-        ([(0, "x", 3), (1, "y", 1)], [0])
-    # one unbound variable of share 3: three consecutive cells
-    assert hc_grid(("x",), order, shares) == ([(0, "x", 3)], [0, 1, 2])
 
 
 def test_engine_counts_and_rejects_repeats():
@@ -187,15 +176,6 @@ def test_join_atoms_matches_brute_force():
     assert join_atoms(q.atoms, rels, q.variables) == brute
 
 
-def test_hc_grid_cell_order():
-    shares = {"x": 2, "y": 3, "z": 2}
-    bound, free = hc_grid(("y",), ("x", "y", "z"), shares)
-    assert (bound, free) == ([(0, "y", 2)], [0, 1, 6, 7])
-    # y in bucket 2 (coordinate 1, stride 2); x and z range over their shares
-    c0 = sum((2 - 1) * st for _, _, st in bound)
-    assert [c0 + f for f in free] == [2, 3, 8, 9]
-
-
 class _ReferenceEngine:
     """Engine.ship as one delivery at a time, with its own ledger and
     holdings: the semantics the grouped shipment must keep."""
@@ -348,6 +328,18 @@ def test_keys_must_depend_on_the_tuple_alone(store):
     assert eng.report.by_relation == [{(0, "R"): 34, (1, "R"): 33, (2, "R"): 33}]
 
 
+@pytest.mark.parametrize("missing", ["R", "S", "T"])
+def test_join_atoms_rejects_a_missing_relation(missing):
+    # a part that leaves out one of its atoms' relations is an error, not
+    # an empty relation that makes the join empty
+    q = parse_query("q(x,y,z) :- R(x,y), S(y,z), T(z,x)")
+    rels = {"R": [(1, 2)], "S": [(2, 3)], "T": [(3, 1)]}
+    assert join_atoms(q.atoms, rels, q.variables) == {(1, 2, 3)}
+    del rels[missing]
+    with pytest.raises(KeyError):
+        join_atoms(q.atoms, rels, q.variables)
+
+
 def test_join_atoms_guard_trips():
     q = parse_query("q(x,y) :- R(x), S(y)")
     rels = {"R": [(i,) for i in range(100)], "S": [(i,) for i in range(100)]}
@@ -456,10 +448,3 @@ def test_oracle_join_matching_is_diagonalish():
     s3 = set(db.relations["S3"].tuples)
     for (a, b, c) in out:
         assert (a, b) in s1 and (b, c) in s2 and (c, a) in s3
-
-
-def test_local_join_equals_oracle():
-    q = canonical_query("L", 3)
-    db = gen_coin_flip(q, 27, 2)
-    rels = {r: ri.tuples for r, ri in db.relations.items()}
-    assert local_join(q, rels) == oracle_join(db)
