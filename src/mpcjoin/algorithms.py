@@ -95,13 +95,6 @@ class _Ctx:
         return self._memo(self.shared.counts, (name, pos),
                           lambda: Counter(map(itemgetter(pos), ts)))
 
-    def values(self, rels, name: str, pos: int):
-        """The values in column pos of rels[name], with repeats unless they
-        come from the shared count."""
-        if self._shared(name, rels[name]):
-            return self.freqs(rels, name, pos)
-        return map(itemgetter(pos), rels[name])
-
     def column(self, name: str, ts, pos: int):
         """The values at pos of the tuples ts, in order: the shared list
         when ts is the run's input for name (listed on first use),
@@ -112,13 +105,15 @@ class _Ctx:
                           lambda: list(map(itemgetter(pos), ts)))
 
     def ranked(self, rels, cols, tag: str, v: str) -> list:
-        """`_ranked(self, rels, cols, tag, v)`: the shared order when every
-        column in cols is of the run's input (ranked on first use),
-        else a fresh one.  Callers do not mutate the result."""
+        """The values of the columns cols, (relation, position) pairs of
+        rels, in `_ranked` order: the shared order, ranked over the shared
+        counts on first use, when every column in cols is of the run's
+        input, else a fresh one.  Callers do not mutate the result."""
         if not all(self._shared(name, rels[name]) for name, _ in cols):
-            return _ranked(self, rels, cols, tag, v)
-        return self._memo(self.shared.orders, (tag, v, cols),
-                          lambda: _ranked(self, rels, cols, tag, v))
+            return _ranked(self.seed, tag, v, [map(itemgetter(pos), rels[name])
+                                               for name, pos in cols])
+        return self._memo(self.shared.orders, (tag, v, cols), lambda: _ranked(
+            self.seed, tag, v, [self.freqs(rels, name, pos) for name, pos in cols]))
 
     def root(self):
         """A fresh logical server of one new physical id."""
@@ -361,17 +356,17 @@ def _balanced_hashes(ctx, q, rels, shares, tag):
     return maps
 
 
-def _ranked(ctx, rels, cols, tag, v) -> list:
-    """The distinct values of the columns cols, (relation, position) pairs
-    of rels, sorted by their ranks under hash_column(ctx.seed, tag, "bal",
-    v); ValueError for a value outside [0, 2^64)."""
+def _ranked(seed, tag, v, columns) -> list:
+    """The distinct values of the iterables columns, sorted by their ranks
+    under hash_column(seed, tag, "bal", v); ValueError for a value outside
+    [0, 2^64)."""
     vals = set()
-    for name, pos in cols:
-        vals.update(ctx.values(rels, name, pos))
+    for col in columns:
+        vals.update(col)
     vals = list(vals)
     if vals and (min(vals) < 0 or max(vals) > _MASK):
         raise ValueError("cannot rank values of %s outside [0, 2^64)" % v)
-    ranks = hash_column(ctx.seed, tag, "bal", v)(vals)
+    ranks = hash_column(seed, tag, "bal", v)(vals)
     return list(map(vals.__getitem__, sorted(range(len(vals)), key=ranks.__getitem__)))
 
 
@@ -635,11 +630,10 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
                      tail)
 
     # heavy x1: one exclusive grid per heavy value
-    p1k = pow_floor(P, Fraction(1, n))
+    p1h = max(1, pow_floor(P, Fraction(n - 1, n)))
     s3 = atoms[2]
     for h in heavy:
-        p0h = max(1, (deg[h] * p1k) // m)
-        p1h = max(1, pow_floor(P, Fraction(n - 1, n)))
+        p0h = max(1, (deg[h] * p1) // m)
         left = _slice(rels[s1.relation], 1, h)
         keys = _slice(rels[s2.relation], 0, h)
         grid2 = _Grid(fresh, p0h)
@@ -657,27 +651,19 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     return parts
 
 
-def _chain_eval(ctx, rnd, chain, rels, P, fresh, tag):
-    """Evaluate a path of at least two atoms whose end atoms may coincide
-    on one edge.
-
-    Two atoms with the same variable tuple: co-locate and intersect
-    (1 round).  Otherwise a line join.  Returns its output parts.
-    """
-    if len(chain) == 2 and chain[0].vars == chain[1].vars:
-        return _intersect_ship(ctx, rnd, chain, rels, P, fresh, tag + "c2")
-    return _line(ctx, rnd, chain, rels, P, fresh, tag)
-
-
 # -- multi-round skeleton --------------------------------------------------
 
-def _light_hypercube(ctx, rnd, q, rels, P, fresh, tag):
-    """The light round of `_heavy_residuals` on k = q.k variables.
+def _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual):
+    """The plan shared by odd cycles, Loomis-Whitney joins and cliques.
 
-    A value is heavy for variable v when its degree in some atom exceeds
-    m/P^(1/k).  Tuples whose values are all light go through one hypercube
-    on shares P^(1/k) per variable.  Returns (per-variable heavy value
-    sets, the output parts of the all-light tuples).
+    First the light round: a value is heavy for variable v when its degree
+    in some atom exceeds m/P^(1/k), k = q.k, and the tuples whose values
+    are all light go through one hypercube on shares P^(1/k) per variable,
+    which covers the all-light output.  Then, for the i-th variable x of q
+    and each heavy value h of x in sorted order, residual(i, x, h, P1) runs
+    a semi-join round on P1 = P^((k-1)/k) servers and evaluates the
+    residual q_x from round rnd + 1, returning output parts into which
+    x = h is plugged.  Returns the output parts.
     """
     k = q.k
     m = max(max(len(rels[a.relation]) for a in q.atoms), 1)
@@ -687,21 +673,8 @@ def _light_hypercube(ctx, rnd, q, rels, P, fresh, tag):
     light = {a.relation: _heavy_profiles(a, rels[a.relation], heavy).get(frozenset(), [])
              for a in q.atoms}
     # buckets are balanced over the full relations, heavy tuples included
-    return heavy, _hypercube(ctx, rnd, q, light, shares, fresh, tag + "l", rels)
-
-
-def _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual):
-    """The plan shared by odd cycles, Loomis-Whitney joins and cliques.
-
-    The light round (`_light_hypercube`) covers the all-light output.  Then,
-    for the i-th variable x of q and each heavy value h of x in sorted
-    order, residual(i, x, h, P1) runs a semi-join round on
-    P1 = P^((k-1)/k) servers and evaluates the residual q_x from round
-    rnd + 1, returning output parts into which x = h is plugged.  Returns
-    the output parts.
-    """
-    heavy, parts = _light_hypercube(ctx, rnd, q, rels, P, fresh, tag)
-    P1 = max(1, pow_floor(P, Fraction(q.k - 1, q.k)))
+    parts = _hypercube(ctx, rnd, q, light, shares, fresh, tag + "l", rels)
+    P1 = max(1, pow_floor(P, Fraction(k - 1, k)))
     for i, x in enumerate(q.variables):
         for h in sorted(heavy[x]):
             parts += _plug(residual(i, x, h, P1), {x: h})
@@ -713,8 +686,9 @@ def _arc(ctx, rnd, path, keys_a, keys_b, rels, P, fresh, tag, sfx, names):
 
     keys_a filters the first atom's first variable and keys_b the last
     atom's second, into relations named after tag + names[0] and
-    tag + names[1]; the path is then evaluated with `_chain_eval` from
-    round rnd + 1.  Returns its output parts.
+    tag + names[1].  From round rnd + 1 the filtered path is evaluated: two
+    atoms with one variable tuple are co-located and intersected in one
+    round, any other path is a line join.  Returns its output parts.
     """
     a, rows_a, _ = _semijoin_into(ctx, rnd, tag + names[0], tag + "ka", keys_a,
                                   path[0], (0,), rels, P, fresh, tag + "sa" + sfx)
@@ -723,8 +697,10 @@ def _arc(ctx, rnd, path, keys_a, keys_b, rels, P, fresh, tag, sfx, names):
     crels = dict(rels)
     crels[a.relation] = rows_a
     crels[b.relation] = rows_b
-    return _chain_eval(ctx, rnd + 1, [a] + path[1:-1] + [b], crels, P, fresh,
-                       tag + "c" + sfx)
+    path, tag = [a] + path[1:-1] + [b], tag + "c" + sfx
+    if len(path) == 2 and a.vars == b.vars:
+        return _intersect_ship(ctx, rnd + 1, path, crels, P, fresh, tag + "c2")
+    return _line(ctx, rnd + 1, path, crels, P, fresh, tag)
 
 
 # -- cycle queries ---------------------------------------------------------
@@ -747,34 +723,23 @@ def _cycle_odd(ctx, rnd, q, rels, P, fresh, tag):
 def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
     atoms, k = q.atoms, q.k
     m = max(max(len(rels[a.relation]) for a in atoms), 1)
-    var_at = [a.vars[0] for a in atoms]      # position i -> variable
+    var_at = q.variables                     # position i -> variable
     # per-position maximum degree of each value
     deg = [ctx.freqs(rels, atoms[i].relation, 0)
            | ctx.freqs(rels, atoms[(i - 1) % k].relation, 1) for i in range(k)]
 
     # Case 2: a single skew-aware hypercube round covering the whole output.
-    if P == 1:
-        exps = {v: Fraction(0) for v in q.variables}
-    else:
-        dmax = [max(deg[i].values(), default=1) for i in range(k)]
-        lo = [max(Fraction(0), min(Fraction(1),
-                                   log_base_p(m, P) - log_base_p(max(d, 1), P)))
-              for d in dmax]
-        d_odd = min(lo[0::2])
-        d_even = min(lo[1::2])
-        if d_odd > d_even:
-            d_odd, d_even = d_even, d_odd
-            first_odd = 1
-        else:
-            first_odd = 0
-        if d_odd > Fraction(2, k):
-            e_odd = e_even = Fraction(1, k)
-        else:
-            e_odd = d_odd
-            e_even = Fraction(2, k) - d_odd
-        exps = {}
-        for i in range(k):
-            exps[var_at[i]] = e_odd if i % 2 == first_odd else e_even
+    # lo[i] = log_P(m / the maximum degree at i), clamped to [0, 1].  The
+    # parity with the least smallest bound takes min(lo), or 1/k when that
+    # exceeds 2/k; the other parity takes the rest of 2/k.  On one server
+    # every share is 1 whatever the exponents, and log_P needs P > 1.
+    lo = [max(Fraction(0), min(Fraction(1), log_base_p(m, P)
+                               - log_base_p(max(dg.values(), default=1), P)))
+          for dg in deg] if P > 1 else [Fraction(0)] * k
+    first = min((0, 1), key=lambda r: min(lo[r::2]))
+    e = min(lo) if min(lo) <= Fraction(2, k) else Fraction(1, k)
+    exps = {v: e if i % 2 == first else Fraction(2, k) - e
+            for i, v in enumerate(var_at)}
     parts = _hypercube(ctx, rnd, q, rels, _round_shares(q, exps, P), fresh,
                        tag + "g")
 
@@ -800,19 +765,17 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
 
 def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
     """Residual of an even cycle after fixing a qualifying heavy pair at
-    positions i and j; returns its output parts over the other variables."""
+    positions i and j; returns its output parts over the other variables.
+    var_at[i] below names q.variables[i], the variable at position i."""
     atoms, k = q.atoms, q.k
-    var_at = q.variables
     if (i - j) % k == 1:                    # normalize to j == i+1 (mod k)
         i, j, h, h2 = j, i, h2, h
     ptag = tag + "p%d_%d_%s_%s" % (i, j, h, h2)
 
-    def unary_right(pos, val):
-        # values following val through the atom at `pos`
-        return _slice(rels[atoms[pos].relation], 0, val)
-
-    def unary_left(pos, val):
-        return _slice(rels[atoms[pos].relation], 1, val)
+    def unary(pos, val, side):
+        # the values next to val through the atom at pos: those following
+        # it (side 0) or preceding it (side 1)
+        return _slice(rels[atoms[pos % k].relation], side, val)
 
     def path(start, end):
         # atoms at positions start..end, i.e. variables var_at[start] ..
@@ -824,8 +787,8 @@ def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
         # adjacent: the pair must be an actual tuple of the shared atom
         if (h, h2) not in rels[atoms[i].relation]:
             return []
-        ua = unary_right((i + 1) % k, h2)        # constrains var_at[i+2]
-        ub = unary_left((i - 1) % k, h)          # constrains var_at[i-1]
+        ua = unary(i + 1, h2, 0)                 # constrains var_at[i+2]
+        ub = unary(i - 1, h, 1)                  # constrains var_at[i-1]
         return _arc(ctx, rnd, arc, ua, ub, rels, P1, fresh, ptag, "", ("A", "B"))
     # non-adjacent: two arcs evaluated on a grid
     alpha = (j - i) - 2
@@ -833,12 +796,12 @@ def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
     g1 = max(1, pow_floor(P, Fraction(alpha + 1, k)))
     g2 = max(1, pow_floor(P, Fraction(beta + 1, k)))
     grid = _Grid(fresh, 8 * g2 + 16)
-    u1a = unary_right(i, h)                  # var_at[i+1]
-    u1b = unary_left((j - 1) % k, h2)        # var_at[j-1]
+    u1a = unary(i, h, 0)                     # var_at[i+1]
+    u1b = unary(j - 1, h2, 1)                # var_at[j-1]
     first = _arc(ctx, rnd, path(i + 1, j - 2), u1a, u1b, rels,
                  g1, grid.fresh_row, ptag + "x", "", ("A", "B"))
-    u2a = unary_right(j, h2)                 # var_at[j+1]
-    u2b = unary_left((i - 1) % k, h)         # var_at[i-1]
+    u2a = unary(j, h2, 0)                    # var_at[j+1]
+    u2b = unary(i - 1, h, 1)                 # var_at[i-1]
     second = _arc(ctx, rnd, path(j + 1, i + k - 2), u2a, u2b, rels,
                   g2, grid.fresh_col, ptag + "y", "", ("A", "B"))
     # disjoint arcs: a product

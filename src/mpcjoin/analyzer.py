@@ -74,7 +74,7 @@ mu_j = log_p M_j and L_X = max over packings u of q_X of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -141,8 +141,8 @@ def iroot(n: int, k: int) -> int:
     and at r = s the step gives nxt >= r, which ends the loop."""
     if n < 0:
         raise ValueError("negative radicand")
-    if n == 0 or k == 1:
-        return n
+    if n == 0:
+        return 0
     r = 1 << -(-n.bit_length() // k)
     while True:
         nxt = ((k - 1) * r + n // r ** (k - 1)) // k
@@ -335,8 +335,6 @@ class ShareAllocation:
     exponents: dict          # variable -> Fraction, sum <= 1
     shares: dict             # variable -> int, product <= p
     lam: Fraction            # optimal LP objective (load is p**lam)
-    p: int
-    heavy_set: frozenset = field(default_factory=frozenset)
 
     def grid_size(self) -> int:
         return math.prod(self.shares.values())
@@ -346,24 +344,18 @@ def _round_shares(q: Query, exponents: dict, p: int) -> dict:
     """floor(p**e_i) per variable, then greedily hand the leftover factor to
     the variables with the largest fractional deficit while keeping the
     product <= p."""
-    shares = {}
-    for v in q.variables:
-        e = exponents[v]
-        shares[v] = max(1, pow_floor(p, e)) if e > 0 else 1
+    shares = {v: max(1, pow_floor(p, exponents[v])) for v in q.variables}
     while True:
         prod = 1
         for s in shares.values():
             prod *= s
         cand = []
         for v in q.variables:
-            e = exponents[v]
-            if e <= 0:
-                continue
             s = shares[v]
             if prod // s * (s + 1) > p:
                 continue
             # deficit: how far below the real-valued share p**e we sit
-            deficit = float(e) * math.log(p) - math.log(s)
+            deficit = float(exponents[v]) * math.log(p) - math.log(s)
             if deficit > 1e-12:
                 cand.append((deficit, v))
         if not cand:
@@ -385,17 +377,13 @@ def share_lp(q: Query, M: dict, p: int, heavy: frozenset = frozenset()) -> Share
     if unknown:
         raise ValueError("unknown heavy variables: %s" % sorted(unknown))
     zero = {v: Fraction(0) for v in q.variables}
-    if p == 1:
-        return ShareAllocation(zero, {v: 1 for v in q.variables}, Fraction(0), p, heavy)
-    qx = residual_query(q, heavy) if heavy else q
-    if qx is None:
-        return ShareAllocation(zero, {v: 1 for v in q.variables}, Fraction(0), p, heavy)
+    if p == 1 or (qx := residual_query(q, heavy) if heavy else q) is None:
+        return ShareAllocation(zero, {v: 1 for v in q.variables}, Fraction(0))
 
     free = [v for v in q.variables if v not in heavy]
     logs = _logs((M[a.relation] for a in qx.atoms), p)
     mu = {a.relation: logs[M[a.relation]] for a in qx.atoms}
     # columns: e_i for free vars, then lambda; minimize lambda
-    n = len(free) + 1
     c = [0] * len(free) + [1]
     A = [[1] * len(free) + [0]]
     rel = ["<="]
@@ -413,7 +401,7 @@ def share_lp(q: Query, M: dict, p: int, heavy: frozenset = frozenset()) -> Share
         exponents[v] = res.x[i]
     lam = res.x[len(free)]
     shares = _round_shares(q, exponents, p)
-    return ShareAllocation(exponents, shares, lam, p, heavy)
+    return ShareAllocation(exponents, shares, lam)
 
 
 @dataclass

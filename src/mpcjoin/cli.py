@@ -41,7 +41,7 @@ def _load_query(args):
         q = canonical_query(args.family, args.k)
     else:
         raise QueryError("need --query or --family/--k")
-    print("# mpcjoin " + " ".join(sys.argv[1:]))
+    print("# mpcjoin " + " ".join(args.argv))
     return q
 
 
@@ -293,6 +293,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
@@ -301,6 +302,9 @@ def main(argv=None) -> int:
         check_flags(args)
         if args.seed is None:
             args.seed = int(os.environ.get("MPCJOIN_SEED", "0"))
+            if "MPCJOIN_SEED" in os.environ:
+                argv = ["--seed", str(args.seed)] + argv
+        args.argv = argv        # echoed by the `# mpcjoin` header
         return args.fn(args)
     except (QueryError, ValueError, OSError, MemoryOverflow) as e:
         print("error: %s" % e, file=sys.stderr)

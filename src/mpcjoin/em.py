@@ -125,21 +125,18 @@ def replay_io(server_tuples: list, input_tuples: int, W: int, B: int,
                         % (p_o * B, W))
 
     rounds = len(server_tuples)
-    phases = {"init": 0, "partition": 0, "load": 0, "write": 0}
+    # Input scan; round-1 routing happens inline during this single pass,
+    # so the tagged stream is never written out and re-read.
+    phases = {"init": _blocks(input_tuples, B), "partition": 0, "load": 0, "write": 0}
     if p_o == 1 or rounds == 0:
-        # Everything fits on the lone server: a single input scan.
-        phases["init"] = _blocks(input_tuples, B)
+        # Everything fits on the lone server: the input scan is all.
         if input_tuples > W:
             raise MemoryOverflow("p_o=1 run holds %d words > W=%d"
                                  % (input_tuples, W))
         return IOReport(phases["init"], phases, p_o, max(rounds, 1),
                         input_tuples, warnings)
 
-    # Input scan; round-1 routing happens inline during this single pass,
-    # so the tagged stream is never written out and re-read.
     vol = [sum(t.values()) for t in server_tuples]
-    phases["init"] = _blocks(input_tuples, B)
-
     state = {}               # server -> words accumulated so far
     max_resident = 0
     for r, incoming in enumerate(server_tuples):

@@ -599,7 +599,8 @@ def test_dry_runs_leave_shared_inputs_as_they_were():
             for (r, i), column in shared.columns.items():
                 assert column == [t[i] for t in inputs[r]], where
             for (tag, v, cols), order in shared.orders.items():
-                assert order == _ranked(_Ctx(Engine({}), 1, 8), inputs, cols, tag, v), where
+                fresh = [[t[i] for t in inputs[r]] for r, i in cols]
+                assert order == _ranked(1, tag, v, fresh), where
     assert min(checked.values()) > 0 and len(checked) == 3
 
 
@@ -616,7 +617,10 @@ def _ledger_digest(res):
 # (Kkq, Wkw), odd cycles' (Cka), the arcs of even cycles' heavy pairs,
 # adjacent and not (Cp...A, Cp...xA), line's odd branch (Lk) and
 # covering's semi-joins (Vkc).  The last clique lists a pair out of head
-# order, so its k == 2 residual must reorder its rows.
+# order, so its k == 2 residual must reorder its rows.  The last two rows
+# ship only their inputs (S1...): C4 skewed on x2 gives the odd positions
+# the least smallest bound in the even cycle's one-round exponents (p = 27),
+# and on one server every share is 1 (p = 1).
 _PINNED = [
     ("clique", canonical_query("K", 4), "two_heavy", 1024, r"Kkq#",
      "c126ade7237ee9f9c4405862f337b35ba9c933514ef67c7c932b6c13b5bd08de"),
@@ -640,6 +644,10 @@ _PINNED = [
      "e65cdd50dc8c32f979e5380d93d997a633f2d60132396bbbdcbbd8be594dc6b3"),
     ("clique", parse_query("Q(a,b,c) :- R(b,a), S(b,c), T(a,c)"), "c", 27, r"Kkq#",
      "98ec6e9713ff9e9b7fefcf071143905b0a1787205bddc68c9fb86d541a0e1055"),
+    ("cycle", canonical_query("C", 4), "x2", 27, r"S\d$",
+     "005307012251a8dc14238ae24d04158d7cc34c3e0c0d1ca5cfa4adf69f0aa800"),
+    ("cycle", canonical_query("C", 4), "x2", 1, r"S\d$",
+     "d03283ac3bc6913c78137e11ce0c799d92d7b46837358fc5856205e464d6615d"),
 ]
 
 
@@ -681,8 +689,9 @@ def test_every_registered_algorithm_has_contract():
 @given(st.integers(1, 10 ** 4), st.integers(1, 10 ** 4), st.data())
 def test_least_heavy_frequency_matches_brute_force(m, P, data):
     # every heavy threshold m/P^(num/den): _one_round_skew (1/1),
-    # _skew_join_ship (strict, 1/1), _light_hypercube (strict, 1/k), _line
-    # (1/n), _cycle_even's candidates (2/k) and its pairs (m^2 at 2/k)
+    # _skew_join_ship (strict, 1/1), _heavy_residuals' light round
+    # (strict, 1/k), _line (1/n), _cycle_even's candidates (2/k) and its
+    # pairs (m^2 at 2/k)
     if data.draw(st.booleans(), label="pair"):
         m = data.draw(st.integers(1, 100), label="pair m") ** 2
         num, den, strict = 2, data.draw(st.integers(2, 10), label="k"), False

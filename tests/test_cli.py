@@ -112,6 +112,20 @@ def test_seed_environment_read_at_each_call(tmp_path, monkeypatch, capsys):
     assert three == generate(tmp_path / "d", "--seed", "3")
 
 
+def test_header_echoes_the_parsed_command(monkeypatch, capsys):
+    # the header is the argv main parsed, not the script's own sys.argv,
+    # with a seed taken from MPCJOIN_SEED put in front
+    monkeypatch.setattr(sys, "argv", ["script.py", "extra", "args", "here"])
+    monkeypatch.delenv("MPCJOIN_SEED", raising=False)
+    argv = ["analyze", "--family", "C", "--k", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "# mpcjoin " + " ".join(argv)
+    monkeypatch.setenv("MPCJOIN_SEED", "3")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "# mpcjoin --seed 3 " + " ".join(argv)
+
+
 def test_run_with_oracle_check(tmp_path, capsys):
     csv_path = str(tmp_path / "load.csv")
     rc = main(["run", "--family", "C", "--k", "3", "--gen", "single_heavy",
