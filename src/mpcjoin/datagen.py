@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from itertools import chain, compress, product, repeat
 from operator import eq, lt
@@ -284,31 +285,88 @@ def write_instance(db: DatabaseInstance, outdir: str) -> None:
         f.write("\n")
 
 
-def _fields(path: str, relation: str, arity: int) -> list:
-    """The fields of the non-blank lines of one relation's file, in order;
-    raises ValueError when a line has other than arity fields.  The lines
-    die on return, before the fields are read as ints."""
-    with open(path) as f:
-        lines = list(filter(None, map(str.strip, f.read().split("\n"))))
-    if lines and set(map(str.count, lines, repeat("\t"))) != {arity - 1}:
-        raise ValueError("%s: tuple arity mismatch in %s (a line has other "
-                         "than %d fields)" % (path, relation, arity))
-    return "\t".join(lines).split("\t") if lines else []
+_NUMBER = b"(?:[1-9][0-9]*|0)"     # one unsigned decimal integer
+_COMMAS = bytes.maketrans(b"\t\n", b",,")
+_READ_CHUNK = 1 << 14      # bytes of whole lines matched and parsed at once
+
+
+def _row(arity: int) -> bytes:
+    """The pattern of one line's fields, without its newline."""
+    return b"\t".join([_NUMBER] * arity)
+
+
+def _values(path: str, relation: str, arity: int, n: int) -> list:
+    """The values of one relation's file, in file order, checked against
+    the grammar and the domain [1, n] that `read_instance` states.
+
+    The file is read a chunk of whole lines at a time: one compiled regex
+    of arity-field lines matches the chunk, and one `json.loads` reads it
+    as a list, its tabs and newlines turned into commas.  The grammar's
+    integers are JSON's, so JSON only fails on an integer longer than the
+    interpreter reads, which is longer than n.  A chunk is matched on its
+    own, so the regex's repeat never holds state for more than its lines."""
+    with open(path, "rb") as f:
+        text = f.read()
+    if text and not text.endswith(b"\n"):
+        text += b"\n"
+    lines = re.compile(b"(?:%b\n)*" % _row(arity))
+    outside = "%s: a value lies outside the domain [1, %d]" % (path, n)
+    vals = []
+    pos = 0
+    while pos < len(text):
+        end = (text.rfind(b"\n", pos, pos + _READ_CHUNK) + 1
+               or text.find(b"\n", pos + _READ_CHUNK) + 1)
+        if not lines.fullmatch(text, pos, end):
+            _reject(path, relation, arity, text, pos, end)
+        try:
+            vals += json.loads(b"[%b]" % text[pos:end - 1].translate(_COMMAS))
+        except ValueError:
+            raise ValueError(outside) from None
+        pos = end
+    if vals and (min(vals) < 1 or max(vals) > n):
+        raise ValueError(outside)
+    return vals
+
+
+def _reject(path: str, relation: str, arity: int, text: bytes, pos: int,
+            end: int) -> None:
+    """Raise ValueError for the first line of text[pos:end] outside the
+    grammar: the tuple arity mismatch when it is unsigned decimal integers
+    separated by single tabs, but not arity of them, and an error naming
+    its 1-based line number in the file otherwise."""
+    first = text.count(b"\n", 0, pos) + 1
+    for k, line in enumerate(text[pos:end - 1].split(b"\n"), first):
+        if re.fullmatch(_row(arity), line):
+            continue
+        if re.fullmatch(b"%b(?:\t%b)*" % (_NUMBER, _NUMBER), line):
+            raise ValueError("%s: tuple arity mismatch in %s (a line has other "
+                             "than %d fields)" % (path, relation, arity))
+        raise ValueError("%s: line %d is not %d unsigned decimal integers "
+                         "separated by single tabs" % (path, k, arity))
 
 
 def read_instance(q: Query, indir: str) -> DatabaseInstance:
     """Read an instance written by `write_instance`; raises ValueError when
     the manifest is not a JSON object with an integer seed and an object
     of relations, when its query has other atoms than q, when it gives no
-    domain size n for one of q's relations, when a non-blank line of a
-    relation has other than arity tab-separated integer fields, or when a
-    value lies outside the relation's domain [1, n].
+    domain size n for one of q's relations, when a relation's file breaks
+    the grammar below, or when a value lies outside the relation's domain
+    [1, n].
 
-    Each file is read whole: its non-blank lines are split into fields
-    once, every field is read with int, and the tuples are cut from the
-    flat value list and sorted, so the lines may come in any order.  Values
-    are shared: one dict over all of the instance's relations keeps the
-    first int object read for each value, and every tuple holds that one."""
+    A relation's file is a sequence of lines, each ended by a newline
+    (`\\n`) except that the last may lack one; an empty file has no lines.
+    A line is arity unsigned decimal integers, `0|[1-9][0-9]*` in ASCII
+    digits, separated by single tabs.  Nothing else is allowed: no sign,
+    leading zero, `_`, space, `\\r` or blank line.  A line of such integers
+    whose count is not the arity raises the tuple arity mismatch, naming the
+    file; any other line outside the grammar raises an error naming the file
+    and the line's 1-based number.  The CLI prints either as one `error:`
+    line and exits 2.
+
+    The tuples are cut from the file's values and sorted, so the lines may
+    come in any order.  Values are shared: one dict over all of the
+    instance's relations keeps the first int object read for each value,
+    and every tuple holds that one."""
     mpath = os.path.join(indir, "manifest.json")
     with open(mpath) as f:
         manifest = json.load(f)
@@ -330,10 +388,7 @@ def read_instance(q: Query, indir: str) -> DatabaseInstance:
                              % (indir, a.relation))
         n = entry["n"]
         path = os.path.join(indir, "%s.tsv" % a.relation)
-        vals = list(map(int, _fields(path, a.relation, a.arity)))
-        if vals and (min(vals) < 1 or max(vals) > n):
-            raise ValueError("%s: a value lies outside the domain [1, %d]"
-                             % (path, n))
+        vals = _values(path, a.relation, a.arity, n)
         vals = list(map(canon.setdefault, vals, vals))
         rels[a.relation] = RelationInstance(
             a.relation, a.arity, tuple(sorted(zip(*[iter(vals)] * a.arity))), n)

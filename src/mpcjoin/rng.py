@@ -5,10 +5,11 @@ instances and hash placements are byte-identical across runs and platforms.
 Everything is mixed by one function, the SplitMix64 finalizer `mix64`, keyed
 by `derive_key(seed, *path)`, which hashes an arbitrary key path (strings /
 ints) into the seed, so each relation, attribute, or hash coordinate gets an
-independent key.  A `Stream` draws a sequence from its key; `hash_family`
-places values by it: an int v hashes to mix64(v ^ key), and a tuple folds
-its values, z = mix64(z ^ v) from z = key, so a 1-tuple hashes as its one
-value does.  `hash_column` is the same h over a whole list of values.
+independent key.  A `Stream` draws a sequence from its key, and
+`hash_column` places values by it through one keyed hash h: an int v
+hashes to mix64(v ^ key), and a tuple folds its values, z = mix64(z ^ v)
+from z = key, so a 1-tuple hashes as its one value does.  `hash_column`
+maps a whole list of values through h.
 
 One lane kernel serves both `Stream.draws` and `hash_column`.  Up to
 `_CHUNK` 64-bit words sit in one int of 128-bit lanes, word j of the chunk
@@ -142,29 +143,11 @@ def derive_key(seed: int, *path) -> int:
     return h
 
 
-def hash_family(seed: int, *path):
-    """An independent hash function h: value -> int in [0, 2^64).
-
-    The family member is selected by the key path, so distinct (plan
-    variant, variable) pairs hash independently.  Values may be ints or
-    tuples of ints, whose values are folded in order.
-    """
-    key = derive_key(seed, *path)
-
-    def h(value) -> int:
-        if isinstance(value, tuple):
-            z = key
-            for v in value:
-                z = mix64(z ^ v)
-            return z
-        return mix64(value ^ key)
-
-    return h
-
-
 def hash_column(seed: int, *path):
-    """The h of `hash_family(seed, *path)` over a column: a function that
-    maps a sequence of values to [h(v) for v in values].
+    """The keyed hash h of the module docstring over a column: a function
+    that maps a sequence of values to [h(v) for v in values], with key =
+    derive_key(seed, *path), so distinct key paths, such as (plan variant,
+    variable) pairs, hash independently.
 
     Values go through the lane kernel a chunk at a time.  A chunk of ints is
     mixed once, each int masked to 64 bits as `mix64` masks it; a chunk of

@@ -18,12 +18,13 @@ from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.em import DryRuns
 from mpcjoin.query import Atom, Query, QueryError, canonical_query, parse_query
-from mpcjoin.rng import _CHUNK, hash_column, hash_family
+from mpcjoin.rng import _CHUNK, hash_column
 from mpcjoin.sim import Engine, oracle_join
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from conftest import rebuilt, recorded_runs  # noqa: E402
+from hash_reference import hash_family  # noqa: E402
 from ledger_matrix import GRIDS, two_heavy  # noqa: E402
 
 

@@ -14,8 +14,9 @@ import pytest
 from mpcjoin import cli, datagen, em, sim
 from mpcjoin.algorithms import run_algorithm
 from mpcjoin.cli import main
-from mpcjoin.query import QueryError, canonical_query
+from mpcjoin.query import QueryError, canonical_query, parse_query
 
+import reader_reference
 from conftest import star_triangle
 
 REPO = Path(__file__).resolve().parent.parent
@@ -555,6 +556,45 @@ def test_sweep_w_on_empty_instance(tmp_path, capsys):
                  "--out", path]) == 0
     assert open(path).read().splitlines() == [
         "W,B,p_o,rounds,io_blocks,ref_blocks,ratio", "100,10,1,1,0,0.0,0.0000"]
+
+
+# Lines that the reader took before it checked the file grammar, and that
+# it now rejects: the relation's arity, the file's text, and the number of
+# its first bad line.  A unary line holds no tab, so a blank one differs
+# from it only in holding no digits.
+_OFF_GRAMMAR = [
+    pytest.param(2, "1\t2\n+3\t4\n", 2, id="sign"),
+    pytest.param(2, "1\t2\n03\t4\n", 2, id="leading-zero"),
+    pytest.param(2, "1\t2\n1_0\t4\n", 2, id="underscore-in-digits"),
+    pytest.param(2, "1\t2\n\u0663\t4\n", 2, id="non-ascii-digit"),
+    pytest.param(2, "1\t2\n3 \t4\n", 2, id="space-in-line"),
+    pytest.param(2, " 1\t2\n", 1, id="leading-space"),
+    pytest.param(2, "1\t2\n\t3\t4\n", 2, id="leading-tab"),
+    pytest.param(2, "1\t2\n3\t4\t\n", 2, id="trailing-tab"),
+    pytest.param(2, "1\t2\r\n3\t4\r\n", 1, id="crlf"),
+    pytest.param(2, "1\t2\n\n3\t4\n", 2, id="blank-line"),
+    pytest.param(2, "1\t2\n3\t4\n\n", 3, id="blank-last-line"),
+    pytest.param(1, "\n", 1, id="unary-blank-file"),
+    pytest.param(1, "\n1\n", 1, id="unary-blank-first-line"),
+    pytest.param(1, "1\n\n", 2, id="unary-blank-last-line"),
+]
+
+
+@pytest.mark.parametrize("arity,text,line", _OFF_GRAMMAR)
+def test_run_indir_off_grammar_line_exit_2(tmp_path, capsys, arity, text, line):
+    query = "Q({0}) :- R({0})".format(",".join("xy"[:arity]))
+    out = str(tmp_path / "inst")
+    assert main(["generate", "--query", query, "--m", "20", "--out", out]) == 0
+    path = os.path.join(out, "R.tsv")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
+    reader_reference.read_instance(parse_query(query), out)     # took it
+    capsys.readouterr()
+    assert main(["run", "--query", query, "--indir", out, "--alg", "hc",
+                 "--p", "8"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: %s: line %d is not %d unsigned decimal integers separated by "
+        "single tabs" % (path, line, arity)]
 
 
 def test_run_indir_arity_mismatch_exit_2(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import random
+import tracemalloc
 from collections import Counter
 from operator import itemgetter
 
 import pytest
 
+import reader_reference
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance,
                              agm_domain_sizes, gen_agm_worst, gen_coin_flip,
                              gen_lowerbound_matching, gen_matching,
@@ -170,8 +173,12 @@ def test_instances_hold_one_object_per_value(tmp_path, query, gen, read):
     if read:
         write_instance(db, str(tmp_path))
         db = read_instance(db.query, str(tmp_path))
+    assert _shared(db)
+
+
+def _shared(db):
     values = [v for ri in db.relations.values() for t in ri.tuples for v in t]
-    assert len(set(map(id, values))) == len(set(values))
+    return len(set(map(id, values))) == len(set(values))
 
 
 def test_read_rejects_bad_manifest_and_values(tmp_path):
@@ -259,7 +266,7 @@ _PINNED_TSV = {
 }
 
 
-_CANONICAL = {"C3": ("C", 3), "W3": ("W", 3), "LW4": ("LW", 4)}
+_CANONICAL = {"C3": ("C", 3), "W3": ("W", 3), "LW4": ("LW", 4), "L5": ("L", 5)}
 
 
 def _pinned_instance(gen, query, m):
@@ -319,3 +326,92 @@ def test_positions_invert_the_shuffle(n, seed):
     shuffled = Stream(seed, "p").shuffle(list(range(1, n + 1)))
     positions = Stream(seed, "p").positions(n)
     assert [shuffled[i] for i in positions] == list(range(1, n + 1))
+
+
+def _rewrite(path, edit):
+    with open(path, "rb") as f:
+        text = f.read()
+    with open(path, "wb") as f:
+        f.write(edit(text))
+
+
+def _shuffled(text):
+    lines = text.splitlines(keepends=True)
+    random.Random(len(lines)).shuffle(lines)
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("query", ["C3", "LW4", "L5", "W3", _UNARY])
+@pytest.mark.parametrize("gen", ["matching", "single_heavy", "agm_worst",
+                                 "coin_flip", "lb_matching"])
+def test_read_instance_equals_the_reference_reader(tmp_path, gen, query):
+    # 2,049 rows of a binary relation span two of the reader's chunks
+    db = _pinned_instance(gen, query, 2049)
+    q, out = db.query, str(tmp_path)
+    write_instance(db, out)
+    first, last = (os.path.join(out, "%s.tsv" % r) for r in (min(db.relations),
+                                                             max(db.relations)))
+    assert read_instance(q, out) == reader_reference.read_instance(q, out) == db
+    for edit in (lambda: [_rewrite(os.path.join(out, "%s.tsv" % r), _shuffled)
+                          for r in db.relations],
+                 lambda: _rewrite(first, lambda text: text[:-1]),   # no final newline
+                 lambda: _rewrite(last, lambda text: b"")):         # m = 0
+        edit()
+        back = read_instance(q, out)
+        assert back == reader_reference.read_instance(q, out)
+        assert _shared(back)
+    assert back.relations[max(db.relations)].m == 0
+
+
+def test_read_rejects_a_value_longer_than_int_reads(tmp_path):
+    # more digits than the interpreter turns into an int, so more than the
+    # manifest's n can have, on a line longer than the reader's chunk
+    q, out = triangle(), str(tmp_path)
+    write_instance(gen_matching(q, 20, 1), out)
+    path = os.path.join(out, "S2.tsv")
+    with open(path, "a") as f:
+        f.write("1\t%s\n" % ("9" * 20_000))
+    with pytest.raises(ValueError) as err:
+        read_instance(q, out)
+    assert str(err.value) == "%s: a value lies outside the domain [1, 20]" % path
+
+
+@pytest.mark.parametrize("k", [1, 2, 4_000, 5_000])
+def test_read_names_the_bad_line_in_any_chunk(tmp_path, k):
+    # 5,000 lines of up to 10 bytes span several of the reader's chunks
+    q, out = parse_query("Q(x,y) :- S(x,y)"), str(tmp_path)
+    write_instance(gen_matching(q, 5_000, 2), out)
+    path = os.path.join(out, "S.tsv")
+    _rewrite(path, lambda text: b"".join(
+        b"1\t02\n" if i == k else line
+        for i, line in enumerate(text.splitlines(keepends=True), 1)))
+    with pytest.raises(ValueError) as err:
+        read_instance(q, out)
+    assert str(err.value) == ("%s: line %d is not 2 unsigned decimal integers "
+                              "separated by single tabs" % (path, k))
+
+
+# The bound was fixed before the test first ran, from what lives at once.
+# While values are shared: the 100,000 parsed ints (32 bytes each, 3.2 MB),
+# the parsed and the shared value lists (0.8 MB each) and the sharing dict
+# (about 2.6 MB), 7.4 MB.  While tuples are sorted: the dict, the 50,000
+# kept ints (1.6 MB), the shared list, 50,000 2-tuples (64 bytes each,
+# 3.2 MB) and two 50,000-entry sequences of them (0.4 MB each), 9 MB.
+# A grammar check that matched the whole 0.6 MB file with one `(...)*`
+# regex, not a chunk at a time, would keep SRE state for every line: so
+# changed, the reader peaked at 16.1 MiB on this file and failed here,
+# against 8.0 MiB as it is (Python 3.11).
+_READ_PEAK_BYTES = 12 * 2 ** 20
+
+
+def test_read_instance_traced_peak_is_bounded(tmp_path):
+    q = parse_query("Q(x,y) :- S(x,y)")
+    write_instance(gen_matching(q, 50_000, 3), str(tmp_path))
+    tracemalloc.start()
+    try:
+        db = read_instance(q, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert db.relations["S"].m == 50_000
+    assert peak < _READ_PEAK_BYTES, peak

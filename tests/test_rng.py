@@ -3,7 +3,8 @@ from itertools import cycle, islice
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mpcjoin.rng import _CHUNK, Stream, derive_key, hash_column, hash_family, mix64
+from hash_reference import hash_family
+from mpcjoin.rng import _CHUNK, Stream, derive_key, hash_column, mix64
 
 
 def test_mix64_deterministic_and_in_range():
