@@ -413,11 +413,6 @@ def _hc_route(a, order, shares, offsets, cells, column):
     return Route(keys, dests)
 
 
-def _keyed(getter, dests):
-    """The route whose key is getter(t), a C-level projection of t."""
-    return Route(partial(map, getter), dests)
-
-
 def _union(routes):
     """The route to the union of the servers the given routes name; its key
     is the tuple of their keys."""
@@ -430,40 +425,53 @@ def _union(routes):
 
 
 def _hashed(h, groups, keys, preset=()):
-    """The dests key -> groups[h(key) % len(groups)] over the given keys,
-    and key -> its preset servers over the preset keys, which are not
-    hashed: the `__getitem__` of one map, shared by the shipments it routes.
+    """Routes by hash over a table of destinations: the groups in order,
+    then the servers of each preset key, which is not hashed.  A key's
+    index into the table is h(key) % len(groups), or its preset entry's.
 
-    The map is filled before they ship, from all of their keys: keys is any
-    iterable and may repeat a key.  h is a `hash_column` function, called
-    on the keys not yet in the map a chunk at a time, so each distinct key
-    is hashed once and no temporary list outgrows a chunk.  A key outside
-    the map raises KeyError when a shipment looks it up.
+    The key -> index map is filled once, from all of the keys of the
+    shipments it routes: keys is any iterable and may repeat a key.  h is
+    a `hash_column` function, called on the keys not yet in the map a
+    chunk at a time, so each distinct key is hashed once and no temporary
+    list outgrows a chunk.  Returns via(getter=None) -> the `Route` whose
+    key is the index of getter(t), or of t itself, and whose dests is the
+    table lookup; so a shipment has one route key per destination, not
+    one per join key.  A key outside the map raises KeyError when a
+    shipment looks it up.
     """
-    servers = dict(preset)
-    new = filterfalse(servers.__contains__, keys)
     n = len(groups)
+    preset = dict(preset)
+    index = {k: i for i, k in enumerate(preset, n)}
+    table = list(groups) + list(preset.values())
+    new = filterfalse(index.__contains__, keys)
     while part := list(dict.fromkeys(islice(new, _CHUNK))):
-        servers.update(zip(part, map(groups.__getitem__, map(mod, h(part), repeat(n)))))
-    return servers.__getitem__
+        index.update(zip(part, map(mod, h(part), repeat(n))))
+    at = index.__getitem__
+
+    def via(getter=None):
+        if getter is None:
+            return Route(partial(map, at), table.__getitem__)
+        return Route(lambda ts: map(at, map(getter, ts)), table.__getitem__)
+    return via
 
 
 def _distribute(ctx, rnd, name, tuples, groups, tag):
     """Partition a relation over the given logical groups by tuple hash."""
     ctx.eng.ship(rnd, name, tuples,
-                 _hashed(hash_column(ctx.seed, tag, "dist"), groups, tuples))
+                 _hashed(hash_column(ctx.seed, tag, "dist"), groups, tuples)())
 
 
 def _intersect_ship(ctx, rnd, atoms, rels, P, fresh, tag):
     """Co-locate the atoms' relations, which share one variable tuple, by
-    full-tuple hash through one `_hashed` map over a block of P servers,
-    filled from all of their tuples, so a tuple in several of them is hashed
-    once; returns their intersection's part."""
+    full-tuple hash through one `_hashed` route over a block of P servers,
+    its map filled from all of their tuples, so a tuple in several of them
+    is hashed once; each tuple's route key is its server's index in the
+    block.  Returns their intersection's part."""
     block = [fresh() for _ in range(P)]
-    servers = _hashed(hash_column(ctx.seed, tag, "ix"), block,
-                      chain.from_iterable(rels[a.relation] for a in atoms))
+    route = _hashed(hash_column(ctx.seed, tag, "ix"), block,
+                    chain.from_iterable(rels[a.relation] for a in atoms))()
     for a in atoms:
-        ctx.eng.ship(rnd, a.relation, rels[a.relation], servers)
+        ctx.eng.ship(rnd, a.relation, rels[a.relation], route)
     return _part(block, atoms, rels)
 
 
@@ -479,12 +487,13 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     are partitioned by hpart; everything else goes through a hash join on h
     over a block of P servers.  h and hpart are `hash_column` functions.
     A's tuples and B's light tuples are routed by key through one `_hashed`
-    map with the heavy keys preset to their broadcast blocks.  It is filled
-    before either side ships, from A's keys and B's distinct keys (freq),
-    so h runs once per distinct light key over both sides and never on a
-    heavy key.  B's heavy tuples are placed by one hpart column over their
-    whole tuples.  Returns the logical servers of the join and the heavy
-    key -> block map.
+    map, whose table is the block and then the heavy keys' broadcast
+    blocks, so a tuple's route key is the index of its destination, not
+    its join key.  The map is filled before either side ships, from A's
+    keys and B's distinct keys (freq), so h runs once per distinct light
+    key over both sides and never on a heavy key.  B's heavy tuples are
+    placed by one hpart column over their whole tuples.  Returns the
+    logical servers of the join and the heavy key -> block map.
     """
     m = max(len(a_tuples), len(b_tuples), 1)
     akey, bkey = _key(a_keypos), _key(b_keypos)
@@ -492,10 +501,10 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     heavy = _heavy(freq, _least(m, P, 1, 1, strict=True))
     hblocks = {kv: [fresh() for _ in range(-(-P * freq[kv] // m))]  # ceil
                for kv in heavy}
-    servers = _hashed(h, block, chain(map(akey, a_tuples), freq),
-                      {kv: tuple(s for g in gs for s in g)
-                       for kv, gs in hblocks.items()})
-    ctx.eng.ship(rnd, a_name, a_tuples, _keyed(akey, servers))
+    via = _hashed(h, block, chain(map(akey, a_tuples), freq),
+                  {kv: tuple(s for g in gs for s in g)
+                   for kv, gs in hblocks.items()})
+    ctx.eng.ship(rnd, a_name, a_tuples, via(akey))
     if hblocks:
         # B's tuples with a heavy key are placed by their whole tuple
         hot = list(map(hblocks.__contains__, map(bkey, b_tuples)))
@@ -504,7 +513,7 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
         place = dict(zip(ts, map(getitem, gs, map(mod, hpart(ts), map(len, gs)))))
         ctx.eng.ship(rnd, b_name, ts, place.__getitem__)
         b_tuples = list(compress(b_tuples, map(not_, hot)))
-    ctx.eng.ship(rnd, b_name, b_tuples, _keyed(bkey, servers))
+    ctx.eng.ship(rnd, b_name, b_tuples, via(bkey))
     return block + [g for gs in hblocks.values() for g in gs], hblocks
 
 
@@ -625,7 +634,7 @@ def _line(ctx, rnd, atoms, rels, P, fresh, tag):
     hcol = _hashed(hash_column(ctx.seed, tag, "lx1"), cols,
                    chain(map(itemgetter(1), light1), map(itemgetter(0), light2)))
     for name, ts, pos in ((s1.relation, light1, 1), (s2.relation, light2, 0)):
-        ctx.eng.ship(rnd, name, ts, _keyed(itemgetter(pos), hcol))
+        ctx.eng.ship(rnd, name, ts, hcol(itemgetter(pos)))
     parts = _product(_part(cols, [s1, s2], {s1.relation: light1, s2.relation: light2}),
                      tail)
 

@@ -24,7 +24,9 @@ shipments into the same global round.
 This module holds the engine, its ledger and the join, and no placement
 arithmetic: a route's servers come from the strategy that builds it, which
 fills its placement maps before it ships, a column of distinct keys at a
-time through `rng.hash_column`, so dests(key) is a lookup.
+time through `rng.hash_column`, so dests(key) is a lookup.  A hashed
+route's key is the index of its destination in a table, not the join key
+it hashes, so such a shipment has at most one key per destination.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Dead names in the package source, found by parsing it with `ast`: an
-import that its module never names, and a function local that is assigned
-and never read."""
+import that its module never names, a function local that is assigned
+and never read, and a private module-level name that no module reads."""
 
 import ast
 from pathlib import Path
@@ -59,3 +59,31 @@ def test_every_local_is_read(path):
             dead += [(fn.lineno, getattr(fn, "name", "<lambda>"), name)
                      for name in sorted(_stores(fn) - _loads(fn) - {"_"})]
     assert not dead, "%s assigns locals it never reads: %s" % (path.name, dead)
+
+
+def _module_private_names(tree):
+    """(line, name) of every private (`_x`, not dunder) function, class or
+    assignment target at the top level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((node.lineno, n) for n in names
+                    if n.startswith("_") and not n.startswith("__"))
+
+
+def test_every_private_module_name_is_read():
+    # a private helper that no module of the package reads, by name or as
+    # an attribute, is dead code left behind by a refactor
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    read = set().union(*map(_loads, trees.values()))
+    read |= {n.attr for t in trees.values() for n in ast.walk(t)
+             if isinstance(n, ast.Attribute)}
+    dead = sorted((name, line, n) for name, tree in trees.items()
+                  for line, n in _module_private_names(tree) if n not in read)
+    assert not dead, "private names that no module reads: %s" % dead
