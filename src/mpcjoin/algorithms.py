@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, cycle, filterfalse, islice, repeat
-from operator import add, getitem, itemgetter, mod, not_
+from operator import add, itemgetter, mod, not_
 from typing import Callable, NamedTuple
 
 from .analyzer import _round_shares, iroot, log_base_p, pow_floor, share_lp
@@ -492,8 +492,10 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     its join key.  The map is filled before either side ships, from A's
     keys and B's distinct keys (freq), so h runs once per distinct light
     key over both sides and never on a heavy key.  B's heavy tuples are
-    placed by one hpart column over their whole tuples.  Returns the
-    logical servers of the join and the heavy key -> block map.
+    keyed by the index of their server in the heavy blocks' servers: the
+    block's start plus hpart(t) modulo its size, hpart running over whole
+    tuples a column at a time.  Returns the logical servers of the join
+    and the heavy key -> block map.
     """
     m = max(len(a_tuples), len(b_tuples), 1)
     akey, bkey = _key(a_keypos), _key(b_keypos)
@@ -505,16 +507,20 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
                   {kv: tuple(s for g in gs for s in g)
                    for kv, gs in hblocks.items()})
     ctx.eng.ship(rnd, a_name, a_tuples, via(akey))
+    table, start, size = [], {}, {}     # the heavy blocks' servers; each block's span
+    for kv, gs in hblocks.items():
+        start[kv], size[kv] = len(table), len(gs)
+        table += gs
     if hblocks:
-        # B's tuples with a heavy key are placed by their whole tuple
+        def keys(ts):
+            return map(add, map(start.__getitem__, map(bkey, ts)),
+                       map(mod, hpart(ts), map(size.__getitem__, map(bkey, ts))))
         hot = list(map(hblocks.__contains__, map(bkey, b_tuples)))
-        ts = list(compress(b_tuples, hot))
-        gs = list(map(hblocks.__getitem__, map(bkey, ts)))
-        place = dict(zip(ts, map(getitem, gs, map(mod, hpart(ts), map(len, gs)))))
-        ctx.eng.ship(rnd, b_name, ts, place.__getitem__)
+        ctx.eng.ship(rnd, b_name, list(compress(b_tuples, hot)),
+                     Route(keys, table.__getitem__))
         b_tuples = list(compress(b_tuples, map(not_, hot)))
     ctx.eng.ship(rnd, b_name, b_tuples, via(bkey))
-    return block + [g for gs in hblocks.values() for g in gs], hblocks
+    return block + table, hblocks
 
 
 def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,

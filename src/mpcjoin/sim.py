@@ -5,17 +5,17 @@ sent to any set of servers, but the destination set must be a pure function
 of the tuple and of public data statistics.  Every shipment goes through
 one primitive, `Engine.ship`, which spot-checks that on every call;
 delivering the same tuple to the same server twice in one round is an
-error.  A route is a `Route` of keys(tuples), computed one column at a
-time, and dests(key), evaluated once per distinct key; a plain callable is
-the route whose key is the tuple itself.  Counting mode charges each
-key's count to that key's servers, with no per-tuple work beyond
-computing the keys; storing mode also groups the tuples by destination
-set and keeps each delivered group once, as one tuple shared by its
-servers, with no hash table per group.  So replication costs per group,
-not per delivered copy, and the checks and the ledger are the same as for
-one delivery at a time.  The per-round load of a server is the data it
-receives that round; the cost of a run is the maximum over servers and
-rounds, reported both in tuples and in bits.
+error.  A shipment is a list, tuple, set or frozenset of tuples; its
+route is a `Route` of keys(tuples), computed one column at a time, and
+dests(key), a tuple or frozenset of servers, evaluated once per distinct
+key.  Counting mode charges each key's count to that key's servers, with
+no per-tuple work beyond computing the keys; storing mode also groups the
+tuples by destination set and keeps each delivered group once, as one
+tuple shared by its servers, with no hash table per group.  So
+replication costs per group, not per delivered copy, and the checks and
+the ledger are the same as for one delivery at a time.  The per-round
+load of a server is the data it receives that round; the cost of a run
+is the maximum over servers and rounds, in tuples and in bits.
 
 Rounds are addressed by index rather than opened/closed sequentially, so
 that concurrently running sub-plans of different depths can deposit their
@@ -99,19 +99,10 @@ class Route(NamedTuple):
 
     keys(tuples) yields one key per tuple, in order, and must depend on
     each tuple alone; dests(key) names the servers of every tuple with
-    that key, as a tuple or frozenset (used as given) or any other iterable.
+    that key, as a tuple or frozenset; a per-tuple route keys t by t itself.
     """
     keys: Callable
     dests: Callable
-
-
-def _itself(tuples):
-    return tuples
-
-
-def _servers(dests):
-    """A route's servers as given when a tuple or frozenset, else a tuple."""
-    return dests if type(dests) is tuple or type(dests) is frozenset else tuple(dests)
 
 
 class Engine:
@@ -144,29 +135,30 @@ class Engine:
         """Deliver every tuple of `rel` to each server of its route in
         round `rnd` (0-based).
 
-        `route` is a `Route`, or a callable tup -> servers, which is the
-        route whose key is the tuple itself.  The keys are computed for the
-        whole shipment at once and dests runs once per distinct key.  In
-        counting mode each key's count is charged to its servers; in
-        storing mode the tuples are grouped by destination set, and each
-        group reaches each of its servers in one step.  The first 64
-        tuples check that the route depends on the tuple alone: their keys
-        are computed again, in reverse order, and dests runs twice on each
-        of their keys (a dests that returns the same object twice passes
-        without sorting).  In storing mode a tuple that reaches a server it
-        already reached in this round (a route naming a server twice, or a
-        tuple repeated in the input) raises `RoutingError`, and the failed
-        shipment delivers nothing; counting mode charges every server
-        named.  A shipment with no deliveries opens no round.
+        `tuples` is a list, tuple, set or frozenset and `route` a `Route`,
+        else `TypeError`, and dests returns a tuple or frozenset, else
+        `RoutingError`; the keys are computed for the whole shipment at
+        once and dests runs once per distinct key.  In counting mode each
+        key's count is charged to its servers; in storing mode the tuples
+        are grouped by destination set, and each group reaches each of its
+        servers in one step.  The first 64 tuples check that the route
+        depends on the tuple alone: their keys are computed again, in
+        reverse order, and dests runs twice on each of their keys (a dests
+        that returns the same object twice passes without sorting).  In
+        storing mode a tuple that reaches a server it already reached in
+        this round (a route naming a server twice, or a tuple repeated in
+        the input) raises `RoutingError`, and the failed shipment delivers
+        nothing; counting mode charges every server named.  A shipment
+        with no deliveries opens no round.
         """
         if rel not in self.widths:
             raise KeyError("unknown relation %r" % rel)
         if rnd < 0:
             raise ValueError("negative round")
         if not isinstance(route, Route):
-            route = Route(_itself, route)
+            raise TypeError("route for %s is not a Route" % rel)
         if not isinstance(tuples, (list, tuple, set, frozenset)):
-            tuples = list(tuples)
+            raise TypeError("shipment of %s is not a list, tuple, set or frozenset" % rel)
         keys = iter(route.keys(tuples))
         head = list(islice(keys, 64))
         first = list(islice(tuples, len(head)))
@@ -191,7 +183,7 @@ class Engine:
         checked = len(set(head))        # head's keys come first
         servers = []
         for k in distinct[:checked]:
-            dests = _servers(route.dests(k))
+            dests = route.dests(k)
             again = route.dests(k)
             if again is not dests and sorted(again) != sorted(dests):
                 raise RoutingError("route for %s/%s is not tuple-determined"
@@ -199,7 +191,8 @@ class Engine:
             servers.append(dests)
         servers += map(route.dests, distinct[checked:])
         if not {tuple, frozenset}.issuperset(map(type, servers)):
-            servers = list(map(_servers, servers))
+            raise RoutingError("route for %s gives servers that are not a tuple"
+                               " or frozenset" % rel)
         if self.store_tuples:
             groups = defaultdict(list)      # dests -> its tuples
             of_key = dict(zip(distinct, map(groups.__getitem__, servers)))
@@ -337,7 +330,7 @@ def join_atoms(atoms, rel_tuples, out_vars, guard: int = 0):
     if pending:                         # a step left no rows
         return set()
     if cols == list(out_vars):
-        final = _itself
+        final = iter
     else:
         proj = _columns([cols.index(v) for v in out_vars])
         final = lambda rows: map(proj, rows)

@@ -160,14 +160,27 @@ def test_intersection_hashes_each_tuple_once(monkeypatch):
 
 def _wrap_ship(monkeypatch, around):
     """Engine.ship calls around(ship, engine, rnd, rel, tuples, route) from
-    now on, where ship is the real one; tuples is a collection."""
+    now on, where ship is the real one."""
     real = Engine.ship
 
     def ship(self, rnd, rel, tuples, route):
-        if not isinstance(tuples, (list, tuple, set, frozenset)):
-            tuples = list(tuples)
         return around(real, self, rnd, rel, tuples, route)
     monkeypatch.setattr(Engine, "ship", ship)
+
+
+def _route_key_counts(monkeypatch, alg, db, p):
+    """(relation, tuples, distinct route keys, destination sets) of each
+    shipment of alg on db at p, whose output must be the oracle's."""
+    counts = []
+
+    def count(ship, eng, rnd, rel, tuples, route):
+        keys = set(route.keys(tuples))
+        counts.append((rel, len(tuples), len(keys),
+                       len({frozenset(route.dests(k)) for k in keys})))
+        return ship(eng, rnd, rel, tuples, route)
+    _wrap_ship(monkeypatch, count)
+    assert run_algorithm(alg, db, p, 5).output == oracle_join(db)
+    return counts
 
 
 @pytest.mark.parametrize("alg,q", [
@@ -179,30 +192,29 @@ def test_hashed_shipments_key_by_destination(monkeypatch, alg, q):
     # A hashed route's key is its destination's index, not the join key or
     # tuple it hashes: with 2,000 distinct keys per side and p = 8, every
     # shipment has at most one route key per destination set.
-    db = gen_matching(q, 2000, 4)
-    counts = []
-
-    def count(ship, eng, rnd, rel, tuples, route):
-        keys, dests = route if isinstance(route, Route) else (iter, route)
-        keys = set(keys(tuples))
-        counts.append((rel, len(tuples), len(keys),
-                       len({frozenset(dests(k)) for k in keys})))
-        return ship(eng, rnd, rel, tuples, route)
-    _wrap_ship(monkeypatch, count)
-    res = run_algorithm(alg, db, 8, 5)
-    assert res.output == oracle_join(db)
+    counts = _route_key_counts(monkeypatch, alg, gen_matching(q, 2000, 4), 8)
     assert sum(n for _, n, _, _ in counts) >= 2 * 2000
     assert [c for c in counts if c[2] > c[3]] == []
 
 
-def test_semi_join_ship_memory(monkeypatch):
-    # One storing ship of a 50,000-tuple semi-join side at p = 64 keeps its
-    # route keys (small ints, one per destination) and groups, not a
-    # distinct-key dict and a key -> group map as large as the shipment:
-    # the tracemalloc peak of each ship above its start stays within
-    # 2.5 MiB (about 1.3 MiB measured, 4.9 MiB with join-key route keys).
-    db = gen_matching(parse_query("Q(z,y) :- R(z), S(z,y)"), 50000, 0)
-    peaks = {}
+@pytest.mark.parametrize("alg,q,m", [
+    ("semi_join", parse_query("Q(z,y) :- R(z), S(z,y)"), 2000),
+    ("join_one_sided_skew", parse_query("Q(x,z,y) :- S1(x,z), S2(z,y)"), 200),
+])
+def test_heavy_side_keys_by_destination(monkeypatch, alg, q, m):
+    # Every tuple has z = 1, so the skew join's B side is all heavy and is
+    # split over the key's block of 8 servers, each tuple keyed by the
+    # index of its server, not by itself: at most one route key per
+    # destination set.
+    counts = _route_key_counts(monkeypatch, alg, gen_single_heavy(q, m, "z", 4), 8)
+    assert any(n == m and sets > 1 for _, n, _, sets in counts), counts
+    assert [c for c in counts if c[2] > c[3]] == []
+
+
+def _semi_join_ship_peaks(monkeypatch, db):
+    """(relation, tuples, tracemalloc peak above its start) of each storing
+    ship of semi_join on db at p = 64, in call order."""
+    peaks = []
 
     def traced(ship, eng, rnd, rel, tuples, route):
         tracemalloc.start()
@@ -212,11 +224,34 @@ def test_semi_join_ship_memory(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        peaks[rel] = (len(tuples), peak - start)
+        peaks.append((rel, len(tuples), peak - start))
     _wrap_ship(monkeypatch, traced)
     run_algorithm("semi_join", db, 64, 5)
-    assert {rel: n for rel, (n, _) in peaks.items()} == {"R": 50000, "S": 50000}
-    assert all(peak <= 2.5 * 2 ** 20 for _, peak in peaks.values()), peaks
+    return peaks
+
+
+def test_semi_join_ship_memory(monkeypatch):
+    # One storing ship of a 50,000-tuple semi-join side at p = 64 keeps its
+    # route keys (small ints, one per destination) and groups, not a
+    # distinct-key dict and a key -> group map as large as the shipment:
+    # the tracemalloc peak of each ship above its start stays within
+    # 2.5 MiB (about 1.3 MiB measured, 4.9 MiB with join-key route keys).
+    peaks = _semi_join_ship_peaks(
+        monkeypatch, gen_matching(parse_query("Q(z,y) :- R(z), S(z,y)"), 50000, 0))
+    assert sorted((rel, n) for rel, n, _ in peaks) == [("R", 50000), ("S", 50000)]
+    assert all(peak <= 2.5 * 2 ** 20 for _, _, peak in peaks), peaks
+
+
+def test_skewed_semi_join_ship_memory(monkeypatch):
+    # All 50,000 tuples of S have z = 1 and ship through the heavy block's
+    # route at p = 64, keyed by the index of their server: the tracemalloc
+    # peak of each ship above its start stays within 3.5 MiB (about 2.9 MiB
+    # measured, most of it hpart's hash list; 4.9 MiB with one route key
+    # per tuple).
+    peaks = _semi_join_ship_peaks(
+        monkeypatch, gen_single_heavy(parse_query("Q(z,y) :- R(z), S(z,y)"), 50000, "z", 0))
+    assert sorted((rel, n) for rel, n, _ in peaks) == [("R", 1), ("S", 0), ("S", 50000)]
+    assert all(peak <= 3.5 * 2 ** 20 for _, _, peak in peaks), peaks
 
 
 def test_hc_grid_bound_and_unbound():

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from collections import Counter
+from functools import partial
 from operator import itemgetter
 
 import pytest
@@ -16,16 +17,18 @@ from mpcjoin.sim import Engine, Route, RoutingError, join_atoms, oracle_join
 
 from conftest import star_triangle
 
+_by_tuple = partial(Route, iter)        # the route whose key is the tuple itself
+
 
 def test_engine_counts_and_rejects_repeats():
     eng = Engine({"R": 10, "S": 3})
-    eng.ship(0, "R", [(1, 2)], lambda t: [1, 2])
-    eng.ship(0, "S", [(1, 2)], lambda t: [1])   # same tuple, other relation
+    eng.ship(0, "R", [(1, 2)], _by_tuple(lambda t: (1, 2)))
+    eng.ship(0, "S", [(1, 2)], _by_tuple(lambda t: (1,)))   # same tuple, other relation
     with pytest.raises(RoutingError):
-        eng.ship(0, "R", [(1, 2)], lambda t: [1])   # repeat in the same round
+        eng.ship(0, "R", [(1, 2)], _by_tuple(lambda t: (1,)))   # repeat in the same round
     with pytest.raises(RoutingError):
-        eng.ship(0, "R", [(3, 4)], lambda t: [5, 5])
-    eng.ship(1, "R", [(1, 2), (5, 6)], lambda t: [1])   # new round: counted again
+        eng.ship(0, "R", [(3, 4)], _by_tuple(lambda t: (5, 5)))
+    eng.ship(1, "R", [(1, 2), (5, 6)], _by_tuple(lambda t: (1,)))   # new round: counted again
     rep = eng.report
     assert rep.rounds == 2
     assert rep.by_relation[0] == {(1, "R"): 1, (2, "R"): 1, (1, "S"): 1}
@@ -39,20 +42,20 @@ def test_engine_counts_and_rejects_repeats():
 
 def test_repeat_message_names_the_tuple():
     eng = Engine({"R": 4})
-    eng.ship(0, "R", [(3, 4)], lambda t: (1,))
+    eng.ship(0, "R", [(3, 4)], _by_tuple(lambda t: (1,)))
     with pytest.raises(RoutingError, match=r"R/\(3, 4\) delivered twice to server 1 "):
-        eng.ship(0, "R", [(7, 8), (3, 4), (9, 9)], lambda t: (1, 2))
+        eng.ship(0, "R", [(7, 8), (3, 4), (9, 9)], _by_tuple(lambda t: (1, 2)))
     with pytest.raises(RoutingError, match=r"R/\(5, 5\) delivered twice to server 2 "):
-        eng.ship(1, "R", [(5, 5), (6, 6), (5, 5), (7, 7)], lambda t: [2])
+        eng.ship(1, "R", [(5, 5), (6, 6), (5, 5), (7, 7)], _by_tuple(lambda t: (2,)))
     # against an earlier held group of 1,000 tuples: a small group after a
     # large one, and a large group after a small one
     large = [(i, i) for i in range(1000, 0, -1)]
-    eng.ship(2, "R", large, lambda t: (3,))
+    eng.ship(2, "R", large, _by_tuple(lambda t: (3,)))
     with pytest.raises(RoutingError, match=r"R/\(500, 500\) delivered twice to server 3 in round 2"):
-        eng.ship(2, "R", [(2000, 2000), (500, 500)], lambda t: (3, 4))
-    eng.ship(3, "R", [(7, 7)], lambda t: (4,))
+        eng.ship(2, "R", [(2000, 2000), (500, 500)], _by_tuple(lambda t: (3, 4)))
+    eng.ship(3, "R", [(7, 7)], _by_tuple(lambda t: (4,)))
     with pytest.raises(RoutingError, match=r"R/\(7, 7\) delivered twice to server 4 in round 3"):
-        eng.ship(3, "R", large, lambda t: (4, 5))
+        eng.ship(3, "R", large, _by_tuple(lambda t: (4, 5)))
     # the failed shipments delivered nothing
     assert eng.holdings(3, "R") == set(large) and eng.holdings(4, "R") == {(7, 7)}
     assert eng.holdings(5, "R") == set()
@@ -67,7 +70,7 @@ def test_storing_mode_retains_one_reference_per_tuple():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        eng.ship(0, "R", tuples, lambda t: dests[t[1]])
+        eng.ship(0, "R", tuples, _by_tuple(lambda t: dests[t[1]]))
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -78,7 +81,7 @@ def test_storing_mode_retains_one_reference_per_tuple():
 def test_engine_unknown_relation():
     eng = Engine({"R": 4})
     with pytest.raises(KeyError):
-        eng.ship(0, "Q", [(1,)], lambda t: [0])
+        eng.ship(0, "Q", [(1,)], _by_tuple(lambda t: (0,)))
 
 
 def test_ship_detects_impure_route():
@@ -87,18 +90,18 @@ def test_ship_detects_impure_route():
 
     def flaky(t):
         state["n"] += 1
-        return [state["n"] % 3]
+        return frozenset({state["n"] % 3})
 
-    with pytest.raises(RoutingError):
-        eng.ship(0, "R", [(1,), (2,), (3,)], flaky)
+    with pytest.raises(RoutingError, match="not tuple-determined"):
+        eng.ship(0, "R", [(1,), (2,), (3,)], _by_tuple(flaky))
 
     # a fresh tuple on every call is compared, not taken on identity
     def fresh_tuples(t):
         state["n"] += 1
         return (state["n"] % 3,)
 
-    with pytest.raises(RoutingError):
-        eng.ship(0, "R", [(1,)], fresh_tuples)
+    with pytest.raises(RoutingError, match="not tuple-determined"):
+        eng.ship(0, "R", [(1,)], _by_tuple(fresh_tuples))
 
 
 def test_counting_mode_matches_storing_mode():
@@ -106,7 +109,7 @@ def test_counting_mode_matches_storing_mode():
     reports = []
     for store in (True, False):
         eng = Engine({"R": 8}, store_tuples=store)
-        eng.ship(0, "R", tuples, lambda t: {t[1], (t[0] * 7) % 13})
+        eng.ship(0, "R", tuples, _by_tuple(lambda t: frozenset({t[1], (t[0] * 7) % 13})))
         reports.append(eng.report)
     assert reports[0] == reports[1]
 
@@ -114,47 +117,45 @@ def test_counting_mode_matches_storing_mode():
 @pytest.mark.parametrize("store", [True, False])
 def test_ship_empty_and_negative_server(store):
     eng = Engine({"R": 8}, store_tuples=store)
-    eng.ship(2, "R", [], lambda t: [0])         # no deliveries: no round opened
+    eng.ship(2, "R", [], _by_tuple(lambda t: (0,)))     # no deliveries: no round opened
     assert eng.report.by_relation == []
     with pytest.raises(ValueError):
-        eng.ship(0, "R", [(1,)], lambda t: [0, -1])
+        eng.ship(0, "R", [(1,)], _by_tuple(lambda t: (0, -1)))
     with pytest.raises(ValueError):
-        eng.ship(-1, "R", [(1,)], lambda t: [0])
+        eng.ship(-1, "R", [(1,)], _by_tuple(lambda t: (0,)))
 
 
 def test_counting_mode_has_no_holdings():
     eng = Engine({"R": 8}, store_tuples=False)
-    eng.ship(0, "R", [(1,), (1,)], lambda t: [0])   # no repeat check either
+    eng.ship(0, "R", [(1,), (1,)], _by_tuple(lambda t: (0,)))   # no repeat check either
     assert eng.report.by_relation == [{(0, "R"): 2}]
     with pytest.raises(RuntimeError):
         eng.holdings(0, "R")
 
 
 @pytest.mark.parametrize("store", [True, False])
-@pytest.mark.parametrize("make", [lambda ts: (t for t in ts),
-                                  lambda ts: map(tuple, ts)],
-                         ids=["generator", "map"])
-def test_ship_takes_any_iterable(store, make):
-    # a shipment that is not a list, tuple or set is read once into a list
-    tuples = [(i, i % 5) for i in range(100)]
-
-    def route(t):
-        return {t[1], (t[0] * 7) % 13}
-    engines = []
-    for shipped in (list(tuples), make(tuples)):
-        eng = Engine({"R": 8}, store_tuples=store)
+@pytest.mark.parametrize("shipped,route,error", [
+    ([(1, 0)], lambda t: (0,), TypeError),                     # a plain callable
+    ([(1, 0)], _by_tuple(lambda t: [0]), RoutingError),        # dests a list
+    ([(1, 0)], _by_tuple(lambda t: (s for s in (0,))), RoutingError),  # a generator
+    ((t for t in [(1, 0)]), _by_tuple(lambda t: (0,)), TypeError),    # a generator
+], ids=["callable-route", "list-dests", "generator-dests", "generator-shipment"])
+def test_ship_takes_one_form_of_each_argument(store, shipped, route, error):
+    # a route is a Route whose dests are a tuple or frozenset, and a
+    # shipment is a list, tuple, set or frozenset; anything else raises
+    # and delivers nothing
+    eng = Engine({"R": 8}, store_tuples=store)
+    eng.ship(0, "R", [(2, 0)], _by_tuple(lambda t: (0,)))
+    with pytest.raises(error, match=r"(for|of) R "):
         eng.ship(0, "R", shipped, route)
-        engines.append(eng)
-    listed, other = engines
-    assert other.report == listed.report
+    assert eng.report.by_relation == [{(0, "R"): 1}]
     if store:
-        for s in range(13):
-            assert other.holdings(s, "R") == listed.holdings(s, "R")
+        assert eng.holdings(0, "R") == {(2, 0)}
 
 
 def test_load_report_csv(tmp_path):
     eng = Engine({"R": 10})
-    eng.ship(0, "R", [(1,)], lambda t: [3])
+    eng.ship(0, "R", [(1,)], _by_tuple(lambda t: (3,)))
     path = str(tmp_path / "load.csv")
     eng.report.write_csv(path)
     lines = open(path).read().strip().splitlines()
@@ -213,8 +214,7 @@ class _ReferenceEngine:
         return set().union(*(h.get((server, rel), ()) for h in self.held.values()))
 
 
-_ROUTE_KINDS = {"list": list, "tuple": tuple, "set": set, "frozenset": frozenset,
-                "generator": lambda ds: (d for d in ds)}
+_ROUTE_KINDS = {"tuple": tuple, "frozenset": frozenset}
 
 
 def _repeats_at(held, rnd, rel, tuples, route, tup, server):
@@ -233,53 +233,12 @@ def _routing_error(ship, *args):
     return None
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.data())
-def test_ship_matches_per_delivery_reference(data):
-    values = st.tuples(st.integers(0, 4), st.integers(0, 2))
-    pool = data.draw(st.lists(values, min_size=1, max_size=6, unique=True))
+def _matches_per_delivery_reference(data, pool, key_of, keys):
+    """Draw servers per key and a few shipments of `pool`, routed by
+    Route(keys, dests): the grouped shipment and one delivery at a time
+    must agree on the ledger, the holdings and the repeats reported."""
     dests = data.draw(st.fixed_dictionaries(
-        {t: st.lists(st.integers(0, 5), max_size=4) for t in pool}))
-    calls = data.draw(st.lists(st.tuples(
-        st.integers(0, 1), st.sampled_from(["R", "S"]),
-        st.lists(st.sampled_from(pool), max_size=12),
-        st.sampled_from(sorted(_ROUTE_KINDS))), min_size=1, max_size=4))
-    for store in (True, False):
-        eng = Engine({"R": 8, "S": 3}, store_tuples=store)
-        ref = _ReferenceEngine(store)
-        for rnd, rel, tuples, kind in calls:
-            def route(t, kind=kind):
-                return _ROUTE_KINDS[kind](dests[t])
-            held = {r: {k: set(v) for k, v in h.items()} for r, h in ref.held.items()}
-            want = _routing_error(ref.ship, rnd, rel, tuples, route)
-            got = _routing_error(eng.ship, rnd, rel, tuples, route)
-            assert (want is None) == (got is None), (calls, want, got)
-            assert eng.report.by_relation == ref.by_relation
-            if got is not None:
-                m = re.match(r"%s/(\(.*\)) delivered twice to server (\d+) in round %d$"
-                             % (rel, rnd), got)
-                assert m, got
-                tup, server = ast.literal_eval(m.group(1)), int(m.group(2))
-                assert tup in tuples and server in dests[tup]
-                assert _repeats_at(held, rnd, rel, tuples, route, tup, server)
-                break
-        else:
-            if store:
-                for s, rel in itertools.product(range(6), "RS"):
-                    assert eng.holdings(s, rel) == ref.holdings(s, rel)
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.data())
-def test_keyed_route_matches_per_delivery_reference(data):
-    # a random key per tuple and random servers per key: the keyed route
-    # and the per-tuple route it stands for must agree on the ledger, the
-    # holdings and the repeats reported
-    values = st.tuples(st.integers(0, 4), st.integers(0, 2))
-    pool = data.draw(st.lists(values, min_size=1, max_size=6, unique=True))
-    key_of = data.draw(st.fixed_dictionaries({t: st.integers(0, 3) for t in pool}))
-    dests = data.draw(st.fixed_dictionaries(
-        {k: st.lists(st.integers(0, 5), max_size=4) for k in range(4)}))
+        {k: st.lists(st.integers(0, 5), max_size=4) for k in sorted(set(key_of.values()))}))
     calls = data.draw(st.lists(st.tuples(
         st.integers(0, 1), st.sampled_from(["R", "S"]),
         st.lists(st.sampled_from(pool), max_size=12),
@@ -290,8 +249,7 @@ def test_keyed_route_matches_per_delivery_reference(data):
         for rnd, rel, tuples, kind in calls:
             def route(t, kind=kind):
                 return _ROUTE_KINDS[kind](dests[key_of[t]])
-            keyed = Route(lambda ts: map(key_of.__getitem__, ts),
-                          lambda k, kind=kind: _ROUTE_KINDS[kind](dests[k]))
+            keyed = Route(keys, lambda k, kind=kind: _ROUTE_KINDS[kind](dests[k]))
             held = {r: {k: set(v) for k, v in h.items()} for r, h in ref.held.items()}
             want = _routing_error(ref.ship, rnd, rel, tuples, route)
             got = _routing_error(eng.ship, rnd, rel, tuples, keyed)
@@ -309,6 +267,27 @@ def test_keyed_route_matches_per_delivery_reference(data):
             if store:
                 for s, rel in itertools.product(range(6), "RS"):
                     assert eng.holdings(s, rel) == ref.holdings(s, rel)
+
+
+_POOL = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)),
+                 min_size=1, max_size=6, unique=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_ship_matches_per_delivery_reference(data):
+    # the route keyed by the tuple itself, with random servers per tuple
+    pool = data.draw(_POOL)
+    _matches_per_delivery_reference(data, pool, dict(zip(pool, pool)), iter)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_keyed_route_matches_per_delivery_reference(data):
+    # a random key per tuple and random servers per key
+    pool = data.draw(_POOL)
+    key_of = data.draw(st.fixed_dictionaries({t: st.integers(0, 3) for t in pool}))
+    _matches_per_delivery_reference(data, pool, key_of, partial(map, key_of.__getitem__))
 
 
 @pytest.mark.parametrize("store", [True, False])
