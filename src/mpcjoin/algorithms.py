@@ -230,6 +230,15 @@ def _slice(tuples, pos: int, h):
     return list(map(_columns([i for i in range(len(rows[0])) if i != pos]), rows))
 
 
+def _reordered(tuples, order):
+    """The tuples with their columns permuted to `order`, as a tuple, or
+    the tuples themselves when `order` is their own: a permutation of
+    duplicate-free tuples keeps them distinct, so no set dedupes them."""
+    if order == sorted(order):
+        return tuples
+    return tuple(map(_columns(order), tuples))
+
+
 def _heavy_at(ctx, atoms, rels, var_list, least):
     """Per-variable heavy value sets: a value is heavy for v when its
     frequency in v's column of some atom a reaches least[a.relation]."""
@@ -494,8 +503,9 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     key over both sides and never on a heavy key.  B's heavy tuples are
     keyed by the index of their server in the heavy blocks' servers: the
     block's start plus hpart(t) modulo its size, hpart running over whole
-    tuples a column at a time.  Returns the logical servers of the join
-    and the heavy key -> block map.
+    tuples a column at a time, one `rng._CHUNK` of tuples at a call, so no
+    hash list is as long as the shipment.  Returns the logical servers of
+    the join and the heavy key -> block map.
     """
     m = max(len(a_tuples), len(b_tuples), 1)
     akey, bkey = _key(a_keypos), _key(b_keypos)
@@ -513,8 +523,11 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
         table += gs
     if hblocks:
         def keys(ts):
+            it = iter(ts)
+            chunks = iter(lambda: list(islice(it, _CHUNK)), [])
             return map(add, map(start.__getitem__, map(bkey, ts)),
-                       map(mod, hpart(ts), map(size.__getitem__, map(bkey, ts))))
+                       map(mod, chain.from_iterable(map(hpart, chunks)),
+                           map(size.__getitem__, map(bkey, ts))))
         hot = list(map(hblocks.__contains__, map(bkey, b_tuples)))
         ctx.eng.ship(rnd, b_name, list(compress(b_tuples, hot)),
                      Route(keys, table.__getitem__))
@@ -525,15 +538,19 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
 
 def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
                    P, fresh, tag):
-    """One round of the semi-join of `target` against key set `keys`
-    (shipped as a relation named after kprefix) into a fresh relation named
-    after prefix; returns (Atom(name, target.vars), rows, part): the rows
-    are the target tuples whose key projection is in `keys`, as a list (a
-    filter of duplicate-free tuples has distinct rows), and part computes
-    them on the servers of the keys and the target.
+    """One round of the semi-join of `target` against `keys` (shipped as a
+    relation named after kprefix) into a fresh relation named after prefix;
+    returns (Atom(name, target.vars), rows, part): the rows are the target
+    tuples whose key projection is in `keys`, as a list (a filter of
+    duplicate-free tuples has distinct rows), and part computes them on the
+    servers of the keys and the target.
 
-    The keys are unique, so only the target can be skewed on the key: this
-    is the one-sided skew join with the keys as the skew-free side.
+    `keys` is a list or tuple of tuples over target's variables at
+    keypos, none twice: every caller's keys are distinct by construction
+    (a slice or a reordering of duplicate-free tuples), and they ship as
+    given, with no set built to dedupe them.  So only the target can be
+    skewed on the key: this is the one-sided skew join with the keys as
+    the skew-free side.
     """
     name = ctx.relation(prefix, len(target.vars))
     kname = ctx.relation(kprefix, len(keypos))
@@ -841,8 +858,8 @@ def _lw(ctx, rnd, q, rels, P, fresh, tag):
             keyvars = [v for v in a.vars if v != x]
             keypos = tuple(sorted(base.vars.index(v) for v in keyvars))
             # the key rows over keyvars, reordered to base's variable order
-            keys = set(map(_columns([keyvars.index(base.vars[kp]) for kp in keypos]),
-                           _slice(rels[a.relation], pos, h)))
+            keys = _reordered(_slice(rels[a.relation], pos, h),
+                              [keyvars.index(base.vars[kp]) for kp in keypos])
             b, srels[b.relation], _ = _semijoin_into(
                 ctx, rnd, tag + "w", tag + "kw", keys, base, keypos, rels, P1,
                 fresh, tag + "s%s_%s_%s" % (x, a.relation, h))
@@ -897,6 +914,12 @@ def _clique(ctx, rnd, q, rels, P, fresh, tag):
 # -- covering-atom queries -------------------------------------------------
 
 def _covering(ctx, rnd, q, rels, P, fresh, tag):
+    """Covering-atom join: the covering atom is semi-joined against each
+    other atom in one round, and the semi-joins' results are intersected
+    in the next.  An atom's keys are its own tuples reordered to the
+    covering atom's variable order (`_reordered`): no atom repeats a
+    variable, so that order permutes the atom's columns, and its keys are
+    distinct with no set built."""
     cover = covering_atom(q)
     others = [a for a in q.atoms if a is not cover]
     if not others:
@@ -904,8 +927,8 @@ def _covering(ctx, rnd, q, rels, P, fresh, tag):
     semis, srels = [], {}
     for a in others:
         keypos = tuple(sorted(cover.vars.index(v) for v in a.vars))
-        keys = set(map(_columns([a.vars.index(cover.vars[i]) for i in keypos]),
-                       rels[a.relation]))
+        keys = _reordered(rels[a.relation],
+                          [a.vars.index(cover.vars[i]) for i in keypos])
         b, srels[b.relation], joined = _semijoin_into(
             ctx, rnd, tag + "c", tag + "kc", keys, cover, keypos, rels, P,
             fresh, tag + "s" + a.relation)

@@ -295,7 +295,10 @@ def join_atoms(atoms, rel_tuples, out_vars, guard: int = 0):
     - a filter, for an atom with no new variable, keeps the rows it holds;
     - a key-unique step, for an atom that holds each key (its values at the
       shared variables) once, maps a key to the atom's own tuple and builds
-      a tail of new values only for a row that hits;
+      a tail of new values only for a row that hits; when the rows'
+      variables are the atom's first ones, in order, a row and its tail
+      make the hit tuple, so the step yields the atom's own tuples and a
+      semi-join's output shares its input's tuple objects;
     - otherwise a binding step binds the atom's new variable v that the
       most other pending atoms bind.  Each atom c binding v gives a row r
       the set cand_c(r) of c's values at v in the tuples that agree with r;
@@ -375,12 +378,17 @@ def _step(a, rel_tuples, cols, rows, owned, pending, guard) -> list:
     index = dict(zip(map(_key(shared), ts), ts))
     if len(index) == len(ts):
         pending.remove(a)
-        cols += [a.vars[i] for i in new]
-        tail = _columns(new)
+        if cols == list(a.vars[:len(cols)]):
+            # a row and its tail make the hit tuple: yield the hit itself
+            def extend(rows):
+                return filter(None, map(index.get, map(probe, rows)))
+        else:
+            tail = _columns(new)
 
-        def extend(rows):
-            hits = list(map(index.get, map(probe, rows)))
-            return map(add, compress(rows, hits), map(tail, filter(None, hits)))
+            def extend(rows):
+                hits = list(map(index.get, map(probe, rows)))
+                return map(add, compress(rows, hits), map(tail, filter(None, hits)))
+        cols += [a.vars[i] for i in new]
         return _pour(rows, owned, extend, [], guard)
     del index                           # not key-unique
     v = max((a.vars[i] for i in new),

@@ -355,6 +355,11 @@ def _join_cases(draw):
 # a key-unique step whose input already exceeds guard = len(full) - 1
 @example(([("a",), ("a", "b")], ("b", "a"), 3,
           {"R0": [(1,), (2,), (3,)], "R1": [(1, 1), (2, 1), (3, 2)]}))
+# key-unique steps whose rows are a prefix of the atom: the rows over (a)
+# and then (a, b) become the hit tuples of R1 and then of R2
+@example(([("a",), ("a", "b"), ("a", "b", "c")], ("a", "b", "c"), 3,
+          {"R0": [(1,), (2,)], "R1": [(1, 2), (2, 2), (3, 1)],
+           "R2": [(1, 2, 3), (2, 2, 1), (3, 1, 1), (1, 1, 2)]}))
 # a repeated key: the step lists each key's tails
 @example(([("a",), ("a", "b")], ("a", "b"), 2,
           {"R0": [(1,)], "R1": [(1, 1), (1, 2), (2, 2)]}))
