@@ -2,20 +2,23 @@
 
 `ALGORITHMS` is the strategy table: each name maps to a `Strategy` of
 shape(q), the query the plan runs on (line and cycle atoms oriented by one
-walk) or None when the strategy does not accept q; plan(ctx, q, rels, p),
-which simulates its shipment schedule round by round on the engine and
-returns its output parts; and rounds(q), the declared round bound.
-`run_algorithm` is the one run path: it checks p, applies the shape, builds
-the engine and the oriented relations, runs the plan, evaluates its parts
-and returns the output with the per-round load report.  `pick_algorithm`
-("auto") takes the most specific strategy whose shape accepts the query.
+walk) or None when the strategy does not accept q; the plan; its hash
+tag; and rounds(q), the declared round bound.  `run_algorithm` is the one
+run path: it checks p, applies the shape, builds the engine and the
+oriented relations, runs the plan, evaluates its parts and returns the
+output with the per-round load report.  `pick_algorithm` ("auto") takes
+the most specific strategy whose shape accepts the query.
 
-The plan protocol: a plan or sub-plan returns a list of output parts
+The plan protocol, one for plans and sub-plans: plan(ctx, rnd, q, rels, P,
+fresh, tag) ships rels from round rnd on a nominal P logical servers drawn
+from fresh, hashing under tag, and returns a list of output parts
 (`_Part`), each the join of some atoms with constants plugged in, computed
-on the servers that hold what those atoms shipped; a plan writes any
-extras into ``ctx.extras``, and nothing counts rounds: the engine's ledger
-is the only round count (`AlgorithmResult.rounds`), checked against the
-declared bound `Strategy.rounds`.  Only `run_algorithm` evaluates parts.
+on the servers that hold what those atoms shipped.  `run_algorithm` starts
+a strategy's plan at round 0 on p servers of ``ctx.root`` under its tag.
+A plan writes any extras into ``ctx.extras``, and nothing counts rounds:
+the engine's ledger is the only round count (`AlgorithmResult.rounds`),
+checked against the declared bound `Strategy.rounds`.  Only
+`run_algorithm` evaluates parts.
 
 Internally, plans hand out *logical* servers through allocator closures: a
 logical server is a tuple of physical ids, so a sub-plan running inside a
@@ -239,11 +242,11 @@ def _reordered(tuples, order):
     return tuple(map(_columns(order), tuples))
 
 
-def _heavy_at(ctx, atoms, rels, var_list, least):
-    """Per-variable heavy value sets: a value is heavy for v when its
+def _heavy_at(ctx, q, rels, least):
+    """Per-variable heavy value sets of q: a value is heavy for v when its
     frequency in v's column of some atom a reaches least[a.relation]."""
-    heavy = {v: set() for v in var_list}
-    for a in atoms:
+    heavy = {v: set() for v in q.variables}
+    for a in q.atoms:
         for pos, v in enumerate(a.vars):
             heavy[v].update(_heavy(ctx.freqs(rels, a.relation, pos),
                                    least[a.relation]))
@@ -485,23 +488,25 @@ def _intersect_ship(ctx, rnd, atoms, rels, P, fresh, tag):
 
 
 def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
-                    b_keypos, freq, P, fresh, h, hpart):
+                    b_keypos, P, fresh, h, hpart):
     """One round of the skew-resilient binary join of A and B on a key.
 
     A key is a tuple's projection on its key positions by `sim._key`: a
     scalar for a one-column key.
-    A plays the skew-free side: key values with frequency above m/P in B
-    (freq counts B's keys) each get an exclusive block of ceil(P*f/m)
-    logical servers, where A's tuples with that key are broadcast and B's
-    are partitioned by hpart; everything else goes through a hash join on h
-    over a block of P servers.  h and hpart are `hash_column` functions.
+    A plays the skew-free side: key values with frequency f above m/P in
+    B each get an exclusive block of ceil(P*f/m) logical servers, where
+    A's tuples with that key are broadcast and B's are partitioned by
+    hpart; everything else goes through a hash join on h over a block of P
+    servers.  h and hpart are `hash_column` functions.  B's keys are
+    counted here, and the count is dropped once it has given the heavy
+    keys and their block sizes, before any map below is filled.
     A's tuples and B's light tuples are routed by key through one `_hashed`
     map, whose table is the block and then the heavy keys' broadcast
     blocks, so a tuple's route key is the index of its destination, not
-    its join key.  The map is filled before either side ships, from A's
-    keys and B's distinct keys (freq), so h runs once per distinct light
-    key over both sides and never on a heavy key.  B's heavy tuples are
-    keyed by the index of their server in the heavy blocks' servers: the
+    its join key.  The map is filled before either side ships, straight
+    from A's keys and B's keys, so h runs once per distinct light key over
+    both sides and never on a heavy key.  B's heavy tuples are keyed by
+    the index of their server in the heavy blocks' servers: the
     block's start plus hpart(t) modulo its size, hpart running over whole
     tuples a column at a time, one `rng._CHUNK` of tuples at a call, so no
     hash list is as long as the shipment.  Returns the logical servers of
@@ -510,10 +515,11 @@ def _skew_join_ship(ctx, rnd, a_name, a_tuples, a_keypos, b_name, b_tuples,
     m = max(len(a_tuples), len(b_tuples), 1)
     akey, bkey = _key(a_keypos), _key(b_keypos)
     block = [fresh() for _ in range(P)]
-    heavy = _heavy(freq, _least(m, P, 1, 1, strict=True))
+    freq = Counter(map(bkey, b_tuples))
     hblocks = {kv: [fresh() for _ in range(-(-P * freq[kv] // m))]  # ceil
-               for kv in heavy}
-    via = _hashed(h, block, chain(map(akey, a_tuples), freq),
+               for kv in _heavy(freq, _least(m, P, 1, 1, strict=True))}
+    del freq
+    via = _hashed(h, block, chain(map(akey, a_tuples), map(bkey, b_tuples)),
                   {kv: tuple(s for g in gs for s in g)
                    for kv, gs in hblocks.items()})
     ctx.eng.ship(rnd, a_name, a_tuples, via(akey))
@@ -550,20 +556,19 @@ def _semijoin_into(ctx, rnd, prefix, kprefix, keys, target, keypos, rels,
     (a slice or a reordering of duplicate-free tuples), and they ship as
     given, with no set built to dedupe them.  So only the target can be
     skewed on the key: this is the one-sided skew join with the keys as
-    the skew-free side.
+    the skew-free side, which counts the target's keys itself.
     """
     name = ctx.relation(prefix, len(target.vars))
     kname = ctx.relation(kprefix, len(keypos))
     tuples = rels[target.relation]
-    tkeys = list(map(_key(keypos), tuples))
     groups, _ = _skew_join_ship(ctx, rnd, kname, keys, range(len(keypos)),
-                                target.relation, tuples, keypos, Counter(tkeys),
-                                P, fresh, hash_column(ctx.seed, tag, "sjh"),
+                                target.relation, tuples, keypos, P, fresh,
+                                hash_column(ctx.seed, tag, "sjh"),
                                 hash_column(ctx.seed, tag, "sjp"))
     kset = set(map(_key(range(len(keypos))), keys))
     katom = Atom(kname, tuple(target.vars[i] for i in keypos))
     return (Atom(name, target.vars),
-            list(compress(tuples, map(kset.__contains__, tkeys))),
+            list(compress(tuples, map(kset.__contains__, map(_key(keypos), tuples)))),
             _part(groups, (katom, target), {kname: keys, target.relation: tuples}))
 
 
@@ -580,9 +585,8 @@ def _one_round_skew(ctx, rnd, q, rels, P, fresh, tag):
     """
     sizes = {a.relation: max(1, ctx.eng.widths[a.relation] * len(rels[a.relation]))
              for a in q.atoms}
-    heavy = _heavy_at(ctx, q.atoms, rels, q.variables,
-                      {a.relation: _least(max(1, len(rels[a.relation])), P, 1, 1)
-                       for a in q.atoms})
+    heavy = _heavy_at(ctx, q, rels, {a.relation: _least(max(1, len(rels[a.relation])), P, 1, 1)
+                                     for a in q.atoms})
     # group each relation's tuples by their heavy profile once
     groups = {a.relation: _heavy_profiles(a, rels[a.relation], heavy)
               for a in q.atoms}
@@ -699,8 +703,7 @@ def _heavy_residuals(ctx, rnd, q, rels, P, fresh, tag, residual):
     """
     k = q.k
     m = max(max(len(rels[a.relation]) for a in q.atoms), 1)
-    heavy = _heavy_at(ctx, q.atoms, rels, q.variables,
-                      dict.fromkeys(rels, _least(m, P, 1, k, strict=True)))
+    heavy = _heavy_at(ctx, q, rels, dict.fromkeys(rels, _least(m, P, 1, k, strict=True)))
     shares = _round_shares(q, {v: Fraction(1, k) for v in q.variables}, P)
     light = {a.relation: _heavy_profiles(a, rels[a.relation], heavy).get(frozenset(), [])
              for a in q.atoms}
@@ -780,7 +783,6 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
     # deg_i * deg_j >= m^2/P^(2/k)
     least, pair = _least(m, P, 2, k), _least(m * m, P, 2, k)
     cand = [_heavy(dg, least) for dg in deg]
-    P1 = max(1, pow_floor(P, Fraction(k - 2, k)))
     for i in range(k):
         for j in range(i + 1, k):
             if (j - i) % 2 == 0:
@@ -789,16 +791,17 @@ def _cycle_even(ctx, rnd, q, rels, P, fresh, tag):
                 for h2 in cand[j]:
                     if deg[i][h] * deg[j][h2] < pair:
                         continue
-                    parts += _plug(_cycle_pair(ctx, rnd, q, rels, P, P1, fresh,
+                    parts += _plug(_cycle_pair(ctx, rnd, q, rels, P, fresh,
                                                i, h, j, h2, tag),
                                    {var_at[i]: h, var_at[j]: h2})
     return parts
 
 
-def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
+def _cycle_pair(ctx, rnd, q, rels, P, fresh, i, h, j, h2, tag):
     """Residual of an even cycle after fixing a qualifying heavy pair at
     positions i and j; returns its output parts over the other variables.
-    var_at[i] below names q.variables[i], the variable at position i."""
+    An adjacent pair's arc runs on P^((k-2)/k) servers.  var_at[i] below
+    names q.variables[i], the variable at position i."""
     atoms, k = q.atoms, q.k
     if (i - j) % k == 1:                    # normalize to j == i+1 (mod k)
         i, j, h, h2 = j, i, h2, h
@@ -821,6 +824,7 @@ def _cycle_pair(ctx, rnd, q, rels, P, P1, fresh, i, h, j, h2, tag):
             return []
         ua = unary(i + 1, h2, 0)                 # constrains var_at[i+2]
         ub = unary(i - 1, h, 1)                  # constrains var_at[i-1]
+        P1 = max(1, pow_floor(P, Fraction(k - 2, k)))
         return _arc(ctx, rnd, arc, ua, ub, rels, P1, fresh, ptag, "", ("A", "B"))
     # non-adjacent: two arcs evaluated on a grid
     alpha = (j - i) - 2
@@ -1012,47 +1016,43 @@ def _two_atoms(test):
 
 # -- plans -----------------------------------------------------------------
 #
-# A plan runs from round 0 on root servers (`ctx.root`) and returns its
-# output parts; it writes its extras into `ctx.extras`.  No plan counts
-# rounds: the ledger is the only round count.
+# A plan is a sub-plan body (ctx, rnd, q, rels, P, fresh, tag) -> parts, as
+# any other; `run_algorithm` starts it at round 0 on p servers of `ctx.root`
+# under its strategy's tag.  No plan counts rounds: the ledger does.
 
-def _hc(ctx, q, rels, p):
+def _hc(ctx, rnd, q, rels, P, fresh, tag):
     """Plain one-round hypercube with size-optimized shares (no skew
     handling)."""
     sizes = {a.relation: max(1, ctx.eng.widths[a.relation] * len(rels[a.relation]))
              for a in q.atoms}
-    alloc = share_lp(q, sizes, p)
+    alloc = share_lp(q, sizes, P)
     ctx.extras.update({"shares": alloc.shares, "lambda": alloc.lam})
-    return _hypercube(ctx, 0, q, rels, alloc.shares, ctx.root, "hc")
+    return _hypercube(ctx, rnd, q, rels, alloc.shares, fresh, tag)
 
 
-def _one_sided_skew(ctx, q, rels, p):
+def _one_sided_skew(ctx, rnd, q, rels, P, fresh, tag):
     """Binary join resilient to skew on one side.
 
-    The side with the lower maximum key frequency plays the skew-free role;
-    heavy key values of the other side get exclusive blocks of servers, the
-    rest is a hash join on the shared key.
+    The side with the lower maximum key frequency plays the skew-free role,
+    each side's keys counted only for that maximum; heavy key values of
+    the other side get exclusive blocks of servers, the rest is a hash
+    join on the shared key (`_skew_join_ship`).
     """
     a, b = q.atoms
     key = [v for v in a.vars if v in b.vars]
     ta, tb = rels[a.relation], rels[b.relation]
     ka = tuple(a.vars.index(v) for v in key)
     kb = tuple(b.vars.index(v) for v in key)
-    fa = Counter(map(_key(ka), ta))
-    fb = Counter(map(_key(kb), tb))
-    if max(fb.values(), default=0) < max(fa.values(), default=0):
-        a, b, ta, tb, ka, kb, fb = b, a, tb, ta, kb, ka, fa
-    del fa      # only B's key counts are read from here on
+    top_a, top_b = (max(Counter(map(_key(kp), ts)).values(), default=0)
+                    for kp, ts in ((ka, ta), (kb, tb)))
+    if top_b < top_a:
+        a, b, ta, tb, ka, kb = b, a, tb, ta, kb, ka
     groups, hblocks = _skew_join_ship(
-        ctx, 0, a.relation, ta, ka, b.relation, tb, kb, fb, p, ctx.root,
-        hash_column(ctx.seed, "j1s", "h"), hash_column(ctx.seed, "j1s", "p"))
+        ctx, rnd, a.relation, ta, ka, b.relation, tb, kb, P, fresh,
+        hash_column(ctx.seed, tag, "h"), hash_column(ctx.seed, tag, "p"))
     ctx.extras.update(heavy_keys=len(hblocks),
                       heavy_servers=sum(len(g) for g in hblocks.values()))
     return _part(groups, q.atoms, rels)
-
-
-def _line_plan(ctx, q, rels, p):
-    return _line(ctx, 0, q.atoms, rels, p, ctx.root, "L")
 
 
 def _cycle(ctx, rnd, q, rels, P, fresh, tag):
@@ -1060,43 +1060,37 @@ def _cycle(ctx, rnd, q, rels, P, fresh, tag):
     return body(ctx, rnd, q, rels, P, fresh, tag)
 
 
-def _from_round0(body, tag):
-    """The plan of body(ctx, rnd, q, rels, P, fresh, tag) -> parts."""
-    return lambda ctx, q, rels, p: body(ctx, 0, q, rels, p, ctx.root, tag)
-
-
 # -- the strategy table ----------------------------------------------------
 
 class Strategy(NamedTuple):
     shape: Callable     # q -> the query the plan runs on, or None
-    plan: Callable      # (ctx, shaped q, rels, p) -> parts; extras in ctx.extras
+    plan: Callable      # (ctx, rnd, shaped q, rels, P, fresh, tag) -> parts
+    tag: str            # the hash tag run_algorithm passes the plan
     rounds: Callable    # q -> declared upper bound on the rounds used
 
 
 _ONE_SIDED = Strategy(_two_atoms(lambda a, b: bool(a & b)), _one_sided_skew,
-                      lambda q: 1)
-_CYCLE = Strategy(lambda q: _chain(q, True), _from_round0(_cycle, "C"),
+                      "j1s", lambda q: 1)
+_CYCLE = Strategy(lambda q: _chain(q, True), _cycle, "C",
                   lambda q: (q.num_atoms + 1) // 2)
 
 ALGORITHMS = {
-    "hc": Strategy(lambda q: q, _hc, lambda q: 1),
-    "one_round_skew": Strategy(lambda q: q, _from_round0(_one_round_skew, "ors"),
-                               lambda q: 1),
+    "hc": Strategy(lambda q: q, _hc, "hc", lambda q: 1),
+    "one_round_skew": Strategy(lambda q: q, _one_round_skew, "ors", lambda q: 1),
     "join_one_sided_skew": _ONE_SIDED,
     # one atom's variables contain the other's: the key-set side has every
     # key at most once, so it plays the skew-free role
     "semi_join": _ONE_SIDED._replace(
         shape=_two_atoms(lambda a, b: a <= b or b <= a)),
-    "line": Strategy(lambda q: _chain(q, False), _line_plan,
-                     lambda q: max(1, (q.k - 1) // 2)),   # k-1 atoms
+    "line": Strategy(lambda q: _chain(q, False),
+                     lambda ctx, rnd, q, *rest: _line(ctx, rnd, q.atoms, *rest),
+                     "L", lambda q: max(1, (q.k - 1) // 2)),   # k-1 atoms
     "cycle": _CYCLE,
     "triangle": _CYCLE._replace(shape=lambda q: _chain(q, True) if q.k == 3 else None),
-    "lw": Strategy(_as_is(is_lw), _from_round0(_lw, "W"), lambda q: 2),
-    "clique": Strategy(_as_is(is_clique), _from_round0(_clique, "K"),
-                       lambda q: q.k - 1),
+    "lw": Strategy(_as_is(is_lw), _lw, "W", lambda q: 2),
+    "clique": Strategy(_as_is(is_clique), _clique, "K", lambda q: q.k - 1),
     "covering": Strategy(_as_is(lambda q: covering_atom(q) is not None),
-                         _from_round0(_covering, "V"),
-                         lambda q: min(q.num_atoms - 1, 2)),
+                         _covering, "V", lambda q: min(q.num_atoms - 1, 2)),
 }
 
 
@@ -1184,7 +1178,7 @@ def run_algorithm(name: str, db, p: int, seed: int,
         q, rels = _shared.query, _shared.rels
     ctx = _Ctx(Engine(db.widths_bits(), store_tuples=not counting), seed,
                max(ri.value_bits for ri in db.relations.values()), _shared)
-    parts = strategy.plan(ctx, q, rels, p)
+    parts = strategy.plan(ctx, 0, q, rels, p, ctx.root, strategy.tag)
     rows = set()
     if not counting:
         for part in parts:

@@ -410,7 +410,6 @@ class LoadBound:
     exponent: Fraction       # log_p of the bound
     value: float
     witness: FractionalWeighting
-    heavy_set: Optional[frozenset] = None
 
 
 def _packing_exponent(q: Query, sizes: dict, p: int):
@@ -462,7 +461,6 @@ def load_bound_packing(q: Query, M: dict, p: int) -> LoadBound:
 def _residual_bound(q: Query, M: dict, p: int, x: frozenset) -> LoadBound:
     """L^(q_X)(M, p) with X as its heavy set and quasi-packing witness."""
     lb = load_bound_packing(residual_query(q, x) if x else q, M, p)
-    lb.heavy_set = x
     lb.witness.kind = "quasi-packing"
     lb.witness.residual_witness = x
     for a in q.atoms:
@@ -472,7 +470,8 @@ def _residual_bound(q: Query, M: dict, p: int, x: frozenset) -> LoadBound:
 
 def load_bound_worstcase(q: Query, M: dict, p: int) -> LoadBound:
     """Worst-case one-round bound: max over heavy sets X of L^(q_X)(M, p),
-    with the first maximizing X in bitmask order as `heavy_set`.
+    with the first maximizing X in bitmask order as its witness's
+    `residual_witness`.
 
     On one server every X gives exponent 0, and X = {} is returned.  With
     equal sizes the bound is M / p^(1/psi*) at `psi_star`'s X and
@@ -488,7 +487,7 @@ def load_bound_worstcase(q: Query, M: dict, p: int) -> LoadBound:
     if len(sizes) == 1:
         psi, w = psi_star(q)
         exp = log_base_p(sizes.pop(), p) - 1 / psi
-        return LoadBound(exp, float(p) ** float(exp), w, w.residual_witness)
+        return LoadBound(exp, float(p) ** float(exp), w)
 
     def heavy(keep):
         return frozenset(v for i, v in enumerate(q.variables) if not keep >> i & 1)

@@ -28,8 +28,8 @@ def recorded_runs():
     runs = []
 
     def recording(plan):
-        def run(ctx, q, rels, p):
-            parts = plan(ctx, q, rels, p)
+        def run(ctx, *args):
+            parts = plan(ctx, *args)
             runs.append((ctx.eng, parts))
             return parts
         return run

@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from conftest import rebuilt, recorded_runs  # noqa: E402
 from hash_reference import hash_family  # noqa: E402
-from ledger_matrix import GRIDS, two_heavy  # noqa: E402
+from ledger_matrix import GENERATORS, GRIDS, QUERIES, SEED, two_heavy  # noqa: E402
 
 
 def all_ones(q):
@@ -285,6 +285,30 @@ def test_checked_job_memory(alg, q):
     finally:
         tracemalloc.stop()
     assert peak - start < 5.5 * 2 ** 20, peak - start
+
+
+@pytest.mark.parametrize("alg,q,m,counting,mib", [
+    ("semi_join", "Q(z,y) :- R(z), S(z,y)", 50000, False, 5.5),
+    ("semi_join", "Q(z,y) :- R(z), S(z,y)", 50000, True, 5.0),
+    ("join_one_sided_skew", "Q(x,z,y) :- S1(x,z), S2(z,y)", 30000, True, 2.5),
+])
+def test_skew_join_run_memory(alg, q, m, counting, mib):
+    # The run alone at p = 64: the skew join counts B's keys itself and
+    # drops that count before it fills its route map, and the one-sided
+    # join keeps neither side's count, so no key count outlives its use.
+    # The tracemalloc peak above the start stays under the bound (about
+    # 4.6 and 3.9 MiB measured for semi_join storing and counting, 1.9 MiB
+    # for join_one_sided_skew; 6.7, 6.4 and 3.2 MiB with a count alive
+    # beside the map).
+    db = gen_matching(parse_query(q), m, 12)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_algorithm(alg, db, 64, 12, counting=counting)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < mib * 2 ** 20, peak - start
 
 
 def test_hc_grid_bound_and_unbound():
@@ -569,9 +593,9 @@ def test_runs_read_the_instance_tuples_uncopied(monkeypatch):
     inputs = []
 
     def capturing(plan):
-        def run(ctx, q, rels, p):
+        def run(ctx, rnd, q, rels, *rest):
             inputs.append((q, rels))
-            return plan(ctx, q, rels, p)
+            return plan(ctx, rnd, q, rels, *rest)
         return run
     for name, s in list(ALGORITHMS.items()):
         monkeypatch.setitem(ALGORITHMS, name, s._replace(plan=capturing(s.plan)))
@@ -811,6 +835,37 @@ def test_renaming_wrappers_only_rename():
         run_algorithm("triangle", gen_matching(canonical_query("C", 4), 10, 1), 8, 0)
 
 
+def test_plans_are_sub_plans(monkeypatch):
+    # Every plan is a sub-plan body: started at round 1 instead of 0, each
+    # storing run of the ledger matrix's Tier-1 grid ships the same tuples
+    # to the same servers one round later, with the same output and
+    # extras.  line and covering on Q(x,y) :- R(x,y) ship nothing, so they
+    # open no round either way.
+    grid, runs = GRIDS["tier1"], []
+    for q in QUERIES:
+        for gen in grid.generators:
+            db = GENERATORS[gen](q)
+            runs += [(name, db, p) for p in grid.ps for name in ALGORITHMS
+                     if ALGORITHMS[name].shape(q) is not None]
+    base = [run_algorithm(name, db, p, SEED) for name, db, p in runs]
+    for name, s in list(ALGORITHMS.items()):
+        monkeypatch.setitem(ALGORITHMS, name, s._replace(
+            plan=lambda ctx, rnd, *rest, plan=s.plan: plan(ctx, rnd + 1, *rest)))
+    idle = []
+    for (name, db, p), ref in zip(runs, base):
+        res = run_algorithm(name, db, p, SEED)
+        where = (name, db.query.render(), db.meta["generator"], p)
+        assert (res.output, res.extras) == (ref.output, ref.extras), where
+        if ref.rounds:
+            assert res.report.by_relation == [{}] + ref.report.by_relation, where
+        else:
+            assert res.report.by_relation == [], where
+            idle.append(where[:2])
+    assert len(runs) - len(idle) == 304
+    assert sorted(set(idle)) == [("covering", "Q(x,y) :- R(x,y)"),
+                                 ("line", "Q(x,y) :- R(x,y)")] and len(idle) == 8
+
+
 def test_every_registered_algorithm_has_contract():
     for name in ALGORITHMS:
         assert ALGORITHMS[name].rounds(canonical_query("C", 3)) >= 1
@@ -889,9 +944,8 @@ def test_active_profiles_match_the_subset_scan(p, db):
     q = db.query
     rels = {r: list(ri.tuples) for r, ri in db.relations.items()}
     ctx = _Ctx(Engine(db.widths_bits()), 3, 1)
-    heavy = _heavy_at(ctx, q.atoms, rels, q.variables,
-                      {a.relation: _least(max(1, len(rels[a.relation])), p, 1, 1)
-                       for a in q.atoms})
+    heavy = _heavy_at(ctx, q, rels, {a.relation: _least(max(1, len(rels[a.relation])), p, 1, 1)
+                                     for a in q.atoms})
     groups = {a.relation: _heavy_profiles(a, rels[a.relation], heavy)
               for a in q.atoms}
     assert _active_profiles(q, groups) == _active_by_scan(q, groups)

@@ -455,7 +455,7 @@ def test_triangle_load_exponents():
     wc = load_bound_worstcase(q, M, p)
     # worst case dominated by a single-heavy residual: M / p^(1/2)
     assert wc.exponent == F(3) - F(1, 2)
-    assert wc.heavy_set and len(wc.heavy_set) == 1
+    assert wc.witness.residual_witness and len(wc.witness.residual_witness) == 1
 
 
 def test_worstcase_at_least_packing():
@@ -477,7 +477,7 @@ def _worstcase_by_enumeration(q, M, p):
             continue
         lb = load_bound_packing(qx, M, p)
         if best is None or lb.exponent > best.exponent:
-            lb.heavy_set = x
+            lb.witness.residual_witness = x
             best = lb
     return best
 
@@ -497,9 +497,8 @@ def test_worstcase_matches_full_enumeration(q, data):
                                               max_size=len(rels), unique=True))))
     got = load_bound_worstcase(q, M, p)
     ref = _worstcase_by_enumeration(q, M, p)
-    assert (got.exponent, got.value, got.heavy_set) == \
-        (ref.exponent, ref.value, ref.heavy_set)
-    assert got.witness.residual_witness == got.heavy_set
+    assert (got.exponent, got.value, got.witness.residual_witness) == \
+        (ref.exponent, ref.value, ref.witness.residual_witness)
     got.witness.check(q)
 
 
@@ -512,8 +511,8 @@ def test_worstcase_matches_full_enumeration_at_unequal_sizes(family, k):
     M = {a.relation: 1000 + 37 * i for i, a in enumerate(q.atoms)}
     got = load_bound_worstcase(q, M, 64)
     ref = _worstcase_by_enumeration(q, M, 64)
-    assert (got.exponent, got.value, got.heavy_set) == \
-        (ref.exponent, ref.value, ref.heavy_set)
+    assert (got.exponent, got.value, got.witness.residual_witness) == \
+        (ref.exponent, ref.value, ref.witness.residual_witness)
 
 
 @pytest.mark.parametrize("family, k, exponent, heavy", [
@@ -532,4 +531,4 @@ def test_worstcase_lp_counts_at_equal_sizes(monkeypatch, family, k, exponent, he
     solves.clear()
     lb = load_bound_worstcase(q, {a.relation: 10 ** 6 for a in q.atoms}, 64)
     assert len(solves) == psi_solves
-    assert (lb.exponent, lb.heavy_set) == (exponent, heavy)
+    assert (lb.exponent, lb.witness.residual_witness) == (exponent, heavy)
