@@ -426,13 +426,13 @@ def _hc_route(a, order, shares, offsets, cells, column):
 
 
 def _union(routes):
-    """The route to the union of the servers the given routes name; its key
-    is the tuple of their keys."""
+    """The route to the distinct servers the given routes name, in the
+    order first named; its key is the tuple of their keys."""
     def keys(ts):
         return zip(*[r.keys(ts) for r in routes])
 
     def dests(key):
-        return frozenset(s for r, k in zip(routes, key) for s in r.dests(k))
+        return tuple(dict.fromkeys(s for r, k in zip(routes, key) for s in r.dests(k)))
     return Route(keys, dests)
 
 

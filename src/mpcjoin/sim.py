@@ -5,13 +5,13 @@ sent to any set of servers, but the destination set must be a pure function
 of the tuple and of public data statistics.  Every shipment goes through
 one primitive, `Engine.ship`, which spot-checks that on every call;
 delivering the same tuple to the same server twice in one round is an
-error.  A shipment is a list, tuple, set or frozenset of tuples; its
-route is a `Route` of keys(tuples), computed one column at a time, and
-dests(key), a tuple or frozenset of servers, evaluated once per distinct
-key.  Counting mode charges each key's count to that key's servers, with
-no per-tuple work beyond computing the keys; storing mode also groups the
-tuples by destination set and keeps each delivered group once, as one
-tuple shared by its servers, with no hash table per group.  So
+error.  A shipment is a list or tuple of tuples; its route is a `Route`
+of keys(tuples), computed one column at a time, and dests(key), a tuple
+of servers, evaluated once per distinct key.  Both modes count the keys
+and charge each key's count to that key's servers, with no per-tuple
+work beyond computing the keys; storing mode also groups the tuples by
+destination tuple and keeps each delivered group once, as one tuple
+shared by its servers, with no hash table per group.  So
 replication costs per group, not per delivered copy, and the checks and
 the ledger are the same as for one delivery at a time.  The per-round
 load of a server is the data it receives that round; the cost of a run
@@ -34,7 +34,7 @@ from __future__ import annotations
 import csv
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import add, itemgetter
 from typing import Callable, NamedTuple
 
@@ -67,20 +67,20 @@ class LoadReport:
             out[s] += n
         return out
 
-    def round_max_bits(self, r: int) -> int:
-        bits = Counter()
-        for (s, rel), n in self.by_relation[r].items():
-            bits[s] += n * self.widths[rel]
-        return max(bits.values(), default=0)
-
-    def round_max_tuples(self, r: int) -> int:
-        return max(self.server_tuples(r).values(), default=0)
-
     def max_bits(self) -> int:
-        return max((self.round_max_bits(r) for r in range(self.rounds)), default=0)
+        """The most bits one server receives in one round."""
+        top = 0
+        for rnd in self.by_relation:
+            bits = Counter()
+            for (s, rel), n in rnd.items():
+                bits[s] += n * self.widths[rel]
+            top = max(top, max(bits.values(), default=0))
+        return top
 
     def max_tuples(self) -> int:
-        return max((self.round_max_tuples(r) for r in range(self.rounds)), default=0)
+        """The most tuples one server receives in one round."""
+        return max((max(self.server_tuples(r).values(), default=0)
+                    for r in range(self.rounds)), default=0)
 
     def round_total_tuples(self, r: int) -> int:
         return sum(self.by_relation[r].values())
@@ -99,7 +99,7 @@ class Route(NamedTuple):
 
     keys(tuples) yields one key per tuple, in order, and must depend on
     each tuple alone; dests(key) names the servers of every tuple with
-    that key, as a tuple or frozenset; a per-tuple route keys t by t itself.
+    that key, as a tuple of servers; a per-tuple route keys t by t itself.
     """
     keys: Callable
     dests: Callable
@@ -110,10 +110,11 @@ class Engine:
 
     `ship` is the one way to deliver tuples.  Every tuple goes once to each
     server its route names, and the route must be a pure function of the
-    tuple, which is spot-checked on every shipment.  Delivery is grouped
-    per destination set: a server's holdings and ledger entry grow by a
-    whole group at a time, and a group's tuples are kept once, in one
-    tuple shared by all of its servers.  With ``store_tuples=True``
+    tuple, which is spot-checked on every shipment.  A shipment is a list
+    or tuple, and its route names a tuple of servers per key.  Delivery
+    is grouped per destination tuple: a server's holdings and ledger
+    entry grow by a whole group at a time, and a group's tuples are kept
+    once, in one tuple shared by all of its servers.  With ``store_tuples=True``
     the engine keeps what each server received, and a tuple delivered
     twice to one server in one round raises `RoutingError`.  With
     ``store_tuples=False`` (counting mode) the same `ship` calls keep only
@@ -135,16 +136,16 @@ class Engine:
         """Deliver every tuple of `rel` to each server of its route in
         round `rnd` (0-based).
 
-        `tuples` is a list, tuple, set or frozenset and `route` a `Route`,
-        else `TypeError`, and dests returns a tuple or frozenset, else
+        `tuples` is a list or tuple and `route` a `Route`, else
+        `TypeError`, and dests returns a tuple of servers, else
         `RoutingError`; the keys are computed for the whole shipment at
-        once and dests runs once per distinct key.  In counting mode each
-        key's count is charged to its servers; in storing mode the tuples
-        are grouped by destination set, and each group reaches each of its
-        servers in one step.  The first 64 tuples check that the route
-        depends on the tuple alone: their keys are computed again, in
-        reverse order, and dests runs twice on each of their keys (a dests
-        that returns the same object twice passes without sorting).  In
+        once and counted, and dests runs once per distinct key.  Each
+        destination tuple is charged the count of its keys; in storing mode
+        the tuples are also grouped by destination tuple, and each group
+        reaches each of its servers in one step.  The first 64 tuples check
+        that the route depends on the tuple alone: their keys are computed
+        again and dests runs again on each of their keys, both in reverse
+        order, and must give equal keys and equal tuples.  In
         storing mode a tuple that reaches a server it already reached in
         this round (a route naming a server twice, or a tuple repeated in
         the input) raises `RoutingError`, and the failed shipment delivers
@@ -157,51 +158,40 @@ class Engine:
             raise ValueError("negative round")
         if not isinstance(route, Route):
             raise TypeError("route for %s is not a Route" % rel)
-        if not isinstance(tuples, (list, tuple, set, frozenset)):
-            raise TypeError("shipment of %s is not a list, tuple, set or frozenset" % rel)
+        if not isinstance(tuples, (list, tuple)):
+            raise TypeError("shipment of %s is not a list or tuple" % rel)
         keys = iter(route.keys(tuples))
         head = list(islice(keys, 64))
-        first = list(islice(tuples, len(head)))
+        first = tuples[:len(head)]
         rekeyed = list(route.keys(first[::-1]))[::-1]
         if rekeyed != head:
             raise RoutingError("keys for %s/%s are not tuple-determined"
                                % (rel, next((t for t, k, j in zip(first, head, rekeyed)
                                              if k != j), first[:1])))
-        # the distinct keys in order of appearance, and their servers
+        # the distinct keys in order of appearance, so head's come first
+        counts = Counter(head)
         if self.store_tuples:
-            keys = head + list(keys)
-            total = len(keys)
-            distinct = list(dict.fromkeys(keys))
-        else:
-            counts = Counter(head)
-            counts.update(keys)
-            total = sum(counts.values())
-            distinct = list(counts)
-        if total != len(tuples):
+            keys = list(keys)
+        counts.update(keys)
+        if counts.total() != len(tuples):
             raise RoutingError("keys for %s give %d keys for %d tuples"
-                               % (rel, total, len(tuples)))
-        checked = len(set(head))        # head's keys come first
-        servers = []
-        for k in distinct[:checked]:
-            dests = route.dests(k)
-            again = route.dests(k)
-            if again is not dests and sorted(again) != sorted(dests):
-                raise RoutingError("route for %s/%s is not tuple-determined"
-                                   % (rel, first[head.index(k)]))
-            servers.append(dests)
-        servers += map(route.dests, distinct[checked:])
-        if not {tuple, frozenset}.issuperset(map(type, servers)):
-            raise RoutingError("route for %s gives servers that are not a tuple"
-                               " or frozenset" % rel)
+                               % (rel, counts.total(), len(tuples)))
+        servers = list(map(route.dests, counts))
+        if not {tuple}.issuperset(map(type, servers)):
+            raise RoutingError("route for %s gives servers that are not a tuple" % rel)
+        checked = list(islice(counts, len(set(head))))
+        again = list(map(route.dests, checked[::-1]))[::-1]
+        if again != servers[:len(checked)]:
+            k = next(k for k, a, d in zip(checked, again, servers) if a != d)
+            raise RoutingError("route for %s/%s is not tuple-determined"
+                               % (rel, first[head.index(k)]))
+        sizes = defaultdict(int)
+        for dests, n in zip(servers, counts.values()):
+            sizes[dests] += n
         if self.store_tuples:
             groups = defaultdict(list)      # dests -> its tuples
-            of_key = dict(zip(distinct, map(groups.__getitem__, servers)))
-            deque(map(list.append, map(of_key.__getitem__, keys), tuples), 0)
-            sizes = {d: len(g) for d, g in groups.items()}
-        else:
-            sizes = defaultdict(int)
-            for dests, n in zip(servers, counts.values()):
-                sizes[dests] += n
+            of_key = dict(zip(counts, map(groups.__getitem__, servers)))
+            deque(map(list.append, map(of_key.__getitem__, chain(head, keys)), tuples), 0)
         load = Counter()
         for dests, n in sizes.items():
             for s in dests:

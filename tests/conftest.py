@@ -1,7 +1,9 @@
 """Shared test helpers: a recorder that echoes one verdict line per
 acceptance criterion into the terminal summary, the rebuild of a run's
-output from what its servers hold, and a skewed triangle instance."""
+output from what its servers hold, the traced memory of one call, and a
+skewed triangle instance."""
 
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -63,6 +65,20 @@ def rebuilt(res, run):
             local = {a.relation: holdings(s, a.relation) for a in part.atoms}
             out |= _join_part(part._replace(rels=local), res.query.variables)
     return out
+
+
+def traced_memory(fn, *args, **kwargs):
+    """(result, retained, peak) of fn(*args, **kwargs) run under
+    tracemalloc: the bytes it left allocated and the most it had
+    allocated, both above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held - start, peak - start
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

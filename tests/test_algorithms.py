@@ -2,9 +2,10 @@ import hashlib
 import random
 import re
 import sys
-import tracemalloc
 from collections import Counter
+from functools import partial
 from itertools import cycle
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from mpcjoin import algorithms
 from mpcjoin.algorithms import (ALGORITHMS, InsufficientServers, _active_profiles,
                                 _balanced_hashes, _Ctx, _Grid, _heavy_at,
                                 _heavy_profiles, _least, _ranked, _shaped,
-                                hc_grid, pick_algorithm, run_algorithm)
+                                _union, hc_grid, pick_algorithm, run_algorithm)
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance, gen_agm_worst,
                              gen_coin_flip, gen_matching, gen_single_heavy)
 from mpcjoin.em import DryRuns
@@ -24,7 +25,7 @@ from mpcjoin.sim import Engine, Route, oracle_join
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from conftest import rebuilt, recorded_runs  # noqa: E402
+from conftest import rebuilt, recorded_runs, traced_memory  # noqa: E402
 from hash_reference import hash_family  # noqa: E402
 from ledger_matrix import GENERATORS, GRIDS, QUERIES, SEED, two_heavy  # noqa: E402
 
@@ -158,6 +159,17 @@ def test_intersection_hashes_each_tuple_once(monkeypatch):
         == dict.fromkeys(shipped, 1)
 
 
+def test_union_names_each_server_once():
+    # two routes naming servers 1 and 3 both: the union's dests is a tuple
+    # of distinct servers, in the order they are first named
+    a = Route(partial(map, itemgetter(0)), {1: (3, 1), 2: (0,)}.__getitem__)
+    b = Route(partial(map, itemgetter(1)), {5: (1, 4, 3)}.__getitem__)
+    u = _union([a, b])
+    keys = list(u.keys([(1, 5), (2, 5)]))
+    assert keys == [(1, 5), (2, 5)]
+    assert [u.dests(k) for k in keys] == [(3, 1, 4), (0, 1, 4, 3)]
+
+
 def _wrap_ship(monkeypatch, around):
     """Engine.ship calls around(ship, engine, rnd, rel, tuples, route) from
     now on, where ship is the real one."""
@@ -217,14 +229,8 @@ def _semi_join_ship_peaks(monkeypatch, db):
     peaks = []
 
     def traced(ship, eng, rnd, rel, tuples, route):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            ship(eng, rnd, rel, tuples, route)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        peaks.append((rel, len(tuples), peak - start))
+        peak = traced_memory(ship, eng, rnd, rel, tuples, route)[2]
+        peaks.append((rel, len(tuples), peak))
     _wrap_ship(monkeypatch, traced)
     run_algorithm("semi_join", db, 64, 5)
     return peaks
@@ -277,14 +283,10 @@ def test_checked_job_memory(alg, q):
     # above its start stays under 5.5 MiB (about 4.6 MiB measured for both;
     # 6.7 and 8.0 MiB with copied rows and key sets).
     db = gen_matching(q, 20000, 12)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        assert run_algorithm(alg, db, 64, 12).output == oracle_join(db)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start < 5.5 * 2 ** 20, peak - start
+    (got, want), _, peak = traced_memory(
+        lambda: (run_algorithm(alg, db, 64, 12).output, oracle_join(db)))
+    assert got == want
+    assert peak < 5.5 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("alg,q,m,counting,mib", [
@@ -301,14 +303,8 @@ def test_skew_join_run_memory(alg, q, m, counting, mib):
     # for join_one_sided_skew; 6.7, 6.4 and 3.2 MiB with a count alive
     # beside the map).
     db = gen_matching(parse_query(q), m, 12)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        run_algorithm(alg, db, 64, 12, counting=counting)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start < mib * 2 ** 20, peak - start
+    peak = traced_memory(run_algorithm, alg, db, 64, 12, counting=counting)[2]
+    assert peak < mib * 2 ** 20, peak
 
 
 def test_hc_grid_bound_and_unbound():

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,8 @@ def test_psi_star_raises_when_no_residual_reaches_the_count(monkeypatch):
 
 def test_psi_star_leaves_no_garbage():
     # every object either call allocates is freed by reference counting
+    if sys.gettrace() is not None:
+        pytest.skip("a line tracer's frames are garbage the collector counts")
     q = canonical_query("SP", 6)
     gc.disable()
     try:

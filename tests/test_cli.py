@@ -88,6 +88,8 @@ def test_generate_and_rerun_identical(tmp_path, capsys):
 def test_second_call_leaves_no_garbage(capsys):
     # the parser is built once per process; a call after the first one
     # allocates nothing that only the cyclic collector frees
+    if sys.gettrace() is not None:
+        pytest.skip("a line tracer's frames are garbage the collector counts")
     argv = ["analyze", "--family", "C", "--k", "3", "--p", "64"]
     assert main(argv) == 0
     gc.disable()
@@ -136,7 +138,7 @@ def test_run_with_oracle_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rounds=2" in out
     assert "oracle check: OK" in out
-    assert open(csv_path).readline().startswith("round,server,relation")
+    assert Path(csv_path).read_text().startswith("round,server,relation")
 
 
 def test_run_one_round_on_matching(capsys):
@@ -225,7 +227,7 @@ def test_sweep_p_writes_csv(tmp_path, capsys):
                "--m", "200", "--alg", "one_round_skew",
                "--p-list", "8,27", "--out", path])
     assert rc == 0
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert lines[0].startswith("p,algorithm")
     assert len(lines) == 3
 
@@ -236,7 +238,7 @@ def test_sweep_p_one_bound_is_largest_relation(tmp_path, capsys):
     rc = main(["sweep", "--family", "C", "--k", "3", "--gen", "matching",
                "--m", "100", "--p-list", "1", "--out", path])
     assert rc == 0
-    assert open(path).read().splitlines()[1] == "1,clique,1,300,4200,100.0,3.0000"
+    assert Path(path).read_text().splitlines()[1] == "1,clique,1,300,4200,100.0,3.0000"
 
 
 def test_sweep_p_bound_is_largest_tuple_bound_over_x(tmp_path, capsys):
@@ -246,7 +248,7 @@ def test_sweep_p_bound_is_largest_tuple_bound_over_x(tmp_path, capsys):
     rc = main(["sweep", "--family", "Ldagger", "--k", "4", "--gen", "matching",
                "--m", "400", "--p-list", "8,27,64", "--out", path])
     assert rc == 0
-    assert open(path).read().splitlines()[1:] == [
+    assert Path(path).read_text().splitlines()[1:] == [
         "8,one_round_skew,1,1301,18018,237.8,5.4700",
         "27,one_round_skew,1,1104,14472,175.5,6.2914",
         "64,one_round_skew,1,721,9981,141.4,5.0982"]
@@ -275,7 +277,7 @@ def test_sweep_p_list_unsorted_and_repeated(tmp_path, capsys):
         path = str(tmp_path / "sweep.csv")
         assert main(["sweep", "--family", "C", "--k", "4", "--gen", "single_heavy",
                      "--m", "200", "--p-list", p_list, "--out", path]) == 0
-        return open(path).read().splitlines()
+        return Path(path).read_text().splitlines()
 
     swept = rows("64,8,64")
     alone = [rows(p) for p in ("64", "8", "64")]
@@ -335,7 +337,7 @@ def test_sweep_w_prints_replay_warnings_on_stderr(tmp_path, capsys):
         "warning: W=400: partition fan-out p_o*B=3200 exceeds W=400; "
         "counted as if one partial block per bucket still fits"]
     assert "warning" not in captured.out
-    assert open(path).read().splitlines()[1:] == [
+    assert Path(path).read_text().splitlines()[1:] == [
         "400,100,32,1,189,13.5,14.0000", "6400,100,1,1,27,3.4,8.0000"]
 
 
@@ -554,7 +556,7 @@ def test_sweep_w_on_empty_instance(tmp_path, capsys):
     assert main(["sweep", "--family", "C", "--k", "3", "--indir", out,
                  "--alg", "triangle", "--W", "100", "--B", "10",
                  "--out", path]) == 0
-    assert open(path).read().splitlines() == [
+    assert Path(path).read_text().splitlines() == [
         "W,B,p_o,rounds,io_blocks,ref_blocks,ratio", "100,10,1,1,0,0.0,0.0000"]
 
 

@@ -2,13 +2,13 @@ import hashlib
 import json
 import os
 import random
-import tracemalloc
 from collections import Counter
 from operator import itemgetter
 
 import pytest
 
 import reader_reference
+from conftest import traced_memory
 from mpcjoin.datagen import (DatabaseInstance, RelationInstance,
                              agm_domain_sizes, gen_agm_worst, gen_coin_flip,
                              gen_lowerbound_matching, gen_matching,
@@ -407,11 +407,6 @@ _READ_PEAK_BYTES = 12 * 2 ** 20
 def test_read_instance_traced_peak_is_bounded(tmp_path):
     q = parse_query("Q(x,y) :- S(x,y)")
     write_instance(gen_matching(q, 50_000, 3), str(tmp_path))
-    tracemalloc.start()
-    try:
-        db = read_instance(q, str(tmp_path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    db, _, peak = traced_memory(read_instance, q, str(tmp_path))
     assert db.relations["S"].m == 50_000
     assert peak < _READ_PEAK_BYTES, peak

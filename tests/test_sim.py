@@ -2,7 +2,6 @@ import ast
 import itertools
 import math
 import re
-import tracemalloc
 from collections import Counter
 from functools import partial
 from operator import itemgetter
@@ -15,7 +14,7 @@ from mpcjoin.datagen import (gen_matching, gen_single_heavy, read_instance,
 from mpcjoin.query import Atom, canonical_query, parse_query
 from mpcjoin.sim import Engine, Route, RoutingError, join_atoms, oracle_join
 
-from conftest import star_triangle
+from conftest import star_triangle, traced_memory
 
 _by_tuple = partial(Route, iter)        # the route whose key is the tuple itself
 
@@ -24,6 +23,7 @@ def test_engine_counts_and_rejects_repeats():
     eng = Engine({"R": 10, "S": 3})
     eng.ship(0, "R", [(1, 2)], _by_tuple(lambda t: (1, 2)))
     eng.ship(0, "S", [(1, 2)], _by_tuple(lambda t: (1,)))   # same tuple, other relation
+    assert eng.report.max_bits() == 13                      # 10 + 3 bits on server 1
     with pytest.raises(RoutingError):
         eng.ship(0, "R", [(1, 2)], _by_tuple(lambda t: (1,)))   # repeat in the same round
     with pytest.raises(RoutingError):
@@ -33,7 +33,7 @@ def test_engine_counts_and_rejects_repeats():
     assert rep.rounds == 2
     assert rep.by_relation[0] == {(1, "R"): 1, (2, "R"): 1, (1, "S"): 1}
     assert rep.server_tuples(0) == {1: 2, 2: 1}
-    assert rep.max_tuples() == 2 and rep.round_max_bits(0) == 13
+    assert rep.max_tuples() == 2 and rep.max_bits() == 20
     assert rep.round_total_tuples(0) == 3
     assert sum(n for rnd in rep.by_relation for (s, _), n in rnd.items() if s == 1) == 4
     assert eng.holdings(1, "R") == {(1, 2), (5, 6)}    # union over rounds
@@ -67,13 +67,7 @@ def test_storing_mode_retains_one_reference_per_tuple():
     tuples = [(i, i % 65) for i in range(20000)]
     dests = [(s,) for s in range(64)] + [(64, 65, 66, 67)]
     eng = Engine({"R": 8})
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        eng.ship(0, "R", tuples, _by_tuple(lambda t: dests[t[1]]))
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    retained = traced_memory(eng.ship, 0, "R", tuples, _by_tuple(lambda t: dests[t[1]]))[1]
     assert sum(eng.report.by_relation[0].values()) == 20000 + 3 * 307
     assert retained < 20 * len(tuples)
 
@@ -90,18 +84,12 @@ def test_ship_detects_impure_route():
 
     def flaky(t):
         state["n"] += 1
-        return frozenset({state["n"] % 3})
-
-    with pytest.raises(RoutingError, match="not tuple-determined"):
-        eng.ship(0, "R", [(1,), (2,), (3,)], _by_tuple(flaky))
-
-    # a fresh tuple on every call is compared, not taken on identity
-    def fresh_tuples(t):
-        state["n"] += 1
         return (state["n"] % 3,)
 
     with pytest.raises(RoutingError, match="not tuple-determined"):
-        eng.ship(0, "R", [(1,)], _by_tuple(fresh_tuples))
+        eng.ship(0, "R", [(1,), (2,), (3,)], _by_tuple(flaky))
+    with pytest.raises(RoutingError, match="not tuple-determined"):
+        eng.ship(0, "R", [(1,)], _by_tuple(flaky))
 
 
 def test_counting_mode_matches_storing_mode():
@@ -109,7 +97,7 @@ def test_counting_mode_matches_storing_mode():
     reports = []
     for store in (True, False):
         eng = Engine({"R": 8}, store_tuples=store)
-        eng.ship(0, "R", tuples, _by_tuple(lambda t: frozenset({t[1], (t[0] * 7) % 13})))
+        eng.ship(0, "R", tuples, _by_tuple(lambda t: tuple(sorted({t[1], (t[0] * 7) % 13}))))
         reports.append(eng.report)
     assert reports[0] == reports[1]
 
@@ -137,13 +125,16 @@ def test_counting_mode_has_no_holdings():
 @pytest.mark.parametrize("shipped,route,error", [
     ([(1, 0)], lambda t: (0,), TypeError),                     # a plain callable
     ([(1, 0)], _by_tuple(lambda t: [0]), RoutingError),        # dests a list
+    ([(1, 0)], _by_tuple(lambda t: frozenset({0})), RoutingError),
     ([(1, 0)], _by_tuple(lambda t: (s for s in (0,))), RoutingError),  # a generator
     ((t for t in [(1, 0)]), _by_tuple(lambda t: (0,)), TypeError),    # a generator
-], ids=["callable-route", "list-dests", "generator-dests", "generator-shipment"])
+    ({(1, 0)}, _by_tuple(lambda t: (0,)), TypeError),
+    (frozenset({(1, 0)}), _by_tuple(lambda t: (0,)), TypeError),
+], ids=["callable-route", "list-dests", "frozenset-dests", "generator-dests",
+        "generator-shipment", "set-shipment", "frozenset-shipment"])
 def test_ship_takes_one_form_of_each_argument(store, shipped, route, error):
-    # a route is a Route whose dests are a tuple or frozenset, and a
-    # shipment is a list, tuple, set or frozenset; anything else raises
-    # and delivers nothing
+    # a route is a Route whose dests are a tuple, and a shipment is a list
+    # or tuple; anything else raises and delivers nothing
     eng = Engine({"R": 8}, store_tuples=store)
     eng.ship(0, "R", [(2, 0)], _by_tuple(lambda t: (0,)))
     with pytest.raises(error, match=r"(for|of) R "):
@@ -156,9 +147,9 @@ def test_ship_takes_one_form_of_each_argument(store, shipped, route, error):
 def test_load_report_csv(tmp_path):
     eng = Engine({"R": 10})
     eng.ship(0, "R", [(1,)], _by_tuple(lambda t: (3,)))
-    path = str(tmp_path / "load.csv")
-    eng.report.write_csv(path)
-    lines = open(path).read().strip().splitlines()
+    path = tmp_path / "load.csv"
+    eng.report.write_csv(str(path))
+    lines = path.read_text().strip().splitlines()
     assert lines[0] == "round,server,relation,tuples,bits_per_tuple"
     assert lines[1] == "1,3,R,1,10"
 
@@ -214,7 +205,7 @@ class _ReferenceEngine:
         return set().union(*(h.get((server, rel), ()) for h in self.held.values()))
 
 
-_ROUTE_KINDS = {"tuple": tuple, "frozenset": frozenset}
+_ROUTE_KINDS = {"tuple": tuple}
 
 
 def _repeats_at(held, rnd, rel, tuples, route, tup, server):
@@ -409,16 +400,9 @@ def test_oracle_join_transient_memory(tmp_path, fam, k, gen, c):
           else gen_matching(q, 20000, 12))
     write_instance(db, str(tmp_path))
     db = read_instance(q, str(tmp_path))
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = oracle_join(db)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, held, peak = traced_memory(oracle_join, db)
     assert len(out) == 20000
-    assert peak - start <= c * (held - start)
+    assert peak <= c * held
 
 
 def test_oracle_join_matching_is_diagonalish():
